@@ -986,13 +986,7 @@ let () =
     };
   let args = List.tl (Array.to_list Sys.argv) in
   let json = List.mem "--json" args in
-  (* Escape hatch for A/B measurement and the record->replay cross-check:
-     force the reference CPS interpreter everywhere. *)
-  if List.mem "--no-compile" args then
-    Sa_uthread.Ft_core.compiled_enabled := false;
-  let args =
-    List.filter (fun a -> a <> "--json" && a <> "--no-compile") args
-  in
+  let args = List.filter (fun a -> a <> "--json") args in
   if json then begin
     match args with
     | [ "scale" ] -> print_scale_json (run_scale ())

@@ -73,8 +73,7 @@ type t =
   | Dynamic of t
       (* force-dependent marker: the wrapped program's continuations read
          or write host state, so they must be forced at simulated
-         execution time; [compile] refuses the whole containing tree and
-         interpreters unwrap transparently *)
+         execution time; [compile] leaves each one behind an [op_dyn] *)
 
 module Build = struct
   type 'a m = ('a -> t) -> t
@@ -131,8 +130,8 @@ let compute_only d = Compute (d, fun () -> Done)
 (* ------------------------------------------------------------------ *)
 
 module Code = struct
-  (* Op tags.  Interpreters match on the integer literals directly (an
-     18-way [match] on an int compiles to a jump table); the constants
+  (* Op tags.  Interpreters match on the integer literals directly (a
+     19-way [match] on an int compiles to a jump table); the constants
      below exist so they can sanity-check the numbering at module init. *)
   let op_done = 0
   let op_compute = 1
@@ -152,22 +151,27 @@ module Code = struct
   let op_yield = 15
   let op_stamp = 16
   let op_set_priority = 17
+  let op_dyn = 18
 
-  type t = {
+  type nonrec t = {
     op : int array;  (* op tag *)
     a : int array;
         (* first operand: span (compute/io), sync-object index
            (acquire/release/signal/broadcast/sem/ksem), cond index (wait),
            child entry pc (fork), join target (>= 0: literal runtime tid;
            < 0: [-(site+1)], resolved through the thread's fork bindings),
-           block (cache_read), marker id (stamp), priority *)
-    b : int array;  (* second operand: mutex index (wait), fork site (fork) *)
-    nx : int array;  (* next pc (-1 terminates; only op_done has -1) *)
+           block (cache_read), marker id (stamp), priority, continuation
+           index (dyn) *)
+    b : int array;
+        (* second operand: mutex index (wait), fork site (fork; dyn, or -1
+           when the continuation takes no thread id) *)
+    nx : int array;  (* next pc (-1 terminates: op_done and op_dyn) *)
     mutexes : Mutex.t array;  (* code-local index -> object *)
     conds : Cond.t array;
     sems : Sem.t array;
     ksems : Sem.t array;  (* separate index space: matches backend state *)
     fork_sites : int;
+    konts : (thread_id -> t) array;  (* unforced continuations (dyn) *)
   }
 
   let length c = Array.length c.op
@@ -175,26 +179,49 @@ end
 
 (* Fork continuations are forced symbolically: each fork site hands its
    continuation a unique, hugely negative sentinel thread id.  A sentinel
-   showing up anywhere except a [Join] target means the program computes
-   on thread ids — compilation aborts and the caller falls back to the
-   reference interpreter.  [min_int/4] leaves sentinel +/- small-int
+   showing up anywhere except a same-thread [Join] target means the program
+   computes on thread ids, so that fork's continuation must stay unforced
+   until the real id exists.  [min_int/4] leaves sentinel +/- small-int
    arithmetic still recognizably suspicious. *)
 let sentinel_base = min_int / 2
 let sentinel_threshold = min_int / 4
 let sentinel_of_site site = sentinel_base - site
 let is_sentinel v = v <= sentinel_base
 
-exception Compile_abort
+(* Raised mid-compile: recompile with this fork site's continuation left
+   lazy.  The site raised is always the earliest one whose sentinel is in
+   scope, so nothing is deferred while any sentinel is in scope, and
+   compilation is deterministic: the retry numbers every site up to the
+   raising one identically, and a lazy site names the same fork on every
+   attempt. *)
+exception Lazy_site of int
 
-let compile ?(budget = 1_000_000) prog =
-  let cap = ref 64 in
+let no_thunk () = Done
+
+(* One thread-straight-line region under compilation. *)
+type region = {
+  id : int;
+  mutable entry : int;  (* first pc emitted, -1 before *)
+  mutable last : int;  (* pc the next emitted instruction is linked after *)
+  mutable scope : int;
+      (* earliest fork site whose sentinel the code being compiled may
+         have captured, -1 for none *)
+  mutable cur : t;  (* the node to compile next *)
+  mutable produced_by : unit -> t;
+      (* the thunk whose forcing produced [cur]; [no_thunk] for the
+         region's first node and right after a fork *)
+  mutable running : bool;
+  mutable dyn : bool;  (* inside a [Dynamic] subtree: one node, then [op_dyn] *)
+}
+
+let compile_once ~budget ~lazy_sites prog =
+  let cap = ref 8 in
   let op = ref (Array.make !cap 0)
   and a = ref (Array.make !cap 0)
   and b = ref (Array.make !cap 0)
   and nx = ref (Array.make !cap (-1)) in
   let len = ref 0 in
   let emit o av bv =
-    if !len >= budget then raise Compile_abort;
     if !len >= !cap then begin
       let ncap = !cap * 2 in
       let grow arr fill =
@@ -213,9 +240,18 @@ let compile ?(budget = 1_000_000) prog =
     incr len;
     pc
   in
+  let konts = ref [] and nkonts = ref 0 in
+  let add_kont k =
+    konts := k :: !konts;
+    incr nkonts;
+    !nkonts - 1
+  in
   (* Sync objects are interned to dense code-local indices, one space per
      kind (user and kernel semaphore state live in separate tables, so a
-     [Sem.t] used both ways gets an index in each). *)
+     [Sem.t] used both ways gets an index in each).  One table serves all
+     four kinds, keyed by object id and kind: most arenas are the few
+     instructions of an [op_dyn] continuation, where table setup is most
+     of the cost of compiling. *)
   let intern tbl lst count key obj =
     match Hashtbl.find_opt tbl key with
     | Some i -> i
@@ -226,24 +262,23 @@ let compile ?(budget = 1_000_000) prog =
         lst := obj :: !lst;
         i
   in
-  let mtbl = Hashtbl.create 8 and mlst = ref [] and mn = ref 0 in
-  let ctbl = Hashtbl.create 8 and clst = ref [] and cn = ref 0 in
-  let stbl = Hashtbl.create 8 and slst = ref [] and sn = ref 0 in
-  let ktbl = Hashtbl.create 8 and klst = ref [] and kn = ref 0 in
-  let midx m = intern mtbl mlst mn (Mutex.id m) m in
-  let cidx c = intern ctbl clst cn (Cond.id c) c in
-  let sidx s = intern stbl slst sn (Sem.id s) s in
-  let kidx s = intern ktbl klst kn (Sem.id s) s in
-  let check v = if v < sentinel_threshold then raise Compile_abort; v in
-  let check_span v = if v < 0 then raise Compile_abort; v in
+  let tbl = Hashtbl.create 8 in
+  let mlst = ref [] and mn = ref 0 in
+  let clst = ref [] and cn = ref 0 in
+  let slst = ref [] and sn = ref 0 in
+  let klst = ref [] and kn = ref 0 in
+  let midx m = intern tbl mlst mn (Mutex.id m * 4) m in
+  let cidx c = intern tbl clst cn ((Cond.id c * 4) + 1) c in
+  let sidx s = intern tbl slst sn ((Sem.id s * 4) + 2) s in
+  let kidx s = intern tbl klst kn ((Sem.id s * 4) + 3) s in
   let nsites = ref 0 in
   (* Each compiled instruction has exactly one predecessor (subtrees are
      duplicated, never shared), so every instruction belongs to exactly one
      thread-straight-line region: the root is region 0, each fork child
      opens a fresh region while the continuation stays in the forker's.  A
-     join on a site recorded under a different region would look up a fork
-     binding its own thread never established — abort (the program captured
-     a thread id across a fork boundary). *)
+     join on a site issued under a different region would look up a fork
+     binding its own thread never established, so it escapes like data.
+     Only sites whose continuation was forced with a sentinel are here. *)
   let site_region = Hashtbl.create 16 in
   let next_region = ref 1 in
   (* Physically-shared fork children compile once and every fork site
@@ -252,131 +287,205 @@ let compile ?(budget = 1_000_000) prog =
      O(instances) and blow the arena for no behavioural gain — joins
      resolve fork sites through each running thread's own bindings, so
      instances sharing code (and fork sites) stay independent.  Keyed on
-     physical equality: a non-[Dynamic] tree is force-pure by contract,
-     so forcing it once stands for every instance.  The list stays tiny
-     (distinct shared children, capped), so [==] scans beat hashing. *)
+     physical equality: one value captures the same thread ids wherever it
+     is forked, so compiling it once stands for every instance.  The list
+     stays tiny (distinct shared children, capped), so [==] scans beat
+     hashing. *)
   let child_memo = ref [] in
-  let rec go region prog0 =
-    let entry = ref (-1) and patch = ref (-1) in
-    let link pc =
-      if !entry = -1 then entry := pc else !nx.(!patch) <- pc;
-      patch := pc
-    in
-    let cur = ref prog0 in
-    let running = ref true in
-    while !running do
-      match !cur with
-      | Done ->
-          link (emit Code.op_done 0 0);
-          running := false
-      | Compute (d, k) ->
-          link (emit Code.op_compute (check_span d) 0);
-          cur := k ()
-      | Acquire (m, k) ->
-          link (emit Code.op_acquire (midx m) 0);
-          cur := k ()
-      | Release (m, k) ->
-          link (emit Code.op_release (midx m) 0);
-          cur := k ()
-      | Wait (c, m, k) ->
-          link (emit Code.op_wait (cidx c) (midx m));
-          cur := k ()
-      | Signal (c, k) ->
-          link (emit Code.op_signal (cidx c) 0);
-          cur := k ()
-      | Broadcast (c, k) ->
-          link (emit Code.op_broadcast (cidx c) 0);
-          cur := k ()
-      | Sem_p (s, k) ->
-          link (emit Code.op_sem_p (sidx s) 0);
-          cur := k ()
-      | Sem_v (s, k) ->
-          link (emit Code.op_sem_v (sidx s) 0);
-          cur := k ()
-      | Ksem_p (s, k) ->
-          link (emit Code.op_ksem_p (kidx s) 0);
-          cur := k ()
-      | Ksem_v (s, k) ->
-          link (emit Code.op_ksem_v (kidx s) 0);
-          cur := k ()
-      | Fork (child, k) ->
-          let site = !nsites in
-          incr nsites;
-          Hashtbl.replace site_region site region;
-          let pc = emit Code.op_fork 0 site in
-          link pc;
-          let child_pc =
-            match List.find_opt (fun (c, _) -> c == child) !child_memo with
-            | Some (_, cpc) -> cpc
-            | None ->
-                let child_region = !next_region in
-                incr next_region;
-                let cpc = go child_region child in
-                if List.length !child_memo < 64 then
-                  child_memo := (child, cpc) :: !child_memo;
-                cpc
-          in
-          !a.(pc) <- child_pc;
-          cur := k (sentinel_of_site site)
-      | Join (tid, k) ->
-          let operand =
-            if is_sentinel tid then begin
-              let site = sentinel_base - tid in
-              (match Hashtbl.find_opt site_region site with
-              | Some r when r = region -> ()
-              | Some _ | None -> raise Compile_abort);
-              -(site + 1)
-            end
-            else if tid < 0 then raise Compile_abort
-            else tid
-          in
-          link (emit Code.op_join operand 0);
-          cur := k ()
-      | Io (d, k) ->
-          link (emit Code.op_io (check_span d) 0);
-          cur := k ()
-      | Cache_read (blk, k) ->
-          link (emit Code.op_cache_read (check blk) 0);
-          cur := k ()
-      | Yield k ->
-          link (emit Code.op_yield 0 0);
-          cur := k ()
-      | Stamp (id, k) ->
-          link (emit Code.op_stamp (check id) 0);
-          cur := k ()
-      | Set_priority (p, k) ->
-          link (emit Code.op_set_priority (check p) 0);
-          cur := k ()
-      | Dynamic _ ->
-          (* Force-dependent program: eager forcing would run its host
-             effects at compile time instead of at execution. *)
-          raise Compile_abort
-    done;
-    !entry
+  let link r pc =
+    if r.entry = -1 then r.entry <- pc else !nx.(r.last) <- pc;
+    r.last <- pc
   in
-  match go 0 prog with
-  | exception ((Out_of_memory | Assert_failure _) as e) -> raise e
-  | exception _ ->
-      (* Any exception during eager forcing (including [Compile_abort] and
-         [Stack_overflow] on pathologically deep fork nesting) falls back
-         to the reference interpreter, which forces continuations lazily
-         at the original program-order points. *)
-      None
-  | root_pc ->
-      assert (root_pc = 0);
-      let trim arr = Array.sub !arr 0 !len in
-      Some
-        {
-          Code.op = trim op;
-          a = trim a;
-          b = trim b;
-          nx = trim nx;
-          mutexes = Array.of_list (List.rev !mlst);
-          conds = Array.of_list (List.rev !clst);
-          sems = Array.of_list (List.rev !slst);
-          ksems = Array.of_list (List.rev !klst);
-          fork_sites = !nsites;
-        }
+  let defer r site k =
+    link r (emit Code.op_dyn (add_kont k) site);
+    r.running <- false
+  in
+  (* A sentinel used as data: make the earliest site in scope lazy (a later
+     site that issued [v] becomes lazy when the deferred continuation is
+     compiled at run time).  With no sentinel in
+     scope, [v] is an ordinary literal. *)
+  let escape r v =
+    if v < sentinel_threshold && r.scope >= 0 then raise (Lazy_site r.scope);
+    v
+  in
+  (* Leave the current node to run time, redoing the forcing that built
+     it: that forcing may have read host state (a future's resolution
+     check runs as its chain is built).  Nothing may stay unforced while
+     a sentinel is in scope, so the earliest site in scope is made lazy
+     instead. *)
+  let defer_current r =
+    if r.scope >= 0 then raise (Lazy_site r.scope);
+    let f = r.produced_by and node = r.cur in
+    defer r (-1) (if f == no_thunk then fun _ -> node else fun _ -> f ())
+  in
+  (* Forcing can raise (a continuation that only makes sense with real
+     thread ids or host state): leave it to run time, where it raises at
+     the instant program order reaches it.  Host faults are not the
+     program's and surface here. *)
+  let force r f =
+    r.produced_by <- f;
+    match f () with
+    | node -> r.cur <- node
+    | exception ((Out_of_memory | Stack_overflow | Assert_failure _) as e) ->
+        raise e
+    | exception _ -> defer_current r
+  in
+  let next r k =
+    if r.dyn then defer r (-1) (fun _ -> Dynamic (k ())) else force r k
+  in
+  let rec go id scope prog =
+    let r =
+      {
+        id;
+        entry = -1;
+        last = -1;
+        scope;
+        cur = prog;
+        produced_by = no_thunk;
+        running = true;
+        dyn = false;
+      }
+    in
+    while r.running do
+      if !len >= budget && not r.dyn then defer_current r
+      else
+        match r.cur with
+        | Done ->
+            link r (emit Code.op_done 0 0);
+            r.running <- false
+        | Compute (d, k) ->
+            link r (emit Code.op_compute (escape r d) 0);
+            next r k
+        | Acquire (m, k) ->
+            link r (emit Code.op_acquire (midx m) 0);
+            next r k
+        | Release (m, k) ->
+            link r (emit Code.op_release (midx m) 0);
+            next r k
+        | Wait (c, m, k) ->
+            link r (emit Code.op_wait (cidx c) (midx m));
+            next r k
+        | Signal (c, k) ->
+            link r (emit Code.op_signal (cidx c) 0);
+            next r k
+        | Broadcast (c, k) ->
+            link r (emit Code.op_broadcast (cidx c) 0);
+            next r k
+        | Sem_p (s, k) ->
+            link r (emit Code.op_sem_p (sidx s) 0);
+            next r k
+        | Sem_v (s, k) ->
+            link r (emit Code.op_sem_v (sidx s) 0);
+            next r k
+        | Ksem_p (s, k) ->
+            link r (emit Code.op_ksem_p (kidx s) 0);
+            next r k
+        | Ksem_v (s, k) ->
+            link r (emit Code.op_ksem_v (kidx s) 0);
+            next r k
+        | Fork (child, k) ->
+            let site = !nsites in
+            incr nsites;
+            let pc = emit Code.op_fork 0 site in
+            link r pc;
+            let child_pc =
+              match List.find_opt (fun (c, _) -> c == child) !child_memo with
+              | Some (_, cpc) -> cpc
+              | None ->
+                  let child_region = !next_region in
+                  incr next_region;
+                  let cpc = go child_region r.scope child in
+                  if List.length !child_memo < 64 then
+                    child_memo := (child, cpc) :: !child_memo;
+                  cpc
+            in
+            !a.(pc) <- child_pc;
+            if r.dyn then defer r site (fun tid -> Dynamic (k tid))
+            else if List.mem site lazy_sites then begin
+              (* The deferred continuation would capture any sentinel in
+                 scope, which no run-time binding resolves. *)
+              if r.scope >= 0 then raise (Lazy_site r.scope);
+              defer r site k
+            end
+            else begin
+              Hashtbl.replace site_region site r.id;
+              if r.scope < 0 then r.scope <- site;
+              (* The sentinel is in scope from here: a [Dynamic] result or
+                 a raise makes a site lazy (see [defer_current]). *)
+              r.produced_by <- no_thunk;
+              match k (sentinel_of_site site) with
+              | node -> r.cur <- node
+              | exception
+                  ((Out_of_memory | Stack_overflow | Assert_failure _) as e) ->
+                  raise e
+              | exception _ -> defer_current r
+            end
+        | Join (tid, k) ->
+            let operand =
+              if tid >= 0 then tid
+              else
+                match Hashtbl.find_opt site_region (sentinel_base - tid) with
+                | Some reg when reg = r.id && is_sentinel tid ->
+                    -(sentinel_base - tid + 1)
+                | Some _ | None ->
+                    ignore (escape r tid);
+                    (* no thread has a negative id: joining fails at run
+                       time *)
+                    max_int
+            in
+            link r (emit Code.op_join operand 0);
+            next r k
+        | Io (d, k) ->
+            link r (emit Code.op_io (escape r d) 0);
+            next r k
+        | Cache_read (blk, k) ->
+            link r (emit Code.op_cache_read (escape r blk) 0);
+            next r k
+        | Yield k ->
+            link r (emit Code.op_yield 0 0);
+            next r k
+        | Stamp (id, k) ->
+            link r (emit Code.op_stamp (escape r id) 0);
+            next r k
+        | Set_priority (p, k) ->
+            link r (emit Code.op_set_priority (escape r p) 0);
+            next r k
+        | Dynamic p ->
+            (* Force-dependent from here on: its continuations run host
+               effects, so each is forced only when execution reaches it.
+               Unless the node heads this region with no sentinel in
+               scope, the forcing that built it is deferred too. *)
+            if r.dyn || (r.produced_by == no_thunk && r.scope < 0) then begin
+              r.dyn <- true;
+              r.cur <- p
+            end
+            else defer_current r
+    done;
+    r.entry
+  in
+  let root_pc = go 0 (-1) prog in
+  assert (root_pc = 0);
+  let trim arr = Array.sub !arr 0 !len in
+  {
+    Code.op = trim op;
+    a = trim a;
+    b = trim b;
+    nx = trim nx;
+    mutexes = Array.of_list (List.rev !mlst);
+    conds = Array.of_list (List.rev !clst);
+    sems = Array.of_list (List.rev !slst);
+    ksems = Array.of_list (List.rev !klst);
+    fork_sites = !nsites;
+    konts = Array.of_list (List.rev !konts);
+  }
+
+let compile ?(budget = 1_000_000) prog =
+  let rec attempt lazy_sites =
+    match compile_once ~budget ~lazy_sites prog with
+    | code -> code
+    | exception Lazy_site site -> attempt (site :: lazy_sites)
+  in
+  attempt []
 
 let op_count prog ~max =
   let rec go n prog =

@@ -86,10 +86,10 @@ type t =
       (** marks the wrapped program as {e force-dependent}: its
           continuations read or write host state (a future's cell, a work
           bag, a mailbox), so they must be forced at simulated execution
-          time, never eagerly.  {!compile} refuses any tree containing the
-          marker — every backend then runs the program on the reference
-          CPS interpreter, whose force-at-execution semantics such programs
-          rely on.  Interpreters unwrap it transparently at zero simulated
+          time, never eagerly.  {!compile} compiles such a subtree one
+          node at a time, each continuation behind a lazy [op_dyn] node
+          that the interpreter forces only when execution reaches it.
+          Interpreters unwrap the marker transparently at zero simulated
           cost.  Pure-structure programs (spans and sync objects only in
           continuations) never need it. *)
 
@@ -145,24 +145,30 @@ module Build : sig
   val when_ : bool -> unit m -> unit m
 end
 
-(** Compiled, arena-allocated flat representation: the whole program tree
+(** Compiled, arena-allocated flat representation: the program tree
     forced once into parallel int arrays (op tag + operands + next-pc), so
     interpreters run a pc-indexed step loop instead of rebuilding
-    [(unit -> t)] continuations per operation.  Sync objects are interned
-    to dense code-local indices resolved against backend state once at
-    link time.  Built by {!compile}; the constructor API above stays the
-    frontend, so workloads never see this type. *)
+    [(unit -> t)] continuations per operation.  Where eager forcing cannot
+    be used the arena ends in an [op_dyn] node holding the unforced
+    continuation.  Sync objects are interned to dense code-local indices
+    resolved against backend state once at link time.  Built by
+    {!compile}; the constructor API above stays the frontend, so workloads
+    never see this type. *)
 module Code : sig
-  type t = {
+  type nonrec t = {
     op : int array;  (** op tag, one of the [op_*] constants below *)
     a : int array;
         (** first operand: span (compute/io), sync-object index, cond index
             (wait), child entry pc (fork), join target ([>= 0] literal
             runtime tid, [< 0] is [-(site+1)] resolved through the joining
             thread's own fork bindings), block (cache_read), marker id
-            (stamp), priority *)
-    b : int array;  (** second operand: mutex index (wait), fork site (fork) *)
-    nx : int array;  (** next pc ([-1] terminates; only [op_done] has [-1]) *)
+            (stamp), priority, index into [konts] (dyn) *)
+    b : int array;
+        (** second operand: mutex index (wait), fork site (fork; dyn when
+            the continuation takes the forked child's id, else [-1]) *)
+    nx : int array;
+        (** next pc ([-1] terminates; only [op_done] and [op_dyn] have
+            [-1]) *)
     mutexes : Mutex.t array;  (** code-local mutex index -> object *)
     conds : Cond.t array;
     sems : Sem.t array;
@@ -170,6 +176,9 @@ module Code : sig
         (** kernel-semaphore index space, separate from [sems]: user and
             kernel semaphore state live in separate backend tables *)
     fork_sites : int;  (** number of fork sites (bounds bind-list length) *)
+    konts : (thread_id -> t) array;
+        (** the unforced continuations [op_dyn] nodes hold ([t] here is
+            the program type) *)
   }
 
   (** Interpreters dispatch with a [match] on the raw tag (a jump table);
@@ -211,20 +220,35 @@ module Code : sig
 
   val op_set_priority : int  (** = 17 *)
 
+  val op_dyn : int
+  (** = 18: apply [konts.(a)] to the thread id bound at fork site [b] (any
+      id when [b = -1]), compile the result ({!compile}) and continue at
+      its entry.  The interpreter flushes pending charges first, so the
+      forcing happens at exactly the simulated instant program order
+      reaches it, and the node itself is not a program step. *)
+
   val length : t -> int
 end
 
-val compile : ?budget:int -> t -> Code.t option
-(** Force the program tree eagerly into a {!Code.t} arena (root entry at
-    pc 0).  Fork continuations are forced symbolically with a per-site
-    sentinel thread id; [Join] on a sentinel compiles to a fork-site
-    reference resolved at run time through the joining thread's own fork
-    bindings.  Returns [None] — callers fall back to the reference CPS
-    interpreter — when the program computes on thread ids (a sentinel
-    escapes into any non-join operand, or joins a fork another thread
-    performed), exceeds [budget] instructions (default 1M; catches
-    unbounded recursion — shared subtrees are duplicated, not memoized),
-    or any exception escapes the eager forcing. *)
+val compile : ?budget:int -> t -> Code.t
+(** Force the program tree into a {!Code.t} arena (root entry at pc 0).
+    Total: every program compiles.  Fork continuations are forced
+    symbolically with a per-site sentinel thread id; [Join] on a sentinel
+    compiles to a fork-site reference resolved at run time through the
+    joining thread's own fork bindings.  Eager forcing stops at an
+    [op_dyn] node holding the unforced continuation:
+    - inside a [Dynamic] subtree, after every node;
+    - after a fork, when code compiled with its sentinel in scope uses a
+      child's id as data, joins it from another thread, or reaches a
+      [Dynamic] node or one of the cases below: the earliest fork whose
+      sentinel is in scope is the one left lazy, so a sentinel never
+      reaches run time;
+    - once the arena holds [budget] instructions (default 1M; bounds
+      unbounded recursion — distinct subtrees are duplicated, physically
+      shared fork children are compiled once);
+    - where forcing a continuation raises: it raises again at run time,
+      when execution reaches it ([Out_of_memory], [Stack_overflow] and
+      [Assert_failure] are not deferred; they escape [compile]). *)
 
 val null : t
 (** The empty program (exits immediately). *)

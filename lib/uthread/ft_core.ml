@@ -15,7 +15,7 @@ let () =
     && Pcode.op_ksem_p = 9 && Pcode.op_ksem_v = 10 && Pcode.op_fork = 11
     && Pcode.op_join = 12 && Pcode.op_io = 13 && Pcode.op_cache_read = 14
     && Pcode.op_yield = 15 && Pcode.op_stamp = 16
-    && Pcode.op_set_priority = 17)
+    && Pcode.op_set_priority = 17 && Pcode.op_dyn = 18)
 
 type strategy = Copy_sections | Explicit_flag
 type tstate = Embryo | Ready | Running | Blocked_user | Blocked_kernel | Done
@@ -28,9 +28,9 @@ type tstate = Embryo | Ready | Running | Blocked_user | Blocked_kernel | Done
    inclusive — in the unfolded schedule the unlock and the dispatched
    thread's next cell acquisition run inside the same event callback, so
    the cell never appears free to other events at that instant — which
-   makes thieves observe exactly the reference interpreter's contention
-   window.  [lease_for] (the dispatched thread) passes through, since its
-   own merged charge covers the same window. *)
+   makes thieves observe exactly the one-event-per-charge schedule's
+   contention window.  [lease_for] (the dispatched thread) passes
+   through, since its own merged charge covers the same window. *)
 type cs_cell = {
   mutable owner : int option;
   mutable lease_until : Time.t;
@@ -51,13 +51,13 @@ type tcb = {
          the thread parks itself on the ready list and control returns to
          the original upcall via this hook *)
   mutable joiners : tcb list;
-  (* Flat-interpreter execution context (meaningful only when the thread
-     runs compiled code; reference-CPS threads leave these at defaults). *)
+  (* Step-loop execution context. *)
   mutable pc : int;  (* current instruction in the shared Code arena *)
   mutable phase : int;
       (* 0 fetch-dispatch at [pc]; 1 wait-wakeup (re-acquire the mutex at
          the wait op); 2 charge done, op transition pending; 3 charge done,
-         re-acquire transition pending *)
+         re-acquire transition pending; 4-5 accumulator flushed, cell op /
+         re-acquire pending *)
   mutable acc : int;  (* accumulated not-yet-charged compute (ns) *)
   mutable binds : (int * int) list;  (* fork site -> spawned child tid *)
   mutable k_step : unit -> unit;  (* preallocated: enter step loop at pc *)
@@ -153,8 +153,8 @@ type driver = {
 (* Compiled code linked against one state: code-local sync-object indices
    resolved to this state's mutex/cond/sem/ksem records once, so the step
    loop's per-op cost is a single array read instead of a [Hashtbl] probe.
-   Resolution goes through the same find-or-create tables the reference
-   interpreter uses, so both paths share sync state. *)
+   Resolution goes through find-or-create tables, so arenas compiled at
+   different times ([op_dyn] continuations) share sync state. *)
 type link = {
   lcode : Program.Code.t;
   lmut : mutex_state array;
@@ -162,8 +162,6 @@ type link = {
   lsem : sem_state array;
   lksem : ksem_state array;
 }
-
-let compiled_enabled = ref true
 
 let tcb_id t = t.tid
 let tcb_name t = t.name
@@ -431,41 +429,11 @@ let flag_cost d crossings =
 
 let spin_slice d = max (5 * d.costs.Cost_model.ut_lock) (Time.ns 50)
 
-(* Execute one thread-package operation: spin for the protecting cell,
-   charge the operation cost as a critical-section segment, then release and
-   run [after] (the operation's state transition and continuation).  If the
-   thread was preempted mid-section and is being temporarily continued, the
-   section exit parks the thread and returns control to the upcall. *)
-(* One logical charge request that also issues one [d.charge] event: the
-   reference interpreter's segments-to-batches ratio is exactly 1. *)
+(* One logical charge request that also issues one [d.charge] event. *)
 let charge_counted s d tcb span k =
   s.st.charge_segments <- s.st.charge_segments + 1;
   s.st.charge_batches <- s.st.charge_batches + 1;
   d.charge tcb span k
-
-let charge_op s d tcb ~cell ~cost ~crossings after =
-  s.st.charge_segments <- s.st.charge_segments + 1;
-  s.st.charge_batches <- s.st.charge_batches + 1;
-  let cost = cost + flag_cost d crossings in
-  spin_lock_cell s cell ~owner:tcb.tid ~slice:(spin_slice d)
-    ~charge:(fun slice k -> d.charge tcb slice k)
-    (fun () ->
-      tcb.held_cell <- Some cell;
-      d.charge tcb cost (fun () ->
-          unlock_cell cell;
-          tcb.held_cell <- None;
-          match tcb.cs_hook with
-          | None -> after ()
-          | Some hook ->
-              (* Temporarily-continued thread reached the section exit:
-                 relinquish back to the original upcall (Section 3.3). *)
-              tcb.cs_hook <- None;
-              tcb.resume <- after;
-              set_state s tcb Ready;
-              s.policy.Sched_policy.sp_push_preempted s.queues.(tcb.binding)
-                tcb;
-              d.work_created s tcb;
-              hook ()))
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter                                                         *)
@@ -474,9 +442,7 @@ let charge_op s d tcb ~cell ~cost ~crossings after =
 let cs_crossings_null_fork = 6
 let cs_crossings_signal_wait = 3
 
-(* Shared no-op continuation: flat-interpreter tcbs overwrite all three
-   [k_*] slots at install time, so [tcb.k_step != nop] tests whether a
-   thread runs compiled code. *)
+(* Placeholder for a tcb's [k_*] slots until [install_flat] fills them. *)
 let nop () = ()
 
 (* Dispatch cost charged by the substrate driver when it takes a thread off
@@ -486,283 +452,27 @@ let dispatch_cost d =
 
 let sa_extra d v = if d.sa_accounting then v else 0
 
-let rec exec s d tcb prog =
-  let c = d.costs in
-  s.st.program_steps <- s.st.program_steps + 1;
-  match prog with
-  | Program.Dynamic p ->
-      (* transparent marker, not a program step *)
-      s.st.program_steps <- s.st.program_steps - 1;
-      exec s d tcb p
-  | Program.Done ->
-      charge_op s d tcb
-        ~cell:(queue_cell s tcb.binding)
-        ~cost:c.Cost_model.ut_finish ~crossings:1
-        (fun () ->
-          set_state s tcb Done;
-          s.live <- s.live - 1;
-          s.st.completions <- s.st.completions + 1;
-          let joiners = tcb.joiners in
-          tcb.joiners <- [];
-          List.iter (fun j -> make_ready s d ~at:tcb.binding j) joiners;
-          if s.live = 0 then d.all_done ();
-          d.thread_stopped tcb)
-  | Program.Compute (span, k) ->
-      charge_counted s d tcb span (fun () -> exec s d tcb (k ()))
-  | Program.Fork (child_prog, k) ->
-      charge_op s d tcb
-        ~cell:(queue_cell s tcb.binding)
-        ~cost:(c.Cost_model.ut_fork + sa_extra d c.Cost_model.ut_sa_busy_accounting)
-        ~crossings:2
-        (fun () ->
-          let child = new_thread_in s d ~name:"" child_prog in
-          child.prio <- tcb.prio;
-          if child.prio <> 0 then s.has_priorities <- true;
-          s.st.forks <- s.st.forks + 1;
-          make_ready s d ~at:tcb.binding child;
-          exec s d tcb (k child.tid))
-  | Program.Join (tid', k) -> (
-      match Hashtbl.find_opt s.threads tid' with
-      | None -> invalid_arg "Join: unknown thread id"
-      | Some target ->
-          charge_op s d tcb
-            ~cell:(queue_cell s tcb.binding)
-            ~cost:c.Cost_model.ut_join ~crossings:1
-            (fun () ->
-              if target.tstate = Done then exec s d tcb (k ())
-              else begin
-                target.joiners <- tcb :: target.joiners;
-                block_user s d tcb (fun () -> exec s d tcb (k ()))
-              end))
-  | Program.Acquire (m, k) ->
-      let ms = mutex_state s m in
-      charge_op s d tcb ~cell:ms.m_cell ~cost:c.Cost_model.ut_lock ~crossings:1
-        (fun () ->
-          match ms.m_holder with
-          | None ->
-              ms.m_holder <- Some tcb.tid;
-              exec s d tcb (k ())
-          | Some _ ->
-              (* Contended: block at user level; release re-readies us
-                 holding the mutex.  The holder may have released while we
-                 charged the block path, so re-check before sleeping. *)
-              charge_counted s d tcb
-                (c.Cost_model.ut_block_on_lock - c.Cost_model.ut_lock)
-                (fun () ->
-                  match ms.m_holder with
-                  | None ->
-                      ms.m_holder <- Some tcb.tid;
-                      exec s d tcb (k ())
-                  | Some _ ->
-                      Queue.add tcb ms.m_waiters;
-                      block_user s d tcb (fun () -> exec s d tcb (k ()))))
-  | Program.Release (m, k) ->
-      let ms = mutex_state s m in
-      charge_op s d tcb ~cell:ms.m_cell ~cost:c.Cost_model.ut_unlock
-        ~crossings:1
-        (fun () ->
-          (match ms.m_holder with
-          | Some holder when holder = tcb.tid -> ()
-          | Some _ | None -> invalid_arg "Release: not the holder");
-          (match Queue.take_opt ms.m_waiters with
-          | Some w ->
-              ms.m_holder <- Some w.tid;
-              make_ready s d ~at:tcb.binding w
-          | None -> ms.m_holder <- None);
-          exec s d tcb (k ()))
-  | Program.Wait (cv, m, k) ->
-      let cs = cond_state s cv in
-      let ms = mutex_state s m in
-      charge_op s d tcb ~cell:cs.c_cell
-        ~cost:(c.Cost_model.ut_wait + sa_extra d c.Cost_model.ut_sa_busy_accounting)
-        ~crossings:1
-        (fun () ->
-          (match ms.m_holder with
-          | Some holder when holder = tcb.tid -> ()
-          | Some _ | None -> invalid_arg "Wait: caller does not hold mutex");
-          (* Atomically release the mutex and sleep. *)
-          (match Queue.take_opt ms.m_waiters with
-          | Some w ->
-              ms.m_holder <- Some w.tid;
-              make_ready s d ~at:tcb.binding w
-          | None -> ms.m_holder <- None);
-          Queue.add (tcb, m) cs.c_waiters;
-          block_user s d tcb (fun () ->
-              (* Re-acquire the mutex before returning from Wait. *)
-              exec s d tcb (Program.Acquire (m, k))))
-  | Program.Signal (cv, k) ->
-      let cs = cond_state s cv in
-      charge_op s d tcb ~cell:cs.c_cell
-        ~cost:(c.Cost_model.ut_signal + sa_extra d c.Cost_model.ut_sa_resume_check)
-        ~crossings:1
-        (fun () ->
-          (match Queue.take_opt cs.c_waiters with
-          | Some (w, _m) -> make_ready s d ~at:tcb.binding w
-          | None -> ());
-          exec s d tcb (k ()))
-  | Program.Broadcast (cv, k) ->
-      let cs = cond_state s cv in
-      charge_op s d tcb ~cell:cs.c_cell
-        ~cost:(c.Cost_model.ut_signal + sa_extra d c.Cost_model.ut_sa_resume_check)
-        ~crossings:1
-        (fun () ->
-          Queue.iter (fun (w, _m) -> make_ready s d ~at:tcb.binding w) cs.c_waiters;
-          Queue.clear cs.c_waiters;
-          exec s d tcb (k ()))
-  | Program.Sem_p (sem, k) ->
-      let ss = sem_state s sem in
-      charge_op s d tcb ~cell:ss.s_cell
-        ~cost:(c.Cost_model.ut_wait + sa_extra d c.Cost_model.ut_sa_busy_accounting)
-        ~crossings:1
-        (fun () ->
-          if ss.s_count > 0 then begin
-            ss.s_count <- ss.s_count - 1;
-            exec s d tcb (k ())
-          end
-          else begin
-            Queue.add tcb ss.s_waiters;
-            block_user s d tcb (fun () -> exec s d tcb (k ()))
-          end)
-  | Program.Sem_v (sem, k) ->
-      let ss = sem_state s sem in
-      charge_op s d tcb ~cell:ss.s_cell
-        ~cost:(c.Cost_model.ut_signal + sa_extra d c.Cost_model.ut_sa_resume_check)
-        ~crossings:1
-        (fun () ->
-          (match Queue.take_opt ss.s_waiters with
-          | Some w -> make_ready s d ~at:tcb.binding w
-          | None -> ss.s_count <- ss.s_count + 1);
-          exec s d tcb (k ()))
-  | Program.Ksem_p (sem, k) ->
-      let ks = ksem_state s sem in
-      charge_counted s d tcb c.Cost_model.ut_lock (fun () ->
-          if ks.k_count > 0 then begin
-            ks.k_count <- ks.k_count - 1;
-            (* The check-and-decrement still traps into the kernel. *)
-            charge_counted s d tcb c.Cost_model.kernel_trap (fun () ->
-                exec s d tcb (k ()))
-          end
-          else begin
-            s.st.kblocks <- s.st.kblocks + 1;
-            set_state s tcb Blocked_kernel;
-            d.block_kernel tcb
-              ~register:(fun wake -> Queue.add wake ks.k_waiters)
-              (fun () ->
-                set_state s tcb Running;
-                exec s d tcb (k ()))
-          end)
-  | Program.Ksem_v (sem, k) ->
-      let ks = ksem_state s sem in
-      charge_counted s d tcb
-        (c.Cost_model.ut_unlock + c.Cost_model.kernel_trap)
-        (fun () ->
-          (match Queue.take_opt ks.k_waiters with
-          | Some wake -> wake ()
-          | None -> ks.k_count <- ks.k_count + 1);
-          exec s d tcb (k ()))
-  | Program.Io (span, k) ->
-      s.st.kblocks <- s.st.kblocks + 1;
-      set_state s tcb Blocked_kernel;
-      d.block_io tcb span (fun () ->
-          set_state s tcb Running;
-          exec s d tcb (k ()))
-  | Program.Cache_read (block, k) -> (
-      match s.cache with
-      | None ->
-          (* No cache configured: treat as always-hit. *)
-          charge_counted s d tcb c.Cost_model.procedure_call (fun () ->
-              exec s d tcb (k ()))
-      | Some cache ->
-          charge_counted s d tcb c.Cost_model.procedure_call (fun () ->
-              match Buffer_cache.access cache block with
-              | Buffer_cache.Hit ->
-                  s.st.cache_hits <- s.st.cache_hits + 1;
-                  exec s d tcb (k ())
-              | Buffer_cache.Miss ->
-                  s.st.cache_misses <- s.st.cache_misses + 1;
-                  s.st.kblocks <- s.st.kblocks + 1;
-                  set_state s tcb Blocked_kernel;
-                  let do_block fill_done =
-                    (* A peer machine's cache outranks the disk: consult the
-                       cluster's remote-fetch resolver first. *)
-                    match
-                      match s.remote_fill with
-                      | Some f -> f block
-                      | None -> None
-                    with
-                    | Some register ->
-                        s.st.remote_fills <- s.st.remote_fills + 1;
-                        d.block_kernel tcb ~register fill_done
-                    | None -> (
-                        match s.io_dev with
-                        | Some dev ->
-                            d.block_kernel tcb
-                              ~register:(fun wake -> Io_device.submit dev wake)
-                              fill_done
-                        | None -> d.block_io tcb d.io_latency fill_done)
-                  in
-                  do_block (fun () ->
-                      set_state s tcb Running;
-                      Buffer_cache.fill cache block;
-                      (* Wake threads that coalesced on this fill. *)
-                      (match Hashtbl.find_opt s.cache_waiters block with
-                      | Some waiters ->
-                          Hashtbl.remove s.cache_waiters block;
-                          List.iter
-                            (fun w -> make_ready s d ~at:tcb.binding w)
-                            (List.rev waiters)
-                      | None -> ());
-                      exec s d tcb (k ()))
-              | Buffer_cache.Miss_in_flight ->
-                  s.st.cache_misses <- s.st.cache_misses + 1;
-                  let old =
-                    Option.value ~default:[]
-                      (Hashtbl.find_opt s.cache_waiters block)
-                  in
-                  Hashtbl.replace s.cache_waiters block (tcb :: old);
-                  block_user s d tcb (fun () -> exec s d tcb (k ()))))
-  | Program.Stamp (id, k) ->
-      d.on_stamp id;
-      exec s d tcb (k ())
-  | Program.Set_priority (p, k) ->
-      charge_counted s d tcb c.Cost_model.procedure_call (fun () ->
-          tcb.prio <- p;
-          if p <> 0 then s.has_priorities <- true;
-          exec s d tcb (k ()))
-  | Program.Yield k ->
-      charge_op s d tcb
-        ~cell:(queue_cell s tcb.binding)
-        ~cost:c.Cost_model.ut_yield ~crossings:1
-        (fun () ->
-          tcb.resume <- (fun () -> exec s d tcb (k ()));
-          set_state s tcb Ready;
-          s.policy.Sched_policy.sp_push_yield s.queues.(tcb.binding) tcb;
-          d.work_created s tcb;
-          d.thread_stopped tcb)
-
-and block_user s d tcb resume_k =
+let block_user s d tcb resume_k =
   s.st.ublocks <- s.st.ublocks + 1;
   set_state s tcb Blocked_user;
   tcb.resume <- resume_k;
   d.thread_stopped tcb
 
-(* ------------------------------------------------------------------ *)
-(* Flat interpreter                                                    *)
-(*                                                                     *)
-(* Compiled threads run a pc-indexed step loop over the shared arena   *)
-(* instead of rebuilding [(unit -> t)] continuations.  Consecutive     *)
-(* [Compute] spans accumulate in [tcb.acc] with no [Sim] event at all  *)
-(* and are merged into the next charging operation's single [d.charge] *)
-(* (flushed separately before [Io] and [Stamp], which need the exact   *)
-(* pre-block / pre-marker instant).  Every state transition happens at *)
-(* the same simulated time as under the reference interpreter; the one *)
+(* Every thread runs a pc-indexed step loop over a compiled arena       *)
+(* ({!Program.compile}) instead of rebuilding [(unit -> t)]            *)
+(* continuations.  Consecutive [Compute] spans accumulate in           *)
+(* [tcb.acc] with no [Sim] event at all and are merged into the next   *)
+(* charging operation's single [d.charge] (flushed separately before   *)
+(* [Io], [Stamp] and [op_dyn], which need the exact pre-block /        *)
+(* pre-marker / pre-forcing instant).  Every state transition happens  *)
+(* at the same simulated time as with one event per charge; the one    *)
 (* semantic divergence is that the protecting [cs_cell] is taken at    *)
 (* the start of a merged segment rather than after the compute part,   *)
 (* so spin accounting and the Section 3.3 recovery-vs-ordinary         *)
 (* preemption split can differ (see docs/INTERNALS.md s12).            *)
 (* ------------------------------------------------------------------ *)
 
-and step_loop s d tcb lk =
+let rec step_loop s d tcb lk =
   match tcb.phase with
   | 2 ->
       tcb.phase <- 0;
@@ -774,7 +484,7 @@ and step_loop s d tcb lk =
         lk.lmut.(Array.unsafe_get code.Pcode.b tcb.pc)
   | 1 ->
       (* Wait wakeup: re-acquire the mutex before leaving the wait op
-         (the reference interpreter re-enters [exec] on an [Acquire]). *)
+         (one more program step, as an [Acquire] would be). *)
       tcb.phase <- 0;
       s.st.program_steps <- s.st.program_steps + 1;
       if tcb.acc = 0 then flat_reacquire s d tcb lk
@@ -798,11 +508,11 @@ and step_loop s d tcb lk =
           step_loop s d tcb lk
       | 0 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 11 | 15 ->
           (* Cell-protected ops flush accumulated compute as its own
-             event first, so the cell is held for exactly the reference
-             interpreter's op-cost window.  Merging would serialize
-             contended sync objects behind unrelated compute, and would
-             starve thieves (whose [try_lock_cell] probes never spin) of
-             the forker's/yielder's queue cell. *)
+             event first, so the cell is held for exactly the op-cost
+             window of a one-event-per-charge schedule.  Merging would
+             serialize contended sync objects behind unrelated compute,
+             and would starve thieves (whose [try_lock_cell] probes never
+             spin) of the forker's/yielder's queue cell. *)
           if tcb.acc = 0 then flat_cell_op s d tcb lk
           else flat_flush s d tcb ~phase:4
       | 9 (* ksem_p *) ->
@@ -811,9 +521,9 @@ and step_loop s d tcb lk =
           flat_charge s d tcb
             ~cost:(c.Cost_model.ut_unlock + c.Cost_model.kernel_trap)
       | 12 (* join *) ->
-          (* Resolve now so an unknown target errors before any charge,
-             as in the reference interpreter; the commit re-resolves and
-             re-checks the target's state after the charge. *)
+          (* Resolve now so an unknown target errors before any charge;
+             the commit re-resolves and re-checks the target's state
+             after the charge. *)
           ignore (flat_join_target s tcb (Array.unsafe_get code.Pcode.a pc));
           if tcb.acc = 0 then flat_cell_op s d tcb lk
           else flat_flush s d tcb ~phase:4
@@ -835,8 +545,8 @@ and step_loop s d tcb lk =
             step_loop s d tcb lk
           end
           else begin
-            (* Flush so the marker fires at the exact instant the
-               reference interpreter would have reached it. *)
+            (* Flush so the marker fires at the exact instant program
+               order reaches it. *)
             s.st.charge_batches <- s.st.charge_batches + 1;
             let pending = tcb.acc in
             tcb.acc <- 0;
@@ -845,6 +555,11 @@ and step_loop s d tcb lk =
           end
       | 17 (* set_priority *) ->
           flat_charge s d tcb ~cost:c.Cost_model.procedure_call
+      | 18 (* dyn *) ->
+          (* A continuation boundary, not a program step. *)
+          s.st.program_steps <- s.st.program_steps - 1;
+          if tcb.acc = 0 then flat_dyn s d tcb lk
+          else flat_flush s d tcb ~phase:2
       | _ -> assert false)
 
 (* Flush the accumulator as its own (cell-free) [Sim] event; [phase]
@@ -857,7 +572,7 @@ and flat_flush s d tcb ~phase =
   d.charge tcb pending tcb.k_commit
 
 (* Cell-protected ops: always reached with an empty accumulator, so the
-   cell-held window matches the reference interpreter exactly. *)
+   cell-held window matches a one-event-per-charge schedule exactly. *)
 and flat_cell_op s d tcb lk =
   let code = lk.lcode in
   let pc = tcb.pc in
@@ -974,8 +689,8 @@ and flat_join_target s tcb operand =
   | Some target -> target
   | None -> invalid_arg "Join: unknown thread id"
 
-(* Post-charge state transition for the op at [tcb.pc] (the reference
-   interpreter's [after] closures, dispatched on the op tag). *)
+(* Post-charge state transition for the op at [tcb.pc], dispatched on the
+   op tag. *)
 and commit_op s d tcb lk =
   let code = lk.lcode in
   let pc = tcb.pc in
@@ -1152,6 +867,7 @@ and commit_op s d tcb lk =
   | 16 (* stamp: reached only via the acc flush *) ->
       d.on_stamp (Array.unsafe_get code.Pcode.a pc);
       flat_advance s d tcb lk
+  | 18 (* dyn: reached only via the acc flush *) -> flat_dyn s d tcb lk
   | 17 (* set_priority *) ->
       let p = Array.unsafe_get code.Pcode.a pc in
       tcb.prio <- p;
@@ -1184,6 +900,23 @@ and commit_acquire s d tcb lk ms =
               Queue.add tcb ms.m_waiters;
               tcb.pc <- Array.unsafe_get lk.lcode.Pcode.nx tcb.pc;
               block_user s d tcb tcb.k_step)
+
+(* Force the continuation an [op_dyn] holds — passing the real child id
+   from [tcb.binds] when it continues a fork — and continue at the entry
+   of its freshly compiled arena.  Reached with an empty accumulator, so
+   any host effect of forcing lands at the instant program order reaches
+   it. *)
+and flat_dyn s d tcb lk =
+  let code = lk.lcode in
+  let pc = tcb.pc in
+  let site = Array.unsafe_get code.Pcode.b pc in
+  let tid = if site < 0 then 0 else List.assoc site tcb.binds in
+  let k = code.Pcode.konts.(Array.unsafe_get code.Pcode.a pc) in
+  let lk = link_code s (Program.compile (k tid)) in
+  tcb.pc <- 0;
+  tcb.binds <- [];
+  install_flat s d tcb lk;
+  step_loop s d tcb lk
 
 and link_code s code =
   {
@@ -1265,17 +998,13 @@ and new_flat_thread s d lk ~pc =
   install_flat s d tcb lk;
   tcb
 
-and new_thread_in s d ?(name = "") prog =
+let new_thread s d ?(name = "") prog =
   let tcb = make_tcb s ~name in
-  (match if !compiled_enabled then Program.compile prog else None with
-  | Some code -> install_flat s d tcb (link_code s code)
-  | None -> tcb.resume <- (fun () -> exec s d tcb prog));
+  install_flat s d tcb (link_code s (Program.compile prog));
   tcb
 
-let new_thread s d ?name prog = new_thread_in s d ?name prog
-
-(* Dispatch-cost folding: when a compiled thread is being dispatched at an
-   op boundary (resume is the bare step/run entry, not a preemption
+(* Dispatch-cost folding: when a thread is being dispatched at an op
+   boundary (resume is the bare step/run entry, not a preemption
    re-charge), the dispatch overhead can ride in its accumulator instead
    of being a [Sim] event of its own — the next charge consumes the
    accumulator before any state transition, so every transition instant is
@@ -1285,10 +1014,7 @@ let new_thread s d ?name prog = new_thread_in s d ?name prog
    their commit transitions run straight off the dispatch, before any
    charge could consume the accumulator. *)
 let fold_dispatch s d tcb =
-  if
-    tcb.k_step != nop
-    && (tcb.resume == tcb.k_step || tcb.resume == tcb.k_run)
-    && tcb.phase <= 1
+  if (tcb.resume == tcb.k_step || tcb.resume == tcb.k_run) && tcb.phase <= 1
   then begin
     s.st.charge_segments <- s.st.charge_segments + 1;
     tcb.acc <- tcb.acc + dispatch_cost d;

@@ -6,10 +6,13 @@
     activations (modified FastThreads, {!Ft_sa}): thread control blocks,
     per-processor LIFO ready lists with stealing, user-level locks /
     condition variables / semaphores, the low-level critical-section
-    protocol of Sections 3.3 and 4.3, the buffer cache glue, and the
+    protocol of Sections 3.3 and 4.3, the buffer cache glue, and the one
     interpreter that executes {!Sa_program.Program} values while charging
-    the cost model.  Substrate differences are injected through a
-    {!driver} record. *)
+    the cost model: every thread's program is compiled
+    ({!Program.compile}) and run by a pc-indexed step loop that batches
+    consecutive compute charges into single [Sim] events, forcing lazy
+    [op_dyn] continuations when execution reaches them.  Substrate
+    differences are injected through a {!driver} record. *)
 
 module Time = Sa_engine.Time
 module Program = Sa_program.Program
@@ -61,8 +64,9 @@ type stats = {
       (** misses serviced from a peer machine's cache over the network
           (cluster runs; see {!set_remote_fill}) *)
   mutable program_steps : int;
-      (** program operations executed (both interpreters count identically,
-          including the wait-wakeup re-acquire step) *)
+      (** program operations executed, including the wait-wakeup
+          re-acquire step; [Dynamic] markers and [op_dyn] continuation
+          boundaries are not steps *)
   mutable charge_segments : int;
       (** logical charge requests issued by the interpreter (compute spans,
           op costs, contended-acquire block paths; spin slices excluded) *)
@@ -70,7 +74,7 @@ type stats = {
       (** [d.charge] events actually issued; the flat interpreter coalesces
           consecutive compute segments into the next op's charge, so
           [charge_segments / charge_batches] is the batching ratio
-          (exactly 1 under the reference interpreter) *)
+          (1 would mean one event per charge) *)
 }
 
 type state
@@ -155,17 +159,9 @@ type driver = {
 
 (** {1 Thread lifecycle} *)
 
-val compiled_enabled : bool ref
-(** When set (the default), {!new_thread} compiles programs to the flat
-    arena representation ({!Program.compile}) and runs them with the
-    pc-indexed step loop, batching consecutive compute charges into single
-    [Sim] events; programs the compiler rejects fall back to the reference
-    CPS interpreter automatically (both share sync-object state).  Clear to
-    force the reference interpreter everywhere — the record side of the
-    explore record->replay cross-check, and the differential oracle. *)
-
 val new_thread : state -> driver -> ?name:string -> Program.t -> tcb
-(** Allocate a TCB in [Embryo] state (not yet on any ready list). *)
+(** Allocate a TCB in [Embryo] state (not yet on any ready list), its
+    program compiled and linked against the state's sync objects. *)
 
 val set_resume : tcb -> (unit -> unit) -> unit
 (** Install the continuation run when the thread is next dispatched (used by
@@ -206,14 +202,13 @@ val dispatch_cost : driver -> Time.span
     the Explicit_flag crossing when that strategy is active). *)
 
 val fold_dispatch : state -> driver -> tcb -> bool
-(** Try to absorb {!dispatch_cost} into a compiled thread's charge
-    accumulator instead of a [Sim] event of its own.  Succeeds ([true])
-    only when the thread runs the flat interpreter and sits at an op
-    boundary — its next charge then consumes the folded cost before any
-    state transition, so all transition instants match the unfolded
-    schedule.  On [false] the caller must charge the dispatch cost
-    itself (reference-interpreter threads, preemption re-charges,
-    Section-3.3 section exits). *)
+(** Try to absorb {!dispatch_cost} into the thread's charge accumulator
+    instead of a [Sim] event of its own.  Succeeds ([true]) only when the
+    thread sits at an op boundary — its next charge then consumes the
+    folded cost before any state transition, so all transition instants
+    match the unfolded schedule.  On [false] the caller must charge the
+    dispatch cost itself (preemption re-charges, Section-3.3 section
+    exits). *)
 
 val spin_slice : driver -> Time.span
 (** The initial spin-slice used when waiting on a held cell (a few
@@ -261,10 +256,6 @@ val spin_lock_cell :
     [owner] identifies the locker for diagnostics. *)
 
 (** {1 Interpreter} *)
-
-val exec : state -> driver -> tcb -> Program.t -> unit
-(** Execute the program as thread [tcb], charging per-operation costs.
-    Invoked by drivers with the thread bound to a vessel. *)
 
 val resume_preempted :
   state ->

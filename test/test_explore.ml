@@ -315,6 +315,23 @@ let test_shrink_minimizes_and_replays () =
             (Shrink.violation_key msg)
       | _ -> Alcotest.fail "minimal replay did not violate")
 
+(* Interpreter cross-check: [fixtures/xref.sched] is the default
+   exploration schedule (server workload, seed 3, 15 requests, walk)
+   recorded under the one-event-per-charge CPS walker.  Replaying it
+   strictly under the compiled interpreter must consume every recorded
+   decision and reproduce the recorded digest — charge batching and the
+   lease protocol drive the bit-identical schedule. *)
+let test_xref_replay () =
+  let sched = Schedule.load "fixtures/xref.sched" in
+  let spec = Search.spec_of_meta sched.Schedule.meta in
+  let r, consumed = Search.replay ~mode:Chooser.Strict spec sched in
+  Alcotest.(check int)
+    "every decision consumed" (Schedule.length sched) consumed;
+  Alcotest.(check (option string))
+    "digest matches the recording"
+    (Schedule.meta_find sched "digest")
+    (Some r.Search.digest)
+
 let () =
   Alcotest.run "explore"
     [
@@ -347,6 +364,8 @@ let () =
           qtest prop_pct_replay;
           qtest prop_chaos_replay;
           qtest prop_mutation_detected;
+          Alcotest.test_case "frozen walker schedule replays strictly" `Quick
+            test_xref_replay;
         ] );
       ( "seeded-violation",
         [

@@ -163,6 +163,89 @@ let pp_tests =
         check Alcotest.bool "has fork braces" true (String.contains out '{'));
   ]
 
+(* [Program.compile] is total: where eager forcing cannot be used it ends
+   the arena in an [op_dyn] node holding the unforced continuation. *)
+let has_dyn code = Array.exists (( = ) P.Code.op_dyn) code.P.Code.op
+
+(* The op tags a single thread executes, following each [op_dyn] into the
+   arena its continuation compiles to (straight-line programs only). *)
+let rec code_ops ?budget code pc acc =
+  let op = code.P.Code.op.(pc) in
+  if op = P.Code.op_dyn then
+    let k = code.P.Code.konts.(code.P.Code.a.(pc)) in
+    code_ops ?budget (P.compile ?budget (k 0)) 0 acc
+  else if op = P.Code.op_done then List.rev (op :: acc)
+  else code_ops ?budget code code.P.Code.nx.(pc) (op :: acc)
+
+let rec tree_ops acc = function
+  | P.Done -> List.rev (P.Code.op_done :: acc)
+  | P.Compute (_, k) -> tree_ops (P.Code.op_compute :: acc) (k ())
+  | P.Stamp (_, k) -> tree_ops (P.Code.op_stamp :: acc) (k ())
+  | _ -> Alcotest.fail "tree_ops: straight-line compute/stamp programs only"
+
+(* Each program compiles to code with a lazy node, and its run on ft-sa
+   reproduces the observation frozen from the CPS walker. *)
+let frozen_run name mk =
+  Alcotest.test_case (name ^ " compiles and matches its frozen run") `Quick
+    (fun () ->
+      check Alcotest.bool "lazy op_dyn emitted" true
+        (has_dyn (P.compile (mk ())));
+      let _, kconfig, backend = List.hd Oracle.backends in
+      check Alcotest.string name (Oracle.frozen name "ft-sa")
+        (Oracle.pp_obs (Oracle.observe kconfig backend (mk ()))))
+
+let totality_tests =
+  [
+    frozen_run "future-get" Oracle.future_get;
+    frozen_run "sibling-join" Oracle.sibling_join;
+    frozen_run "stamp-child-tid" Oracle.stamp_child_tid;
+    frozen_run "over-budget" Oracle.over_budget;
+    Alcotest.test_case "no sentinel in scope when a fork is deferred" `Quick
+      (fun () ->
+        (* The second child's id escapes while the first child's is still
+           to be joined: the first fork's continuation is the lazy one. *)
+        let code = P.compile (Oracle.two_fork_stamp ~refork:true ()) in
+        let count o =
+          Array.fold_left (fun n x -> if x = o then n + 1 else n) 0 code.P.Code.op
+        in
+        check Alcotest.int "one fork compiled" 1 (count P.Code.op_fork);
+        check Alcotest.int "one op_dyn" 1 (count P.Code.op_dyn);
+        Array.iteri
+          (fun pc op ->
+            if op = P.Code.op_dyn then
+              check Alcotest.int "it continues fork site 0" 0 code.P.Code.b.(pc))
+          code.P.Code.op);
+    Alcotest.test_case "a raising continuation is deferred, a host fault is not"
+      `Quick (fun () ->
+        check Alcotest.bool "failwith deferred to run time" true
+          (has_dyn (P.compile (P.Compute (1, fun () -> failwith "later"))));
+        match P.compile (P.Compute (1, fun () -> assert false)) with
+        | _ -> Alcotest.fail "Assert_failure swallowed by compile"
+        | exception Assert_failure _ -> ());
+    Alcotest.test_case "budget cuts the arena, op_dyn resumes it" `Quick
+      (fun () ->
+        let prog () =
+          B.to_program
+            (B.repeat 1000 (fun i ->
+                 if i mod 7 = 0 then B.stamp i else B.compute 1))
+        in
+        let code = P.compile ~budget:64 (prog ()) in
+        check Alcotest.int "budget plus one op_dyn" 65 (P.Code.length code);
+        check Alcotest.bool "ends lazily" true (has_dyn code);
+        check (Alcotest.list Alcotest.int) "same op sequence"
+          (tree_ops [] (prog ()))
+          (code_ops ~budget:64 code 0 []));
+    Alcotest.test_case "pure fork-join compiles eagerly" `Quick (fun () ->
+        let prog =
+          B.to_program
+            (let open B in
+             let* t = fork (P.compute_only 5) in
+             let* () = compute 3 in
+             join t)
+        in
+        check Alcotest.bool "no op_dyn" false (has_dyn (P.compile prog)));
+  ]
+
 let () =
   Alcotest.run "program"
     [
@@ -170,4 +253,5 @@ let () =
       ("objects", object_tests);
       ("walk", walk_tests);
       ("pp", pp_tests);
+      ("compile", totality_tests);
     ]
