@@ -842,6 +842,43 @@ let program_bench =
       Test.make ~name:"sync fast path x250" (Staged.stage (run_one locker));
     ]
 
+(* One processor-allocator pass on a settled 64-CPU machine whose 24
+   address spaces each want 4 processors: every space already holds its
+   target, so the pass moves nothing.  It should cost O(spaces); a return
+   to per-pass policy lists or per-space scans of all 64 slots multiplies
+   it past the gate.  Gated by [micro --check]. *)
+let kernel_bench () =
+  let module Kernel = Sa_kernel.Kernel in
+  let module Kconfig = Sa_kernel.Kconfig in
+  let module Sim = Sa_engine.Sim in
+  let module Time = Sa_engine.Time in
+  let sim = Sim.create () in
+  Sa_engine.Trace.set_recording (Sim.trace sim) false;
+  let machine = Sa_hw.Machine.create sim ~cpus:64 in
+  let k =
+    Kernel.create sim machine Sa_hw.Cost_model.firefly_cvax
+      { Kconfig.default with Kconfig.daemons = false }
+  in
+  for i = 0 to 23 do
+    let handler delivery =
+      let act = delivery.Kernel.uc_activation in
+      let rec spin () = Kernel.sa_charge k act (Time.ms 1) spin in
+      spin ()
+    in
+    let sp =
+      Kernel.new_sa_space k ~name:(Printf.sprintf "s%d" i)
+        ~client:{ Kernel.on_upcall = handler } ()
+    in
+    Kernel.sa_add_more_processors k sp 4
+  done;
+  Sim.run ~until:(Time.of_ns (Time.ms 5)) sim;
+  Kernel.reallocate_now k;
+  Test.make_grouped ~name:"kernel"
+    [
+      Test.make ~name:"realloc pass 24 spaces x 64 cpus"
+        (Staged.stage (fun () -> Kernel.reallocate_now k));
+    ]
+
 let micro_estimates test =
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
@@ -870,7 +907,7 @@ let run_micro () =
       List.iter
         (fun (name, est) -> Printf.printf "%-44s %14.1f ns/run\n" name est)
         (micro_estimates test))
-    [ paper_tests; simulator_tests; calq_bench; program_bench ]
+    [ paper_tests; simulator_tests; calq_bench; program_bench; kernel_bench () ]
 
 (* ------------------------------------------------------------------ *)
 (* Micro regression gate                                               *)
@@ -886,13 +923,14 @@ let run_micro () =
 let micro_gate_tolerance = 5.0
 let micro_gate_file = "bench/MICRO_BASELINE.txt"
 
-(* Engine groups only: the paper-table group re-runs whole simulations and
-   its variance comes from workload content, which the digest gate already
-   pins byte-for-byte. *)
+(* Hot-path groups only (engine, interpreter, allocator pass): the
+   paper-table group re-runs whole simulations and its variance comes from
+   workload content, which the digest gate already pins byte-for-byte. *)
 let micro_gate_estimates () =
   micro_estimates simulator_tests
   @ micro_estimates calq_bench
   @ micro_estimates program_bench
+  @ micro_estimates (kernel_bench ())
   |> List.sort compare
 
 let micro_record () =

@@ -16,36 +16,42 @@ module Cost_model = Sa_hw.Cost_model
 
 let set_chaos_realloc_drop t armed = t.chaos_realloc_drop <- armed
 
+(* Load every space's claim into the kernel's policy scratch (position i
+   is the i-th space of [spaces]), solve, and store the targets back into
+   [sp_target].  Top-level recursion over the list, no closures: a pass
+   allocates nothing. *)
+let rec load_claims sc i = function
+  | [] -> ()
+  | sp :: rest ->
+      Alloc_policy.set_claim sc i ~space:sp.sp_id ~priority:sp.sp_prio
+        ~desired:sp.sp_desired;
+      load_claims sc (i + 1) rest
+
+let rec store_targets sc i = function
+  | [] -> ()
+  | sp :: rest ->
+      sp.sp_target <- Alloc_policy.target sc i;
+      store_targets sc (i + 1) rest
+
 let compute_targets t =
-  let claims =
-    List.map
-      (fun sp ->
-        {
-          Alloc_policy.space = sp.sp_id;
-          priority = sp.sp_prio;
-          desired = sp.sp_desired;
-        })
-      t.spaces
-  in
-  let targets = Hashtbl.create 8 in
+  let n = List.length t.spaces in
   (* The remainder rotation is a schedule decision: an installed chooser may
      advance it by up to one full cycle, permuting which equal-desire space
      receives the leftover processor this pass. *)
   let rotation =
-    let n = List.length t.spaces in
     if n >= 2 then
       t.rotation + Sim.pick t.sim ~site:"alloc-rotation" ~arity:n ~default:0
     else t.rotation
   in
-  List.iter
-    (fun (id, v) -> Hashtbl.replace targets id v)
-    (Alloc_policy.targets ~cpus:(ncpus t) ~rotation claims);
-  targets
+  let sc = t.alloc_scratch in
+  Alloc_policy.set_count sc n;
+  load_claims sc 0 t.spaces;
+  Alloc_policy.solve sc ~cpus:(ncpus t) ~rotation;
+  store_targets sc 0 t.spaces
 
 let preempt_slot_now t sp slot =
   t.st_preemptions <- t.st_preemptions + 1;
   sp.sp_preempted <- sp.sp_preempted + 1;
-  slot.slot_warned <- false;
   tracef t "allocator: preempt cpu%d from %s" (Cpu.id slot.slot_cpu)
     sp.sp_name;
   trace_instant t ~cpu:(Cpu.id slot.slot_cpu) ~space:sp.sp_id Trace.Kernel
@@ -54,7 +60,7 @@ let preempt_slot_now t sp slot =
   | Sa s ->
       let events = Sa_upcall.stop_activation_on t slot in
       s.pending <- List.rev_append events s.pending;
-      slot.slot_owner <- None;
+      release_slot slot;
       set_assigned t sp (sp.sp_assigned - 1);
       (* Tell the old space, on another of its processors — or with its
          next grant if it has none left (the paper delays it too).  The
@@ -73,7 +79,7 @@ let preempt_slot_now t sp slot =
       | None -> ());
       cancel_quantum t slot;
       slot.slot_kt <- None;
-      slot.slot_owner <- None;
+      release_slot slot;
       set_assigned t sp (sp.sp_assigned - 1)
 
 (* Chaos: forcibly preempt whatever holds [cpu], exactly as the allocator
@@ -123,9 +129,12 @@ let set_space_priority t sp prio =
   end
 
 let warned_count t sp =
-  Array.fold_left
-    (fun n slot -> if slot_owned_by slot sp && slot.slot_warned then n + 1 else n)
-    0 t.slots
+  let n = ref 0 in
+  for i = 0 to Array.length t.slots - 1 do
+    let slot = t.slots.(i) in
+    if slot_owned_by slot sp && slot.slot_warned then incr n
+  done;
+  !n
 
 let preempt_cpu_from t sp =
   let slot_opt =
@@ -155,8 +164,10 @@ let preempt_cpu_from t sp =
       | (Sa _ | Kthreads _), _ -> preempt_slot_now t sp slot)
 
 let grant_cpu_to t slot sp =
+  assert (not slot.slot_warned);
   slot.slot_owner <- Some sp;
   sp.sp_granted <- sp.sp_granted + 1;
+  t.st_grants <- t.st_grants + 1;
   set_assigned t sp (sp.sp_assigned + 1);
   tracef t "allocator: grant cpu%d to %s" (Cpu.id slot.slot_cpu) sp.sp_name;
   trace_instant t ~cpu:(Cpu.id slot.slot_cpu) ~space:sp.sp_id Trace.Kernel
@@ -170,73 +181,88 @@ let grant_cpu_to t slot sp =
       | Some kt -> Kt_sched.dispatch_kt_on t slot kt
       | None -> Cpu.set_occupant slot.slot_cpu Cpu.Kernel_idle)
 
+(* Phase 1 for one space above its target: reclaim the excess.
+   Outstanding warnings count as reclaims in flight.  Returns the number of
+   processors moved (warned or preempted). *)
+let reclaim_excess t sp =
+  let in_flight = ref (warned_count t sp) in
+  let moved = ref 0 in
+  while
+    sp.sp_assigned - warned_count t sp > sp.sp_target
+    && !in_flight < sp.sp_assigned
+  do
+    preempt_cpu_from t sp;
+    incr in_flight;
+    incr moved
+  done;
+  !moved
+
+(* A space at or below its target cannot be over it, whatever its
+   warnings: skip it without counting them. *)
+let rec reclaim t moved = function
+  | [] -> moved
+  | sp :: rest ->
+      let moved =
+        if sp.sp_assigned > sp.sp_target then moved + reclaim_excess t sp
+        else moved
+      in
+      reclaim t moved rest
+
+(* The first slot at or after [i] that is unowned and not busy, or the
+   slot count. *)
+let rec next_free t i =
+  if i >= Array.length t.slots then i
+  else
+    let slot = t.slots.(i) in
+    match slot.slot_owner with
+    | None when not (Cpu.is_busy slot.slot_cpu) -> i
+    | None | Some _ -> next_free t (i + 1)
+
+(* Phase 2: grant free processors to below-target spaces, oldest space
+   first for determinism ([spaces] is newest first, so the older tail is
+   served before the head).  [cursor] walks the slot table in cpu-id order
+   across all spaces: granting only mutates the granted slot synchronously
+   (begin_work schedules its completion, it does not run it), so a slot
+   passed over stays unusable for the rest of the pass.  Returns the
+   cursor and adds the grants to [st_grants]. *)
+let rec grant_oldest_first t cursor = function
+  | [] -> cursor
+  | sp :: older -> fill t sp (grant_oldest_first t cursor older)
+
+and fill t sp cursor =
+  if sp.sp_assigned >= sp.sp_target then cursor
+  else
+    let i = next_free t cursor in
+    if i >= Array.length t.slots then i
+    else begin
+      grant_cpu_to t t.slots.(i) sp;
+      fill t sp (i + 1)
+    end
+
+let rec contested = function
+  | [] -> false
+  | sp :: rest -> sp.sp_desired > sp.sp_target || contested rest
+
 let do_reallocate t =
   if t.cfg.Kconfig.mode = Kconfig.Explicit_allocation then begin
-    let targets = compute_targets t in
-    let target sp =
-      match Hashtbl.find_opt targets sp.sp_id with Some v -> v | None -> 0
-    in
-    let moved = ref 0 in
-    (* Phase 1: reclaim above-target processors.  Outstanding warnings
-       count as reclaims in flight. *)
-    List.iter
-      (fun sp ->
-        let over () = sp.sp_assigned - warned_count t sp > target sp in
-        let in_flight = ref (warned_count t sp) in
-        while over () && !in_flight < sp.sp_assigned do
-          preempt_cpu_from t sp;
-          incr in_flight;
-          incr moved
-        done)
-      t.spaces;
-    (* Phase 2: grant free processors to below-target spaces, oldest space
-       first for determinism.  An allocation-free cursor over the slot
-       table in cpu-id order replaces the former per-pass List.filter
-       snapshot: granting only mutates the granted slot synchronously
-       (begin_work schedules its completion, it does not run it), so a
-       lazily re-checked scan sees exactly the slots the snapshot held. *)
-    let cursor = ref 0 in
-    let next_free () =
-      let n = Array.length t.slots in
-      let rec scan () =
-        if !cursor >= n then None
-        else
-          let slot = t.slots.(!cursor) in
-          incr cursor;
-          if slot.slot_owner = None && not (Cpu.is_busy slot.slot_cpu) then
-            Some slot
-          else scan ()
-      in
-      scan ()
-    in
-    List.iter
-      (fun sp ->
-        let rec fill () =
-          if sp.sp_assigned < target sp then
-            match next_free () with
-            | None -> ()
-            | Some slot ->
-                grant_cpu_to t slot sp;
-                incr moved;
-                fill ()
-        in
-        fill ())
-      (List.rev t.spaces);
-    if !moved > 0 then t.st_reallocations <- t.st_reallocations + 1;
+    compute_targets t;
+    let grants = t.st_grants in
+    let reclaimed = reclaim t 0 t.spaces in
+    ignore (grant_oldest_first t 0 t.spaces : int);
+    if reclaimed > 0 || t.st_grants > grants then
+      t.st_reallocations <- t.st_reallocations + 1;
     (* Rotate an uneven remainder after a quantum (Section 4.1). *)
-    if t.cfg.Kconfig.rotate_remainder && t.rotation_timer = None then begin
-      let contested =
-        List.exists (fun sp -> sp.sp_desired > target sp) t.spaces
-      in
-      if contested then
-        t.rotation_timer <-
-          Some
-            (Sim.schedule_after t.sim ~delay:t.costs.Cost_model.time_slice
-               (fun () ->
-                 t.rotation_timer <- None;
-                 t.rotation <- t.rotation + 1;
-                 reevaluate t))
-    end
+    if
+      t.cfg.Kconfig.rotate_remainder && t.rotation_timer = None
+      && contested t.spaces
+    then
+      t.rotation_timer <-
+        Some
+          (Sim.schedule_after t.sim ~delay:t.costs.Cost_model.time_slice
+             (fun () ->
+               t.rotation_timer <- None;
+               t.rotation <- t.rotation + 1;
+               reevaluate t))
   end
 
 (* Install the coalesced allocator entry points behind the late-bound refs.

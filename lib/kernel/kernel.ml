@@ -83,6 +83,7 @@ let chaos_spurious_completion = Io_path.chaos_spurious_completion
 let set_chaos_realloc_drop = Allocator.set_chaos_realloc_drop
 let chaos_preempt = Allocator.chaos_preempt
 let set_space_priority = Allocator.set_space_priority
+let reallocate_now = Allocator.do_reallocate
 
 (* ------------------------------------------------------------------ *)
 (* Spaces & creation                                                   *)
@@ -104,6 +105,7 @@ let new_kthread_space t ~name ?(priority = 0) () =
       sp_manager_swapped = false;
       sp_alloc_track =
         Some (Sa_engine.Stats.Weighted.create ~at:(Sim.now t.sim) ~level:0.0);
+      sp_target = 0;
     }
   in
   register_space t sp;
@@ -135,6 +137,7 @@ let new_sa_space t ~name ?(priority = 0) ~client () =
       sp_manager_swapped = false;
       sp_alloc_track =
         Some (Sa_engine.Stats.Weighted.create ~at:(Sim.now t.sim) ~level:0.0);
+      sp_target = 0;
     }
   in
   register_space t sp;
@@ -201,9 +204,11 @@ let create ?ids sim machine costs cfg =
       sched_pass_pending = false;
       rotation = 0;
       rotation_timer = None;
+      alloc_scratch = Alloc_policy.scratch ();
       st_upcalls = 0;
       st_upcall_events = 0;
       st_preemptions = 0;
+      st_grants = 0;
       st_reallocations = 0;
       st_io_blocks = 0;
       st_kt_dispatches = 0;

@@ -267,6 +267,12 @@ val chaos_preempt : t -> cpu:int -> bool
     allocator; native mode bounces the running kernel thread through the
     global run queue.  [false] if the processor held nothing preemptible. *)
 
+val reallocate_now : t -> unit
+(** Run one processor-allocator pass synchronously, outside the usual
+    coalesced deferral (explicit mode; a no-op otherwise).  A pass costs
+    O(spaces) and allocates nothing when no processor moves; for
+    benchmarks and tests of the allocator itself. *)
+
 val set_space_priority : t -> space -> int -> unit
 (** Change a space's allocation priority (higher wins).  In explicit mode
     the allocator re-runs; used by the chaos injector to flap priorities. *)

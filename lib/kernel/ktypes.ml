@@ -123,6 +123,9 @@ and space = {
          subsequent upcall until the page fault completes") *)
   mutable sp_alloc_track : Sa_engine.Stats.Weighted.t option;
       (* integral of processors owned over time (explicit mode) *)
+  mutable sp_target : int;
+      (* processors the last allocator pass assigned this space; written
+         for every registered space at the start of each pass *)
 }
 
 and sa_client = { on_upcall : upcall_delivery -> unit }
@@ -152,8 +155,10 @@ and slot = {
   mutable slot_gen : int;
   mutable slot_warned : bool;
       (* a Psyche/Symunix-style preemption warning is outstanding on this
-         processor (Kconfig.preempt_warning); cleared on voluntary release
-         or at the forced deadline *)
+         processor (Kconfig.preempt_warning); cleared whenever the owner
+         lets go of it ([release_slot]: idle return, warning response,
+         forced deadline or any other preemption), so a grant never hands
+         a space a warning it was not given *)
 }
 
 and t = {
@@ -184,9 +189,13 @@ and t = {
   mutable sched_pass_pending : bool;
   mutable rotation : int;
   mutable rotation_timer : Sim.handle option;
+  alloc_scratch : Alloc_policy.scratch;
+      (* the policy's inputs, targets and sort order, reused by every
+         allocator pass so a pass allocates nothing *)
   mutable st_upcalls : int;
   mutable st_upcall_events : int;
   mutable st_preemptions : int;
+  mutable st_grants : int;  (* processors granted, all spaces *)
   mutable st_reallocations : int;
   mutable st_io_blocks : int;
   mutable st_kt_dispatches : int;
@@ -244,6 +253,12 @@ let set_assigned t sp v =
 
 let slot_owned_by slot sp =
   match slot.slot_owner with Some o -> same_space o sp | None -> false
+
+(* Every release of an owned processor goes through here, so a freed slot
+   carries no preemption warning into its next grant. *)
+let release_slot slot =
+  slot.slot_owner <- None;
+  slot.slot_warned <- false
 
 let fresh_id t =
   incr t.ids;

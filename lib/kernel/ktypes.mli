@@ -88,6 +88,8 @@ and space = {
   mutable sp_preempted : int;  (** processors reclaimed by the allocator *)
   mutable sp_manager_swapped : bool;
   mutable sp_alloc_track : Sa_engine.Stats.Weighted.t option;
+  mutable sp_target : int;
+      (** processors the last allocator pass assigned (explicit mode) *)
 }
 
 and sa_client = { on_upcall : upcall_delivery -> unit }
@@ -110,6 +112,7 @@ and slot = {
   mutable slot_q_fire : unit -> unit;
   mutable slot_gen : int;
   mutable slot_warned : bool;
+      (** a preemption warning is outstanding; cleared by {!release_slot} *)
 }
 
 and t = {
@@ -135,9 +138,11 @@ and t = {
   mutable sched_pass_pending : bool;
   mutable rotation : int;
   mutable rotation_timer : Sim.handle option;
+  alloc_scratch : Alloc_policy.scratch;
   mutable st_upcalls : int;
   mutable st_upcall_events : int;
   mutable st_preemptions : int;
+  mutable st_grants : int;
   mutable st_reallocations : int;
   mutable st_io_blocks : int;
   mutable st_kt_dispatches : int;
@@ -180,6 +185,11 @@ val set_assigned : t -> space -> int -> unit
     and the trace counter stay consistent. *)
 
 val slot_owned_by : slot -> space -> bool
+
+val release_slot : slot -> unit
+(** Clear the slot's owner and any outstanding preemption warning.  Every
+    release of an owned processor goes through here. *)
+
 val fresh_id : t -> int
 
 val set_kt_state : t -> kthread -> kt_state -> unit

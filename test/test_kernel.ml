@@ -516,6 +516,153 @@ let extension_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Allocator passes: warnings in flight, stale warnings, allocation     *)
+(* ------------------------------------------------------------------ *)
+
+let warning_config = { Kconfig.default with preempt_warning = Some (Time.ms 20) }
+
+(* An SA space that keeps every processor it is given busy forever and
+   never polls for warnings; returns the space and its activations. *)
+let holding_space k ?priority name =
+  let acts = ref [] in
+  let handler delivery =
+    let act = delivery.Kernel.uc_activation in
+    acts := act :: !acts;
+    let rec spin () = Kernel.sa_charge k act (Time.ms 1) spin in
+    spin ()
+  in
+  let sp =
+    Kernel.new_sa_space k ~name ?priority ~client:{ Kernel.on_upcall = handler }
+      ()
+  in
+  (sp, acts)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let allocator_pass_tests =
+  [
+    Alcotest.test_case "warnings in flight count as reclaims" `Quick
+      (fun () ->
+        (* A holds all 8 processors; a higher-priority B asks for [j], then
+           for [k] in total, so A ends [k] over target with [j] warnings
+           already outstanding. *)
+        List.iter
+          (fun (j, over) ->
+            let sim, _m, kern = make ~cpus:8 ~kconfig:warning_config () in
+            let a, a_acts = holding_space kern "a" in
+            let b, _ = holding_space kern ~priority:1 "b" in
+            Kernel.sa_add_more_processors kern a 8;
+            Sim.run ~until:(Time.of_ns (Time.ms 5)) sim;
+            check Alcotest.int "a holds all" 8 (Kernel.space_assigned a);
+            let warned () =
+              List.length (List.filter (Kernel.sa_cpu_warned kern) !a_acts)
+            in
+            if j > 0 then begin
+              Kernel.sa_add_more_processors kern b j;
+              Kernel.reallocate_now kern
+            end;
+            check Alcotest.int "j outstanding" j (warned ());
+            (* B holds nothing yet, so this raises its desire to [over] *)
+            Kernel.sa_add_more_processors kern b over;
+            Kernel.reallocate_now kern;
+            check Alcotest.int
+              (Printf.sprintf "k=%d j=%d: k - j new warnings" over j)
+              over (warned ());
+            Kernel.reallocate_now kern;
+            check Alcotest.int "none in the next pass" over (warned ());
+            check Alcotest.int "nothing reclaimed yet" 8
+              (Kernel.space_assigned a);
+            check Alcotest.int "no forced preemption" 0
+              (Kernel.stats kern).Kernel.preemptions)
+          [ (0, 2); (1, 3); (2, 2); (3, 5) ]);
+    Alcotest.test_case "an idle return clears a pending warning" `Quick
+      (fun () ->
+        (* A idle-spins 1 ms and then returns its processor the way the
+           FastThreads idle hysteresis does, without polling for warnings.
+           A higher-priority B arrives mid-spin, so A is warned; the slot
+           goes to B and then, once B is done, back to A, which now holds
+           it for 100 ms.  Neither grant may carry A's old warning, and its
+           deadline (20 ms) must find nothing to preempt. *)
+        let sim, _m, k = make ~cpus:1 ~kconfig:warning_config () in
+        let a_hold = ref (Time.ms 1) in
+        let a_first = ref None in
+        let a_warned_regrant = ref None in
+        let b_warned = ref None in
+        let a_handler delivery =
+          let act = delivery.Kernel.uc_activation in
+          (match !a_first with
+          | None -> a_first := Some act
+          | Some _ ->
+              if !a_warned_regrant = None then
+                a_warned_regrant := Some (Kernel.sa_cpu_warned k act));
+          Kernel.sa_charge k act !a_hold (fun () -> Kernel.sa_cpu_idle k act)
+        in
+        let a =
+          Kernel.new_sa_space k ~name:"a"
+            ~client:{ Kernel.on_upcall = a_handler } ()
+        in
+        let b_handler delivery =
+          let act = delivery.Kernel.uc_activation in
+          b_warned := Some (Kernel.sa_cpu_warned k act);
+          Kernel.sa_charge k act (Time.ms 1) (fun () ->
+              Kernel.sa_cpu_idle k act;
+              a_hold := Time.ms 100;
+              Kernel.sa_add_more_processors k a 1)
+        in
+        let b =
+          Kernel.new_sa_space k ~name:"b" ~priority:1
+            ~client:{ Kernel.on_upcall = b_handler } ()
+        in
+        Kernel.sa_add_more_processors k a 1;
+        Sim.run_while sim (fun () -> !a_first = None);
+        Kernel.sa_add_more_processors k b 1;
+        Kernel.reallocate_now k;
+        check Alcotest.bool "a warned mid-spin" true
+          (Kernel.sa_cpu_warned k (Option.get !a_first));
+        Sim.run sim;
+        check Alcotest.(option bool) "b's grant carries no warning"
+          (Some false) !b_warned;
+        check Alcotest.(option bool) "a's regrant carries no warning"
+          (Some false) !a_warned_regrant;
+        check Alcotest.int "the stale deadline preempts nothing" 0
+          (Kernel.stats k).Kernel.preemptions;
+        check Alcotest.int "a never preempted" 0 (Kernel.space_preempts a);
+        Kernel.check_invariants k);
+    Alcotest.test_case "a pass that moves nothing allocates nothing" `Quick
+      (fun () ->
+        (* 24 spaces that each want 4 of 64 processors, settled: every
+           further pass finds each space at its target and moves nothing. *)
+        let sim, _m, k = make ~cpus:64 ~kconfig:Kconfig.default () in
+        Sa_engine.Trace.set_recording (Sim.trace sim) false;
+        let spaces =
+          List.init 24 (fun i -> fst (holding_space k (Printf.sprintf "s%d" i)))
+        in
+        List.iter (fun sp -> Kernel.sa_add_more_processors k sp 4) spaces;
+        Sim.run ~until:(Time.of_ns (Time.ms 5)) sim;
+        (* arm the rotation timer, if this pass is the one to do it *)
+        Kernel.reallocate_now k;
+        let assigned () = List.map Kernel.space_assigned spaces in
+        let before = assigned () in
+        let passes = (Kernel.stats k).Kernel.reallocations in
+        check Alcotest.int "all processors held" 64
+          (List.fold_left ( + ) 0 before);
+        let words =
+          minor_words_of (fun () ->
+              for _ = 1 to 100 do
+                Kernel.reallocate_now k
+              done)
+        in
+        check (Alcotest.float 0.) "minor words" (minor_words_of ignore) words;
+        check Alcotest.(list int) "nothing moved" before (assigned ());
+        check Alcotest.int "no reallocation counted" passes
+          (Kernel.stats k).Kernel.reallocations;
+        Kernel.check_invariants k);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* The allocation policy as pure properties (Section 4.1)              *)
 (* ------------------------------------------------------------------ *)
 
@@ -644,6 +791,42 @@ let prop_rotation_is_fair =
       let mx = Array.fold_left max min_int totals in
       mx - mn <= 4 (* each space gets the remainder equally often *))
 
+(* The array core, through [targets], against the list oracle in
+   [Alloc_policy_oracle]: mixed priorities, zero desires, equal-desire
+   ties, rotations up to three full cycles and up to 128 processors, with
+   the claims in random order. *)
+let oracle_case_gen =
+  QCheck.Gen.(
+    let* n = int_range 0 16 in
+    let* ids = shuffle_l (List.init n (fun i -> 3 * i)) in
+    let claim id =
+      map2
+        (fun priority desired -> { Alloc_policy.space = id; priority; desired })
+        (int_range 0 3)
+        (oneof [ int_range 0 4; int_range 0 64 ])
+    in
+    let* claims = flatten_l (List.map claim ids) in
+    let* cpus = int_range 0 128 in
+    let* rotation = int_range 0 (3 * n) in
+    return (cpus, rotation, claims))
+
+let oracle_case_arb =
+  QCheck.make oracle_case_gen ~print:(fun (cpus, rotation, cs) ->
+      Printf.sprintf "cpus=%d rotation=%d [%s]" cpus rotation
+        (String.concat ";"
+           (List.map
+              (fun c ->
+                Printf.sprintf "(id=%d,p=%d,d=%d)" c.Alloc_policy.space
+                  c.Alloc_policy.priority c.Alloc_policy.desired)
+              cs)))
+
+let prop_matches_list_oracle =
+  QCheck.Test.make ~name:"array core matches the list oracle" ~count:2000
+    oracle_case_arb (fun (cpus, rotation, claims) ->
+      let by_id l = List.sort compare l in
+      by_id (Alloc_policy.targets ~cpus ~rotation claims)
+      = by_id (Alloc_policy_oracle.targets ~cpus ~rotation claims))
+
 let policy_unit_tests =
   [
     Alcotest.test_case "even split of 6 between two hungry spaces" `Quick
@@ -693,6 +876,46 @@ let policy_unit_tests =
     qtest prop_priority_dominance;
     qtest prop_even_division;
     qtest prop_rotation_is_fair;
+    qtest prop_matches_list_oracle;
+    Alcotest.test_case "a reused scratch follows changing claims" `Quick
+      (fun () ->
+        (* The sort order a scratch remembers must not leak between
+           solves: each solve in a sequence on one scratch matches the
+           list oracle. *)
+        let sc = Alloc_policy.scratch () in
+        let rng = Random.State.make [| 7 |] in
+        for _ = 1 to 300 do
+          let n = Random.State.int rng 10 in
+          let claims =
+            List.init n (fun i ->
+                {
+                  Alloc_policy.space = i;
+                  priority = Random.State.int rng 3;
+                  desired = Random.State.int rng 6;
+                })
+          in
+          let cpus = Random.State.int rng 20 in
+          let rotation = Random.State.int rng 10 in
+          Alloc_policy.set_count sc n;
+          List.iteri
+            (fun i c ->
+              Alloc_policy.set_claim sc i ~space:c.Alloc_policy.space
+                ~priority:c.Alloc_policy.priority
+                ~desired:c.Alloc_policy.desired)
+            claims;
+          Alloc_policy.solve sc ~cpus ~rotation;
+          let solved =
+            List.mapi
+              (fun i c -> (c.Alloc_policy.space, Alloc_policy.target sc i))
+              claims
+          in
+          check
+            Alcotest.(list (pair int int))
+            "same targets"
+            (List.sort compare
+               (Alloc_policy_oracle.targets ~cpus ~rotation claims))
+            (List.sort compare solved)
+        done);
   ]
 
 let () =
@@ -701,5 +924,6 @@ let () =
       ("native", native_tests);
       ("explicit", explicit_tests);
       ("extensions", extension_tests);
+      ("allocator_pass", allocator_pass_tests);
       ("alloc_policy", policy_unit_tests);
     ]
