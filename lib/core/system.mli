@@ -79,7 +79,6 @@ val submit :
   ?prewarm_cache:bool ->
   ?disk:Sa_hw.Io_device.discipline ->
   ?strategy:Sa_uthread.Ft_core.strategy ->
-  ?sched_policy:Sa_uthread.Ft_core.tcb Sa_uthread.Sched_policy.t ->
   ?parallelism:int ->
   ?space_priority:int ->
   ?observer:(int -> Time.t -> unit) ->
@@ -90,13 +89,9 @@ val submit :
     main thread in it.  [cache_capacity], when given, attaches a buffer
     cache of that many blocks to the job's address space;
     [prewarm_cache] (default true) pre-fills it so there are no cold
-    misses.  [sched_policy] selects the user-level ready-list discipline
-    for the FastThreads backends (default
-    {!Sa_uthread.Sched_policy.work_steal}; ignored by the direct
-    kernel-thread backends, which the kernel schedules itself).
-    [parallelism] caps the processors a scheduler-activation space
-    requests (ignored by the other backends, whose parallelism is set by
-    the VP count or the machine size).  [trace_sink], when given, is
+    misses.  [parallelism] caps the processors a scheduler-activation
+    space requests (ignored by the other backends, whose parallelism is
+    set by the VP count or the machine size).  [trace_sink], when given, is
     registered as a structured sink on the system's trace
     ({!Sa_engine.Trace.add_sink}) — e.g. [Sa_engine.Trace_export.feed w]
     to stream the whole run as Chrome trace JSON. *)

@@ -1,8 +1,18 @@
 (** Double-ended queue (amortised O(1) at both ends).
 
-    The per-processor ready lists of FastThreads push and pop at the front
-    (last-in-first-out, for cache locality — Section 4.2) while idle
-    processors steal from the back (oldest thread first). *)
+    The per-processor ready lists of FastThreads, and the one discipline
+    they follow (Section 4.2, implemented in {!Ft_core}):
+    - new, woken and preempted threads are pushed at the front of the
+      owner's list, and the owner pops the front (last-in-first-out, for
+      cache locality);
+    - a yielding thread is pushed at the back, so its peers run first;
+    - an idle processor steals from the back (oldest thread first),
+      probing the other lists in rotation order after its own;
+    - once any thread carries a non-zero priority, the owner takes the
+      best priority across all lists instead (ties prefer its own list,
+      front-most there, back-most elsewhere), and a thief takes the
+      back-most best-priority thread of its victim
+      ({!remove_first}/{!remove_last}). *)
 
 type 'a t
 

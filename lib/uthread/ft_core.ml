@@ -1,4 +1,5 @@
 module Time = Sa_engine.Time
+module Sim = Sa_engine.Sim
 module Program = Sa_program.Program
 module Pcode = Sa_program.Program.Code
 module Cost_model = Sa_hw.Cost_model
@@ -108,7 +109,6 @@ type ksem_state = {
 
 type state = {
   queues : tcb Deque.t array;
-  policy : tcb Sched_policy.t;
   q_cells : cs_cell array;
   mutable next_tid : int;
   mutable live : int;
@@ -173,12 +173,10 @@ let cell_owner c = c.owner
 
 let fresh_cell () = { owner = None; lease_until = Time.zero; lease_for = 0 }
 
-let create_state ~queues ?(policy = Sched_policy.work_steal) ?cache ?io_dev ()
-    =
+let create_state ~queues ?cache ?io_dev () =
   if queues <= 0 then invalid_arg "Ft_core.create_state: queues";
   {
     queues = Array.init queues (fun _ -> Deque.create ());
-    policy;
     q_cells = Array.init queues (fun _ -> fresh_cell ());
     next_tid = 0;
     live = 0;
@@ -215,7 +213,6 @@ let create_state ~queues ?(policy = Sched_policy.work_steal) ?cache ?io_dev ()
   }
 
 let stats s = s.st
-let policy s = s.policy
 let live_threads s = s.live
 let ready_threads s = s.ready_count
 let runnable_threads s = s.ready_count + s.running_count
@@ -321,44 +318,46 @@ let make_ready s d ~at tcb =
   | Ready -> invalid_arg "make_ready: already ready"
   | Embryo | Blocked_user | Blocked_kernel -> ());
   set_state s tcb Ready;
-  s.policy.Sched_policy.sp_push_new s.queues.(at) tcb;
+  Deque.push_front s.queues.(at) tcb;
   d.work_created s tcb
 
-(* Queue discipline (where readied work enters, which end owners and
-   thieves dequeue from, cross-queue priority scan) lives in the state's
-   {!Sched_policy}; the default [work_steal] is the paper's behaviour. *)
-let tcb_prio tcb = tcb.prio
+(* The paper's discipline (Section 4.2; see deque.mli): owners pop the
+   front (LIFO), thieves take the back (oldest).  Once some thread carries
+   a non-zero priority, dispatch instead scans every list for the global
+   best so no high-priority thread waits behind a low-priority one
+   (Section 1.2, goal 2).  Ties prefer the local list; a local pick is
+   front-most, a foreign one back-most. *)
+let best_prio dq =
+  List.fold_left (fun acc t -> max acc t.prio) min_int (Deque.to_list dq)
 
 let pop_own s index =
-  s.policy.Sched_policy.sp_pop_own ~prio:tcb_prio ~use_prio:s.has_priorities
-    s.queues index
+  let dq = s.queues.(index) in
+  if not s.has_priorities then Deque.pop_front dq
+  else begin
+    let best = ref (best_prio dq) and best_idx = ref index in
+    Array.iteri
+      (fun i q ->
+        if i <> index then begin
+          let b = best_prio q in
+          if b > !best then begin
+            best := b;
+            best_idx := i
+          end
+        end)
+      s.queues;
+    if !best = min_int then None
+    else if !best_idx = index then
+      Deque.remove_first dq (fun t -> t.prio = !best)
+    else Deque.remove_last s.queues.(!best_idx) (fun t -> t.prio = !best)
+  end
 
 let steal_from s ~victim =
-  s.policy.Sched_policy.sp_steal ~prio:tcb_prio ~use_prio:s.has_priorities
-    s.queues ~victim
+  let dq = s.queues.(victim) in
+  if not s.has_priorities then Deque.pop_back dq
+  else
+    let best = best_prio dq in
+    Deque.remove_last dq (fun t -> t.prio = best)
 
-let pop_work s index =
-  match pop_own s index with
-  | Some tcb -> Some (tcb, false)
-  | None ->
-      let n = Array.length s.queues in
-      let rec scan k =
-        if k >= n then None
-        else
-          let j =
-            s.policy.Sched_policy.sp_victim ~nqueues:n ~thief:index ~attempt:k
-          in
-          if j = index then scan (k + 1)
-          else
-            match steal_from s ~victim:j with
-            | Some tcb -> Some (tcb, true)
-            | None -> scan (k + 1)
-      in
-      scan 1
-let nqueues s = Array.length s.queues
-
-(* O(nqueues) field reads; lets idle processors skip a provably fruitless
-   steal sweep (lock probes, victim draws) when every ready list is empty. *)
 let any_ready s = Array.exists (fun q -> not (Deque.is_empty q)) s.queues
 let requeue_front s index tcb = Deque.push_front s.queues.(index) tcb
 
@@ -417,6 +416,39 @@ let spin_lock_cell s cell ~owner ?(slice = default_spin_slice) ~charge k =
   attempt slice
 
 let set_clock s f = s.clock <- f
+
+(* The one steal sweep: probe the other lists in rotation order after the
+   thief, each probe a "steal-victim" choice point the explorer can
+   redirect.  Top-level recursion, so a fruitless sweep allocates
+   nothing. *)
+let rec steal_probe s sim ~thief k =
+  let n = Array.length s.queues in
+  if k >= n then None
+  else
+    let v =
+      Sim.pick sim ~site:"steal-victim" ~arity:n ~default:((thief + k) mod n)
+    in
+    if v = thief then steal_probe s sim ~thief (k + 1)
+    else
+      let cell = s.q_cells.(v) in
+      if try_lock_cell s cell ~owner:(-(thief + 1)) then begin
+        match steal_from s ~victim:v with
+        | Some tcb ->
+            s.st.steals <- s.st.steals + 1;
+            Some (cell, tcb)
+        | None ->
+            unlock_cell cell;
+            steal_probe s sim ~thief (k + 1)
+      end
+      else steal_probe s sim ~thief (k + 1)
+
+(* With no chooser installed, a sweep over empty lists is pure mechanism
+   (default victim draws and failed probes with no observable effect), so
+   an emptiness check stands in for it; under a chooser every probe is a
+   recorded choice, so the full sweep runs. *)
+let steal s sim ~thief =
+  if Option.is_none (Sim.chooser sim) && not (any_ready s) then None
+  else steal_probe s sim ~thief 1
 
 (* ------------------------------------------------------------------ *)
 (* Charged operations                                                  *)
@@ -861,7 +893,7 @@ and commit_op s d tcb lk =
       tcb.pc <- Array.unsafe_get code.Pcode.nx pc;
       tcb.resume <- tcb.k_step;
       set_state s tcb Ready;
-      s.policy.Sched_policy.sp_push_yield s.queues.(tcb.binding) tcb;
+      Deque.push_back s.queues.(tcb.binding) tcb;
       d.work_created s tcb;
       d.thread_stopped tcb
   | 16 (* stamp: reached only via the acc flush *) ->
@@ -987,7 +1019,7 @@ and install_flat s d tcb lk =
           tcb.cs_hook <- None;
           tcb.resume <- tcb.k_step;
           set_state s tcb Ready;
-          s.policy.Sched_policy.sp_push_preempted s.queues.(tcb.binding) tcb;
+          Deque.push_front s.queues.(tcb.binding) tcb;
           d.work_created s tcb;
           hook ());
   tcb.resume <- tcb.k_step
@@ -1049,7 +1081,7 @@ let resume_preempted s d ~at tcb ~remaining ~resume k =
          remainder completes the trap and blocks properly. *)
       tcb.resume <- (fun () -> d.charge tcb remaining resume);
       set_state s tcb Ready;
-      s.policy.Sched_policy.sp_push_preempted s.queues.(at) tcb;
+      Deque.push_front s.queues.(at) tcb;
       d.work_created s tcb;
       k ()
   | Embryo | Ready | Blocked_user | Done ->

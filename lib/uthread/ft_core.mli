@@ -4,7 +4,7 @@
     This module holds everything that is identical whether the package runs
     on Topaz kernel threads (original FastThreads, {!Ft_kt}) or on scheduler
     activations (modified FastThreads, {!Ft_sa}): thread control blocks,
-    per-processor LIFO ready lists with stealing, user-level locks /
+    per-processor LIFO ready lists with stealing ({!Deque}), user-level locks /
     condition variables / semaphores, the low-level critical-section
     protocol of Sections 3.3 and 4.3, the buffer cache glue, and the one
     interpreter that executes {!Sa_program.Program} values while charging
@@ -81,23 +81,17 @@ type state
 
 val create_state :
   queues:int ->
-  ?policy:tcb Sched_policy.t ->
   ?cache:Sa_hw.Buffer_cache.t ->
   ?io_dev:Sa_hw.Io_device.t ->
   unit ->
   state
 (** [queues] is the number of per-processor ready lists (= maximum virtual
     processors for the kernel-thread substrate, = physical processors for
-    the activation substrate).  [policy] is the ready-list discipline
-    (default {!Sched_policy.work_steal}, the paper's behaviour).  [io_dev],
-    when given, services buffer-cache miss fills (so disk contention is
+    the activation substrate).  [io_dev], when given, services buffer-cache miss fills (so disk contention is
     modelled); otherwise each miss blocks for the cost model's fixed I/O
     latency, the paper's simplification. *)
 
 val stats : state -> stats
-
-val policy : state -> tcb Sched_policy.t
-(** The ready-list discipline this state was created with. *)
 
 val live_threads : state -> int
 val ready_threads : state -> int
@@ -174,28 +168,24 @@ val mark_kernel_blocked : state -> tcb -> unit
     path re-dispatches the thread as [Running]. *)
 
 val make_ready : state -> driver -> at:int -> tcb -> unit
-(** Enqueue on ready list [at] (via the policy's [sp_push_new]) and fire
-    [work_created]. *)
-
-val pop_work : state -> int -> (tcb * bool) option
-(** Take the next thread for vessel [index]: its own list first, else
-    probe the others in the policy's victim order (second component
-    [true] for steals).  Does not spin on cell locks — callers hold them
-    via {!spin_lock_cell}. *)
+(** Push onto the front of ready list [at] and fire [work_created].
+    Preempted threads re-enter at the front too; a yielding thread goes to
+    the back so its peers run first. *)
 
 val pop_own : state -> int -> tcb option
-(** Next thread from vessel [index]'s own ready list (policy-ordered). *)
+(** Next thread for vessel [index]: the front of its own ready list.  Once
+    any thread has a non-zero priority, the best priority across all lists
+    instead; ties prefer the own list, the front-most there, else the
+    back-most on the other list.  Does not lock — callers hold the cell
+    via {!spin_lock_cell}. *)
 
 val steal_from : state -> victim:int -> tcb option
-(** Take one thread from [victim]'s ready list (policy-ordered). *)
-
-val nqueues : state -> int
-
-val any_ready : state -> bool
-(** Whether any ready list is non-empty (O(queues) field reads, no locking). *)
+(** Take the back (oldest) thread of [victim]'s ready list, or its
+    back-most best-priority thread once priorities are in use. *)
 
 val requeue_front : state -> int -> tcb -> unit
-(** Undo a [pop_work] (dispatch repair). *)
+(** Undo a {!pop_own} or steal whose dispatch was preempted (dispatch
+    repair). *)
 
 val dispatch_cost : driver -> Time.span
 (** Cost the substrate charges to take a thread off a ready list (includes
@@ -240,6 +230,15 @@ val lease_cell : state -> cs_cell -> holder:int -> span:Time.span -> unit
 val set_clock : state -> (unit -> Time.t) -> unit
 (** Install the simulated-time source consulted by cell-lease probes.
     Substrates call this once at create time. *)
+
+val steal : state -> Sa_engine.Sim.t -> thief:int -> (cs_cell * tcb) option
+(** The one steal sweep for vessel [thief]: probe the other ready lists in
+    rotation order [(thief + attempt) mod queues], each probe a
+    ["steal-victim"] {!Sa_engine.Sim.pick} choice point, skipping victims
+    whose cell is held.  The first steal ({!steal_from}) is counted and
+    returned with the victim's cell, still held by [thief].  [None] when
+    every probe fails — at once, with no chooser installed and every list
+    empty. *)
 
 val spin_lock_cell :
   state ->

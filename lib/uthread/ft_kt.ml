@@ -42,87 +42,56 @@ let trace_ready t =
       ("ready:" ^ Kernel.space_name t.space)
       (float_of_int (Ft_core.ready_threads t.core_state))
 
+(* Dispatch a thread taken off the list guarded by [cell] (held).  At an
+   op boundary the dispatch cost rides in the thread's charge accumulator
+   and the cell is released under a lease covering the same window;
+   otherwise the cost is charged as its own segment. *)
+let run_picked t idx ops cell tcb =
+  let d = driver t in
+  let s = t.core_state in
+  if Ft_core.fold_dispatch s d tcb then begin
+    Ft_core.lease_cell s cell ~holder:(Ft_core.tcb_id tcb)
+      ~span:(Ft_core.dispatch_cost d);
+    Ft_core.run_thread s ~index:idx tcb
+  end
+  else
+    ops.Kernel.kt_charge (Ft_core.dispatch_cost d) (fun () ->
+        Ft_core.unlock_cell cell;
+        Ft_core.run_thread s ~index:idx tcb)
+
 (* The user-level scheduler loop run by each virtual processor: dispatch
    from its own ready list, steal from peers, or idle-scan. *)
 let rec vp_step t idx ops =
   if Ft_core.finished t.core_state then ops.Kernel.kt_exit ()
   else begin
-    let d = driver t in
     let s = t.core_state in
     let cell = Ft_core.queue_cell s idx in
     Ft_core.spin_lock_cell s cell ~owner:(-(idx + 1))
-      ~slice:(Ft_core.spin_slice d)
+      ~slice:(Ft_core.spin_slice (driver t))
       ~charge:(fun slice k -> ops.Kernel.kt_charge slice k)
       (fun () ->
         match Ft_core.pop_own s idx with
         | Some tcb ->
             trace_ready t;
-            if Ft_core.fold_dispatch s d tcb then begin
-              Ft_core.lease_cell s cell ~holder:(Ft_core.tcb_id tcb)
-                ~span:(Ft_core.dispatch_cost d);
-              Ft_core.run_thread s ~index:idx tcb
-            end
-            else
-              ops.Kernel.kt_charge (Ft_core.dispatch_cost d) (fun () ->
-                  Ft_core.unlock_cell cell;
-                  Ft_core.run_thread s ~index:idx tcb)
+            run_picked t idx ops cell tcb
         | None ->
             Ft_core.unlock_cell cell;
-            steal_scan t idx ops 1)
+            match Ft_core.steal s (Kernel.sim t.kernel) ~thief:idx with
+            | Some (vcell, tcb) -> run_picked t idx ops vcell tcb
+            | None ->
+                (* Nothing anywhere: idle-scan and look again shortly.  The
+                   virtual processor burns its physical processor doing
+                   this, exactly like an original-FastThreads kernel thread
+                   idling in its scheduler. *)
+                ops.Kernel.kt_charge idle_slice (fun () -> vp_step t idx ops))
   end
 
-and steal_scan t idx ops k =
-  let d = driver t in
-  let s = t.core_state in
-  let nq = Ft_core.nqueues s in
-  if k >= nq then
-    (* Nothing anywhere: idle-scan and look again shortly.  The virtual
-       processor burns its physical processor doing this, exactly like an
-       original-FastThreads kernel thread idling in its scheduler. *)
-    ops.Kernel.kt_charge idle_slice (fun () -> vp_step t idx ops)
-  else begin
-    (* Victim order comes from the policy; the explorer can override it at
-       the "steal-victim" choice point (identity default). *)
-    let dflt =
-      (Ft_core.policy s).Sched_policy.sp_victim ~nqueues:nq ~thief:idx
-        ~attempt:k
-    in
-    let v =
-      Sim.pick (Kernel.sim t.kernel) ~site:"steal-victim" ~arity:nq
-        ~default:dflt
-    in
-    if v = idx then steal_scan t idx ops (k + 1)
-    else begin
-      let vcell = Ft_core.queue_cell s v in
-      if Ft_core.try_lock_cell s vcell ~owner:(-(idx + 1)) then begin
-        match Ft_core.steal_from s ~victim:v with
-        | Some tcb ->
-            (Ft_core.stats s).steals <- (Ft_core.stats s).steals + 1;
-            if Ft_core.fold_dispatch s d tcb then begin
-              Ft_core.lease_cell s vcell ~holder:(Ft_core.tcb_id tcb)
-                ~span:(Ft_core.dispatch_cost d);
-              Ft_core.run_thread s ~index:idx tcb
-            end
-            else
-              ops.Kernel.kt_charge (Ft_core.dispatch_cost d) (fun () ->
-                  Ft_core.unlock_cell vcell;
-                  Ft_core.run_thread s ~index:idx tcb)
-        | None ->
-            Ft_core.unlock_cell vcell;
-            steal_scan t idx ops (k + 1)
-      end
-      else steal_scan t idx ops (k + 1)
-    end
-  end
-
-let create kernel ~name ~vps ?(priority = 0) ?policy ?cache ?io_dev
+let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
     ?(strategy = Ft_core.Copy_sections) ?(observer = fun _ _ -> ())
     ?(on_done = fun () -> ()) () =
   if vps <= 0 then invalid_arg "Ft_kt.create: vps";
   let space = Kernel.new_kthread_space kernel ~name ~priority () in
-  let core_state =
-    Ft_core.create_state ~queues:vps ?policy ?cache ?io_dev ()
-  in
+  let core_state = Ft_core.create_state ~queues:vps ?cache ?io_dev () in
   let t =
     {
       kernel;

@@ -16,7 +16,6 @@ val create :
   name:string ->
   vps:int ->
   ?priority:int ->
-  ?policy:Ft_core.tcb Sched_policy.t ->
   ?cache:Sa_hw.Buffer_cache.t ->
   ?io_dev:Sa_hw.Io_device.t ->
   ?strategy:Ft_core.strategy ->
@@ -25,10 +24,8 @@ val create :
   unit ->
   t
 (** Build an address space running original FastThreads with [vps] virtual
-    processors (kernel threads).  [policy] selects the ready-list
-    discipline (default {!Sched_policy.work_steal}).  [observer] receives
-    [Stamp] markers; [on_done] fires when the last user-level thread
-    completes. *)
+    processors (kernel threads).  [observer] receives [Stamp] markers;
+    [on_done] fires when the last user-level thread completes. *)
 
 val start : t -> Sa_program.Program.t -> unit
 (** Create the main user-level thread and start the virtual processors. *)

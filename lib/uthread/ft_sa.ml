@@ -9,44 +9,6 @@ module Program = Sa_program.Program
 
 type loaded = L_none | L_thread of Ft_core.tcb | L_manager
 
-(* Debug journal: recent driver actions, dumped on internal errors.  Opt-in
-   (set [journal_enabled]) because formatting on every dispatch costs real
-   time in large simulations.  A fixed-capacity ring: each entry overwrites
-   the oldest once full — O(1) per log line, no periodic trim, no
-   allocation beyond the formatted string itself. *)
-let journal_enabled = ref false
-let journal_cap = 16384
-let journal_buf = Array.make journal_cap ""
-let journal_head = ref 0 (* next write slot *)
-let journal_count = ref 0
-
-let jlog fmt =
-  if !journal_enabled then
-    Printf.ksprintf
-      (fun m ->
-        journal_buf.(!journal_head) <- m;
-        journal_head := (!journal_head + 1) mod journal_cap;
-        if !journal_count < journal_cap then incr journal_count)
-      fmt
-  else
-    (* Consume the format arguments without formatting or allocating — the
-       journal is opt-in precisely because formatting costs real time. *)
-    Printf.ikfprintf ignore () fmt
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let journal_for needle =
-  let start = (!journal_head - !journal_count + journal_cap) mod journal_cap in
-  let out = ref [] in
-  for i = !journal_count - 1 downto 0 do
-    let m = journal_buf.((start + i) mod journal_cap) in
-    if contains m needle then out := m :: !out
-  done;
-  !out
-
 type t = {
   mutable kernel : Kernel.t;
       (* the kernel currently hosting our space; cluster migration re-points
@@ -123,8 +85,6 @@ let trace_recovery t edge tcb =
     ~act:(Ft_core.tcb_id tcb) Trace.Uthread "cs-recovery"
 
 let bind t act tcb =
-  if !journal_enabled then
-    jlog "bind act%d <tid%d>" (Kernel.activation_id act) (Ft_core.tcb_id tcb);
   let aid = Kernel.activation_id act and tid = Ft_core.tcb_id tcb in
   ensure_aid t aid;
   ensure_tid t tid;
@@ -132,8 +92,6 @@ let bind t act tcb =
   t.bound.(tid) <- Some act
 
 let unbind t act tcb =
-  if !journal_enabled then
-    jlog "unbind act%d <tid%d>" (Kernel.activation_id act) (Ft_core.tcb_id tcb);
   ensure_aid t (Kernel.activation_id act);
   t.loaded.(Kernel.activation_id act) <- L_manager;
   if Ft_core.tcb_id tcb < Array.length t.bound then
@@ -201,7 +159,9 @@ and dispatch t act idx =
       | Some tcb -> run_picked t act idx cell tcb
       | None ->
           Ft_core.unlock_cell cell;
-          steal_scan t act idx 1)
+          match Ft_core.steal s (Kernel.sim t.kernel) ~thief:idx with
+          | Some (vcell, tcb) -> run_picked t act idx vcell tcb
+          | None -> idle_hysteresis t act)
 
 and run_picked t act idx cell tcb =
   let s = t.core_state in
@@ -228,47 +188,7 @@ and run_picked t act idx cell tcb =
         Ft_core.unlock_cell cell;
         Ft_core.run_thread s ~index:idx tcb)
 
-and steal_scan t act idx k =
-  let s = t.core_state in
-  let nq = Ft_core.nqueues s in
-  if k >= nq then idle_hysteresis t act idx
-  else if
-    (* With no chooser installed the sweep over empty lists is pure
-       mechanism — failed lock probes and default victim draws with no
-       observable effect — so an emptiness check may stand in for it.
-       Under a chooser the full sweep must run: each probe is a recorded
-       "steal-victim" choice point. *)
-    (match Sim.chooser (Kernel.sim t.kernel) with
-    | None -> not (Ft_core.any_ready s)
-    | Some _ -> false)
-  then idle_hysteresis t act idx
-  else begin
-    (* Victim order comes from the policy; the explorer can override it at
-       the "steal-victim" choice point (identity default). *)
-    let d =
-      (Ft_core.policy s).Sched_policy.sp_victim ~nqueues:nq ~thief:idx
-        ~attempt:k
-    in
-    let v =
-      Sim.pick (Kernel.sim t.kernel) ~site:"steal-victim" ~arity:nq ~default:d
-    in
-    if v = idx then steal_scan t act idx (k + 1)
-    else begin
-      let vcell = Ft_core.queue_cell s v in
-      if Ft_core.try_lock_cell s vcell ~owner:(-(idx + 1)) then begin
-        match Ft_core.steal_from s ~victim:v with
-        | Some tcb ->
-            (Ft_core.stats s).steals <- (Ft_core.stats s).steals + 1;
-            run_picked t act idx vcell tcb
-        | None ->
-            Ft_core.unlock_cell vcell;
-            steal_scan t act idx (k + 1)
-      end
-      else steal_scan t act idx (k + 1)
-    end
-  end
-
-and idle_hysteresis t act _idx =
+and idle_hysteresis t act =
   (* Section 4.2: an idle processor spins for a while before notifying the
      kernel that it is available for reallocation.  The spin re-scans the
      ready lists every slice — an idle virtual processor reacts to new work
@@ -306,7 +226,6 @@ let handle_event t idx = function
   | Upcall.Activation_unblocked { act = aid; ctx } -> (
       match loaded_of t aid with
       | L_thread tcb ->
-          jlog "unblocked act%d <tid%d>" aid (Ft_core.tcb_id tcb);
           (match Ft_core.tcb_state tcb with
           | Ft_core.Blocked_kernel -> ()
           | st ->
@@ -334,8 +253,6 @@ let handle_event t idx = function
   | Upcall.Processor_preempted { act = aid; ctx } -> (
       match loaded_of t aid with
       | L_thread tcb ->
-          jlog "preempted act%d <tid%d> in_cs=%b rem=%d" aid
-            (Ft_core.tcb_id tcb) (Ft_core.tcb_in_cs tcb) ctx.Upcall.remaining;
           t.loaded.(aid) <- L_none;
           t.bound.(Ft_core.tcb_id tcb) <- None;
           t.act_cpu.(aid) <- -1;
@@ -372,7 +289,7 @@ let on_upcall t delivery =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create kernel ~name ?(priority = 0) ?policy ?cache ?io_dev
+let create kernel ~name ?(priority = 0) ?cache ?io_dev
     ?(strategy = Ft_core.Copy_sections) ?max_procs
     ?(observer = fun _ _ -> ()) ?(on_done = fun () -> ()) () =
   let ncpus = Sa_hw.Machine.cpu_count (Kernel.machine kernel) in
@@ -382,9 +299,7 @@ let create kernel ~name ?(priority = 0) ?policy ?cache ?io_dev
     | Some m when m >= 1 && m <= ncpus -> m
     | Some _ -> invalid_arg "Ft_sa.create: max_procs out of range"
   in
-  let core_state =
-    Ft_core.create_state ~queues:ncpus ?policy ?cache ?io_dev ()
-  in
+  let core_state = Ft_core.create_state ~queues:ncpus ?cache ?io_dev () in
   let t =
     {
       kernel;
@@ -427,8 +342,6 @@ let create kernel ~name ?(priority = 0) ?policy ?cache ?io_dev
           Kernel.sa_charge t.kernel (act_of t tcb)
             costs.Cost_model.kernel_trap (fun () ->
               let act = act_of t tcb in
-              jlog "block_io act%d <tid%d>" (Kernel.activation_id act)
-                (Ft_core.tcb_id tcb);
               Ft_core.mark_kernel_blocked t.core_state tcb;
               Kernel.sa_block_io t.kernel act ~io:span k));
       block_kernel =
@@ -436,8 +349,6 @@ let create kernel ~name ?(priority = 0) ?policy ?cache ?io_dev
           Kernel.sa_charge t.kernel (act_of t tcb)
             costs.Cost_model.kernel_trap (fun () ->
               let act = act_of t tcb in
-              jlog "block_kernel act%d <tid%d>" (Kernel.activation_id act)
-                (Ft_core.tcb_id tcb);
               Ft_core.mark_kernel_blocked t.core_state tcb;
               Kernel.sa_block_kernel t.kernel act ~register k));
       thread_stopped =

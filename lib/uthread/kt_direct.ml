@@ -274,7 +274,7 @@ let rec exec t thr (ops : Kernel.kt_ops) prog =
          honouring them would need kernel changes (Section 2.2's point). *)
       ops.Kernel.kt_charge c.Cost_model.procedure_call (continue k)
 
-let create kernel ~name ~flavor ?(priority = 0) ?policy:_ ?cache ?io_dev
+let create kernel ~name ~flavor ?(priority = 0) ?cache ?io_dev
     ?(observer = fun _ _ -> ()) ?(on_done = fun () -> ()) () =
   let sp = Kernel.new_kthread_space kernel ~name ~priority () in
   {

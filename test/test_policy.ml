@@ -1,16 +1,11 @@
-(* Scheduling-policy layer and schedule-identity tests.
+(* Backend-parity and schedule-identity tests.
 
    1. Backend parity: one deterministic mixed workload (forks, yields,
-      I/O, locks) run on all three backends through the shared
-      Sched_policy layer must complete everywhere, with identical
-      completion totals and full conservation (every thread Done, ready
-      queues empty) in the FastThreads cores.
+      I/O, locks) run on all three backends must complete everywhere,
+      with identical completion totals and full conservation (every
+      thread Done, ready queues empty) in the FastThreads cores.
 
-   2. Policy parity: the same workload under work-steal / lifo / fifo
-      completes identically — the discipline changes the schedule, never
-      the work.
-
-   3. Run-digest identity: the default-seed exploration digest is pinned
+   2. Run-digest identity: the default-seed exploration digest is pinned
       byte-for-byte, so any accidental change to the default schedule
       (e.g. a refactor that reorders queue operations) fails loudly. *)
 
@@ -18,7 +13,6 @@ module Time = Sa_engine.Time
 module P = Sa_program.Program
 module B = P.Build
 module Ft_core = Sa_uthread.Ft_core
-module Sched_policy = Sa_uthread.Sched_policy
 module System = Sa.System
 module Search = Sa_explore.Search
 
@@ -31,7 +25,7 @@ let check = Alcotest.check
 let n_workers = 40
 
 (* Mixed fork/compute/yield/io/lock program; fully deterministic given a
-   backend and policy. *)
+   backend. *)
 let parity_prog () =
   let m = P.Mutex.create ~name:"tally" () in
   let worker i =
@@ -45,12 +39,9 @@ let parity_prog () =
   in
   B.(to_program (repeat n_workers (fun i -> fork_unit (worker i))))
 
-let run_once ~backend ?policy () =
+let run_once ~backend =
   let sys = System.create ~cpus:4 () in
-  let job =
-    System.submit sys ~backend ~name:"parity" ?sched_policy:policy
-      (parity_prog ())
-  in
+  let job = System.submit sys ~backend ~name:"parity" (parity_prog ()) in
   System.run sys;
   job
 
@@ -81,63 +72,21 @@ let audit_ft name job =
 (* ------------------------------------------------------------------ *)
 
 let test_backend_parity () =
-  let kt = run_once ~backend:(`Fastthreads_on_kthreads 4) () in
-  let sa = run_once ~backend:`Fastthreads_on_sa () in
-  let direct = run_once ~backend:`Topaz_kthreads () in
+  let kt = run_once ~backend:(`Fastthreads_on_kthreads 4) in
+  let sa = run_once ~backend:`Fastthreads_on_sa in
+  let direct = run_once ~backend:`Topaz_kthreads in
   Alcotest.(check bool) "ft_kt finished" true (System.finished kt);
   Alcotest.(check bool) "ft_sa finished" true (System.finished sa);
   Alcotest.(check bool) "kt_direct finished" true (System.finished direct);
   audit_ft "ft_kt" kt;
   audit_ft "ft_sa" sa;
-  (* The direct backend has no user-level core; its policy argument is
-     accepted and ignored, and completion is the kernel's to report. *)
+  (* The direct backend has no user-level core; completion is the
+     kernel's to report. *)
   check Alcotest.bool "kt_direct has no ft core" true
     (System.ft_core_state direct = None)
 
 (* ------------------------------------------------------------------ *)
-(* 2. Policy parity                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let policies =
-  [ Sched_policy.work_steal; Sched_policy.lifo; Sched_policy.fifo ]
-
-let test_policy_parity_sa () =
-  List.iter
-    (fun policy ->
-      let job = run_once ~backend:`Fastthreads_on_sa ~policy () in
-      audit_ft ("ft_sa/" ^ Sched_policy.name policy) job)
-    policies
-
-let test_policy_parity_kt () =
-  List.iter
-    (fun policy ->
-      let job = run_once ~backend:(`Fastthreads_on_kthreads 4) ~policy () in
-      audit_ft ("ft_kt/" ^ Sched_policy.name policy) job)
-    policies
-
-let test_policy_accepted_by_direct () =
-  List.iter
-    (fun policy ->
-      let job = run_once ~backend:`Topaz_kthreads ~policy () in
-      Alcotest.(check bool)
-        ("direct/" ^ Sched_policy.name policy ^ " finished")
-        true (System.finished job))
-    policies
-
-let test_of_name () =
-  List.iter
-    (fun p ->
-      match Sched_policy.of_name (Sched_policy.name p) with
-      | Some q -> check Alcotest.string "round-trip" (Sched_policy.name p)
-            (Sched_policy.name q)
-      | None -> Alcotest.failf "of_name %s failed" (Sched_policy.name p))
-    policies;
-  Alcotest.(check bool)
-    "unknown name rejected" true
-    (Sched_policy.of_name "round-robin" = (None : int Sched_policy.t option))
-
-(* ------------------------------------------------------------------ *)
-(* 3. Run-digest identity                                              *)
+(* 2. Run-digest identity                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* The digest of the default exploration spec under the default chooser.
@@ -172,16 +121,6 @@ let () =
       ( "backend-parity",
         [ Alcotest.test_case "all backends, one workload" `Quick
             test_backend_parity ] );
-      ( "policy-parity",
-        [
-          Alcotest.test_case "ft_sa under all policies" `Quick
-            test_policy_parity_sa;
-          Alcotest.test_case "ft_kt under all policies" `Quick
-            test_policy_parity_kt;
-          Alcotest.test_case "direct accepts and ignores" `Quick
-            test_policy_accepted_by_direct;
-          Alcotest.test_case "of_name round-trip" `Quick test_of_name;
-        ] );
       ( "schedule-identity",
         [
           Alcotest.test_case "pinned default digest" `Quick

@@ -447,6 +447,142 @@ let ft_specific_tests =
 (* Priorities (Section 3.1 extension)                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Cross-queue priority discipline, driven on [Ft_core] directly: two ready
+   lists filled by two parent threads run on a synchronous driver (every
+   charge completes at once), then [pop_own] / [steal_from] are probed.
+   Forks push at the front, so a queue lists its children newest first. *)
+let sync_driver =
+  let no_block _ = failwith "sync driver: unexpected kernel block" in
+  {
+    Ft_core.costs = Sa_hw.Cost_model.firefly_cvax;
+    strategy = Ft_core.Copy_sections;
+    sa_accounting = false;
+    io_latency = 0;
+    charge = (fun _ _ k -> k ());
+    block_io = (fun tcb _ _ -> no_block tcb);
+    block_kernel = (fun tcb ~register:_ _ -> no_block tcb);
+    thread_stopped = (fun _ -> ());
+    work_created = (fun _ _ -> ());
+    all_done = (fun () -> ());
+    on_stamp = (fun _ -> ());
+  }
+
+(* [fill_queues qs] forks one child per listed priority, in list order,
+   onto ready list [i] for the [i]th list of [qs]; returns the state and
+   each list's child tids front first.  With [~prio:false] the priorities
+   are ignored and none is ever set. *)
+let fill_queues ?(prio = true) qs =
+  let s = Ft_core.create_state ~queues:(List.length qs) () in
+  let parent prios =
+    B.to_program
+      (let open B in
+       let rec go = function
+         | [] -> return ()
+         | p :: rest ->
+             let* () = if prio then set_priority p else return () in
+             let* _ = fork (B.to_program (compute (Time.us 1))) in
+             go rest
+       in
+       go prios)
+  in
+  let tcbs =
+    List.mapi
+      (fun i prios ->
+        let tcb = Ft_core.new_thread s sync_driver (parent prios) in
+        Ft_core.make_ready s sync_driver ~at:i tcb;
+        (i, tcb))
+      qs
+  in
+  (* Take every parent off its list before any priority is set, then run
+     each to completion on its own vessel. *)
+  List.iter (fun (i, _) -> ignore (Ft_core.pop_own s i)) tcbs;
+  List.iter (fun (i, tcb) -> Ft_core.run_thread s ~index:i tcb) tcbs;
+  let rec split tids = function
+    | [] -> []
+    | q :: rest ->
+        let n = List.length q in
+        List.filteri (fun k _ -> k < n) tids
+        :: split (List.filteri (fun k _ -> k >= n) tids) rest
+  in
+  (s, split (Ft_core.queued_tids s) qs)
+
+let prio_queues q0 q1 =
+  match fill_queues [ q0; q1 ] with
+  | s, [ t0; t1 ] -> (s, t0, t1)
+  | _ -> assert false
+
+let tid_of = Option.map Ft_core.tcb_id
+
+let cross_queue_priority_tests =
+  [
+    Alcotest.test_case "pop_own takes a better foreign thread from the back"
+      `Quick (fun () ->
+        (* list 1 front to back: prio 0, 5, 5 — the oldest prio-5 is last *)
+        let s, _, q1 = prio_queues [ 1 ] [ 5; 5; 0 ] in
+        check Alcotest.(option int) "back-most prio-5 of list 1"
+          (Some (List.nth q1 2)) (tid_of (Ft_core.pop_own s 0)));
+    Alcotest.test_case "pop_own keeps the local thread on a tie" `Quick
+      (fun () ->
+        (* list 0 front to back: prio 0, 5, 5; list 1 holds one prio 5 *)
+        let s, q0, _ = prio_queues [ 5; 5; 0 ] [ 5 ] in
+        check Alcotest.(option int) "front-most prio-5 of list 0"
+          (Some (List.nth q0 1)) (tid_of (Ft_core.pop_own s 0)));
+    Alcotest.test_case "steal_from takes the back-most best, not the back"
+      `Quick (fun () ->
+        (* list 1 front to back: prio 0, 5, 5, 0 *)
+        let s, _, q1 = prio_queues [ 0 ] [ 0; 5; 5; 0 ] in
+        check Alcotest.(option int) "back-most prio-5 of list 1"
+          (Some (List.nth q1 2)) (tid_of (Ft_core.steal_from s ~victim:1)));
+  ]
+
+(* The plain discipline and the one steal sweep, on [Ft_core] directly. *)
+let ready_list_tests =
+  [
+    Alcotest.test_case "owner pops the newest, a thief takes the oldest"
+      `Quick (fun () ->
+        let s, qs = fill_queues ~prio:false [ [ 0; 0; 0 ] ] in
+        let q0 = List.hd qs in
+        check Alcotest.(option int) "pop_own: front (newest)"
+          (Some (List.nth q0 0)) (tid_of (Ft_core.pop_own s 0));
+        check Alcotest.(option int) "steal_from: back (oldest)"
+          (Some (List.nth q0 2)) (tid_of (Ft_core.steal_from s ~victim:0));
+        check Alcotest.(option int) "the middle one is left"
+          (Some (List.nth q0 1)) (tid_of (Ft_core.pop_own s 0)));
+    Alcotest.test_case "steal sweep rotates past empty and held lists" `Quick
+      (fun () ->
+        (* thief 0 probes lists 1, 2, 3, 4 in turn: list 1 is empty, list
+           2's cell is held, lists 3 and 4 have work *)
+        let s, qs =
+          fill_queues ~prio:false [ []; []; [ 0 ]; [ 0; 0 ]; [ 0 ] ]
+        in
+        let q3 = List.nth qs 3 in
+        let held = Ft_core.queue_cell s 2 in
+        check Alcotest.bool "hold list 2" true
+          (Ft_core.try_lock_cell s held ~owner:7);
+        let steals0 = (Ft_core.stats s).steals in
+        match Ft_core.steal s (Sa_engine.Sim.create ()) ~thief:0 with
+        | None -> Alcotest.fail "steal found nothing"
+        | Some (cell, tcb) ->
+            check Alcotest.bool "victim is list 3" true
+              (cell == Ft_core.queue_cell s 3);
+            check Alcotest.(option int) "victim cell held by the thief"
+              (Some (-1)) (Ft_core.cell_owner cell);
+            check Alcotest.int "oldest of list 3" (List.nth q3 1)
+              (Ft_core.tcb_id tcb);
+            check Alcotest.int "one steal counted" (steals0 + 1)
+              (Ft_core.stats s).steals;
+            check Alcotest.(list int) "lists 2 and 4 untouched"
+              (List.nth qs 2 @ [ List.nth q3 0 ] @ List.nth qs 4)
+              (Ft_core.queued_tids s));
+    Alcotest.test_case "steal sweep over empty lists finds nothing" `Quick
+      (fun () ->
+        let s, _ = fill_queues ~prio:false [ []; []; [] ] in
+        let steals0 = (Ft_core.stats s).steals in
+        check Alcotest.bool "no steal" true
+          (Option.is_none (Ft_core.steal s (Sa_engine.Sim.create ()) ~thief:1));
+        check Alcotest.int "no steal counted" steals0 (Ft_core.stats s).steals);
+  ]
+
 let priority_tests =
   [
     Alcotest.test_case "higher priority dispatched first (ft-sa)" `Quick
@@ -620,6 +756,7 @@ let () =
       ("cache", cache_miss_then_hit);
       ("yield", yield_runs_peer);
       ("fastthreads", ft_specific_tests);
-      ("priorities", priority_tests);
+      ("priorities", priority_tests @ cross_queue_priority_tests);
+      ("ready-lists", ready_list_tests);
       ("misuse", misuse_tests);
     ]
