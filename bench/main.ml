@@ -725,6 +725,19 @@ let simulator_tests =
              in
              Cpu.begin_work cpu ~occupant ~length:(Time.us 1) seg;
              Sim.run sim));
+      (* The idle-hysteresis path: 1000 empty slice boundaries, each
+         re-armed inside the CPU, traced off as in workload runs. *)
+      Test.make ~name:"cpu spin boundary x1000"
+        (Staged.stage (fun () ->
+             let sim = Sim.create () in
+             Sa_engine.Trace.set_recording (Sim.trace sim) false;
+             let cpu = Cpu.create sim 0 in
+             let occupant = Cpu.Occupant { space = 0; detail = "bench" } in
+             Cpu.begin_spin cpu ~occupant ~slice:(Time.us 1)
+               ~length:(Time.us 1000)
+               ~poll:(fun () -> false)
+               ignore;
+             Sim.run sim));
       Test.make ~name:"buffer cache access x1000"
         (Staged.stage (fun () ->
              let c = Buffer_cache.create ~capacity:64 in

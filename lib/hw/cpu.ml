@@ -12,7 +12,9 @@ type occupant =
 (* The running segment is flattened into mutable fields ([run_active]
    gates them) and the completion continuation is a single closure
    allocated at [create]: beginning a segment — the per-dispatch hot path —
-   then allocates nothing at all. *)
+   then allocates nothing at all.  A spin ([begin_spin]) is a segment whose
+   [spin_*] fields are live; its slice boundaries fire the preallocated
+   [tick], which re-arms the next slice in place. *)
 type t = {
   sim : Sim.t;
   cpu_id : id;
@@ -22,6 +24,11 @@ type t = {
   mutable run_continue : unit -> unit;
   mutable run_event : Sim.handle;
   mutable finish : unit -> unit;  (* preallocated segment-end event *)
+  mutable tick : unit -> unit;  (* preallocated spin slice-boundary event *)
+  mutable spinning : bool;
+  mutable spin_slice : Time.span;
+  mutable spin_left : Time.span;  (* spin length left after this slice *)
+  mutable spin_poll : unit -> bool;
   mutable who : occupant;
   mutable busy_ns : Time.span;
   mutable segments : int;
@@ -62,6 +69,19 @@ let trace_segment_end t ~who ?detail () =
     Trace.span_end tr ~time:(Sim.now t.sim) ~cpu:t.cpu_id
       ~space:(segment_space who) ?detail Trace.Cpu (segment_label who)
 
+let no_poll () = false
+
+(* Start the spin's next slice: the same record updates, trace span and
+   [Sim.schedule_after] as a [begin_work] of that slice. *)
+let arm_slice t =
+  let slice = min t.spin_slice t.spin_left in
+  t.spin_left <- t.spin_left - slice;
+  t.segments <- t.segments + 1;
+  trace_segment_begin t;
+  t.run_started <- Sim.now t.sim;
+  t.run_length <- slice;
+  t.run_event <- Sim.schedule_after t.sim ~delay:slice t.tick
+
 let create sim cpu_id =
   let t =
     {
@@ -73,6 +93,11 @@ let create sim cpu_id =
       run_continue = ignore;
       run_event = Sim.null_handle;
       finish = ignore;
+      tick = ignore;
+      spinning = false;
+      spin_slice = 0;
+      spin_left = 0;
+      spin_poll = no_poll;
       who = Nobody;
       busy_ns = 0;
       segments = 0;
@@ -90,6 +115,21 @@ let create sim cpu_id =
       trace_segment_end t ~who ();
       t.on_busy false;
       k ());
+  (* A boundary that ends the spin is a plain segment end.  An empty one
+     ends the slice's span as [finish] would and re-arms without the
+     idle<->busy round trip, which nothing can observe inside one event. *)
+  t.tick <-
+    (fun () ->
+      if t.spin_poll () || t.spin_left <= 0 then begin
+        t.spinning <- false;
+        t.spin_poll <- no_poll;
+        t.finish ()
+      end
+      else begin
+        t.busy_ns <- t.busy_ns + t.run_length;
+        trace_segment_end t ~who:t.who ();
+        arm_slice t
+      end);
   t
 
 let id t = t.cpu_id
@@ -113,12 +153,41 @@ let begin_work t ~occupant ~length k =
   t.run_event <- Sim.schedule_after t.sim ~delay:length t.finish;
   t.on_busy true
 
+let begin_spin t ~occupant ~slice ~length ~poll k =
+  if t.run_active then
+    invalid_arg
+      (Printf.sprintf "Cpu.begin_spin: cpu %d already busy" t.cpu_id);
+  if slice <= 0 || length <= 0 then
+    invalid_arg "Cpu.begin_spin: non-positive slice or length";
+  t.who <- occupant;
+  t.run_active <- true;
+  t.run_continue <- k;
+  t.spinning <- true;
+  t.spin_slice <- slice;
+  t.spin_left <- length;
+  t.spin_poll <- poll;
+  arm_slice t;
+  t.on_busy true
+
+(* The context of a preempted spin: once the interrupted slice's remainder
+   has run, take that boundary and spin on for the unspent length. *)
+let spin_resume t ~occupant =
+  let slice = t.spin_slice and left = t.spin_left and poll = t.spin_poll in
+  let k = t.run_continue in
+  fun () ->
+    if poll () || left <= 0 then k ()
+    else begin_spin t ~occupant ~slice ~length:left ~poll k
+
 let preempt t =
   if not t.run_active then None
   else begin
     Sim.cancel t.sim t.run_event;
     let who = t.who in
-    let resume = t.run_continue in
+    let resume =
+      if t.spinning then spin_resume t ~occupant:who else t.run_continue
+    in
+    t.spinning <- false;
+    t.spin_poll <- no_poll;
     t.run_active <- false;
     t.run_continue <- ignore;
     t.who <- Nobody;

@@ -51,9 +51,34 @@ val begin_work :
     time, the CPU becomes idle and [k ()] runs.  A zero [length] completes
     via the event queue, preserving FIFO ordering. *)
 
+val begin_spin :
+  t ->
+  occupant:occupant ->
+  slice:Sa_engine.Time.span ->
+  length:Sa_engine.Time.span ->
+  poll:(unit -> bool) ->
+  (unit -> unit) ->
+  unit
+(** [begin_spin cpu ~occupant ~slice ~length ~poll k] starts a spin: one
+    segment that runs [length] of simulated time in slices of [slice] (the
+    last one shorter if [slice] does not divide [length]).  At each slice
+    boundary it calls [poll ()]; when that reports work, or the spin is used
+    up, the CPU becomes idle and [k ()] runs, as after {!begin_work}.  An
+    empty boundary re-arms the next slice inside the CPU, making exactly
+    the record updates, [Cpu] trace spans and single [Sim.schedule_after]
+    that a segment end plus a new {!begin_work} of that slice would — so
+    {!busy_time}, {!segment_count}, traces and every event's [(time, seq)]
+    key match a chain of per-slice segments — without returning to the
+    caller.  The CPU must be idle and [slice] and [length] positive (raises
+    [Invalid_argument] otherwise). *)
+
 val preempt : t -> preempted option
 (** Stop the current segment immediately.  [None] if the CPU was idle.  The
-    CPU is idle afterwards; the caller owns the returned context. *)
+    CPU is idle afterwards; the caller owns the returned context.  For a
+    spin, [elapsed] and [remaining] are those of the interrupted slice, and
+    [resume] takes that slice's boundary and then spins on, on this CPU,
+    for the unspent length — so a stopped and resumed spin ends where it
+    would have, shifted by the stop. *)
 
 val busy_time : t -> Sa_engine.Time.span
 (** Total simulated time this CPU has spent executing segments (completed

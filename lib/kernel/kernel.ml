@@ -62,6 +62,7 @@ let spawn_kthread = Kt_sched.spawn_kthread
 
 (* Scheduler-activation services *)
 let sa_charge = Sa_upcall.sa_charge
+let sa_spin = Sa_upcall.sa_spin
 let sa_block_io = Sa_upcall.sa_block_io
 let sa_block_kernel = Sa_upcall.sa_block_kernel
 let sa_request_preempt = Sa_upcall.sa_request_preempt

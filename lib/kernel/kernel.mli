@@ -142,6 +142,23 @@ val sa_charge :
     it.  This mirrors Section 3.1's treatment of preemptions that catch the
     thread manager rather than a user thread. *)
 
+val sa_spin :
+  t ->
+  activation ->
+  slice:Time.span ->
+  length:Time.span ->
+  poll:(unit -> bool) ->
+  (unit -> unit) ->
+  unit
+(** The Section 4.2 idle spin: run [length] of thread-manager work on the
+    activation's processor as one {!Sa_hw.Cpu.begin_spin}, calling [poll]
+    at every [slice] boundary, and continue with [k] once [poll] reports
+    work or the spin is used up.  The spin re-arms inside the CPU between
+    boundaries — no round trip through the kernel per slice — yet fires the
+    same events, in the same order, as a chain of per-slice {!sa_charge}
+    manager segments.  Like those, a preempted spin is repaired (there is
+    nothing to restore) and its context discarded. *)
+
 val sa_block_io : t -> activation -> io:Time.span -> (unit -> unit) -> unit
 (** The user-level thread running in this activation enters the kernel and
     blocks for [io].  The caller must have charged the kernel-trap cost in

@@ -223,6 +223,20 @@ let sa_charge ?repair t act cost k =
   | A_blocked | A_stopped | A_free ->
       failwith "sa_charge: activation not running"
 
+(* Idle spinning is manager work whose interruption loses nothing. *)
+let spin_repair = Some (fun () -> ())
+
+let sa_spin t act ~slice ~length ~poll k =
+  match act.act_state with
+  | A_running cpu_id ->
+      let slot = slot_of_cpu t cpu_id in
+      act.act_repair <- spin_repair;
+      act.act_charge_k <- k;
+      Cpu.begin_spin slot.slot_cpu ~occupant:act.act_occ_manager ~slice
+        ~length ~poll act.act_charge_done
+  | A_blocked | A_stopped | A_free ->
+      failwith "sa_spin: activation not running"
+
 (* Block the user-level thread running in [act].  The caller has already
    charged the kernel-trap cost as part of the thread's last segment, so the
    transition itself is instantaneous: the activation blocks and a fresh

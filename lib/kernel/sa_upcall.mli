@@ -38,6 +38,15 @@ val sa_charge :
   (unit -> unit) ->
   unit
 
+val sa_spin :
+  t ->
+  activation ->
+  slice:Time.span ->
+  length:Time.span ->
+  poll:(unit -> bool) ->
+  (unit -> unit) ->
+  unit
+
 val sa_block_io : t -> activation -> io:Time.span -> (unit -> unit) -> unit
 
 val sa_block_kernel :

@@ -113,6 +113,13 @@ let release_processor t act =
   t.act_cpu.(aid) <- -1;
   Kernel.sa_cpu_idle t.kernel act
 
+(* What ends an idle spin early: a ready thread, a thread awaiting
+   critical-section recovery, or the end of the program. *)
+let has_work t =
+  Ft_core.ready_threads t.core_state > 0
+  || t.pending_recovery <> []
+  || Ft_core.finished t.core_state
+
 let rec manager_continue t act =
   let aid = Kernel.activation_id act in
   let idx =
@@ -190,28 +197,21 @@ and run_picked t act idx cell tcb =
 
 and idle_hysteresis t act =
   (* Section 4.2: an idle processor spins for a while before notifying the
-     kernel that it is available for reallocation.  The spin re-scans the
-     ready lists every slice — an idle virtual processor reacts to new work
-     within ~100 us — and only gives the processor back after a full
-     hysteresis period without finding any. *)
-  let costs = Kernel.costs t.kernel in
-  let spin_total = max costs.Cost_model.idle_spin (Time.us 1) in
-  let slice_len = max (min spin_total (Time.us 100)) (Time.us 1) in
-  let rec spin remaining =
-    if Ft_core.finished t.core_state then release_processor t act
-    else begin
-      let slice = min slice_len remaining in
-      charge_manager t act slice (fun () ->
-          if
-            Ft_core.ready_threads t.core_state > 0
-            || t.pending_recovery <> []
-            || Ft_core.finished t.core_state
-          then manager_continue t act
-          else if remaining - slice <= 0 then release_processor t act
-          else spin (remaining - slice))
-    end
-  in
-  spin spin_total
+     kernel that it is available for reallocation.  Every slice it checks
+     the ready-thread and recovery counters — an idle virtual processor
+     reacts to new work within ~100 us — and it only gives the processor
+     back after a full hysteresis period without finding any. *)
+  if Ft_core.finished t.core_state then release_processor t act
+  else begin
+    let costs = Kernel.costs t.kernel in
+    let spin_total = max costs.Cost_model.idle_spin (Time.us 1) in
+    let slice = max (min spin_total (Time.us 100)) (Time.us 1) in
+    Kernel.sa_spin t.kernel act ~slice ~length:spin_total
+      ~poll:(fun () -> has_work t)
+      (fun () ->
+        if has_work t then manager_continue t act
+        else release_processor t act)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Upcall handler (Table 2)                                            *)

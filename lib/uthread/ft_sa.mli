@@ -7,7 +7,13 @@
     and decides what each granted processor runs next.  The package notifies
     the kernel only of the transitions that can change processor-allocation
     decisions (Table 3): when runnable threads exceed processors, and when a
-    processor has idled through its hysteresis period. *)
+    processor has idled through its hysteresis period.
+
+    That period (Section 4.2, [Cost_model.idle_spin]) is one
+    {!Sa_kernel.Kernel.sa_spin}: the processor spins in 100 us slices,
+    checking the ready-thread and recovery counters at each boundary, and
+    returns to the manager as soon as one shows work.  Empty boundaries
+    re-arm inside the processor and allocate nothing. *)
 
 type t
 

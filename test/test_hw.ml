@@ -3,6 +3,7 @@
 
 module Time = Sa_engine.Time
 module Sim = Sa_engine.Sim
+module Trace = Sa_engine.Trace
 module Cpu = Sa_hw.Cpu
 module Machine = Sa_hw.Machine
 module Buffer_cache = Sa_hw.Buffer_cache
@@ -81,6 +82,205 @@ let cpu_tests =
             Cpu.begin_work cpu ~occupant ~length:1 (fun () -> ()));
         Sim.run sim;
         check Alcotest.int "two segments" 2 (Cpu.segment_count cpu));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Cpu spin segments                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let slice = Time.us 100
+
+(* Every [Cpu] trace record as (time, kind, name, cpu). *)
+let record_cpu_spans sim =
+  let tr = Sim.trace sim in
+  let log = ref [] in
+  Trace.add_sink tr (fun r ->
+      if r.Trace.category = Trace.Cpu then
+        log :=
+          ( Time.to_ns r.Trace.time,
+            (match r.Trace.kind with
+            | Trace.Span_begin -> "B"
+            | Trace.Span_end -> "E"
+            | Trace.Instant | Trace.Counter _ -> "?"),
+            r.Trace.name,
+            r.Trace.cpu )
+          :: !log);
+  fun () -> List.rev !log
+
+(* Run [f] at simulated instant [ns]. *)
+let at sim ns f = ignore (Sim.schedule sim ~at:(Time.of_ns ns) f)
+
+(* Polls counted: [poll] reports work from the [at]-th boundary on. *)
+let counting_poll ?(at = max_int) () =
+  let n = ref 0 in
+  ( n,
+    fun () ->
+      incr n;
+      !n >= at )
+
+let spin_tests =
+  [
+    Alcotest.test_case "empty boundaries match a chain of segments" `Quick
+      (fun () ->
+        let k = 7 in
+        (* two CPUs spin k slices each; a third sim charges the same k
+           slices as k chained begin_work segments *)
+        let sim = Sim.create () in
+        let spans = record_cpu_spans sim in
+        let cpus = [ Cpu.create sim 0; Cpu.create sim 1 ] in
+        let ended = ref [] in
+        List.iter
+          (fun cpu ->
+            Cpu.begin_spin cpu ~occupant ~slice ~length:(k * slice)
+              ~poll:(fun () -> false)
+              (fun () -> ended := (Cpu.id cpu, Sim.now sim) :: !ended))
+          cpus;
+        for b = 0 to k - 1 do
+          Sim.run ~until:(Time.of_ns ((b * slice) + (slice / 2))) sim;
+          check Alcotest.int "one pending event per spinning cpu" 2
+            (Sim.pending sim)
+        done;
+        Sim.run sim;
+        let ref_sim = Sim.create () in
+        let ref_spans = record_cpu_spans ref_sim in
+        let ref_cpus = [ Cpu.create ref_sim 0; Cpu.create ref_sim 1 ] in
+        List.iter
+          (fun cpu ->
+            let rec seg n =
+              Cpu.begin_work cpu ~occupant ~length:slice (fun () ->
+                  if n > 1 then seg (n - 1))
+            in
+            seg k)
+          ref_cpus;
+        Sim.run ref_sim;
+        List.iter2
+          (fun cpu ref_cpu ->
+            check Alcotest.int "busy time" (Cpu.busy_time ref_cpu)
+              (Cpu.busy_time cpu);
+            check Alcotest.int "segments" k (Cpu.segment_count ref_cpu);
+            check Alcotest.int "segment count" (Cpu.segment_count ref_cpu)
+              (Cpu.segment_count cpu);
+            check Alcotest.bool "idle after" false (Cpu.is_busy cpu))
+          cpus ref_cpus;
+        check
+          Alcotest.(list (pair int int))
+          "continuations ran once each, at the end"
+          [ (0, k * slice); (1, k * slice) ]
+          (List.rev_map (fun (c, t) -> (c, Time.to_ns t)) !ended);
+        check Alcotest.int "a begin and an end per slice" (2 * 2 * k)
+          (List.length (spans ()));
+        check
+          Alcotest.(list (pair (pair int string) (pair string int)))
+          "Cpu trace spans"
+          (List.map (fun (t, e, n, c) -> ((t, e), (n, c))) (ref_spans ()))
+          (List.map (fun (t, e, n, c) -> ((t, e), (n, c))) (spans ())));
+    Alcotest.test_case "poll reporting work at boundary k ends the spin"
+      `Quick (fun () ->
+        let sim = Sim.create () in
+        let cpu = Cpu.create sim 0 in
+        let start = Time.us 3 in
+        let polls, poll = counting_poll ~at:4 () in
+        let ran = ref [] in
+        at sim start (fun () ->
+            Cpu.begin_spin cpu ~occupant ~slice ~length:(Time.ms 1) ~poll
+              (fun () -> ran := Time.to_ns (Sim.now sim) :: !ran));
+        Sim.run sim;
+        check Alcotest.(list int) "k ran once, at boundary 4"
+          [ start + (4 * slice) ]
+          !ran;
+        check Alcotest.int "polled 4 times" 4 !polls;
+        check Alcotest.int "busy for 4 slices" (4 * slice) (Cpu.busy_time cpu);
+        check Alcotest.int "4 segments" 4 (Cpu.segment_count cpu);
+        check Alcotest.bool "idle" false (Cpu.is_busy cpu);
+        check Alcotest.int "no tick left" 0 (Sim.pending sim));
+    Alcotest.test_case "the last boundary ends at the spin's length" `Quick
+      (fun () ->
+        let sim = Sim.create () in
+        let cpu = Cpu.create sim 0 in
+        let length = (2 * slice) + (slice / 4) in
+        let polls, poll = counting_poll () in
+        let ran = ref [] in
+        Cpu.begin_spin cpu ~occupant ~slice ~length ~poll (fun () ->
+            ran := Time.to_ns (Sim.now sim) :: !ran);
+        Sim.run sim;
+        check Alcotest.(list int) "ends at length" [ length ] !ran;
+        check Alcotest.int "polled at every boundary" 3 !polls;
+        check Alcotest.int "three segments" 3 (Cpu.segment_count cpu);
+        check Alcotest.int "busy for the whole length" length
+          (Cpu.busy_time cpu));
+    Alcotest.test_case "preempt mid-slice credits the partial slice only"
+      `Quick (fun () ->
+        let sim = Sim.create () in
+        let cpu = Cpu.create sim 0 in
+        let polls, poll = counting_poll () in
+        let ran = ref false in
+        Cpu.begin_spin cpu ~occupant ~slice ~length:(Time.ms 1) ~poll
+          (fun () -> ran := true);
+        at sim ((2 * slice) + Time.us 30) (fun () ->
+            (match Cpu.preempt cpu with
+            | Some p ->
+                check Alcotest.int "elapsed" (Time.us 30) p.Cpu.elapsed;
+                check Alcotest.int "remaining" (slice - Time.us 30)
+                  p.Cpu.remaining
+            | None -> Alcotest.fail "expected a busy cpu");
+            check Alcotest.int "busy: two slices and the partial"
+              ((2 * slice) + Time.us 30)
+              (Cpu.busy_time cpu);
+            check Alcotest.int "tick cancelled" 0 (Sim.pending sim));
+        Sim.run sim;
+        check Alcotest.bool "continuation dropped with the context" false !ran;
+        check Alcotest.int "no boundary after the preempt" 2 !polls;
+        check Alcotest.bool "idle" false (Cpu.is_busy cpu));
+    Alcotest.test_case "a preempted spin resumes for its unspent length"
+      `Quick (fun () ->
+        let sim = Sim.create () in
+        let cpu = Cpu.create sim 0 in
+        let length = Time.ms 1 and freeze = Time.us 700 in
+        let polls, poll = counting_poll () in
+        let ran = ref [] in
+        Cpu.begin_spin cpu ~occupant ~slice ~length ~poll (fun () ->
+            ran := Time.to_ns (Sim.now sim) :: !ran);
+        at sim ((3 * slice) + Time.us 40) (fun () ->
+            let p = Option.get (Cpu.preempt cpu) in
+            ignore
+              (Sim.schedule_after sim ~delay:freeze (fun () ->
+                   Cpu.begin_work cpu ~occupant ~length:p.Cpu.remaining
+                     p.Cpu.resume)));
+        Sim.run sim;
+        check Alcotest.(list int) "ends shifted by the freeze"
+          [ length + freeze ]
+          !ran;
+        check Alcotest.int "every boundary polled" 10 !polls;
+        check Alcotest.int "busy for the whole length" length
+          (Cpu.busy_time cpu));
+    Alcotest.test_case "begin_spin on a busy cpu raises" `Quick (fun () ->
+        let sim = Sim.create () in
+        let cpu = Cpu.create sim 0 in
+        Cpu.begin_work cpu ~occupant ~length:(Time.us 1) ignore;
+        Alcotest.check_raises "busy"
+          (Invalid_argument "Cpu.begin_spin: cpu 0 already busy") (fun () ->
+            Cpu.begin_spin cpu ~occupant ~slice ~length:slice
+              ~poll:(fun () -> false)
+              ignore));
+    Alcotest.test_case "boundary tick keeps its place among same-instant events"
+      `Quick (fun () ->
+        let sim = Sim.create () in
+        let cpu = Cpu.create sim 0 in
+        let polls, poll = counting_poll () in
+        let early = ref (-1) and middle = ref (-1) and late = ref (-1) in
+        (* scheduled before boundary 2 fires: ahead of boundary 3's tick *)
+        at sim (3 * slice) (fun () -> early := !polls);
+        Cpu.begin_spin cpu ~occupant ~slice ~length:(Time.ms 1) ~poll ignore;
+        at sim (slice + (slice / 2)) (fun () ->
+            at sim (3 * slice) (fun () -> middle := !polls));
+        (* scheduled once boundary 2 has fired: after boundary 3's tick,
+           as after the begin_work a per-slice charge would have issued *)
+        at sim ((2 * slice) + 1) (fun () ->
+            at sim (3 * slice) (fun () -> late := !polls));
+        Sim.run sim;
+        check Alcotest.int "earlier event before the tick" 2 !early;
+        check Alcotest.int "event from mid-slice 2 before the tick" 2 !middle;
+        check Alcotest.int "later event after the tick" 3 !late);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -303,6 +503,7 @@ let () =
   Alcotest.run "hw"
     [
       ("cpu", cpu_tests);
+      ("cpu-spin", spin_tests);
       ("machine", machine_tests);
       ("buffer_cache", cache_tests);
       ("io_device", io_tests);

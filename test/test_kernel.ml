@@ -493,6 +493,55 @@ let extension_tests =
         check Alcotest.int "no upcalls caused by the debugger" upcalls_before
           (Kernel.space_upcalls sp);
         Kernel.check_invariants k);
+    Alcotest.test_case "debugger freeze of an idle spin shifts the give-up"
+      `Quick (fun () ->
+        (* An SA manager with nothing to run spins 5 ms in 100 us slices
+           and then returns its processor.  Freezing it mid-slice for 20 ms
+           must move the give-up by exactly 20 ms and cause no upcall. *)
+        let spin ?freeze_at () =
+          let sim, _m, k = make ~cpus:1 ~kconfig:Kconfig.default () in
+          let gave_up = ref None in
+          let started = ref None in
+          let handler delivery =
+            let act = delivery.Kernel.uc_activation in
+            started := Some (act, Sim.now sim);
+            Kernel.sa_spin k act ~slice:(Time.us 100) ~length:(Time.ms 5)
+              ~poll:(fun () -> false)
+              (fun () ->
+                gave_up := Some (Sim.now sim);
+                Kernel.sa_cpu_idle k act)
+          in
+          let sp =
+            Kernel.new_sa_space k ~name:"idle"
+              ~client:{ Kernel.on_upcall = handler } ()
+          in
+          Kernel.sa_add_more_processors k sp 1;
+          Sim.run_while sim (fun () -> !started = None);
+          let act, t0 = Option.get !started in
+          let upcalls_before = Kernel.space_upcalls sp in
+          Option.iter
+            (fun d ->
+              ignore
+                (Sim.schedule sim ~at:(Time.add t0 d) (fun () ->
+                     Kernel.debug_stop k act;
+                     ignore
+                       (Sim.schedule_after sim ~delay:(Time.ms 20) (fun () ->
+                            Kernel.debug_resume k act)))))
+            freeze_at;
+          Sim.run sim;
+          check Alcotest.int "no upcall during the spin" upcalls_before
+            (Kernel.space_upcalls sp);
+          Kernel.check_invariants k;
+          match !gave_up with
+          | Some t -> Time.diff t t0
+          | None -> Alcotest.fail "the spin never gave up"
+        in
+        let plain = spin () in
+        check Alcotest.int "plain spin gives up after its length" (Time.ms 5)
+          plain;
+        check Alcotest.int "frozen spin gives up 20 ms later"
+          (plain + Time.ms 20)
+          (spin ~freeze_at:(Time.ms 2 + Time.us 30) ()));
     Alcotest.test_case "debug_stop of a non-running activation rejected"
       `Quick (fun () ->
         let sim, _m, k = make ~cpus:1 ~kconfig:Kconfig.default () in
