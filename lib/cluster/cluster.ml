@@ -20,17 +20,7 @@ type params = {
   requests : int;
   seed : int;
   cache_blocks : int;
-  classes : Server.tenant_class list;
-  net_latency : Time.span;
-  net_ns_per_byte : int;
   net_jitter_us : int;
-  alloc : Cluster_alloc.config;
-  req_bytes : int;
-  block_bytes : int;
-  mig_base_bytes : int;
-  mig_bytes_per_act : int;
-  crash_recovery : Time.span;
-  tracing : bool;
 }
 
 let default_params =
@@ -41,18 +31,25 @@ let default_params =
     requests = 100;
     seed = 42;
     cache_blocks = 64;
-    classes = Server.default_classes;
-    net_latency = Time.us 50;
-    net_ns_per_byte = 1;
     net_jitter_us = 0;
-    alloc = Cluster_alloc.default;
-    req_bytes = 64;
-    block_bytes = 8192;
-    mig_base_bytes = 4096;
-    mig_bytes_per_act = 512;
-    crash_recovery = Time.ms 5;
-    tracing = false;
   }
+
+(* The modeled network's link latency and serialization cost. *)
+let net_latency = Time.us 50
+let net_ns_per_byte = 1
+
+(* Wire sizes of a remote-fetch request and of its one-block response. *)
+let req_bytes = 64
+let block_bytes = 8192
+
+(* A migration's state transfer: a fixed part plus one record per resident
+   activation. *)
+let mig_base_bytes = 4096
+let mig_bytes_per_act = 512
+
+(* Fail-stop re-homing latency before an evacuated space's state restore
+   begins. *)
+let crash_recovery = Time.ms 5
 
 type node = {
   node_id : int;
@@ -132,10 +129,12 @@ let land_on t ~dst pkg ft ten =
   Ft_sa.nudge_demand ft;
   dst
 
+let state_bytes pkg =
+  mig_base_bytes + (mig_bytes_per_act * Kernel.migration_act_count pkg)
+
 (* Detach the tenant's space from [src] and ship it to [dst]; the state
-   transfer costs [mig_base_bytes + mig_bytes_per_act * resident acts] on
-   the wire.  If the send races with a fresh partition the space lands
-   straight back where it was. *)
+   transfer costs [state_bytes] on the wire.  If the send races with a
+   fresh partition the space lands straight back where it was. *)
 let do_migrate t ~src ~dst ten =
   let ft =
     match System.ft_sa ten.tn_job with
@@ -147,11 +146,8 @@ let do_migrate t ~src ~dst ten =
   System.disown sys ten.tn_job;
   let pkg = Kernel.detach_space (System.kernel sys) sp in
   ten.tn_in_flight <- true;
-  let bytes =
-    t.p.mig_base_bytes + (t.p.mig_bytes_per_act * Kernel.migration_act_count pkg)
-  in
   let sent =
-    Net.send t.net ~src ~dst ~bytes (fun () ->
+    Net.send t.net ~src ~dst ~bytes:(state_bytes pkg) (fun () ->
         let final = land_on t ~dst pkg ft ten in
         t.nodes.(final).n_migs_in <- t.nodes.(final).n_migs_in + 1)
   in
@@ -258,10 +254,10 @@ let resolve_remote t ten block =
                 (Sim.schedule_after t.sim ~delay:t.disk_latency wake_once)
             in
             let sent =
-              Net.send t.net ~src:home ~dst:peer ~bytes:t.p.req_bytes
+              Net.send t.net ~src:home ~dst:peer ~bytes:req_bytes
                 (fun () ->
                   let replied =
-                    Net.send t.net ~src:peer ~dst:home ~bytes:t.p.block_bytes
+                    Net.send t.net ~src:peer ~dst:home ~bytes:block_bytes
                       (fun () ->
                         t.nodes.(home).n_remote_hits <-
                           t.nodes.(home).n_remote_hits + 1;
@@ -307,12 +303,8 @@ let crash_machine t m =
               let pkg = Kernel.detach_space (System.kernel node.sys) sp in
               ten.tn_in_flight <- true;
               t.evacuations <- t.evacuations + 1;
-              let bytes =
-                t.p.mig_base_bytes
-                + (t.p.mig_bytes_per_act * Kernel.migration_act_count pkg)
-              in
               let delay =
-                t.p.crash_recovery + (bytes * t.p.net_ns_per_byte)
+                crash_recovery + (state_bytes pkg * net_ns_per_byte)
               in
               ignore
                 (Sim.schedule_after t.sim ~delay (fun () ->
@@ -340,7 +332,7 @@ let create p =
   if p.tenants <= 0 then invalid_arg "Cluster.create: tenants";
   if p.cache_blocks < 0 then invalid_arg "Cluster.create: cache_blocks";
   let sim = Sim.create () in
-  if not p.tracing then Trace.set_recording (Sim.trace sim) false;
+  Trace.set_recording (Sim.trace sim) false;
   let ids = ref 0 in
   let nodes =
     Array.init p.machines (fun m ->
@@ -355,15 +347,15 @@ let create p =
         })
   in
   let net =
-    Net.create sim ~machines:p.machines ~latency:p.net_latency
-      ~ns_per_byte:p.net_ns_per_byte ~jitter_us:p.net_jitter_us
+    Net.create sim ~machines:p.machines ~latency:net_latency
+      ~ns_per_byte:net_ns_per_byte ~jitter_us:p.net_jitter_us
       ~seed:(p.seed + 0x6e65)
   in
   let mtp =
     {
       Server.mt_tenants = p.tenants;
       mt_requests = p.requests;
-      mt_classes = p.classes;
+      mt_classes = Server.default_classes;
       mt_seed = p.seed;
       mt_cache_blocks = p.cache_blocks;
     }
@@ -438,7 +430,7 @@ let create p =
       h_migrate_one = (fun ~src ~dst -> try_migrate t ~src ~dst);
     }
   in
-  t.alloc <- Some (Cluster_alloc.start sim net p.alloc hooks);
+  t.alloc <- Some (Cluster_alloc.start sim net hooks);
   t
 
 let run ?(horizon = Time.s 1800) t =

@@ -13,9 +13,9 @@
     processor the source kernel granted it is reclaimed through the
     standard preemption upcall path ({!Sa_kernel.Kernel.detach_space}), the
     space plus its activation records travel over the net as a modeled
-    state transfer ([mig_base_bytes + mig_bytes_per_act] per resident
-    activation), and on arrival the package is re-registered on the target
-    kernel ({!Sa_kernel.Kernel.attach_space}) and the user-level scheduler
+    state transfer (4096 bytes plus 512 per resident activation), and on
+    arrival the package is re-registered on the target kernel
+    ({!Sa_kernel.Kernel.attach_space}) and the user-level scheduler
     re-pointed at it ({!Sa_uthread.Ft_sa.rehome}).  Threads blocked in the
     source kernel at detach time complete there; their wakeups chase the
     space to its new home.
@@ -43,24 +43,19 @@ type params = {
   cache_blocks : int;
       (** per-tenant block universe; each tenant prewarms only its home
           machine's slice, so out-of-slice reads miss and probe peers *)
-  classes : Sa_workload.Server.tenant_class list;
-  net_latency : Time.span;
-  net_ns_per_byte : int;
   net_jitter_us : int;
-  alloc : Cluster_alloc.config;
-  req_bytes : int;  (** remote-fetch request wire size *)
-  block_bytes : int;  (** remote-fetch response (one block) wire size *)
-  mig_base_bytes : int;  (** fixed part of a migration state transfer *)
-  mig_bytes_per_act : int;  (** per resident activation record *)
-  crash_recovery : Time.span;
-      (** fail-stop re-homing latency before the state restore begins *)
-  tracing : bool;  (** keep the trace ring recording (off for benches) *)
+      (** uniform extra delay of 0 to [net_jitter_us] microseconds per
+          message *)
 }
 
 val default_params : params
 (** 4 machines x 16 CPUs, 12 tenants x 100 requests, seed 42, 64-block
-    universes, 50 us / 1 ns-per-byte / no-jitter net, default allocator
-    config, 8 KiB blocks, 5 ms crash recovery, tracing off. *)
+    universes, no jitter.  The rest of the model is fixed: tenants draw
+    their classes from {!Sa_workload.Server.default_classes}, links have
+    50 us latency and cost 1 ns per byte, a remote fetch sends a 64-byte
+    request and receives an 8 KiB block, a migration transfers 4096 bytes
+    plus 512 per resident activation, a crashed machine's spaces begin
+    their restore after 5 ms, and trace recording is off. *)
 
 type t
 
@@ -89,9 +84,9 @@ val alive : t -> int -> bool
 val crash_machine : t -> int -> bool
 (** Fail-stop the machine: mark it dead and offline, then re-home every
     resident unfinished space to the surviving machines (deterministic
-    rotation) after [crash_recovery] plus the modeled state-restore time.
-    Returns [false] — and does nothing — if the machine is already dead or
-    is the last one standing. *)
+    rotation) after a fixed 5 ms recovery latency plus the modeled
+    state-restore time.  Returns [false] — and does nothing — if the
+    machine is already dead or is the last one standing. *)
 
 val partition : t -> int -> int -> hold:Time.span -> bool
 (** Cut the link between two machines for [hold].  [false] on a bad or

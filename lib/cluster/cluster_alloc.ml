@@ -1,15 +1,16 @@
 module Time = Sa_engine.Time
 module Sim = Sa_engine.Sim
 
-type config = {
-  period : Time.span;
-  threshold : int;
-  summary_bytes : int;
-  command_bytes : int;
-}
+(* Tick period per machine. *)
+let period = Time.ms 2
 
-let default =
-  { period = Time.ms 2; threshold = 8; summary_bytes = 64; command_bytes = 32 }
+(* Minimum max-load minus min-load spread, in runnable threads, before a
+   rebalance. *)
+let threshold = 8
+
+(* Wire sizes of a load summary and of a rebalance command. *)
+let summary_bytes = 64
+let command_bytes = 32
 
 type hooks = {
   h_alive : int -> bool;
@@ -21,7 +22,6 @@ type hooks = {
 type t = {
   sim : Sim.t;
   net : Net.t;
-  cfg : config;
   hooks : hooks;
   n : int;
   latest : int array;  (* last load heard from each machine; -1 = never *)
@@ -53,14 +53,14 @@ let evaluate t me =
     done;
     if !hi >= 0 && !lo >= 0 && !hi <> !lo then begin
       let src = !hi and dst = !lo in
-      if t.latest.(src) - t.latest.(dst) > t.cfg.threshold then begin
+      if t.latest.(src) - t.latest.(dst) > threshold then begin
         (* Consume the summaries this decision was based on, and hold off
            long enough for its effect to show up in fresh reports:
            re-deciding from already-acted-on load is how rebalancers
            thrash. *)
         t.latest.(src) <- -1;
         t.latest.(dst) <- -1;
-        t.cooldown_until <- Time.add (Sim.now t.sim) (2 * t.cfg.period);
+        t.cooldown_until <- Time.add (Sim.now t.sim) (2 * period);
         if src = me then begin
           t.commands_sent <- t.commands_sent + 1;
           if t.hooks.h_migrate_one ~src ~dst then
@@ -69,7 +69,7 @@ let evaluate t me =
         else begin
           t.commands_sent <- t.commands_sent + 1;
           let delivered =
-            Net.send t.net ~src:me ~dst:src ~bytes:t.cfg.command_bytes
+            Net.send t.net ~src:me ~dst:src ~bytes:command_bytes
               (fun () ->
                 if t.hooks.h_alive src && t.hooks.h_alive dst then
                   if t.hooks.h_migrate_one ~src ~dst then
@@ -90,20 +90,19 @@ let node_tick t m =
       let load = t.hooks.h_load m in
       t.summaries_sent <- t.summaries_sent + 1;
       let delivered =
-        Net.send t.net ~src:m ~dst:co ~bytes:t.cfg.summary_bytes (fun () ->
+        Net.send t.net ~src:m ~dst:co ~bytes:summary_bytes (fun () ->
             t.latest.(m) <- load)
       in
       if not delivered then t.summaries_dropped <- t.summaries_dropped + 1
     end
   end
 
-let start sim net cfg hooks =
+let start sim net hooks =
   let n = Net.machines net in
   let t =
     {
       sim;
       net;
-      cfg;
       hooks;
       n;
       latest = Array.make n (-1);
@@ -118,7 +117,7 @@ let start sim net cfg hooks =
   for m = 0 to n - 1 do
     let rec tick () =
       ignore
-        (Sim.schedule_after sim ~delay:cfg.period (fun () ->
+        (Sim.schedule_after sim ~delay:period (fun () ->
              if hooks.h_active () then begin
                node_tick t m;
                tick ()

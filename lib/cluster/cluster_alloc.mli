@@ -2,31 +2,19 @@
     lifted one level up, from processors-between-spaces to
     spaces-between-machines.
 
-    Every machine runs a periodic tick.  Non-coordinator machines send a
+    Every machine runs a tick every 2 ms.  Non-coordinator machines send a
     load summary (their runnable-thread count) over the {!Net} to the
     coordinator — the lowest-numbered machine currently alive.  On its own
     tick the coordinator compares the freshest summaries it holds (its own
     load it reads locally): if the spread between the most- and
-    least-loaded machines exceeds the threshold, it sends a rebalance
+    least-loaded machines exceeds 8 runnable threads, it sends a rebalance
     command to the overloaded machine, which migrates one address space
-    toward the idle one.
+    toward the idle one.  A summary is 64 bytes on the wire, a command 32.
 
     Summaries carry the load as of send time, so the coordinator acts on
     slightly stale information — exactly the distributed-consensus cost the
     network model is there to expose.  Lost messages (partition, crash) are
     counted and simply mean a stale view until the next period. *)
-
-type config = {
-  period : Sa_engine.Time.span;  (** tick period per machine *)
-  threshold : int;
-      (** minimum max-load minus min-load spread before a rebalance *)
-  summary_bytes : int;  (** wire size of a load summary *)
-  command_bytes : int;  (** wire size of a rebalance command *)
-}
-
-val default : config
-(** 2 ms period, threshold 8 runnable threads, 64-byte summaries,
-    32-byte commands. *)
 
 type hooks = {
   h_alive : int -> bool;  (** is machine [m] up? *)
@@ -39,7 +27,7 @@ type hooks = {
 
 type t
 
-val start : Sa_engine.Sim.t -> Net.t -> config -> hooks -> t
+val start : Sa_engine.Sim.t -> Net.t -> hooks -> t
 (** Install the periodic ticks on every machine.  Ticks stop (the
     simulation drains) once [h_active] turns false. *)
 

@@ -20,7 +20,6 @@ type spec = {
   horizon : Time.span;
   inject : bool;
   inject_kinds : Injector.kind list;
-  drop_gap_us : float;
 }
 
 let default_spec =
@@ -31,15 +30,7 @@ let default_spec =
     requests = 40;
     horizon = Time.s 10;
     inject = true;
-    inject_kinds = Injector.default.Injector.kinds;
-    drop_gap_us = Injector.default.Injector.drop_gap_us;
-  }
-
-let injector_config spec =
-  {
-    Injector.default with
-    Injector.kinds = spec.inject_kinds;
-    drop_gap_us = spec.drop_gap_us;
+    inject_kinds = Injector.survivable_kinds;
   }
 
 let workload_name = function Server -> "server" | Chaos -> "chaos"
@@ -153,7 +144,7 @@ let run_server ?chooser ?trace_sink spec =
   let inj =
     if spec.inject then
       Some
-        (Injector.attach ~config:(injector_config spec) ~seed:spec.seed sys)
+        (Injector.attach ~kinds:spec.inject_kinds ~seed:spec.seed sys)
     else None
   in
   let outcome =
@@ -188,8 +179,8 @@ let run_chaos ?chooser ?trace_sink spec =
     install (System.sim sys) ~chooser ~trace_sink adj
   in
   let config =
-    { Campaign.default with Campaign.cpus = spec.cpus;
-      horizon = spec.horizon; injector = injector_config spec }
+    { Campaign.cpus = spec.cpus; horizon = spec.horizon;
+      kinds = spec.inject_kinds }
   in
   let r =
     Campaign.run_seed ~config ~on_system ~mode:Kconfig.Explicit_allocation
@@ -246,41 +237,40 @@ let meta_of_spec spec ~strategy =
     ("inject", string_of_bool spec.inject);
     ( "inject_kinds",
       String.concat "," (List.map Injector.kind_name spec.inject_kinds) );
-    ("drop_gap_us", Printf.sprintf "%g" spec.drop_gap_us);
     ("strategy", strategy);
   ]
 
+(* A missing key keeps its default and an unknown key is ignored: older
+   files also record the demand-drop gap, which is now an injector
+   constant.  A present key whose value does not parse is refused, like
+   any other malformed schedule input. *)
 let spec_of_meta meta =
-  let find k = List.assoc_opt k meta in
-  let int k d = match find k with
-    | Some v -> (match int_of_string_opt v with Some v -> v | None -> d)
-    | None -> d
-  in
   let d = default_spec in
+  let field k parse default =
+    match List.assoc_opt k meta with
+    | None -> default
+    | Some v -> (
+        match parse v with
+        | Some x -> x
+        | None ->
+            failwith
+              (Printf.sprintf "Search.spec_of_meta: malformed %s %S" k v))
+  in
+  let kinds = function
+    | "" -> Some []
+    | v ->
+        let names = String.split_on_char ',' v in
+        let ks = List.filter_map Injector.kind_of_name names in
+        if List.length ks = List.length names then Some ks else None
+  in
   {
-    workload =
-      (match Option.bind (find "workload") workload_of_name with
-      | Some w -> w
-      | None -> d.workload);
-    seed = int "seed" d.seed;
-    cpus = int "cpus" d.cpus;
-    requests = int "requests" d.requests;
-    horizon = int "horizon_ns" d.horizon;
-    inject =
-      (match find "inject" with
-      | Some v -> v <> "false"
-      | None -> d.inject);
-    inject_kinds =
-      (match find "inject_kinds" with
-      | Some "" -> []
-      | Some v ->
-          String.split_on_char ',' v
-          |> List.filter_map Injector.kind_of_name
-      | None -> d.inject_kinds);
-    drop_gap_us =
-      (match Option.bind (find "drop_gap_us") float_of_string_opt with
-      | Some g -> g
-      | None -> d.drop_gap_us);
+    workload = field "workload" workload_of_name d.workload;
+    seed = field "seed" int_of_string_opt d.seed;
+    cpus = field "cpus" int_of_string_opt d.cpus;
+    requests = field "requests" int_of_string_opt d.requests;
+    horizon = field "horizon_ns" int_of_string_opt d.horizon;
+    inject = field "inject" bool_of_string_opt d.inject;
+    inject_kinds = field "inject_kinds" kinds d.inject_kinds;
   }
 
 (* --- search loop ------------------------------------------------------ *)

@@ -3,10 +3,11 @@
 
     Each seed deterministically generates a small multiprogrammed
     workload (lock-heavy, I/O-heavy and cache-reading threads across two
-    address spaces), attaches the {!Invariant} checker and the
-    {!Injector}, and runs to completion under a horizon.  A campaign
-    passes when every seed completes with zero invariant violations; a
-    failing seed reproduces the identical trajectory when rerun alone. *)
+    address spaces), attaches the {!Invariant} checker (auditing every
+    simulated millisecond) and the {!Injector}, and runs to completion
+    under a horizon.  A campaign passes when every seed completes with zero
+    invariant violations; a failing seed reproduces the identical
+    trajectory when rerun alone. *)
 
 module Time = Sa_engine.Time
 module Kconfig = Sa_kernel.Kconfig
@@ -14,8 +15,8 @@ module Kconfig = Sa_kernel.Kconfig
 type config = {
   cpus : int;  (** default 4 *)
   horizon : Time.span;  (** simulated-time budget per seed (default 10 s) *)
-  audit_period : Time.span;  (** invariant-audit period (default 1 ms) *)
-  injector : Injector.config;
+  kinds : Injector.kind list;
+      (** injected fault kinds (default {!Injector.survivable_kinds}) *)
 }
 
 val default : config

@@ -8,6 +8,7 @@ module Kernel = Sa_kernel.Kernel
 module System = Sa.System
 module Net = Sa_cluster.Net
 module Cluster = Sa_cluster.Cluster
+module Injector = Sa_fault.Injector
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -225,6 +226,33 @@ let cluster_tests =
         check Alcotest.bool "second refused" false
           (Cluster.crash_machine cl 1);
         check Alcotest.bool "idempotent" false (Cluster.crash_machine cl 0));
+    Alcotest.test_case "crash and partition constants give pinned counts"
+      `Quick (fun () ->
+        let cl = Cluster.create small_params in
+        let hooks =
+          {
+            Injector.ch_machines = small_params.Cluster.machines;
+            ch_crash = (fun m -> Cluster.crash_machine cl m);
+            ch_partition = (fun a b ~hold -> Cluster.partition cl a b ~hold);
+            ch_active = (fun () -> Cluster.active cl);
+          }
+        in
+        let inj =
+          Injector.attach
+            ~kinds:[ Injector.Machine_crash; Injector.Net_partition ]
+            ~cluster:hooks ~seed:1
+            (Cluster.systems cl).(0)
+        in
+        Cluster.run cl;
+        let s = Cluster.summary cl in
+        let injected k = List.assoc k (Injector.injected inj) in
+        check Alcotest.int "machine-crash" 2 (injected "machine-crash");
+        check Alcotest.int "net-partition" 19 (injected "net-partition");
+        check Alcotest.int "migrations" 10 s.Cluster.cl_migrations;
+        check Alcotest.int "evacuations" 3 s.Cluster.cl_evacuations;
+        check Alcotest.int "net messages" 135 s.Cluster.cl_net.Net.messages;
+        check Alcotest.int "net bytes" 274_944 s.Cluster.cl_net.Net.bytes;
+        check Alcotest.int "net drops" 3 s.Cluster.cl_net.Net.drops);
     qtest
       (QCheck.Test.make ~name:"cluster runs are seed-deterministic" ~count:4
          QCheck.(int_range 1 1000)

@@ -178,6 +178,36 @@ let test_truncated_schedule_rejected () =
   | exception Failure _ -> ());
   Sys.remove path
 
+(* A header field that is present but does not parse is refused, naming
+   the key and value; a missing key keeps its default and an unknown key
+   (such as the [drop_gap_us] older files carry) is ignored. *)
+let test_malformed_meta_rejected () =
+  let meta = Search.meta_of_spec drop_spec ~strategy:"default" in
+  Alcotest.(check bool)
+    "unknown key ignored" true
+    (Search.spec_of_meta (("drop_gap_us", "2000") :: meta) = drop_spec);
+  Alcotest.(check bool)
+    "missing keys keep their defaults" true
+    (Search.spec_of_meta [] = Search.default_spec);
+  List.iter
+    (fun (k, v) ->
+      match Search.spec_of_meta ((k, v) :: List.remove_assoc k meta) with
+      | _ -> Alcotest.failf "malformed %s %S accepted" k v
+      | exception Failure msg ->
+          Alcotest.(check string)
+            "message names key and value"
+            (Printf.sprintf "Search.spec_of_meta: malformed %s %S" k v)
+            msg)
+    [
+      ("workload", "sever");
+      ("seed", "x");
+      ("cpus", "4.5");
+      ("requests", "");
+      ("horizon_ns", "10s");
+      ("inject", "yes");
+      ("inject_kinds", "preempt,bogus");
+    ]
+
 (* --- replay determinism (the qcheck satellites) ----------------------- *)
 
 let digest_stable_replay ~make_inner seed =
@@ -357,6 +387,8 @@ let () =
             test_schedule_roundtrip;
           Alcotest.test_case "truncated file rejected" `Quick
             test_truncated_schedule_rejected;
+          Alcotest.test_case "malformed header field rejected" `Quick
+            test_malformed_meta_rejected;
         ] );
       ( "replay-determinism",
         [

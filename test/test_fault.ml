@@ -208,6 +208,42 @@ let test_audits_ran () =
   let injected k = List.assoc k r.Campaign.injected in
   Alcotest.(check bool) "preemptions injected" true (injected "preempt" > 0)
 
+(* Counts recorded with the injector's gaps, probabilities and holds at
+   their current values: changing any of those constants shifts them. *)
+let test_injector_constants_pinned () =
+  let r =
+    Campaign.run_seed ~config:quick_config ~mode:Kconfig.Explicit_allocation 99
+  in
+  check_clean r;
+  List.iter
+    (fun (k, n) ->
+      Alcotest.(check int) k n (List.assoc k r.Campaign.injected))
+    [
+      ("preempt", 748);
+      ("spurious", 73);
+      ("io-fault", 2);
+      ("daemon-storm", 84);
+      ("priority-flap", 117);
+      ("space-churn", 52);
+    ];
+  match r.Campaign.outcome with
+  | Campaign.Completed makespan ->
+      Alcotest.(check int) "makespan (ns), 223.587 ms" 223_587_125 makespan
+  | _ -> Alcotest.fail "seed 99 did not complete"
+
+let test_demand_drop_gap_pinned () =
+  let config =
+    { quick_config with Campaign.kinds = [ Injector.Demand_drop ] }
+  in
+  let r = Campaign.run_seed ~config ~mode:Kconfig.Explicit_allocation 99 in
+  Alcotest.(check int) "demand-drop" 3
+    (List.assoc "demand-drop" r.Campaign.injected);
+  match r.Campaign.outcome with
+  | Campaign.Completed makespan ->
+      Alcotest.(check string) "makespan" "14.723ms"
+        (Format.asprintf "%a" Time.pp_span makespan)
+  | _ -> Alcotest.fail "seed 99 did not complete"
+
 let () =
   Alcotest.run "fault"
     [
@@ -237,5 +273,9 @@ let () =
             test_campaign_deterministic;
           Alcotest.test_case "audits and injections actually happen" `Quick
             test_audits_ran;
+          Alcotest.test_case "injector constants give pinned counts" `Quick
+            test_injector_constants_pinned;
+          Alcotest.test_case "demand-drop gap gives a pinned count" `Quick
+            test_demand_drop_gap_pinned;
         ] );
     ]
