@@ -810,9 +810,12 @@ let calq_bench =
 (* The compiled-program interpreter measured in isolation: arena-compile
    cost (with fork-child memoization over a shared leaf), the flat step
    loop's dispatch over an accumulate-and-yield body, and the sync-op fast
-   path (uncontended acquire/release).  The interpreter runs are pinned to
-   one CPU so the numbers track per-op interpreter overhead, not
-   scheduling.  Gated by [micro --check] alongside the engine groups. *)
+   path (uncontended acquire/release).  These interpreter runs are pinned
+   to one CPU so the numbers track per-op interpreter overhead, not
+   scheduling.  The spawn run forks 1,000 leaves onto 4 CPUs: the thread
+   lifecycle (TCB creation, dispatch, steals, exit), whose per-fork
+   allocation is the cost it tracks.  Gated by [micro --check] alongside
+   the engine groups. *)
 let program_bench =
   let module Program = Sa_program.Program in
   let module Time = Sa_engine.Time in
@@ -840,8 +843,11 @@ let program_bench =
       to_program
         (repeat 250 (fun _ -> critical m (compute (Time.ns 100)))))
   in
-  let run_one prog () =
-    let sys = System.create ~cpus:1 () in
+  let spawn =
+    Program.Build.(to_program (repeat 1000 (fun _ -> fork_unit leaf)))
+  in
+  let run_one ?(cpus = 1) prog () =
+    let sys = System.create ~cpus () in
     Sa_engine.Trace.set_recording (Sa_engine.Sim.trace (System.sim sys)) false;
     ignore (System.submit sys ~backend:`Fastthreads_on_sa ~name:"micro" prog);
     System.run sys
@@ -853,6 +859,8 @@ let program_bench =
       Test.make ~name:"step dispatch yield x250"
         (Staged.stage (run_one stepper));
       Test.make ~name:"sync fast path x250" (Staged.stage (run_one locker));
+      Test.make ~name:"fork-join spawn x1000"
+        (Staged.stage (run_one ~cpus:4 spawn));
     ]
 
 (* One processor-allocator pass on a settled 64-CPU machine whose 24

@@ -79,9 +79,10 @@ let audit_job t job =
           (Printf.sprintf "job %s: census finds %d ready threads, counter says %d"
              (System.job_name job) (count Ft_core.Ready)
              (Ft_core.ready_threads s));
-      let ready_tids =
-        List.map Ft_core.tcb_id (Ft_core.threads_in s Ft_core.Ready)
-      in
+      let ready = Hashtbl.create 64 in
+      List.iter
+        (fun tcb -> Hashtbl.replace ready (Ft_core.tcb_id tcb) ())
+        (Ft_core.threads_in s Ft_core.Ready);
       let seen = Hashtbl.create 16 in
       List.iter
         (fun tid ->
@@ -90,7 +91,7 @@ let audit_job t job =
               (Printf.sprintf "job %s: thread %d queued twice"
                  (System.job_name job) tid);
           Hashtbl.replace seen tid ();
-          if not (List.mem tid ready_tids) then
+          if not (Hashtbl.mem ready tid) then
             violate t ~check:"ready-queue"
               (Printf.sprintf "job %s: queued thread %d is not Ready"
                  (System.job_name job) tid))

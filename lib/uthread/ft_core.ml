@@ -31,21 +31,22 @@ type tstate = Embryo | Ready | Running | Blocked_user | Blocked_kernel | Done
    the cell never appears free to other events at that instant — which
    makes thieves observe exactly the one-event-per-charge schedule's
    contention window.  [lease_for] (the dispatched thread) passes
-   through, since its own merged charge covers the same window. *)
+   through, since its own merged charge covers the same window.  [owner]
+   is 0 while the cell is free: thread owners are tids (>= 1) and
+   processor owners [-(idx+1)], so 0 never names an owner. *)
 type cs_cell = {
-  mutable owner : int option;
+  mutable owner : int;
   mutable lease_until : Time.t;
   mutable lease_for : int;
 }
 
 type tcb = {
   tid : int;
-  name : string;
   mutable prio : int;  (* higher runs first; children inherit the forker's *)
   mutable tstate : tstate;
   mutable resume : unit -> unit;  (* valid when Ready *)
   mutable binding : int;  (* vessel index the thread last ran on *)
-  mutable held_cell : cs_cell option;
+  mutable held_cell : cs_cell;  (* [no_cell] outside critical sections *)
   mutable cs_hook : (unit -> unit) option;
       (* set while the thread is being "temporarily continued" through a
          critical section after a preemption (Section 3.3): at section exit
@@ -61,9 +62,10 @@ type tcb = {
          re-acquire pending *)
   mutable acc : int;  (* accumulated not-yet-charged compute (ns) *)
   mutable binds : (int * int) list;  (* fork site -> spawned child tid *)
-  mutable k_step : unit -> unit;  (* preallocated: enter step loop at pc *)
-  mutable k_commit : unit -> unit;  (* preallocated: post-charge commit *)
-  mutable k_run : unit -> unit;  (* preallocated: set Running, then step *)
+  (* Preallocated as one closure block per arena ([install_flat]). *)
+  mutable k_step : unit -> unit;  (* enter step loop at pc *)
+  mutable k_commit : unit -> unit;  (* post-charge commit *)
+  mutable k_run : unit -> unit;  (* set Running, then step *)
 }
 
 type stats = {
@@ -114,7 +116,9 @@ type state = {
   mutable live : int;
   mutable ready_count : int;
   mutable running_count : int;
-  threads : (int, tcb) Hashtbl.t;
+  mutable threads : tcb array;
+      (* tid -> tcb for tids 1..[next_tid] (never reused); slot 0 and the
+         unused tail hold [no_tcb] *)
   mutexes : (int, mutex_state) Hashtbl.t;
   conds : (int, cond_state) Hashtbl.t;
   sems : (int, sem_state) Hashtbl.t;
@@ -163,15 +167,42 @@ type link = {
   lksem : ksem_state array;
 }
 
+let fresh_cell () = { owner = 0; lease_until = Time.zero; lease_for = 0 }
+
+(* Shared sentinel for [tcb.held_cell]; never locked. *)
+let no_cell = fresh_cell ()
+
+(* Placeholder for a tcb's [k_*] slots until [install_flat] fills them. *)
+let nop () = ()
+
+let blank_tcb tid =
+  {
+    tid;
+    prio = 0;
+    tstate = Embryo;
+    resume = nop;
+    binding = 0;
+    held_cell = no_cell;
+    cs_hook = None;
+    joiners = [];
+    pc = 0;
+    phase = 0;
+    acc = 0;
+    binds = [];
+    k_step = nop;
+    k_commit = nop;
+    k_run = nop;
+  }
+
+(* Filler for the unused slots of [state.threads]. *)
+let no_tcb = blank_tcb 0
+
 let tcb_id t = t.tid
-let tcb_name t = t.name
 let tcb_priority t = t.prio
 let tcb_state t = t.tstate
-let tcb_in_cs t = t.held_cell <> None
+let tcb_in_cs t = t.held_cell != no_cell
 let tcb_binding t = t.binding
-let cell_owner c = c.owner
-
-let fresh_cell () = { owner = None; lease_until = Time.zero; lease_for = 0 }
+let cell_owner c = if c.owner = 0 then None else Some c.owner
 
 let create_state ~queues ?cache ?io_dev () =
   if queues <= 0 then invalid_arg "Ft_core.create_state: queues";
@@ -182,7 +213,7 @@ let create_state ~queues ?cache ?io_dev () =
     live = 0;
     ready_count = 0;
     running_count = 0;
-    threads = Hashtbl.create 64;
+    threads = Array.make 64 no_tcb;
     has_priorities = false;
     mutexes = Hashtbl.create 16;
     conds = Hashtbl.create 16;
@@ -224,18 +255,20 @@ let state_counts s =
   in
   List.map
     (fun st ->
-      let n =
-        Hashtbl.fold
-          (fun _ tcb acc -> if tcb.tstate = st then acc + 1 else acc)
-          s.threads 0
-      in
-      (st, n))
+      let n = ref 0 in
+      for tid = 1 to s.next_tid do
+        if s.threads.(tid).tstate = st then incr n
+      done;
+      (st, !n))
     states
 
 let threads_in s st =
-  Hashtbl.fold
-    (fun _ tcb acc -> if tcb.tstate = st then tcb :: acc else acc)
-    s.threads []
+  let acc = ref [] in
+  for tid = s.next_tid downto 1 do
+    let tcb = s.threads.(tid) in
+    if tcb.tstate = st then acc := tcb :: !acc
+  done;
+  !acc
 
 let io_device s = s.io_dev
 let set_remote_fill s f = s.remote_fill <- f
@@ -376,28 +409,27 @@ let run_thread s ~index tcb =
 (* ------------------------------------------------------------------ *)
 
 let try_lock_cell s cell ~owner =
-  match cell.owner with
-  | None ->
-      if
-        Time.compare cell.lease_until Time.zero > 0
-        && cell.lease_for <> owner
-        && Time.compare (s.clock ()) cell.lease_until <= 0
-      then false
-      else begin
-        cell.lease_until <- Time.zero;
-        cell.lease_for <- 0;
-        cell.owner <- Some owner;
-        true
-      end
-  | Some _ -> false
+  if owner = 0 then invalid_arg "Ft_core.try_lock_cell: owner 0";
+  if cell.owner <> 0 then false
+  else if
+    Time.compare cell.lease_until Time.zero > 0
+    && cell.lease_for <> owner
+    && Time.compare (s.clock ()) cell.lease_until <= 0
+  then false
+  else begin
+    cell.lease_until <- Time.zero;
+    cell.lease_for <- 0;
+    cell.owner <- owner;
+    true
+  end
 
-let unlock_cell cell = cell.owner <- None
+let unlock_cell cell = cell.owner <- 0
 
 (* Release [cell] under a lease: unavailable to everyone but [holder] until
    [span] from now.  Used by {!fold_dispatch} call sites to reproduce the
    contention window a dispatch-cost charge event would have created. *)
 let lease_cell s cell ~holder ~span =
-  cell.owner <- None;
+  cell.owner <- 0;
   cell.lease_until <- Time.add (s.clock ()) span;
   cell.lease_for <- holder
 
@@ -473,9 +505,6 @@ let charge_counted s d tcb span k =
 
 let cs_crossings_null_fork = 6
 let cs_crossings_signal_wait = 3
-
-(* Placeholder for a tcb's [k_*] slots until [install_flat] fills them. *)
-let nop () = ()
 
 (* Dispatch cost charged by the substrate driver when it takes a thread off
    a ready list (one critical-section crossing). *)
@@ -683,14 +712,14 @@ and flat_charge_op s d tcb ~cell ~cost ~crossings ~phase =
   tcb.acc <- 0;
   tcb.phase <- phase;
   if try_lock_cell s cell ~owner:tcb.tid then begin
-    tcb.held_cell <- Some cell;
+    tcb.held_cell <- cell;
     d.charge tcb cost tcb.k_commit
   end
   else
     spin_lock_cell s cell ~owner:tcb.tid ~slice:(spin_slice d)
       ~charge:(fun slice k -> d.charge tcb slice k)
       (fun () ->
-        tcb.held_cell <- Some cell;
+        tcb.held_cell <- cell;
         d.charge tcb cost tcb.k_commit)
 
 (* Charged operation with no protecting cell (kernel-semaphore ops,
@@ -717,9 +746,8 @@ and flat_join_target s tcb operand =
       | Some t -> t
       | None -> invalid_arg "Join: unknown thread id"
   in
-  match Hashtbl.find_opt s.threads tid with
-  | Some target -> target
-  | None -> invalid_arg "Join: unknown thread id"
+  if tid < 1 || tid > s.next_tid then invalid_arg "Join: unknown thread id";
+  s.threads.(tid)
 
 (* Post-charge state transition for the op at [tcb.pc], dispatched on the
    op tag. *)
@@ -959,79 +987,68 @@ and link_code s code =
     lksem = Array.map (fun sem -> ksem_state s sem) code.Pcode.ksems;
   }
 
-and make_tcb s ~name =
+and make_tcb s =
   s.next_tid <- s.next_tid + 1;
   let tid = s.next_tid in
-  let name = if name = "" then Printf.sprintf "t%d" tid else name in
-  let tcb =
-    {
-      tid;
-      name;
-      prio = 0;
-      tstate = Embryo;
-      resume = (fun () -> ());
-      binding = 0;
-      held_cell = None;
-      cs_hook = None;
-      joiners = [];
-      pc = 0;
-      phase = 0;
-      acc = 0;
-      binds = [];
-      k_step = nop;
-      k_commit = nop;
-      k_run = nop;
-    }
-  in
-  Hashtbl.replace s.threads tid tcb;
+  let tcb = blank_tcb tid in
+  if tid >= Array.length s.threads then begin
+    let grown = Array.make (2 * Array.length s.threads) no_tcb in
+    Array.blit s.threads 0 grown 0 tid;
+    s.threads <- grown
+  end;
+  s.threads.(tid) <- tcb;
   s.live <- s.live + 1;
   tcb
 
+(* One [let rec] so the three entry points share a single closure block
+   (one allocation per TCB and arena); [fold_dispatch] tells them apart by
+   physical equality. *)
 and install_flat s d tcb lk =
-  tcb.k_step <- (fun () -> step_loop s d tcb lk);
-  tcb.k_run <-
-    (fun () ->
-      set_state s tcb Running;
-      step_loop s d tcb lk);
-  tcb.k_commit <-
-    (fun () ->
-      (match tcb.held_cell with
-      | Some cell ->
-          unlock_cell cell;
-          tcb.held_cell <- None
-      | None -> ());
-      match tcb.cs_hook with
-      | None -> (
-          let ph = tcb.phase in
-          tcb.phase <- 0;
-          match ph with
-          | 3 ->
-              commit_acquire s d tcb lk
-                lk.lmut.(Array.unsafe_get lk.lcode.Pcode.b tcb.pc)
-          | 4 -> flat_cell_op s d tcb lk
-          | 5 -> flat_reacquire s d tcb lk
-          | _ -> commit_op s d tcb lk)
-      | Some hook ->
-          (* Temporarily-continued thread reached the section exit:
-             relinquish back to the original upcall (Section 3.3).  The
-             pending commit survives in [tcb.phase]; [k_step] routes back
-             to it on the next dispatch. *)
-          tcb.cs_hook <- None;
-          tcb.resume <- tcb.k_step;
-          set_state s tcb Ready;
-          Deque.push_front s.queues.(tcb.binding) tcb;
-          d.work_created s tcb;
-          hook ());
-  tcb.resume <- tcb.k_step
+  let rec k_step () = step_loop s d tcb lk
+  and k_run () =
+    set_state s tcb Running;
+    step_loop s d tcb lk
+  and k_commit () =
+    if tcb.held_cell != no_cell then begin
+      unlock_cell tcb.held_cell;
+      tcb.held_cell <- no_cell
+    end;
+    match tcb.cs_hook with
+    | None -> (
+        let ph = tcb.phase in
+        tcb.phase <- 0;
+        match ph with
+        | 3 ->
+            commit_acquire s d tcb lk
+              lk.lmut.(Array.unsafe_get lk.lcode.Pcode.b tcb.pc)
+        | 4 -> flat_cell_op s d tcb lk
+        | 5 -> flat_reacquire s d tcb lk
+        | _ -> commit_op s d tcb lk)
+    | Some hook ->
+        (* Temporarily-continued thread reached the section exit:
+           relinquish back to the original upcall (Section 3.3).  The
+           pending commit survives in [tcb.phase]; [k_step] routes back
+           to it on the next dispatch. *)
+        tcb.cs_hook <- None;
+        tcb.resume <- k_step;
+        set_state s tcb Ready;
+        Deque.push_front s.queues.(tcb.binding) tcb;
+        d.work_created s tcb;
+        hook ()
+  in
+  tcb.k_step <- k_step;
+  tcb.k_run <- k_run;
+  tcb.k_commit <- k_commit;
+  tcb.resume <- k_step
 
 and new_flat_thread s d lk ~pc =
-  let tcb = make_tcb s ~name:"" in
+  let tcb = make_tcb s in
   tcb.pc <- pc;
   install_flat s d tcb lk;
   tcb
 
-let new_thread s d ?(name = "") prog =
-  let tcb = make_tcb s ~name in
+let new_thread s d prog =
+  let tcb = make_tcb s in
   install_flat s d tcb (link_code s (Program.compile prog));
   tcb
 
@@ -1065,7 +1082,7 @@ let mark_kernel_blocked s tcb =
 
 let resume_preempted s d ~at tcb ~remaining ~resume k =
   match tcb.tstate with
-  | Running when tcb.held_cell <> None ->
+  | Running when tcb_in_cs tcb ->
       (* Recovery (Section 3.3): continue the thread through the rest of its
          critical section on this vessel; the section exit parks it and
          calls [k]. *)

@@ -29,7 +29,8 @@ type tcb
 (** User-level thread control block. *)
 
 val tcb_id : tcb -> int
-val tcb_name : tcb -> string
+(** Thread id: [1] for the first thread of a state, then consecutive;
+    never reused. *)
 
 type tstate = Embryo | Ready | Running | Blocked_user | Blocked_kernel | Done
 
@@ -47,6 +48,9 @@ val tcb_priority : tcb -> int
 type cs_cell
 
 val cell_owner : cs_cell -> int option
+(** [None] while the cell is free (also while only a lease covers it,
+    {!lease_cell}), else the [owner] that locked it: a thread id, or
+    [-(idx+1)] for processor [idx]'s scheduler. *)
 
 type stats = {
   mutable forks : int;
@@ -153,9 +157,10 @@ type driver = {
 
 (** {1 Thread lifecycle} *)
 
-val new_thread : state -> driver -> ?name:string -> Program.t -> tcb
-(** Allocate a TCB in [Embryo] state (not yet on any ready list), its
-    program compiled and linked against the state's sync objects. *)
+val new_thread : state -> driver -> Program.t -> tcb
+(** Allocate a TCB in [Embryo] state (not yet on any ready list) with the
+    next thread id, its program compiled and linked against the state's
+    sync objects. *)
 
 val set_resume : tcb -> (unit -> unit) -> unit
 (** Install the continuation run when the thread is next dispatched (used by
@@ -215,7 +220,9 @@ val queue_cell : state -> int -> cs_cell
 
 val try_lock_cell : state -> cs_cell -> owner:int -> bool
 (** Probe [cell]: fails while it has an owner, or while a live lease by
-    someone else covers the current instant ({!lease_cell}). *)
+    someone else covers the current instant ({!lease_cell}).  [owner] is a
+    thread id or [-(idx+1)] for processor [idx]; [0] marks a free cell, so
+    [~owner:0] raises [Invalid_argument].  Allocates nothing. *)
 
 val unlock_cell : cs_cell -> unit
 

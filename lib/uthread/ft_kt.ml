@@ -60,31 +60,39 @@ let run_picked t idx ops cell tcb =
         Ft_core.run_thread s ~index:idx tcb)
 
 (* The user-level scheduler loop run by each virtual processor: dispatch
-   from its own ready list, steal from peers, or idle-scan. *)
+   from its own ready list, steal from peers, or idle-scan.  The own
+   list's cell is probed first, so the uncontended path builds no spin
+   closures ([spin_lock_cell] starts with the same probe). *)
 let rec vp_step t idx ops =
   if Ft_core.finished t.core_state then ops.Kernel.kt_exit ()
   else begin
     let s = t.core_state in
     let cell = Ft_core.queue_cell s idx in
-    Ft_core.spin_lock_cell s cell ~owner:(-(idx + 1))
-      ~slice:(Ft_core.spin_slice (driver t))
-      ~charge:(fun slice k -> ops.Kernel.kt_charge slice k)
-      (fun () ->
-        match Ft_core.pop_own s idx with
-        | Some tcb ->
-            trace_ready t;
-            run_picked t idx ops cell tcb
-        | None ->
-            Ft_core.unlock_cell cell;
-            match Ft_core.steal s (Kernel.sim t.kernel) ~thief:idx with
-            | Some (vcell, tcb) -> run_picked t idx ops vcell tcb
-            | None ->
-                (* Nothing anywhere: idle-scan and look again shortly.  The
-                   virtual processor burns its physical processor doing
-                   this, exactly like an original-FastThreads kernel thread
-                   idling in its scheduler. *)
-                ops.Kernel.kt_charge idle_slice (fun () -> vp_step t idx ops))
+    let owner = -(idx + 1) in
+    if Ft_core.try_lock_cell s cell ~owner then vp_locked t idx ops cell
+    else
+      Ft_core.spin_lock_cell s cell ~owner
+        ~slice:(Ft_core.spin_slice (driver t))
+        ~charge:(fun slice k -> ops.Kernel.kt_charge slice k)
+        (fun () -> vp_locked t idx ops cell)
   end
+
+and vp_locked t idx ops cell =
+  let s = t.core_state in
+  match Ft_core.pop_own s idx with
+  | Some tcb ->
+      trace_ready t;
+      run_picked t idx ops cell tcb
+  | None -> (
+      Ft_core.unlock_cell cell;
+      match Ft_core.steal s (Kernel.sim t.kernel) ~thief:idx with
+      | Some (vcell, tcb) -> run_picked t idx ops vcell tcb
+      | None ->
+          (* Nothing anywhere: idle-scan and look again shortly.  The
+             virtual processor burns its physical processor doing this,
+             exactly like an original-FastThreads kernel thread idling in
+             its scheduler. *)
+          ops.Kernel.kt_charge idle_slice (fun () -> vp_step t idx ops))
 
 let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
     ?(strategy = Ft_core.Copy_sections) ?(observer = fun _ _ -> ())
@@ -149,7 +157,7 @@ let start t prog =
   if t.started then invalid_arg "Ft_kt.start: already started";
   t.started <- true;
   let d = driver t in
-  let root = Ft_core.new_thread t.core_state d ~name:"main" prog in
+  let root = Ft_core.new_thread t.core_state d prog in
   Ft_core.make_ready t.core_state d ~at:0 root;
   for i = 0 to t.vps - 1 do
     ignore

@@ -155,20 +155,30 @@ let rec manager_continue t act =
       if Ft_core.finished t.core_state then release_processor t act
       else dispatch t act idx
 
+(* Probe the own list's cell first: the uncontended path builds no spin
+   closures.  [spin_lock_cell]'s own first probe is the same
+   [try_lock_cell], followed by a synchronous continuation, so the
+   contended path is unchanged. *)
 and dispatch t act idx =
   let s = t.core_state in
   let cell = Ft_core.queue_cell s idx in
-  Ft_core.spin_lock_cell s cell ~owner:(-(idx + 1))
-    ~slice:(Ft_core.spin_slice (driver t))
-    ~charge:(fun slice k -> charge_manager t act slice k)
-    (fun () ->
-      match Ft_core.pop_own s idx with
-      | Some tcb -> run_picked t act idx cell tcb
-      | None ->
-          Ft_core.unlock_cell cell;
-          match Ft_core.steal s (Kernel.sim t.kernel) ~thief:idx with
-          | Some (vcell, tcb) -> run_picked t act idx vcell tcb
-          | None -> idle_hysteresis t act)
+  let owner = -(idx + 1) in
+  if Ft_core.try_lock_cell s cell ~owner then dispatch_locked t act idx cell
+  else
+    Ft_core.spin_lock_cell s cell ~owner
+      ~slice:(Ft_core.spin_slice (driver t))
+      ~charge:(fun slice k -> charge_manager t act slice k)
+      (fun () -> dispatch_locked t act idx cell)
+
+and dispatch_locked t act idx cell =
+  let s = t.core_state in
+  match Ft_core.pop_own s idx with
+  | Some tcb -> run_picked t act idx cell tcb
+  | None -> (
+      Ft_core.unlock_cell cell;
+      match Ft_core.steal s (Kernel.sim t.kernel) ~thief:idx with
+      | Some (vcell, tcb) -> run_picked t act idx vcell tcb
+      | None -> idle_hysteresis t act)
 
 and run_picked t act idx cell tcb =
   let s = t.core_state in
@@ -408,7 +418,7 @@ let start t prog =
   if t.started then invalid_arg "Ft_sa.start: already started";
   t.started <- true;
   let d = driver t in
-  let root = Ft_core.new_thread t.core_state d ~name:"main" prog in
+  let root = Ft_core.new_thread t.core_state d prog in
   Ft_core.make_ready t.core_state d ~at:0 root
 
 (* ------------------------------------------------------------------ *)

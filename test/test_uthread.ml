@@ -704,9 +704,15 @@ let misuse_tests =
           (B.to_program (B.wait cv m))
           "Wait: caller does not hold mutex");
     Alcotest.test_case "join on an unknown id is rejected" `Quick (fun () ->
-        expect_program_error "bad-join" Kconfig.default `Fastthreads_on_sa
-          (B.to_program (B.join 424242))
-          "Join: unknown thread id");
+        (* tids run 1..next_tid, and main is the only thread: 0 and 2 are
+           just outside.  A fork-site operand is resolved only after its
+           own fork, so its unknown case cannot be compiled. *)
+        List.iter
+          (fun tid ->
+            expect_program_error "bad-join" Kconfig.default `Fastthreads_on_sa
+              (B.to_program (B.join tid))
+              "Join: unknown thread id")
+          [ 424242; 0; 2 ]);
     Alcotest.test_case "release by a non-holder thread is rejected (kt)"
       `Quick (fun () ->
         let m = P.Mutex.create () in
@@ -743,6 +749,150 @@ let misuse_tests =
               (String.length m > 0));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Representation: cells, the thread table, census                     *)
+(* ------------------------------------------------------------------ *)
+
+let representation_tests =
+  [
+    Alcotest.test_case "cell_owner across lock, unlock and lease" `Quick
+      (fun () ->
+        let s = Ft_core.create_state ~queues:3 () in
+        let now = ref Time.zero in
+        Ft_core.set_clock s (fun () -> !now);
+        let cell = Ft_core.queue_cell s 0 in
+        let owner = Alcotest.(option int) in
+        check owner "fresh cell is free" None (Ft_core.cell_owner cell);
+        check Alcotest.bool "thread 5 locks" true
+          (Ft_core.try_lock_cell s cell ~owner:5);
+        check owner "held by tid 5" (Some 5) (Ft_core.cell_owner cell);
+        check Alcotest.bool "processor 2 cannot" false
+          (Ft_core.try_lock_cell s cell ~owner:(-3));
+        Ft_core.unlock_cell cell;
+        check owner "free after unlock" None (Ft_core.cell_owner cell);
+        check Alcotest.bool "processor 2 locks" true
+          (Ft_core.try_lock_cell s cell ~owner:(-(2 + 1)));
+        check owner "held by processor 2" (Some (-3)) (Ft_core.cell_owner cell);
+        Ft_core.lease_cell s cell ~holder:5 ~span:(Time.us 1);
+        check owner "a lease leaves no owner" None (Ft_core.cell_owner cell);
+        check Alcotest.bool "others fail under the lease" false
+          (Ft_core.try_lock_cell s cell ~owner:(-1));
+        check owner "still free" None (Ft_core.cell_owner cell);
+        check Alcotest.bool "the holder passes through" true
+          (Ft_core.try_lock_cell s cell ~owner:5);
+        check owner "held by tid 5 again" (Some 5) (Ft_core.cell_owner cell);
+        Ft_core.lease_cell s cell ~holder:5 ~span:(Time.us 1);
+        now := Time.of_ns (Time.us 2);
+        check Alcotest.bool "anyone after expiry" true
+          (Ft_core.try_lock_cell s cell ~owner:(-1));
+        check owner "held by processor 0" (Some (-1)) (Ft_core.cell_owner cell));
+    Alcotest.test_case "owner 0 is rejected" `Quick (fun () ->
+        let s = Ft_core.create_state ~queues:1 () in
+        let cell = Ft_core.queue_cell s 0 in
+        Alcotest.check_raises "owner 0"
+          (Invalid_argument "Ft_core.try_lock_cell: owner 0") (fun () ->
+            ignore (Ft_core.try_lock_cell s cell ~owner:0));
+        check Alcotest.(option int) "cell untouched" None
+          (Ft_core.cell_owner cell));
+    Alcotest.test_case "state_counts agrees with the counters mid-run" `Quick
+      (fun () ->
+        let sys = System.create ~cpus:2 ~kconfig:Kconfig.default () in
+        let job =
+          System.submit sys ~backend:`Fastthreads_on_sa ~name:"census"
+            (B.to_program
+               (B.repeat 40 (fun _ ->
+                    B.fork_unit (P.compute_only (Time.us 200)))))
+        in
+        let s = Option.get (System.ft_core_state job) in
+        let count st = List.assoc st (Ft_core.state_counts s) in
+        let agree label =
+          let live =
+            List.fold_left
+              (fun acc (st, n) -> if st = Ft_core.Done then acc else acc + n)
+              0 (Ft_core.state_counts s)
+          in
+          check Alcotest.int (label ^ ": live") (Ft_core.live_threads s) live;
+          check Alcotest.int (label ^ ": ready") (Ft_core.ready_threads s)
+            (count Ft_core.Ready);
+          check Alcotest.int (label ^ ": threads_in Ready")
+            (count Ft_core.Ready)
+            (List.length (Ft_core.threads_in s Ft_core.Ready))
+        in
+        System.run_span sys (Time.ms 3);
+        agree "partway";
+        check Alcotest.bool "some threads ready partway" true
+          (Ft_core.ready_threads s > 0);
+        check Alcotest.bool "some threads done partway" true
+          (count Ft_core.Done > 0);
+        System.run sys;
+        agree "at the end";
+        check Alcotest.int "all 41 done" 41 (count Ft_core.Done));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Hot-path allocation budgets                                         *)
+(* ------------------------------------------------------------------ *)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Words allocated per fork by a whole [n]-thread run on [Ft_sa] (4 CPUs,
+   tracing off): compile, kernel and engine work included. *)
+let words_per_fork n =
+  let leaf =
+    B.to_program
+      (let open B in
+       let* () = yield in
+       return ())
+  in
+  let prog = B.to_program (B.repeat n (fun _ -> B.fork_unit leaf)) in
+  let before = Gc.allocated_bytes () in
+  let sys = System.create ~cpus:4 ~kconfig:Kconfig.default () in
+  Sa_engine.Trace.set_recording (Sa_engine.Sim.trace (System.sim sys)) false;
+  let job = System.submit sys ~backend:`Fastthreads_on_sa ~name:"spawn" prog in
+  System.run sys;
+  let words =
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  check Alcotest.bool "run finished" true (System.finished job);
+  words /. float_of_int n
+
+(* This fork/yield/exit run allocated 358 words per fork (64-bit) while
+   every dispatch built spin closures and every fork formatted a thread
+   name and filled a hash table; 159 once the fast path allocates only the
+   new thread's TCB, closure block and fork binding. *)
+let fork_word_budget = 250.
+
+let hot_path_allocation_tests =
+  [
+    Alcotest.test_case "uncontended lock/unlock allocates nothing" `Quick
+      (fun () ->
+        let s = Ft_core.create_state ~queues:1 () in
+        let cell = Ft_core.queue_cell s 0 in
+        let base =
+          minor_words_of (fun () ->
+              for i = 1 to 1000 do
+                ignore (Sys.opaque_identity i)
+              done)
+        in
+        let locked =
+          minor_words_of (fun () ->
+              for i = 1 to 1000 do
+                ignore
+                  (Sys.opaque_identity (Ft_core.try_lock_cell s cell ~owner:i));
+                Ft_core.unlock_cell cell
+              done)
+        in
+        check (Alcotest.float 0.) "net minor words" 0. (locked -. base));
+    Alcotest.test_case "fork/yield/exit stays within the per-fork budget"
+      `Quick (fun () ->
+        let w = words_per_fork 2000 in
+        if w > fork_word_budget then
+          Alcotest.failf "%.1f words per fork, budget %.0f" w fork_word_budget);
+  ]
+
 let () =
   Alcotest.run "uthread"
     [
@@ -759,4 +909,6 @@ let () =
       ("priorities", priority_tests @ cross_queue_priority_tests);
       ("ready-lists", ready_list_tests);
       ("misuse", misuse_tests);
+      ("representation", representation_tests);
+      ("hot-path allocation", hot_path_allocation_tests);
     ]
