@@ -142,10 +142,6 @@ let add_float buf v =
     Buffer.add_string buf "null"
   else Buffer.add_string buf (Printf.sprintf "%.6g" v)
 
-let add_float_opt buf = function
-  | None -> Buffer.add_string buf "null"
-  | Some v -> add_float buf v
-
 let add_fields buf fields =
   Buffer.add_char buf '{';
   List.iteri
@@ -166,11 +162,31 @@ let add_list buf add_item items =
     items;
   Buffer.add_char buf ']'
 
+(* Value adders for [add_fields]. *)
+let str s buf = add_json_string buf s
+let fl v buf = add_float buf v
+let int n buf = Buffer.add_string buf (string_of_int n)
+let bool v buf = Buffer.add_string buf (if v then "true" else "false")
+
+let fl_opt v buf =
+  match v with None -> Buffer.add_string buf "null" | Some v -> add_float buf v
+
+(* Print one JSON document of [(mode, kind, title, data)] sections, each
+   as ["<mode>":{"kind":..,"title":..,"data":..}]. *)
+let print_sections sections =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\n";
+  List.iteri
+    (fun i (mode, kind, title, data) ->
+      if i > 0 then Buffer.add_string buf ",\n";
+      add_json_string buf mode;
+      Buffer.add_char buf ':';
+      add_fields buf [ ("kind", str kind); ("title", str title); ("data", data) ])
+    sections;
+  Buffer.add_string buf "\n}\n";
+  print_string (Buffer.contents buf)
+
 let add_result buf result =
-  let str s buf = add_json_string buf s in
-  let fl v buf = add_float buf v in
-  let fl_opt v buf = add_float_opt buf v in
-  let int n buf = Buffer.add_string buf (string_of_int n) in
   match result with
   | Latency rows ->
       add_list buf
@@ -272,23 +288,12 @@ let result_kind = function
   | Server _ -> "server"
 
 let print_json selected =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  List.iteri
-    (fun i (name, title, run) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let result = run () in
-      add_json_string buf name;
-      Buffer.add_char buf ':';
-      add_fields buf
-        [
-          ("kind", fun buf -> add_json_string buf (result_kind result));
-          ("title", fun buf -> add_json_string buf title);
-          ("data", fun buf -> add_result buf result);
-        ])
-    selected;
-  Buffer.add_string buf "\n}\n";
-  print_string (Buffer.contents buf)
+  print_sections
+    (List.map
+       (fun (name, title, run) ->
+         let result = run () in
+         (name, result_kind result, title, fun buf -> add_result buf result))
+       selected)
 
 (* ------------------------------------------------------------------ *)
 (* Scale mode: large machines, many threads                            *)
@@ -397,17 +402,11 @@ let run_scale () =
   List.map (fun (cpus, threads) -> scale_one ~cpus ~threads) scale_configs
 
 let print_scale_json rows =
-  let buf = Buffer.create 1024 in
-  let int n buf = Buffer.add_string buf (string_of_int n) in
-  let fl v buf = add_float buf v in
-  Buffer.add_string buf "{\n";
-  add_json_string buf "scale";
-  Buffer.add_char buf ':';
-  add_fields buf
+  print_sections
     [
-      ("kind", fun buf -> add_json_string buf "scale");
-      ("title", fun buf -> add_json_string buf scale_title);
-      ( "data",
+      ( "scale",
+        "scale",
+        scale_title,
         fun buf ->
           add_list buf
             (fun buf r ->
@@ -431,9 +430,7 @@ let print_scale_json rows =
                   ("cs_recoveries", int r.sc_recoveries);
                 ])
             rows );
-    ];
-  Buffer.add_string buf "\n}\n";
-  print_string (Buffer.contents buf)
+    ]
 
 let print_scale_text rows =
   Printf.printf "\n%s\n%s\n" scale_title (String.make 78 '-');
@@ -487,18 +484,11 @@ let run_serve () =
   s
 
 let print_serve_json (s : E.serve_summary) =
-  let buf = Buffer.create 4096 in
-  let int n buf = Buffer.add_string buf (string_of_int n) in
-  let fl v buf = add_float buf v in
-  let str v buf = add_json_string buf v in
-  Buffer.add_string buf "{\n";
-  add_json_string buf "serve";
-  Buffer.add_char buf ':';
-  add_fields buf
+  print_sections
     [
-      ("kind", fun buf -> add_json_string buf "serve");
-      ("title", fun buf -> add_json_string buf serve_title);
-      ( "data",
+      ( "serve",
+        "serve",
+        serve_title,
         fun buf ->
           add_fields buf
             [
@@ -536,9 +526,7 @@ let print_serve_json (s : E.serve_summary) =
                         ])
                     s.E.v_rows );
             ] );
-    ];
-  Buffer.add_string buf "\n}\n";
-  print_string (Buffer.contents buf)
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Cluster mode: multi-machine serving over the modeled network        *)
@@ -582,19 +570,11 @@ let run_cluster () =
   s
 
 let print_cluster_json (s : Cluster.summary) =
-  let buf = Buffer.create 4096 in
-  let int n buf = Buffer.add_string buf (string_of_int n) in
-  let fl v buf = add_float buf v in
-  let str v buf = add_json_string buf v in
-  let bool v buf = Buffer.add_string buf (if v then "true" else "false") in
-  Buffer.add_string buf "{\n";
-  add_json_string buf "cluster";
-  Buffer.add_char buf ':';
-  add_fields buf
+  print_sections
     [
-      ("kind", fun buf -> add_json_string buf "cluster");
-      ("title", fun buf -> add_json_string buf cluster_title);
-      ( "data",
+      ( "cluster",
+        "cluster",
+        cluster_title,
         fun buf ->
           add_fields buf
             [
@@ -658,9 +638,7 @@ let print_cluster_json (s : Cluster.summary) =
                         ])
                     s.Cluster.cl_tenant_rows );
             ] );
-    ];
-  Buffer.add_string buf "\n}\n";
-  print_string (Buffer.contents buf)
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks (wall clock)                              *)
@@ -688,21 +666,12 @@ let paper_tests =
     ]
 
 let simulator_tests =
-  let module Pqueue = Sa_engine.Pqueue in
   let module Sim = Sa_engine.Sim in
   let module Time = Sa_engine.Time in
   let module Cpu = Sa_hw.Cpu in
   let module Buffer_cache = Sa_hw.Buffer_cache in
   Test.make_grouped ~name:"simulator"
     [
-      Test.make ~name:"pqueue add+pop x1000"
-        (Staged.stage (fun () ->
-             let q = Pqueue.create () in
-             for i = 0 to 999 do
-               ignore (Pqueue.add q ~key:(i * 7919 mod 1000) ~seq:i i)
-             done;
-             let rec drain () = match Pqueue.pop q with Some _ -> drain () | None -> () in
-             drain ()));
       Test.make ~name:"sim event cascade x1000"
         (Staged.stage (fun () ->
              let sim = Sim.create () in

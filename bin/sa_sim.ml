@@ -323,14 +323,14 @@ let server_cmd =
         ~name:"server" ~observer:(Recorder.observer r) prog
     in
     System.run sys;
-    let s = Server.summarize r params in
+    let s = Server.summarize r ~requests ~slo:max_int in
     Printf.printf
       "%d requests: mean %.1f ms, p50 %.1f, p95 %.1f, p99 %.1f, max %.1f; \
        makespan %.0f ms\n"
-      s.Server.completed (s.Server.mean_us /. 1000.)
-      (s.Server.p50_us /. 1000.) (s.Server.p95_us /. 1000.)
-      (s.Server.p99_us /. 1000.) (s.Server.max_us /. 1000.)
-      s.Server.makespan_ms
+      s.Server.ts_completed (s.Server.ts_mean_us /. 1000.)
+      (s.Server.ts_p50_us /. 1000.) (s.Server.ts_p95_us /. 1000.)
+      (s.Server.ts_p99_us /. 1000.) (s.Server.ts_max_us /. 1000.)
+      s.Server.ts_makespan_ms
   in
   let term = Term.(const action $ backend_arg $ cpus_arg $ requests) in
   Cmd.v

@@ -24,10 +24,10 @@ let () =
       System.submit sys ~backend ~name ~observer:(Recorder.observer r) prog
     in
     System.run sys;
-    let s = Server.summarize r params in
+    let s = Server.summarize r ~requests:params.Server.requests ~slo:max_int in
     Printf.printf "%-26s %10.1f %10.1f %10.1f %12.0f\n" name
-      (s.Server.mean_us /. 1000.) (s.Server.p95_us /. 1000.)
-      (s.Server.p99_us /. 1000.) s.Server.makespan_ms
+      (s.Server.ts_mean_us /. 1000.) (s.Server.ts_p95_us /. 1000.)
+      (s.Server.ts_p99_us /. 1000.) s.Server.ts_makespan_ms
   in
   run "Topaz threads" Kconfig.native `Topaz_kthreads;
   run "orig FastThreads" Kconfig.native (`Fastthreads_on_kthreads 4);

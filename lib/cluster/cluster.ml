@@ -521,7 +521,7 @@ let summary t =
       (Array.map
          (fun ten ->
            let s =
-             Server.summarize_tenant ~allow_incomplete:true ten.tn_rec
+             Server.summarize ~allow_incomplete:true ten.tn_rec
                ~requests:t.p.requests ~slo:ten.tn_cls.Server.tc_slo
            in
            {

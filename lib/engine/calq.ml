@@ -19,7 +19,7 @@
 
    Ordering contract (the determinism anchor for the whole simulator): pops
    follow the strict lexicographic (key, seq) order, byte-identical to the
-   binary-heap reference in Pqueue.  Within a bucket the FIFO is kept in
+   binary-heap oracle in test/pqueue.ml.  Within a bucket the FIFO is kept in
    ascending seq order — O(1) for the monotone seqs the simulator generates,
    with a sorted-insert fallback for out-of-order generic use.  Buckets are
    deduplicated through a lossy direct-mapped memo; when the memo misses, a
@@ -27,7 +27,7 @@
    ties by the seq of each bucket's head, which keeps the global order exact
    (see [prio_lt]).
 
-   Cancellation is lazy, as in Pqueue: [cancel] marks the entry dead in
+   Cancellation is lazy: [cancel] marks the entry dead in
    O(1); dead entries are reclaimed when a pop reaches them, or by an O(n)
    sweep once they outnumber the live ones, so mass-cancel workloads cannot
    grow the slab without bound. *)

@@ -3,9 +3,9 @@
     Elements carry integer-pair priorities [(key, seq)] compared
     lexicographically — the discrete-event core uses [key] for the ns
     firing time and [seq] for FIFO order among simultaneous events.  The
-    pop sequence is the strict ascending [(key, seq)] order, byte-identical
-    to the binary-heap reference {!Pqueue}; the two are interchangeable
-    behind {!Sim}, and a qcheck differential suite holds them to it.
+    pop sequence is the strict ascending [(key, seq)] order; a qcheck
+    differential suite in [test/] holds it, byte for byte, to a
+    binary-heap reference queue kept there as the oracle.
 
     Layout: one bucket per distinct pending ns key holds its events as a
     FIFO in ascending [seq]; a small index heap orders the buckets.  Adding

@@ -56,50 +56,6 @@ module Summary = struct
       (stddev t) (min t) (max t)
 end
 
-module Samples = struct
-  type t = { mutable data : float array; mutable n : int }
-
-  let create () = { data = [||]; n = 0 }
-
-  let add t x =
-    if t.n = Array.length t.data then begin
-      let ncap = Stdlib.max 16 (2 * t.n) in
-      let ndata = Array.make ncap 0.0 in
-      Array.blit t.data 0 ndata 0 t.n;
-      t.data <- ndata
-    end;
-    t.data.(t.n) <- x;
-    t.n <- t.n + 1
-
-  let count t = t.n
-
-  let mean t =
-    if t.n = 0 then 0.0
-    else begin
-      let s = ref 0.0 in
-      for i = 0 to t.n - 1 do
-        s := !s +. t.data.(i)
-      done;
-      !s /. float_of_int t.n
-    end
-
-  let percentile t p =
-    if t.n = 0 then invalid_arg "Samples.percentile: empty";
-    if p < 0.0 || p > 100.0 then invalid_arg "Samples.percentile: range";
-    let sorted = Array.sub t.data 0 t.n in
-    Array.sort Float.compare sorted;
-    let rank = p /. 100.0 *. float_of_int (t.n - 1) in
-    let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
-    if lo = hi then sorted.(lo)
-    else begin
-      let frac = rank -. float_of_int lo in
-      sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-    end
-
-  let median t = percentile t 50.0
-  let to_array t = Array.sub t.data 0 t.n
-end
-
 module Log_histogram = struct
   (* HDR-style log-scale histogram: the range [lo, hi) is split into
      octaves (powers of two above [lo]), each octave into [sub] linear

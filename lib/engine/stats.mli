@@ -28,24 +28,6 @@ module Summary : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** Sample set retaining all observations, for exact quantiles. *)
-module Samples : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val percentile : t -> float -> float
-  (** [percentile s p] with [p] in [\[0, 100\]], nearest-rank with linear
-      interpolation.  Raises [Invalid_argument] if empty or [p] out of
-      range. *)
-
-  val median : t -> float
-  val to_array : t -> float array
-  (** Observations in insertion order. *)
-end
-
 (** Log-scale histogram over [\[lo, hi)] with constant {e relative}
     resolution: each power-of-two octave above [lo] is split into
     [sub_buckets] linear sub-buckets (HDR-histogram bucketing).  O(1)

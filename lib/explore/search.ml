@@ -52,7 +52,6 @@ type run_result = {
   digest : string;
   adjacencies : (string * string) list;
   injected : (string * int) list;
-  summary : Server.summary option;
 }
 
 (* --- interleaving coverage ------------------------------------------- *)
@@ -164,12 +163,7 @@ let run_server ?chooser ?trace_sink spec =
       ~kstats:(Kernel.stats (System.kernel sys))
       ~injected ~outcome
   in
-  let summary =
-    match Server.summarize ~allow_incomplete:true recorder params with
-    | s -> Some s
-    | exception Failure _ -> None
-  in
-  { outcome; digest; adjacencies = adjacency_list adj; injected; summary }
+  { outcome; digest; adjacencies = adjacency_list adj; injected }
 
 let run_chaos ?chooser ?trace_sink spec =
   let adj = Hashtbl.create 32 in
@@ -207,7 +201,6 @@ let run_chaos ?chooser ?trace_sink spec =
     digest;
     adjacencies = adjacency_list adj;
     injected = r.Campaign.injected;
-    summary = None;
   }
 
 let run ?chooser ?trace_sink spec =

@@ -47,8 +47,6 @@ type run_result = {
   adjacencies : (string * string) list;
       (** distinct ordered pairs of consecutive Table-2 upcall events *)
   injected : (string * int) list;
-  summary : Sa_workload.Server.summary option;
-      (** partial response-time summary (server workload only) *)
 }
 
 val run :

@@ -468,12 +468,15 @@ let server_latency ?(params = Sa_workload.Server.default_params) ?(cpus = 4)
         ~observer:(Recorder.observer rec_) prog
     in
     System.run sys;
-    let s = Sa_workload.Server.summarize rec_ params in
+    let s =
+      Sa_workload.Server.summarize rec_
+        ~requests:params.Sa_workload.Server.requests ~slo:max_int
+    in
     {
       s_system = name;
-      s_mean_us = s.Sa_workload.Server.mean_us;
-      s_p95_us = s.Sa_workload.Server.p95_us;
-      s_p99_us = s.Sa_workload.Server.p99_us;
+      s_mean_us = s.Sa_workload.Server.ts_mean_us;
+      s_p95_us = s.Sa_workload.Server.ts_p95_us;
+      s_p99_us = s.Sa_workload.Server.ts_p99_us;
     }
   in
   [
@@ -543,7 +546,7 @@ let serve ?(params = Sa_workload.Server.default_mt_params) ?(cpus = 64)
     List.map
       (fun (i, cls, r, job) ->
         let s =
-          Server.summarize_tenant r ~requests:params.Server.mt_requests
+          Server.summarize r ~requests:params.Server.mt_requests
             ~slo:cls.Server.tc_slo
         in
         let sp = System.space job in

@@ -1,6 +1,6 @@
 (** ASCII processor-occupancy timeline.
 
-    Samples which address space occupies each simulated processor at a fixed
+    Records which address space occupies each simulated processor at a fixed
     resolution and renders a Gantt-style chart — the quickest way to {e see}
     the space-sharing allocator move processors between jobs, daemons steal
     a slot, or original FastThreads lose processors to blocked virtual

@@ -279,10 +279,11 @@ let tenant_program p tenant =
      in
      iter_list tids (fun tid -> join tid))
 
-type tenant_summary = {
+type summary = {
   ts_completed : int;
   ts_mean_us : float;
   ts_p50_us : float;
+  ts_p95_us : float;
   ts_p99_us : float;
   ts_p999_us : float;
   ts_max_us : float;
@@ -299,7 +300,7 @@ type tenant_summary = {
 let latency_histogram () =
   Stats.Log_histogram.create ~lo:1.0 ~hi:1e8 ~sub_buckets:64
 
-let summarize_tenant ?(allow_incomplete = false) recorder ~requests ~slo =
+let summarize ?(allow_incomplete = false) recorder ~requests ~slo =
   let stamps = Recorder.stamps recorder in
   let arrivals = Hashtbl.create requests in
   let hist = latency_histogram () in
@@ -321,31 +322,31 @@ let summarize_tenant ?(allow_incomplete = false) recorder ~requests ~slo =
             let lat = Time.diff time t0 in
             if lat > slo then incr violations;
             Stats.Log_histogram.add hist (float_of_int lat /. 1000.0)
-        | None ->
-            failwith "Server.summarize_tenant: completion without arrival"
+        | None -> failwith "Server.summarize: completion without arrival"
       end)
     stamps;
   if !completed <> requests && not allow_incomplete then
     failwith
-      (Printf.sprintf "Server.summarize_tenant: %d of %d requests completed"
+      (Printf.sprintf "Server.summarize: %d of %d requests completed"
          !completed requests);
+  (* "First arrival to last completion", so a trailing arrival that never
+     completed does not stretch the makespan of a partial run. *)
   let makespan_ms =
     match (!first_arrival, !last_completion) with
     | Some t0, Some t1 -> float_of_int (Time.diff t1 t0) /. 1e6
     | None, _ | _, None -> 0.0
   in
-  let pct q =
-    if !completed = 0 then Float.nan else Stats.Log_histogram.percentile hist q
-  in
+  (* A run cut short by a violation may have completed nothing at all. *)
+  let if_any f = if !completed = 0 then Float.nan else f hist in
+  let pct q = if_any (fun h -> Stats.Log_histogram.percentile h q) in
   {
     ts_completed = !completed;
-    ts_mean_us =
-      (if !completed = 0 then Float.nan else Stats.Log_histogram.mean hist);
+    ts_mean_us = if_any Stats.Log_histogram.mean;
     ts_p50_us = pct 50.0;
+    ts_p95_us = pct 95.0;
     ts_p99_us = pct 99.0;
     ts_p999_us = pct 99.9;
-    ts_max_us =
-      (if !completed = 0 then Float.nan else Stats.Log_histogram.max hist);
+    ts_max_us = if_any Stats.Log_histogram.max;
     ts_slo_ms = Time.span_to_ms slo;
     ts_violations = !violations;
     ts_violation_frac =
@@ -354,66 +355,6 @@ let summarize_tenant ?(allow_incomplete = false) recorder ~requests ~slo =
     ts_makespan_ms = makespan_ms;
   }
 
-type summary = {
-  completed : int;
-  mean_us : float;
-  p50_us : float;
-  p95_us : float;
-  p99_us : float;
-  max_us : float;
-  makespan_ms : float;  (* first arrival to last completion *)
-}
+type tenant_summary = summary
 
-let summarize ?(allow_incomplete = false) recorder p =
-  let stamps = Recorder.stamps recorder in
-  let arrivals = Hashtbl.create p.requests in
-  let samples = Stats.Samples.create () in
-  let completed = ref 0 in
-  List.iter
-    (fun (id, time) ->
-      if id mod 2 = 0 then Hashtbl.replace arrivals (id / 2) time
-      else begin
-        let req = id / 2 in
-        match Hashtbl.find_opt arrivals req with
-        | Some t0 ->
-            incr completed;
-            Stats.Samples.add samples
-              (float_of_int (Time.diff time t0) /. 1000.0)
-        | None -> failwith "Server.summarize: completion without arrival"
-      end)
-    stamps;
-  if !completed <> p.requests && not allow_incomplete then
-    failwith
-      (Printf.sprintf "Server.summarize: %d of %d requests completed"
-         !completed p.requests);
-  (* "First arrival to last completion": arrivals stamp even ids,
-     completions odd ids.  Taking the first and last stamp of any kind
-     used to inflate the makespan under [~allow_incomplete:true] when a
-     trailing arrival never completed. *)
-  let first_arrival =
-    List.find_opt (fun (id, _) -> id mod 2 = 0) stamps
-  in
-  let last_completion =
-    List.fold_left
-      (fun acc (id, t) -> if id mod 2 = 1 then Some t else acc)
-      None stamps
-  in
-  let makespan_ms =
-    match (first_arrival, last_completion) with
-    | Some (_, t0), Some t1 ->
-        float_of_int (Time.to_ns t1 - Time.to_ns t0) /. 1e6
-    | None, _ | _, None -> 0.0
-  in
-  let pct p =
-    (* A run cut short by a violation may have completed nothing at all. *)
-    if !completed = 0 then Float.nan else Stats.Samples.percentile samples p
-  in
-  {
-    completed = !completed;
-    mean_us = (if !completed = 0 then Float.nan else Stats.Samples.mean samples);
-    p50_us = pct 50.0;
-    p95_us = pct 95.0;
-    p99_us = pct 99.0;
-    max_us = pct 100.0;
-    makespan_ms;
-  }
+let summarize_tenant = summarize

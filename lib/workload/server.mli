@@ -93,10 +93,16 @@ val tenant_program : mt_params -> int -> Sa_program.Program.t
     perturbs this tenant's arrivals or I/O coin flips.  Request [r]
     stamps [2r] at arrival and [2r+1] at completion (after fan-in). *)
 
-type tenant_summary = {
+(** {1 Response-time summary}
+
+    One accounting path for every server run, single- or multi-tenant:
+    arrival/completion stamp pairs feed one {!latency_histogram}. *)
+
+type summary = {
   ts_completed : int;
   ts_mean_us : float;
   ts_p50_us : float;
+  ts_p95_us : float;
   ts_p99_us : float;
   ts_p999_us : float;
   ts_max_us : float;
@@ -105,37 +111,39 @@ type tenant_summary = {
   ts_violation_frac : float;
   ts_makespan_ms : float;  (** first arrival to last completion *)
 }
+(** Response times in µs.  Mean and maximum are exact; the percentiles
+    are {!latency_histogram} values, within 0.8% of the exact ceil-rank
+    order statistic. *)
 
 val latency_histogram : unit -> Sa_engine.Stats.Log_histogram.t
-(** The accumulator [summarize_tenant] uses: log-scale over
-    [\[1 us, 100 s)] with 64 sub-buckets per octave (quantile error
-    under 0.8%), O(1) memory in the request count. *)
+(** The accumulator [summarize] uses: log-scale over [\[1 us, 100 s)]
+    with 64 sub-buckets per octave (quantile error under 0.8%), O(1)
+    memory in the request count. *)
+
+val summarize :
+  ?allow_incomplete:bool ->
+  Recorder.t ->
+  requests:int ->
+  slo:Sa_engine.Time.span ->
+  summary
+(** Pair arrival/completion stamps into response times and report the
+    tail against [slo] (runs without an SLO pass [max_int], so nothing
+    counts as a violation).  Raises [Failure] if fewer than [requests]
+    requests completed, unless [allow_incomplete:true] (default false),
+    which instead returns the partial summary over the requests that did
+    complete ([ts_completed] says how many) — chaotic or
+    schedule-explored runs cut short by a violation can still report tail
+    latency.  With zero completions the latency fields are [nan]. *)
+
+type tenant_summary = summary
+(** Former name of {!summary}, kept for the benchmark harness under
+    [perf/]. *)
 
 val summarize_tenant :
   ?allow_incomplete:bool ->
   Recorder.t ->
   requests:int ->
   slo:Sa_engine.Time.span ->
-  tenant_summary
-(** Pair arrival/completion stamps into response times and report the
-    tail against [slo].  Same [allow_incomplete] contract as
-    {!summarize}; with zero completions the latency fields are [nan]. *)
-
-type summary = {
-  completed : int;
-  mean_us : float;
-  p50_us : float;
-  p95_us : float;
-  p99_us : float;
-  max_us : float;
-  makespan_ms : float;  (** first arrival to last completion *)
-}
-
-val summarize : ?allow_incomplete:bool -> Recorder.t -> params -> summary
-(** Pair up arrival/completion stamps into response times.  Raises
-    [Failure] if some requests never completed, unless
-    [allow_incomplete:true] (default false), which instead returns the
-    partial summary over the requests that did complete ([completed] says
-    how many) — chaotic or schedule-explored runs cut short by a violation
-    can still report tail latency.  With zero completions the latency
-    fields are [nan]. *)
+  summary
+(** Former name of {!summarize}, kept for the benchmark harness under
+    [perf/]. *)

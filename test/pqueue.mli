@@ -1,8 +1,10 @@
-(** Binary min-heap priority queue with lazy cancellation.
+(** Binary min-heap priority queue with lazy cancellation: the reference
+    oracle that [test_engine]'s differential suite holds the simulator's
+    calendar queue ([Sa_engine.Calq]) to, pop for pop.
 
     The queue stores elements with integer-pair priorities [(key, seq)]
-    compared lexicographically; the discrete-event simulator uses [key] for
-    the firing time and [seq] for FIFO order among simultaneous events.
+    compared lexicographically: [key] for the firing time and [seq] for
+    FIFO order among simultaneous events.
     [remove] marks an entry cancelled in amortized O(1); cancelled entries
     are skipped lazily by [pop], and the heap is compacted (live entries
     rebuilt in place, O(n)) once dead entries dominate, so a workload that

@@ -1,7 +1,6 @@
 (* Unit and property tests for the discrete-event engine. *)
 
 module Time = Sa_engine.Time
-module Pqueue = Sa_engine.Pqueue
 module Calq = Sa_engine.Calq
 module Rng = Sa_engine.Rng
 module Stats = Sa_engine.Stats
@@ -577,19 +576,6 @@ let stats_tests =
         let s = Stats.Summary.create () in
         check (Alcotest.float 0.0) "mean" 0.0 (Stats.Summary.mean s);
         check Alcotest.int "count" 0 (Stats.Summary.count s));
-    Alcotest.test_case "percentiles" `Quick (fun () ->
-        let s = Stats.Samples.create () in
-        List.iter (Stats.Samples.add s)
-          (List.init 101 (fun i -> float_of_int i));
-        check (Alcotest.float 1e-9) "median" 50.0 (Stats.Samples.median s);
-        check (Alcotest.float 1e-9) "p0" 0.0 (Stats.Samples.percentile s 0.0);
-        check (Alcotest.float 1e-9) "p100" 100.0
-          (Stats.Samples.percentile s 100.0);
-        check (Alcotest.float 1e-9) "p25" 25.0 (Stats.Samples.percentile s 25.0));
-    Alcotest.test_case "percentile interpolates" `Quick (fun () ->
-        let s = Stats.Samples.create () in
-        List.iter (Stats.Samples.add s) [ 0.0; 10.0 ];
-        check (Alcotest.float 1e-9) "p50" 5.0 (Stats.Samples.percentile s 50.0));
     Alcotest.test_case "log histogram bounds, NaN and exact max" `Quick
       (fun () ->
         let h = Stats.Log_histogram.create ~lo:1.0 ~hi:1e6 ~sub_buckets:32 in

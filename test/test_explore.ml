@@ -11,7 +11,6 @@
 module Time = Sa_engine.Time
 module Sim = Sa_engine.Sim
 module Rng = Sa_engine.Rng
-module Pqueue = Sa_engine.Pqueue
 module Injector = Sa_fault.Injector
 module Recorder = Sa_workload.Recorder
 module Server = Sa_workload.Server
@@ -122,24 +121,26 @@ let test_injector_detach () =
 let test_summarize_allow_incomplete () =
   let recorder = Recorder.create () in
   let obs = Recorder.observer recorder in
-  let params = { Server.default_params with Server.requests = 2 } in
   (* Request 0 arrives (stamp 0) and completes (stamp 1); request 1 only
      arrives (stamp 2). *)
   obs 0 Time.zero;
   obs 1 (Time.of_ns 2_000);
   obs 2 (Time.of_ns 3_000);
-  (match Server.summarize recorder params with
+  let summarize ?allow_incomplete r =
+    Server.summarize ?allow_incomplete r ~requests:2 ~slo:max_int
+  in
+  (match summarize recorder with
   | _ -> Alcotest.fail "expected Failure on an incomplete run"
   | exception Failure _ -> ());
-  let s = Server.summarize ~allow_incomplete:true recorder params in
+  let s = summarize ~allow_incomplete:true recorder in
   Alcotest.(check int) "partial summary counts completions" 1
-    s.Server.completed;
+    s.Server.ts_completed;
   (* And a run that completed nothing reports NaN latencies, not a crash. *)
   let empty = Recorder.create () in
-  let s0 = Server.summarize ~allow_incomplete:true empty params in
-  Alcotest.(check int) "zero completed" 0 s0.Server.completed;
+  let s0 = summarize ~allow_incomplete:true empty in
+  Alcotest.(check int) "zero completed" 0 s0.Server.ts_completed;
   Alcotest.(check bool) "empty percentiles are NaN" true
-    (Float.is_nan s0.Server.p99_us)
+    (Float.is_nan s0.Server.ts_p99_us)
 
 (* --- schedule files --------------------------------------------------- *)
 

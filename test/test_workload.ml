@@ -188,6 +188,22 @@ let nbody_tests =
 
 module Server = Sa_workload.Server
 
+(* Run the single-server program; returns its recorder. *)
+let run_server ?(kconfig = Kconfig.default) ?(backend = `Fastthreads_on_sa)
+    ~cpus params =
+  let sys = System.create ~cpus ~kconfig () in
+  let r = Recorder.create () in
+  let _job =
+    System.submit sys ~backend ~name:"srv" ~observer:(Recorder.observer r)
+      (Server.program params)
+  in
+  System.run sys;
+  r
+
+let summarize_server ?allow_incomplete r params =
+  Server.summarize ?allow_incomplete r ~requests:params.Server.requests
+    ~slo:max_int
+
 let server_tests =
   [
     Alcotest.test_case "all requests complete with correct stats" `Quick
@@ -195,52 +211,135 @@ let server_tests =
         let params =
           { Server.default_params with Server.requests = 40 }
         in
-        let prog = Server.program params in
-        let sys =
-          System.create ~cpus:4 ~kconfig:Kconfig.default ()
-        in
-        let r = Sa_workload.Recorder.create () in
-        let _job =
-          System.submit sys ~backend:`Fastthreads_on_sa ~name:"srv"
-            ~observer:(Sa_workload.Recorder.observer r) prog
-        in
-        System.run sys;
-        let s = Server.summarize r params in
-        check Alcotest.int "completed" 40 s.Server.completed;
+        let s = summarize_server (run_server ~cpus:4 params) params in
+        check Alcotest.int "completed" 40 s.Server.ts_completed;
         check Alcotest.bool "percentiles ordered" true
-          (s.Server.p50_us <= s.Server.p95_us
-          && s.Server.p95_us <= s.Server.p99_us
-          && s.Server.p99_us <= s.Server.max_us);
+          (s.Server.ts_p50_us <= s.Server.ts_p95_us
+          && s.Server.ts_p95_us <= s.Server.ts_p99_us
+          && s.Server.ts_p99_us <= s.Server.ts_max_us);
         check Alcotest.bool "latency at least the io floor" true
-          (s.Server.max_us >= 20_000.0));
+          (s.Server.ts_max_us >= 20_000.0);
+        check Alcotest.int "no SLO, no violations" 0 s.Server.ts_violations);
+    Alcotest.test_case "summary matches exact order statistics" `Quick
+      (fun () ->
+        (* Recompute the response times from the raw stamps: the mean
+           and maximum must be exact, and each percentile within the
+           histogram's 0.8% bound of the ceil-rank order statistic. *)
+        let params =
+          { Server.default_params with Server.requests = 40 }
+        in
+        let r = run_server ~cpus:4 params in
+        let s = summarize_server r params in
+        let arrivals = Hashtbl.create 64 in
+        let lats =
+          List.filter_map
+            (fun (id, t) ->
+              if id mod 2 = 0 then (
+                Hashtbl.replace arrivals (id / 2) t;
+                None)
+              else
+                Some
+                  (float_of_int (Time.diff t (Hashtbl.find arrivals (id / 2)))
+                  /. 1000.0))
+            (Recorder.stamps r)
+        in
+        let n = List.length lats in
+        check Alcotest.int "completed" n s.Server.ts_completed;
+        let sum = List.fold_left ( +. ) 0.0 lats in
+        let sorted = Array.of_list (List.sort Float.compare lats) in
+        check (Alcotest.float 0.0) "mean exact" (sum /. float_of_int n)
+          s.Server.ts_mean_us;
+        check (Alcotest.float 0.0) "max exact" sorted.(n - 1)
+          s.Server.ts_max_us;
+        List.iter
+          (fun (p, got) ->
+            let rank =
+              max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int n)))
+            in
+            let exact = sorted.(rank - 1) in
+            check Alcotest.bool
+              (Printf.sprintf "p%g %.1f within 0.8%% of %.1f" p got exact)
+              true
+              (Float.abs (got -. exact) <= 0.008 *. exact))
+          [
+            (50.0, s.Server.ts_p50_us);
+            (95.0, s.Server.ts_p95_us);
+            (99.0, s.Server.ts_p99_us);
+          ]);
+    Alcotest.test_case "SLO violations count exact latencies over the bound"
+      `Quick (fun () ->
+        (* Violations are counted on the nanosecond latencies, not on the
+           histogram: with the SLO at the exact median, exactly the
+           requests strictly slower than it count. *)
+        let params =
+          { Server.default_params with Server.requests = 40 }
+        in
+        let r = run_server ~cpus:4 params in
+        let arrivals = Hashtbl.create 64 in
+        let lats =
+          List.filter_map
+            (fun (id, t) ->
+              if id mod 2 = 0 then (
+                Hashtbl.replace arrivals (id / 2) t;
+                None)
+              else Some (Time.diff t (Hashtbl.find arrivals (id / 2))))
+            (Recorder.stamps r)
+        in
+        let sorted = Array.of_list (List.sort compare lats) in
+        let n = Array.length sorted in
+        let slo = sorted.((n / 2) - 1) in
+        let over = List.length (List.filter (fun l -> l > slo) lats) in
+        let s =
+          Server.summarize r ~requests:params.Server.requests ~slo
+        in
+        check Alcotest.bool "some but not all violate" true
+          (over > 0 && over < n);
+        check Alcotest.int "violations" over s.Server.ts_violations;
+        check (Alcotest.float 1e-12) "violation_frac"
+          (float_of_int over /. float_of_int n)
+          s.Server.ts_violation_frac;
+        check (Alcotest.float 1e-12) "slo_ms" (Time.span_to_ms slo)
+          s.Server.ts_slo_ms);
+    Alcotest.test_case "incomplete run fails unless allowed" `Quick
+      (fun () ->
+        (* One arrival, no completion: the strict summary refuses it; the
+           partial one reports nothing completed and NaN statistics. *)
+        let r = Recorder.create () in
+        Recorder.observer r 0 (Time.of_ns (Time.us 10));
+        Alcotest.check_raises "strict"
+          (Failure "Server.summarize: 0 of 1 requests completed") (fun () ->
+            ignore (Server.summarize r ~requests:1 ~slo:max_int));
+        let s =
+          Server.summarize ~allow_incomplete:true r ~requests:1 ~slo:max_int
+        in
+        check Alcotest.int "completed" 0 s.Server.ts_completed;
+        check Alcotest.int "violations" 0 s.Server.ts_violations;
+        List.iter
+          (fun (name, v) -> check Alcotest.bool name true (Float.is_nan v))
+          [
+            ("mean", s.Server.ts_mean_us);
+            ("p50", s.Server.ts_p50_us);
+            ("p95", s.Server.ts_p95_us);
+            ("max", s.Server.ts_max_us);
+            ("violation_frac", s.Server.ts_violation_frac);
+          ];
+        check (Alcotest.float 0.0) "makespan_ms" 0.0
+          s.Server.ts_makespan_ms);
     Alcotest.test_case "program is deterministic in its seed" `Quick
       (fun () ->
         let params = { Server.default_params with Server.requests = 30 } in
         let run () =
-          let prog = Server.program params in
-          let sys = System.create ~cpus:2 ~kconfig:Kconfig.default () in
-          let r = Sa_workload.Recorder.create () in
-          let _job =
-            System.submit sys ~backend:`Fastthreads_on_sa ~name:"srv"
-              ~observer:(Sa_workload.Recorder.observer r) prog
-          in
-          System.run sys;
-          (Server.summarize r params).Server.mean_us
+          (summarize_server (run_server ~cpus:2 params) params)
+            .Server.ts_mean_us
         in
         check (Alcotest.float 1e-9) "same mean" (run ()) (run ()));
     Alcotest.test_case "orig FT tail collapses under I/O load" `Slow
       (fun () ->
         let params = Server.default_params in
-        let prog = Server.program params in
         let run kconfig backend =
-          let sys = System.create ~cpus:4 ~kconfig () in
-          let r = Sa_workload.Recorder.create () in
-          let _job =
-            System.submit sys ~backend ~name:"srv"
-              ~observer:(Sa_workload.Recorder.observer r) prog
-          in
-          System.run sys;
-          (Server.summarize r params).Server.p99_us
+          (summarize_server (run_server ~kconfig ~backend ~cpus:4 params)
+             params)
+            .Server.ts_p99_us
         in
         let orig = run Kconfig.native (`Fastthreads_on_kthreads 4) in
         let sa = run Kconfig.default `Fastthreads_on_sa in
@@ -255,17 +354,13 @@ let server_tests =
         Recorder.observer r 0 (at 10);
         Recorder.observer r 1 (at 20);
         Recorder.observer r 2 (at 1000);
-        let params = { Server.default_params with Server.requests = 2 } in
-        let s = Server.summarize ~allow_incomplete:true r params in
-        check Alcotest.int "completed" 1 s.Server.completed;
-        check (Alcotest.float 1e-9) "makespan_ms" 0.01 s.Server.makespan_ms;
-        let ts =
-          Server.summarize_tenant ~allow_incomplete:true r ~requests:2
+        let s =
+          Server.summarize ~allow_incomplete:true r ~requests:2
             ~slo:(Time.ms 1)
         in
-        check (Alcotest.float 1e-9) "tenant makespan_ms" 0.01
-          ts.Server.ts_makespan_ms;
-        check Alcotest.int "tenant completed" 1 ts.Server.ts_completed);
+        check Alcotest.int "completed" 1 s.Server.ts_completed;
+        check (Alcotest.float 1e-9) "makespan_ms" 0.01
+          s.Server.ts_makespan_ms);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -291,7 +386,7 @@ let run_tenants params ~cpus =
   List.map
     (fun (i, cls, r) ->
       ( i,
-        Server.summarize_tenant r ~requests:params.Server.mt_requests
+        Server.summarize r ~requests:params.Server.mt_requests
           ~slo:cls.Server.tc_slo ))
     tenants
 
@@ -356,7 +451,7 @@ let serve_tests =
         check Alcotest.bool "same stats" true (fingerprint () = fingerprint ()));
     Alcotest.test_case "latency histogram percentiles are accurate" `Quick
       (fun () ->
-        (* The accumulator summarize_tenant uses: feed 1..1000 us and
+        (* The accumulator summarize uses: feed 1..1000 us and
            expect every percentile within the documented 0.8% bound. *)
         let h = Server.latency_histogram () in
         for i = 1 to 1000 do
