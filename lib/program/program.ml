@@ -175,6 +175,18 @@ module Code = struct
   }
 
   let length c = Array.length c.op
+
+  (* The child a thread forked at [site] of its current arena; 0, which
+     is no thread's id, when that fork has not run. *)
+  let bound binds site =
+    match List.assoc_opt site binds with Some tid -> tid | None -> 0
+
+  let join_target binds operand =
+    if operand >= 0 then operand else bound binds (-operand - 1)
+
+  let force c pc binds =
+    let site = c.b.(pc) in
+    c.konts.(c.a.(pc)) (if site < 0 then 0 else bound binds site)
 end
 
 (* Fork continuations are forced symbolically: each fork site hands its
@@ -479,125 +491,20 @@ let compile_once ~budget ~lazy_sites prog =
     konts = Array.of_list (List.rev !konts);
   }
 
+(* The last arena compiled, keyed on its program value by physical
+   equality: jobs that submit one value share one arena.  An ephemeron,
+   so the cached arena never outlives its program. *)
+let last_compiled = ref None
+
 let compile ?(budget = 1_000_000) prog =
-  let rec attempt lazy_sites =
-    match compile_once ~budget ~lazy_sites prog with
-    | code -> code
-    | exception Lazy_site site -> attempt (site :: lazy_sites)
-  in
-  attempt []
-
-let op_count prog ~max =
-  let rec go n prog =
-    if n >= max then n
-    else
-      match prog with
-      | Done -> n
-      | Compute (_, k)
-      | Acquire (_, k)
-      | Release (_, k)
-      | Wait (_, _, k)
-      | Signal (_, k)
-      | Broadcast (_, k)
-      | Sem_p (_, k)
-      | Sem_v (_, k)
-      | Ksem_p (_, k)
-      | Ksem_v (_, k)
-      | Join (_, k)
-      | Io (_, k)
-      | Cache_read (_, k)
-      | Yield k
-      | Stamp (_, k)
-      | Set_priority (_, k) ->
-          go (n + 1) (k ())
-      | Fork (child, k) ->
-          let n = go (n + 1) child in
-          if n >= max then n else go n (k (-1))
-      | Dynamic p -> go n p
-  in
-  go 0 prog
-
-let pp ppf prog =
-  let budget = ref 200 in
-  let rec go ppf prog depth =
-    if !budget <= 0 || depth > 8 then Format.pp_print_string ppf "..."
-    else begin
-      decr budget;
-      match prog with
-      | Done -> Format.pp_print_string ppf "done"
-      | Compute (d, k) ->
-          Format.fprintf ppf "compute(%a); %a" Sa_engine.Time.pp_span d
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Acquire (m, k) ->
-          Format.fprintf ppf "acquire(%s); %a" (Mutex.name m)
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Release (m, k) ->
-          Format.fprintf ppf "release(%s); %a" (Mutex.name m)
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Wait (c, m, k) ->
-          Format.fprintf ppf "wait(%s,%s); %a" (Cond.name c) (Mutex.name m)
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Signal (c, k) ->
-          Format.fprintf ppf "signal(%s); %a" (Cond.name c)
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Broadcast (c, k) ->
-          Format.fprintf ppf "broadcast(%s); %a" (Cond.name c)
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Sem_p (s, k) ->
-          Format.fprintf ppf "P(%s); %a" (Sem.name s)
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Sem_v (s, k) ->
-          Format.fprintf ppf "V(%s); %a" (Sem.name s)
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Ksem_p (s, k) ->
-          Format.fprintf ppf "kP(%s); %a" (Sem.name s)
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Ksem_v (s, k) ->
-          Format.fprintf ppf "kV(%s); %a" (Sem.name s)
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Fork (child, k) ->
-          Format.fprintf ppf "fork{%a}; %a"
-            (fun ppf () -> go ppf child (depth + 1))
-            ()
-            (fun ppf () -> go ppf (k (-1)) depth)
-            ()
-      | Join (tid, k) ->
-          Format.fprintf ppf "join(%d); %a" tid
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Io (d, k) ->
-          Format.fprintf ppf "io(%a); %a" Sa_engine.Time.pp_span d
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Cache_read (b, k) ->
-          Format.fprintf ppf "read(%d); %a" b
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Yield k ->
-          Format.fprintf ppf "yield; %a"
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Stamp (id, k) ->
-          Format.fprintf ppf "stamp(%d); %a" id
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Set_priority (p, k) ->
-          Format.fprintf ppf "prio(%d); %a" p
-            (fun ppf () -> go ppf (k ()) depth)
-            ()
-      | Dynamic _ ->
-          (* declared force-dependent: rendering would run host effects *)
-          Format.pp_print_string ppf "dynamic(...)"
-    end
-  in
-  go ppf prog 0
+  match Option.bind !last_compiled (fun e -> Ephemeron.K1.query e prog) with
+  | Some (b, code) when b = budget -> code
+  | Some _ | None ->
+      let rec attempt lazy_sites =
+        match compile_once ~budget ~lazy_sites prog with
+        | code -> code
+        | exception Lazy_site site -> attempt (site :: lazy_sites)
+      in
+      let code = attempt [] in
+      last_compiled := Some (Ephemeron.K1.make prog (budget, code));
+      code

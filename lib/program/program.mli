@@ -4,10 +4,12 @@
     description of what a thread does — compute for a while, take locks,
     wait on conditions, fork children, read cached blocks, block on I/O.
     Every threading backend (Topaz kernel threads, FastThreads on kernel
-    threads, FastThreads on scheduler activations, Ultrix processes)
-    interprets the same program type, charging its own costs for each
-    operation; this is what makes the paper's cross-system comparisons
-    apples-to-apples.
+    threads, FastThreads on scheduler activations, Ultrix processes) runs
+    the same program, charging its own costs for each operation; this is
+    what makes the paper's cross-system comparisons apples-to-apples.
+    {!compile} is the program's one reader: it lowers the tree into a
+    {!Code.t} arena, and every backend steps that arena, so the rule for
+    when a continuation is forced is the same everywhere.
 
     Synchronization objects ({!Mutex.t}, {!Cond.t}, {!Sem.t}) are pure
     identities: backends attach their own state to them.  A program value is
@@ -88,10 +90,9 @@ type t =
           bag, a mailbox), so they must be forced at simulated execution
           time, never eagerly.  {!compile} compiles such a subtree one
           node at a time, each continuation behind a lazy [op_dyn] node
-          that the interpreter forces only when execution reaches it.
-          Interpreters unwrap the marker transparently at zero simulated
-          cost.  Pure-structure programs (spans and sync objects only in
-          continuations) never need it. *)
+          that the backend forces only when execution reaches it, at zero
+          simulated cost.  Pure-structure programs (spans and sync
+          objects only in continuations) never need it. *)
 
 (** Monadic builder for writing programs in direct style:
     {[
@@ -147,7 +148,7 @@ end
 
 (** Compiled, arena-allocated flat representation: the program tree
     forced once into parallel int arrays (op tag + operands + next-pc), so
-    interpreters run a pc-indexed step loop instead of rebuilding
+    backends run a pc-indexed step loop instead of rebuilding
     [(unit -> t)] continuations per operation.  Where eager forcing cannot
     be used the arena ends in an [op_dyn] node holding the unforced
     continuation.  Sync objects are interned to dense code-local indices
@@ -155,7 +156,9 @@ end
     {!compile}; the constructor API above stays the frontend, so workloads
     never see this type. *)
 module Code : sig
-  type nonrec t = {
+  type program := t
+
+  type t = {
     op : int array;  (** op tag, one of the [op_*] constants below *)
     a : int array;
         (** first operand: span (compute/io), sync-object index, cond index
@@ -173,15 +176,16 @@ module Code : sig
     conds : Cond.t array;
     sems : Sem.t array;
     ksems : Sem.t array;
-        (** kernel-semaphore index space, separate from [sems]: user and
-            kernel semaphore state live in separate backend tables *)
+        (** kernel-semaphore index space, separate from [sems]: FastThreads
+            keeps user and kernel semaphore state in separate tables (the
+            kernel-thread backends resolve both spaces to one kernel
+            table) *)
     fork_sites : int;  (** number of fork sites (bounds bind-list length) *)
-    konts : (thread_id -> t) array;
-        (** the unforced continuations [op_dyn] nodes hold ([t] here is
-            the program type) *)
+    konts : (thread_id -> program) array;
+        (** the unforced continuations [op_dyn] nodes hold *)
   }
 
-  (** Interpreters dispatch with a [match] on the raw tag (a jump table);
+  (** Backends dispatch with a [match] on the raw tag (a jump table);
       these constants exist so they can assert the numbering at init. *)
 
   val op_done : int  (** = 0 *)
@@ -223,15 +227,33 @@ module Code : sig
   val op_dyn : int
   (** = 18: apply [konts.(a)] to the thread id bound at fork site [b] (any
       id when [b = -1]), compile the result ({!compile}) and continue at
-      its entry.  The interpreter flushes pending charges first, so the
-      forcing happens at exactly the simulated instant program order
-      reaches it, and the node itself is not a program step. *)
+      its entry.  Backends flush pending charges first, so the forcing
+      happens at exactly the simulated instant program order reaches it,
+      and the node itself is not a program step. *)
 
   val length : t -> int
+
+  (** A thread's fork bindings, [(site, child id)] for each fork it has
+      run in its current arena; empty again after each [op_dyn]. *)
+
+  val join_target : (int * thread_id) list -> int -> thread_id
+  (** [join_target binds a] is the thread an [op_join] with operand [a]
+      joins: [a] itself when [a >= 0], else the child bound at fork site
+      [-(a+1)], or [0] (no thread's id) when that fork has not run.
+      Callers reject ids they do not know. *)
+
+  val force : t -> int -> (int * thread_id) list -> program
+  (** [force code pc binds] forces the continuation of the [op_dyn] at
+      [pc], passing the child bound at its fork site. *)
 end
 
 val compile : ?budget:int -> t -> Code.t
 (** Force the program tree into a {!Code.t} arena (root entry at pc 0).
+    Given the physically same program and budget as the previous call, it
+    returns the previous arena, so jobs that submit one program value
+    share one arena.  That one-entry cache is an ephemeron keyed on the
+    program, so a cached arena never outlives its program.
+
     Total: every program compiles.  Fork continuations are forced
     symbolically with a per-site sentinel thread id; [Join] on a sentinel
     compiles to a fork-site reference resolved at run time through the
@@ -255,12 +277,3 @@ val null : t
 
 val compute_only : span -> t
 (** A thread that computes for [span] then exits. *)
-
-val op_count : t -> max:int -> int
-(** Statically walk the program, counting operations up to [max] (programs
-    can be infinite through recursion; [max] bounds the walk).  For tests. *)
-
-val pp : Format.formatter -> t -> unit
-(** Render the program's structure (operations and spans; continuations are
-    followed, forks recurse).  Deep or recursive programs are elided with
-    ["..."] past a depth/length budget.  For debugging and tests. *)

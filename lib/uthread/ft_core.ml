@@ -739,13 +739,7 @@ and flat_io s d tcb lk span =
   d.block_io tcb span tcb.k_run
 
 and flat_join_target s tcb operand =
-  let tid =
-    if operand >= 0 then operand
-    else
-      match List.assoc_opt (-operand - 1) tcb.binds with
-      | Some t -> t
-      | None -> invalid_arg "Join: unknown thread id"
-  in
+  let tid = Pcode.join_target tcb.binds operand in
   if tid < 1 || tid > s.next_tid then invalid_arg "Join: unknown thread id";
   s.threads.(tid)
 
@@ -967,12 +961,8 @@ and commit_acquire s d tcb lk ms =
    any host effect of forcing lands at the instant program order reaches
    it. *)
 and flat_dyn s d tcb lk =
-  let code = lk.lcode in
-  let pc = tcb.pc in
-  let site = Array.unsafe_get code.Pcode.b pc in
-  let tid = if site < 0 then 0 else List.assoc site tcb.binds in
-  let k = code.Pcode.konts.(Array.unsafe_get code.Pcode.a pc) in
-  let lk = link_code s (Program.compile (k tid)) in
+  let k = Pcode.force lk.lcode tcb.pc tcb.binds in
+  let lk = link_code s (Program.compile k) in
   tcb.pc <- 0;
   tcb.binds <- [];
   install_flat s d tcb lk;

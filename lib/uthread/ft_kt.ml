@@ -22,7 +22,6 @@ type t = {
 let core t = t.core_state
 let space t = t.space
 let completion_time t = t.done_at
-let is_finished t = match t.done_at with None -> false | Some _ -> true
 
 let driver t =
   match t.driver with Some d -> d | None -> assert false

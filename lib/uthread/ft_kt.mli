@@ -35,5 +35,3 @@ val space : t -> Sa_kernel.Kernel.space
 
 val completion_time : t -> Sa_engine.Time.t option
 (** Simulated instant the last thread finished, once finished. *)
-
-val is_finished : t -> bool

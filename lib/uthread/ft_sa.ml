@@ -36,8 +36,6 @@ type t = {
 let core t = t.core_state
 let space t = Option.get t.space
 let completion_time t = t.done_at
-let is_finished t = match t.done_at with None -> false | Some _ -> true
-let pending_recoveries t = List.length t.pending_recovery
 let driver t = Option.get t.driver
 
 let grow_by_id a id fill =

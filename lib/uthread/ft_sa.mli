@@ -42,11 +42,6 @@ val start : t -> Sa_program.Program.t -> unit
 val core : t -> Ft_core.state
 val space : t -> Sa_kernel.Kernel.space
 val completion_time : t -> Sa_engine.Time.t option
-val is_finished : t -> bool
-
-val pending_recoveries : t -> int
-(** Threads stopped inside a critical section and awaiting temporary
-    continuation (diagnostics). *)
 
 (** {1 Cluster migration} *)
 

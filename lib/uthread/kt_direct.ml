@@ -6,6 +6,7 @@ module Buffer_cache = Sa_hw.Buffer_cache
 module Io_device = Sa_hw.Io_device
 module Kernel = Sa_kernel.Kernel
 module Program = Sa_program.Program
+module Code = Program.Code
 
 type flavor = [ `Topaz | `Ultrix ]
 
@@ -13,15 +14,26 @@ type thr = {
   th_id : int;
   mutable th_done : bool;
   mutable th_join_wakes : (unit -> unit) list;
+  mutable binds : (int * int) list;  (* fork site -> child tid *)
 }
 
 type kmutex = {
-  mutable km_holder : int option;  (* DSL thread id *)
+  mutable km_holder : int;  (* DSL thread id; 0 when free *)
   km_waiters : (int * (unit -> unit)) Queue.t;
 }
 
-type kcond = { kc_waiters : (int * Program.Mutex.t * (unit -> unit)) Queue.t }
 type ksem = { mutable ks_count : int; ks_waiters : (unit -> unit) Queue.t }
+
+(* An arena linked against this job's sync tables.  Every semaphore is a
+   kernel semaphore on these systems, so [sems] and [ksems] both resolve
+   to the one kernel-semaphore table. *)
+type link = {
+  code : Code.t;
+  lmut : kmutex array;
+  lcond : (unit -> unit) Queue.t array;  (* condition waiters *)
+  lsem : ksem array;
+  lksem : ksem array;
+}
 
 type t = {
   kernel : Kernel.t;
@@ -33,9 +45,10 @@ type t = {
   on_done : unit -> unit;
   threads : (int, thr) Hashtbl.t;
   kmutexes : (int, kmutex) Hashtbl.t;
-  kconds : (int, kcond) Hashtbl.t;
+  kconds : (int, (unit -> unit) Queue.t) Hashtbl.t;
   ksems : (int, ksem) Hashtbl.t;
   cache_waiters : (int, (unit -> unit) list) Hashtbl.t;
+      (* blocks being filled -> threads waiting on the fill *)
   mutable next_tid : int;
   mutable live : int;
   mutable done_at : Time.t option;
@@ -44,8 +57,6 @@ type t = {
 
 let space t = t.sp
 let completion_time t = t.done_at
-let is_finished t = match t.done_at with None -> false | Some _ -> true
-let live_threads t = t.live
 
 (* Live kernel-thread counter track, plus fork/exit markers: the visible
    cost driver of this backend is the sheer number of kernel threads. *)
@@ -60,32 +71,44 @@ let trace_live t ~tid marker =
       (float_of_int t.live)
   end
 
-let kmutex t m =
-  let id = Program.Mutex.id m in
-  match Hashtbl.find_opt t.kmutexes id with
-  | Some km -> km
+let find_or_add tbl id make =
+  match Hashtbl.find_opt tbl id with
+  | Some x -> x
   | None ->
-      let km = { km_holder = None; km_waiters = Queue.create () } in
-      Hashtbl.replace t.kmutexes id km;
-      km
+      let x = make () in
+      Hashtbl.replace tbl id x;
+      x
 
-let kcond t c =
-  let id = Program.Cond.id c in
-  match Hashtbl.find_opt t.kconds id with
-  | Some kc -> kc
-  | None ->
-      let kc = { kc_waiters = Queue.create () } in
-      Hashtbl.replace t.kconds id kc;
-      kc
+let link t code =
+  let ksem s =
+    find_or_add t.ksems (Program.Sem.id s) (fun () ->
+        { ks_count = Program.Sem.initial s; ks_waiters = Queue.create () })
+  in
+  {
+    code;
+    lmut =
+      Array.map
+        (fun m ->
+          find_or_add t.kmutexes (Program.Mutex.id m) (fun () ->
+              { km_holder = 0; km_waiters = Queue.create () }))
+        code.Code.mutexes;
+    lcond =
+      Array.map
+        (fun cv ->
+          find_or_add t.kconds (Program.Cond.id cv) Queue.create)
+        code.Code.conds;
+    lsem = Array.map ksem code.Code.sems;
+    lksem = Array.map ksem code.Code.ksems;
+  }
 
-let ksem t s =
-  let id = Program.Sem.id s in
-  match Hashtbl.find_opt t.ksems id with
-  | Some ks -> ks
-  | None ->
-      let ks = { ks_count = Program.Sem.initial s; ks_waiters = Queue.create () } in
-      Hashtbl.replace t.ksems id ks;
-      ks
+let new_thr t =
+  t.next_tid <- t.next_tid + 1;
+  let thr =
+    { th_id = t.next_tid; th_done = false; th_join_wakes = []; binds = [] }
+  in
+  Hashtbl.replace t.threads thr.th_id thr;
+  t.live <- t.live + 1;
+  thr
 
 (* Flavor-dependent operation costs. *)
 let c_fork t c = match t.flavor with `Topaz -> c.Cost_model.kt_fork | `Ultrix -> c.Cost_model.up_fork
@@ -99,19 +122,81 @@ let c_wait t c = match t.flavor with `Topaz -> c.Cost_model.kt_wait | `Ultrix ->
 let release_mutex t km =
   match Queue.take_opt km.km_waiters with
   | Some (tid, wake) ->
-      km.km_holder <- Some tid;
+      km.km_holder <- tid;
       wake ();
       (Kernel.costs t.kernel).Cost_model.kt_wake
   | None ->
-      km.km_holder <- None;
+      km.km_holder <- 0;
       0
 
-let rec exec t thr (ops : Kernel.kt_ops) prog =
+(* Uncontended: user-level test-and-set, no kernel trap.  Contended: block
+   in the kernel until the holder hands the mutex over, re-checking at the
+   end of the kernel entry path — the holder may have released
+   meanwhile. *)
+let acquire thr (ops : Kernel.kt_ops) c km k =
+  ops.Kernel.kt_charge c.Cost_model.ut_lock (fun () ->
+      if km.km_holder = 0 then begin
+        km.km_holder <- thr.th_id;
+        k ()
+      end
+      else
+        ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
+            if km.km_holder = 0 then begin
+              km.km_holder <- thr.th_id;
+              k ()
+            end
+            else
+              ops.Kernel.kt_block_on
+                ~register:(fun wake ->
+                  Queue.add (thr.th_id, wake) km.km_waiters)
+                k))
+
+(* Cache miss: block for the fill I/O, then wake every thread that
+   coalesced on it. *)
+let fill_block t (ops : Kernel.kt_ops) c cache block k =
+  Hashtbl.replace t.cache_waiters block [];
+  ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
+      let fill_done () =
+        Buffer_cache.fill cache block;
+        (match Hashtbl.find_opt t.cache_waiters block with
+        | Some wakes ->
+            Hashtbl.remove t.cache_waiters block;
+            List.iter (fun w -> w ()) (List.rev wakes)
+        | None -> ());
+        k ()
+      in
+      match t.io_dev with
+      | Some dev ->
+          ops.Kernel.kt_block_on
+            ~register:(fun wake -> Io_device.submit dev wake)
+            fill_done
+      | None -> ops.Kernel.kt_block_for c.Cost_model.io_latency fill_done)
+
+(* Miss on a block another thread is filling: wait for that fill.  The
+   check is redone at the end of the kernel entry path, as for a contended
+   mutex: a fill that completed meanwhile has no waiter left to wake. *)
+let await_fill t (ops : Kernel.kt_ops) c block k =
+  ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
+      match Hashtbl.find_opt t.cache_waiters block with
+      | None -> k ()
+      | Some _ ->
+          ops.Kernel.kt_block_on
+            ~register:(fun wake ->
+              Hashtbl.replace t.cache_waiters block
+                (wake :: Hashtbl.find t.cache_waiters block))
+            k)
+
+(* Step the op at [pc] of [lk]'s arena: one [kt_charge] per op, no
+   batching.  [op_dyn] forces its continuation when execution reaches it
+   and continues at the entry of the arena that compiles to.  Matches on
+   the raw op tags, whose numbering [Ft_core] asserts at init. *)
+let rec step t thr (ops : Kernel.kt_ops) lk pc =
+  let code = lk.code in
   let c = Kernel.costs t.kernel in
-  let continue k () = exec t thr ops (k ()) in
-  match prog with
-  | Program.Dynamic p -> exec t thr ops p
-  | Program.Done ->
+  let arg = code.Code.a.(pc) in
+  let next () = step t thr ops lk code.Code.nx.(pc) in
+  match code.Code.op.(pc) with
+  | 0 (* done *) ->
       ops.Kernel.kt_charge (c_exit t c) (fun () ->
           thr.th_done <- true;
           t.live <- t.live - 1;
@@ -124,155 +209,101 @@ let rec exec t thr (ops : Kernel.kt_ops) prog =
             t.on_done ()
           end;
           ops.Kernel.kt_exit ())
-  | Program.Compute (span, k) -> ops.Kernel.kt_charge span (continue k)
-  | Program.Fork (child_prog, k) ->
-      ops.Kernel.kt_charge (c_fork t c) (fun () ->
-          t.next_tid <- t.next_tid + 1;
-          let ctid = t.next_tid in
-          let child = { th_id = ctid; th_done = false; th_join_wakes = [] } in
-          Hashtbl.replace t.threads ctid child;
-          t.live <- t.live + 1;
-          trace_live t ~tid:ctid "kt:fork";
-          ignore
-            (Kernel.spawn_kthread t.kernel t.sp
-               ~name:(Printf.sprintf "dsl-t%d" ctid)
-               ~body:(fun cops -> exec t child cops child_prog)
-               ());
-          exec t thr ops (k ctid))
-  | Program.Join (tid, k) -> (
-      match Hashtbl.find_opt t.threads tid with
-      | None -> invalid_arg "Kt_direct: join on unknown thread"
-      | Some target ->
-          ops.Kernel.kt_charge (c_join t c) (fun () ->
-              if target.th_done then exec t thr ops (k ())
-              else
-                ops.Kernel.kt_block_on
-                  ~register:(fun wake ->
-                    target.th_join_wakes <- wake :: target.th_join_wakes)
-                  (continue k)))
-  | Program.Acquire (m, k) ->
-      let km = kmutex t m in
-      (* Uncontended: user-level test-and-set, no kernel trap. *)
-      ops.Kernel.kt_charge c.Cost_model.ut_lock (fun () ->
-          match km.km_holder with
-          | None ->
-              km.km_holder <- Some thr.th_id;
-              exec t thr ops (k ())
-          | Some _ ->
-              (* Contended: block in the kernel until the holder releases.
-                 Re-check at the end of the kernel entry path — the holder
-                 may have released meanwhile. *)
-              ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
-                  match km.km_holder with
-                  | None ->
-                      km.km_holder <- Some thr.th_id;
-                      exec t thr ops (k ())
-                  | Some _ ->
-                      ops.Kernel.kt_block_on
-                        ~register:(fun wake ->
-                          Queue.add (thr.th_id, wake) km.km_waiters)
-                        (continue k)))
-  | Program.Release (m, k) ->
-      let km = kmutex t m in
+  | 1 (* compute *) -> ops.Kernel.kt_charge arg next
+  | 2 (* acquire *) -> acquire thr ops c lk.lmut.(arg) next
+  | 3 (* release *) ->
+      let km = lk.lmut.(arg) in
       ops.Kernel.kt_charge c.Cost_model.ut_unlock (fun () ->
-          (match km.km_holder with
-          | Some h when h = thr.th_id -> ()
-          | Some _ | None -> invalid_arg "Kt_direct: release by non-holder");
+          if km.km_holder <> thr.th_id then
+            invalid_arg "Kt_direct: release by non-holder";
           let extra = release_mutex t km in
-          if extra > 0 then ops.Kernel.kt_charge extra (continue k)
-          else exec t thr ops (k ()))
-  | Program.Wait (cv, m, k) ->
-      let kc = kcond t cv in
-      let km = kmutex t m in
+          if extra > 0 then ops.Kernel.kt_charge extra next else next ())
+  | 4 (* wait *) ->
+      let kc = lk.lcond.(arg) and km = lk.lmut.(code.Code.b.(pc)) in
       ops.Kernel.kt_charge (c_wait t c) (fun () ->
-          (match km.km_holder with
-          | Some h when h = thr.th_id -> ()
-          | Some _ | None -> invalid_arg "Kt_direct: wait without mutex");
+          if km.km_holder <> thr.th_id then
+            invalid_arg "Kt_direct: wait without mutex";
           ignore (release_mutex t km);
           ops.Kernel.kt_block_on
-            ~register:(fun wake -> Queue.add (thr.th_id, m, wake) kc.kc_waiters)
-            (fun () -> exec t thr ops (Program.Acquire (m, k))))
-  | Program.Signal (cv, k) ->
-      let kc = kcond t cv in
+            ~register:(fun wake -> Queue.add wake kc)
+            (fun () -> acquire thr ops c km next))
+  | 5 (* signal *) ->
+      let kc = lk.lcond.(arg) in
       ops.Kernel.kt_charge (c_signal t c) (fun () ->
-          (match Queue.take_opt kc.kc_waiters with
-          | Some (_tid, _m, wake) -> wake ()
+          (match Queue.take_opt kc with
+          | Some wake -> wake ()
           | None -> ());
-          exec t thr ops (k ()))
-  | Program.Broadcast (cv, k) ->
-      let kc = kcond t cv in
+          next ())
+  | 6 (* broadcast *) ->
+      let kc = lk.lcond.(arg) in
       ops.Kernel.kt_charge (c_signal t c) (fun () ->
-          Queue.iter (fun (_tid, _m, wake) -> wake ()) kc.kc_waiters;
-          Queue.clear kc.kc_waiters;
-          exec t thr ops (k ()))
-  | Program.Sem_p (s, k) | Program.Ksem_p (s, k) ->
-      (* All semaphores are kernel semaphores in these systems. *)
-      let ks = ksem t s in
+          Queue.iter (fun wake -> wake ()) kc;
+          Queue.clear kc;
+          next ())
+  | (7 | 9) as op (* sem_p, ksem_p *) ->
+      let ks = (if op = 7 then lk.lsem else lk.lksem).(arg) in
       ops.Kernel.kt_charge (c_wait t c) (fun () ->
           if ks.ks_count > 0 then begin
             ks.ks_count <- ks.ks_count - 1;
-            exec t thr ops (k ())
+            next ()
           end
           else
             ops.Kernel.kt_block_on
               ~register:(fun wake -> Queue.add wake ks.ks_waiters)
-              (continue k))
-  | Program.Sem_v (s, k) | Program.Ksem_v (s, k) ->
-      let ks = ksem t s in
+              next)
+  | (8 | 10) as op (* sem_v, ksem_v *) ->
+      let ks = (if op = 8 then lk.lsem else lk.lksem).(arg) in
       ops.Kernel.kt_charge (c_signal t c) (fun () ->
           (match Queue.take_opt ks.ks_waiters with
           | Some wake -> wake ()
           | None -> ks.ks_count <- ks.ks_count + 1);
-          exec t thr ops (k ()))
-  | Program.Io (span, k) ->
+          next ())
+  | 11 (* fork *) ->
+      ops.Kernel.kt_charge (c_fork t c) (fun () ->
+          let child = new_thr t in
+          trace_live t ~tid:child.th_id "kt:fork";
+          thr.binds <- (code.Code.b.(pc), child.th_id) :: thr.binds;
+          ignore
+            (Kernel.spawn_kthread t.kernel t.sp
+               ~name:(Printf.sprintf "dsl-t%d" child.th_id)
+               ~body:(fun cops -> step t child cops lk arg)
+               ());
+          next ())
+  | 12 (* join *) -> (
+      match Hashtbl.find_opt t.threads (Code.join_target thr.binds arg) with
+      | None -> invalid_arg "Kt_direct: join on unknown thread"
+      | Some target ->
+          ops.Kernel.kt_charge (c_join t c) (fun () ->
+              if target.th_done then next ()
+              else
+                ops.Kernel.kt_block_on
+                  ~register:(fun wake ->
+                    target.th_join_wakes <- wake :: target.th_join_wakes)
+                  next))
+  | 13 (* io *) ->
       ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
-          ops.Kernel.kt_block_for span (continue k))
-  | Program.Cache_read (block, k) -> (
+          ops.Kernel.kt_block_for arg next)
+  | 14 (* cache_read *) -> (
       match t.cache with
-      | None -> ops.Kernel.kt_charge c.Cost_model.procedure_call (continue k)
+      | None -> ops.Kernel.kt_charge c.Cost_model.procedure_call next
       | Some cache ->
           ops.Kernel.kt_charge c.Cost_model.procedure_call (fun () ->
-              match Buffer_cache.access cache block with
-              | Buffer_cache.Hit -> exec t thr ops (k ())
-              | Buffer_cache.Miss ->
-                  ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
-                      let do_block fill_done =
-                        match t.io_dev with
-                        | Some dev ->
-                            ops.Kernel.kt_block_on
-                              ~register:(fun wake -> Io_device.submit dev wake)
-                              fill_done
-                        | None ->
-                            ops.Kernel.kt_block_for c.Cost_model.io_latency
-                              fill_done
-                      in
-                      do_block
-                        (fun () ->
-                          Buffer_cache.fill cache block;
-                          (match Hashtbl.find_opt t.cache_waiters block with
-                          | Some wakes ->
-                              Hashtbl.remove t.cache_waiters block;
-                              List.iter (fun w -> w ()) (List.rev wakes)
-                          | None -> ());
-                          exec t thr ops (k ())))
-              | Buffer_cache.Miss_in_flight ->
-                  ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
-                      ops.Kernel.kt_block_on
-                        ~register:(fun wake ->
-                          let old =
-                            Option.value ~default:[]
-                              (Hashtbl.find_opt t.cache_waiters block)
-                          in
-                          Hashtbl.replace t.cache_waiters block (wake :: old))
-                        (continue k))))
-  | Program.Yield k -> ops.Kernel.kt_yield (continue k)
-  | Program.Stamp (id, k) ->
-      t.observer id (Sim.now (Kernel.sim t.kernel));
-      exec t thr ops (k ())
-  | Program.Set_priority (_, k) ->
+              match Buffer_cache.access cache arg with
+              | Buffer_cache.Hit -> next ()
+              | Buffer_cache.Miss -> fill_block t ops c cache arg next
+              | Buffer_cache.Miss_in_flight -> await_fill t ops c arg next))
+  | 15 (* yield *) -> ops.Kernel.kt_yield next
+  | 16 (* stamp *) ->
+      t.observer arg (Sim.now (Kernel.sim t.kernel));
+      next ()
+  | 17 (* set_priority *) ->
       (* Kernel threads are scheduled obliviously of user-level priorities;
          honouring them would need kernel changes (Section 2.2's point). *)
-      ops.Kernel.kt_charge c.Cost_model.procedure_call (continue k)
+      ops.Kernel.kt_charge c.Cost_model.procedure_call next
+  | _ (* dyn *) ->
+      let lk = link t (Program.compile (Code.force code pc thr.binds)) in
+      thr.binds <- [];
+      step t thr ops lk 0
 
 let create kernel ~name ~flavor ?(priority = 0) ?cache ?io_dev
     ?(observer = fun _ _ -> ()) ?(on_done = fun () -> ()) () =
@@ -299,11 +330,9 @@ let create kernel ~name ~flavor ?(priority = 0) ?cache ?io_dev
 let start t prog =
   if t.started then invalid_arg "Kt_direct.start: already started";
   t.started <- true;
-  t.next_tid <- t.next_tid + 1;
-  let root = { th_id = t.next_tid; th_done = false; th_join_wakes = [] } in
-  Hashtbl.replace t.threads root.th_id root;
-  t.live <- 1;
+  let root = new_thr t in
+  let lk = link t (Program.compile prog) in
   ignore
     (Kernel.spawn_kthread t.kernel t.sp ~name:"dsl-main"
-       ~body:(fun ops -> exec t root ops prog)
+       ~body:(fun ops -> step t root ops lk 0)
        ())

@@ -6,7 +6,13 @@
     Synchronization goes through the kernel: an uncontended application
     lock is a user-level test-and-set, but a contended one blocks the kernel
     thread (Section 5.3's discussion of Figure 1); condition variables and
-    semaphores always trap. *)
+    semaphores always trap, and user and kernel semaphore ops reach the same
+    kernel semaphore.
+
+    Each thread steps the program's compiled arena
+    ({!Sa_program.Program.compile}) by pc, as the FastThreads backends do,
+    but issues one kernel charge per operation with no batching.  An
+    [op_dyn] continuation is forced when execution reaches it. *)
 
 type flavor = [ `Topaz | `Ultrix ]
 
@@ -29,5 +35,3 @@ val create :
 val start : t -> Sa_program.Program.t -> unit
 val space : t -> Sa_kernel.Kernel.space
 val completion_time : t -> Sa_engine.Time.t option
-val is_finished : t -> bool
-val live_threads : t -> int

@@ -1,9 +1,11 @@
-(* Frozen reference observations for the thread-program interpreter.
+(* Frozen reference observations for the thread-program backends.
 
-   The FastThreads backends run every [Program.t] through one interpreter:
-   the compiled flat step loop, with lazy [op_dyn] nodes where eager
-   compilation cannot be used.  Its behaviour is pinned against
-   observations recorded once from the one-event-per-charge CPS walker it
+   Every backend runs a [Program.t] from the arena [Program.compile]
+   builds, with lazy [op_dyn] nodes where eager compilation cannot be
+   used: the FastThreads backends through [Ft_core]'s batched step loop,
+   Topaz threads and Ultrix processes through [Kt_direct]'s
+   one-charge-per-op stepper.  Their behaviour is pinned against
+   observations recorded once from the CPS tree walkers those steppers
    replaced (the simulator is deterministic, so the recording stands as a
    fixed oracle).  This module holds everything both sides of that
    comparison must agree on: the random program generator, the named

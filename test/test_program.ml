@@ -82,6 +82,11 @@ let build_tests =
             | P.Compute (42, _) -> ()
             | _ -> Alcotest.fail "tid not threaded through")
         | _ -> Alcotest.fail "expected Fork");
+    Alcotest.test_case "null and compute_only" `Quick (fun () ->
+        check Alcotest.bool "null" true (P.null = P.Done);
+        match P.compute_only 5 with
+        | P.Compute (5, k) -> check Alcotest.bool "then done" true (k () = P.Done)
+        | _ -> Alcotest.fail "expected Compute");
   ]
 
 let object_tests =
@@ -105,62 +110,6 @@ let object_tests =
         Alcotest.check_raises "negative"
           (Invalid_argument "Sem.create: negative initial") (fun () ->
             ignore (P.Sem.create ~initial:(-1) ())));
-  ]
-
-let walk_tests =
-  [
-    Alcotest.test_case "op_count counts all ops" `Quick (fun () ->
-        let p =
-          B.to_program
-            (let open B in
-             let* () = compute 1 in
-             let* _ = fork (P.compute_only 2) in
-             let* () = yield in
-             compute 3)
-        in
-        (* compute + fork + (child compute) + yield + compute = 5 *)
-        check Alcotest.int "count" 5 (P.op_count p ~max:100));
-    Alcotest.test_case "op_count bounded on deep programs" `Quick (fun () ->
-        let p = B.to_program (B.repeat 1_000_000 (fun _ -> B.compute 1)) in
-        check Alcotest.int "capped" 10 (P.op_count p ~max:10));
-    Alcotest.test_case "null and compute_only" `Quick (fun () ->
-        check Alcotest.bool "null" true (P.null = P.Done);
-        check Alcotest.int "compute_only" 1 (P.op_count (P.compute_only 5) ~max:10));
-  ]
-
-let pp_tests =
-  [
-    Alcotest.test_case "pp renders a simple program" `Quick (fun () ->
-        let m = P.Mutex.create ~name:"mtx" () in
-        let p =
-          B.to_program
-            (let open B in
-             let* () = compute (Sa_engine.Time.us 5) in
-             critical m (compute (Sa_engine.Time.us 1)))
-        in
-        let out = Format.asprintf "%a" P.pp p in
-        check Alcotest.bool "mentions compute" true
-          (String.length out > 0
-          &&
-          let has sub =
-            let n = String.length out and m = String.length sub in
-            let rec go i = i + m <= n && (String.sub out i m = sub || go (i + 1)) in
-            go 0
-          in
-          has "compute" && has "acquire(mtx)" && has "release(mtx)" && has "done"));
-    Alcotest.test_case "pp elides unbounded programs" `Quick (fun () ->
-        let p = B.to_program (B.repeat 100000 (fun _ -> B.compute 1)) in
-        let out = Format.asprintf "%a" P.pp p in
-        check Alcotest.bool "bounded output" true (String.length out < 10_000));
-    Alcotest.test_case "pp recurses into forks" `Quick (fun () ->
-        let p =
-          B.to_program
-            (let open B in
-             let* _ = fork (P.compute_only 3) in
-             return ())
-        in
-        let out = Format.asprintf "%a" P.pp p in
-        check Alcotest.bool "has fork braces" true (String.contains out '{'));
   ]
 
 (* [Program.compile] is total: where eager forcing cannot be used it ends
@@ -244,6 +193,38 @@ let totality_tests =
              join t)
         in
         check Alcotest.bool "no op_dyn" false (has_dyn (P.compile prog)));
+    Alcotest.test_case "one program value compiles to one shared arena"
+      `Quick (fun () ->
+        let mk () = B.to_program (B.repeat 3 (fun _ -> B.compute 1)) in
+        let p = mk () in
+        let code = P.compile p in
+        check Alcotest.bool "same value, same arena" true (P.compile p == code);
+        check Alcotest.bool "another value compiles afresh" false
+          (P.compile (mk ()) == code);
+        let code = P.compile p in
+        check Alcotest.bool "another budget compiles afresh" false
+          (P.compile ~budget:2 p == code);
+        check Alcotest.bool "back to the default budget" false
+          (P.compile p == code));
+    Alcotest.test_case "fork sites resolve through the thread's bindings"
+      `Quick (fun () ->
+        let binds = [ (1, 9); (0, 7) ] in
+        check (Alcotest.list Alcotest.int) "join targets" [ 5; 7; 9; 0 ]
+          (List.map (P.Code.join_target binds) [ 5; -1; -2; -3 ]);
+        (* The child's id is used as data, so the fork's continuation
+           stays lazy and is forced with the bound id. *)
+        let code =
+          P.compile
+            (B.to_program
+               (let open B in
+                let* tid = fork P.null in
+                stamp tid))
+        in
+        let pc = code.P.Code.nx.(0) in
+        check Alcotest.int "fork then op_dyn" P.Code.op_dyn code.P.Code.op.(pc);
+        match P.Code.force code pc [ (0, 42) ] with
+        | P.Stamp (42, _) -> ()
+        | _ -> Alcotest.fail "expected the bound child id");
   ]
 
 let () =
@@ -251,7 +232,5 @@ let () =
     [
       ("build", build_tests);
       ("objects", object_tests);
-      ("walk", walk_tests);
-      ("pp", pp_tests);
       ("compile", totality_tests);
     ]

@@ -223,6 +223,35 @@ let semaphores_order =
       check (Alcotest.list Alcotest.int) "v before wakeup" [ 1; 2 ]
         (List.map fst stamps))
 
+(* Topaz threads and Ultrix processes have only kernel semaphores: a V
+   through either op reaches a P through the other.  Original FastThreads
+   keeps user and kernel semaphores apart, so there the P never returns. *)
+let semaphores_shared =
+  List.map
+    (fun (bname, backend, shared) ->
+      Alcotest.test_case
+        (Printf.sprintf "user and kernel ops reach one semaphore [%s]" bname)
+        `Quick (fun () ->
+          List.iter
+            (fun (v, p) ->
+              let s = P.Sem.create ~initial:0 () in
+              let sys = System.create ~cpus:1 ~kconfig:Kconfig.native () in
+              let job =
+                System.submit sys ~backend ~name:"sems"
+                  (B.to_program
+                     (let open B in
+                      let* () = v s in
+                      p s))
+              in
+              (try System.run ~horizon:(Time.s 1) sys with Failure _ -> ());
+              check Alcotest.bool "finished" shared (System.finished job))
+            [ (B.sem_v, B.ksem_p); (B.ksem_v, B.sem_p) ]))
+    [
+      ("topaz", `Topaz_kthreads, true);
+      ("ultrix", `Ultrix_processes, true);
+      ("orig-ft", `Fastthreads_on_kthreads 1, false);
+    ]
+
 (* Condition-variable tests handshake through a semaphore: the waiter V's
    [ready] while still holding the mutex, so by the time the signaller has
    P'd [ready] and re-acquired the mutex, the waiter is guaranteed to be on
@@ -331,6 +360,44 @@ let cache_miss_then_hit =
             (Time.span_to_ms (Time.diff t2 t1) < 1.0);
           ignore job
       | _ -> Alcotest.fail "expected two stamps")
+
+(* A read that finds the block's fill in flight charges the kernel entry
+   before it waits; the fill may complete inside that window.  The fill
+   lands about 50 ms (the I/O latency) after the first read, so sweeping
+   the second read across 49-51 ms in 10 us steps puts some sweep point
+   inside the 55 us entry. *)
+let cache_fill_during_entry =
+  List.map
+    (fun (bname, backend) ->
+      Alcotest.test_case
+        (Printf.sprintf "a read whose fill lands during its block path \
+                         wakes [%s]" bname)
+        `Quick (fun () ->
+          for step = 0 to 200 do
+            let second =
+              B.to_program
+                (let open B in
+                 let* () = compute (Time.us (49_000 + (10 * step))) in
+                 cache_read 0)
+            in
+            let prog =
+              B.to_program
+                (let open B in
+                 let* tid = fork second in
+                 let* () = cache_read 0 in
+                 join tid)
+            in
+            let sys = System.create ~cpus:2 ~kconfig:Kconfig.native () in
+            let job =
+              System.submit sys ~backend ~name:"t" ~cache_capacity:4
+                ~prewarm_cache:false prog
+            in
+            (try System.run ~horizon:(Time.s 1) sys with Failure _ -> ());
+            if not (System.finished job) then
+              Alcotest.failf "second reader started at step %d never woke"
+                step
+          done))
+    [ ("topaz", `Topaz_kthreads); ("ultrix", `Ultrix_processes) ]
 
 let yield_runs_peer =
   on_all_backends "yield lets a peer run" (fun kconfig backend ->
@@ -719,6 +786,21 @@ let misuse_tests =
         expect_program_error "bad-release-kt" Kconfig.native `Topaz_kthreads
           (B.to_program (B.release m))
           "Kt_direct: release by non-holder");
+    Alcotest.test_case "wait without the mutex is rejected (kt)" `Quick
+      (fun () ->
+        let m = P.Mutex.create () in
+        let cv = P.Cond.create () in
+        expect_program_error "bad-wait-kt" Kconfig.native `Topaz_kthreads
+          (B.to_program (B.wait cv m))
+          "Kt_direct: wait without mutex");
+    Alcotest.test_case "join on an unknown id is rejected (kt)" `Quick
+      (fun () ->
+        List.iter
+          (fun tid ->
+            expect_program_error "bad-join-kt" Kconfig.native `Topaz_kthreads
+              (B.to_program (B.join tid))
+              "Kt_direct: join on unknown thread")
+          [ 424242; 0; 2 ]);
     Alcotest.test_case "double start is rejected" `Quick (fun () ->
         let sys = System.create ~cpus:1 ~kconfig:Kconfig.default () in
         let kernel = System.kernel sys in
@@ -899,11 +981,11 @@ let () =
       ("deque", deque_tests);
       ("fork_join", fork_join_order);
       ("mutex", mutex_excludes);
-      ("semaphores", semaphores_order);
+      ("semaphores", semaphores_order @ semaphores_shared);
       ("condvars", condvar_wakeup);
       ("broadcast", broadcast_wakes_all);
       ("io", io_blocks_thread);
-      ("cache", cache_miss_then_hit);
+      ("cache", cache_miss_then_hit @ cache_fill_during_entry);
       ("yield", yield_runs_peer);
       ("fastthreads", ft_specific_tests);
       ("priorities", priority_tests @ cross_queue_priority_tests);
