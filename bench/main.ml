@@ -817,6 +817,20 @@ let program_bench =
   let spawn =
     Program.Build.(to_program (repeat 1000 (fun _ -> fork_unit leaf)))
   in
+  (* Fork 4000 children keeping their ids, then join them in fork order:
+     each join finds its child in O(1).  A per-join scan of the forker's
+     bindings makes this quadratic and fails the gate. *)
+  let join_by_id =
+    Program.Build.(
+      to_program
+        (let rec go i tids =
+           if i = 4000 then iter_list (List.rev tids) join
+           else
+             let* tid = fork leaf in
+             go (i + 1) (tid :: tids)
+         in
+         go 0 []))
+  in
   let run_one ?(cpus = 1) prog () =
     let sys = System.create ~cpus () in
     Sa_engine.Trace.set_recording (Sa_engine.Sim.trace (System.sim sys)) false;
@@ -832,6 +846,8 @@ let program_bench =
       Test.make ~name:"sync fast path x250" (Staged.stage (run_one locker));
       Test.make ~name:"fork-join spawn x1000"
         (Staged.stage (run_one ~cpus:4 spawn));
+      Test.make ~name:"fork-join by id x4000"
+        (Staged.stage (run_one ~cpus:4 join_by_id));
     ]
 
 (* One processor-allocator pass on a settled 64-CPU machine whose 24

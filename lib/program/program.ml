@@ -159,34 +159,51 @@ module Code = struct
         (* first operand: span (compute/io), sync-object index
            (acquire/release/signal/broadcast/sem/ksem), cond index (wait),
            child entry pc (fork), join target (>= 0: literal runtime tid;
-           < 0: [-(site+1)], resolved through the thread's fork bindings),
+           < 0: [-(slot+1)], resolved through the thread's fork bindings),
            block (cache_read), marker id (stamp), priority, continuation
            index (dyn) *)
     b : int array;
-        (* second operand: mutex index (wait), fork site (fork; dyn, or -1
+        (* second operand: mutex index (wait), fork slot (fork; dyn, or -1
            when the continuation takes no thread id) *)
     nx : int array;  (* next pc (-1 terminates: op_done and op_dyn) *)
     mutexes : Mutex.t array;  (* code-local index -> object *)
     conds : Cond.t array;
     sems : Sem.t array;
     ksems : Sem.t array;  (* separate index space: matches backend state *)
-    fork_sites : int;
     konts : (thread_id -> t) array;  (* unforced continuations (dyn) *)
   }
 
   let length c = Array.length c.op
 
-  (* The child a thread forked at [site] of its current arena; 0, which
-     is no thread's id, when that fork has not run. *)
-  let bound binds site =
-    match List.assoc_opt site binds with Some tid -> tid | None -> 0
+  (* A thread's fork bindings: the child forked at each slot of its
+     region, 0 (no thread's id) where that fork has not run.  Cells past
+     the end are unbound too, so a thread that never forks shares the one
+     empty array. *)
+  type binds = int array
+
+  let no_binds = [||]
+
+  let bind binds slot tid =
+    let n = Array.length binds in
+    let binds =
+      if slot < n then binds
+      else begin
+        let grown = Array.make (max (slot + 1) (2 * n)) 0 in
+        Array.blit binds 0 grown 0 n;
+        grown
+      end
+    in
+    binds.(slot) <- tid;
+    binds
+
+  let bound binds slot = if slot < Array.length binds then binds.(slot) else 0
 
   let join_target binds operand =
     if operand >= 0 then operand else bound binds (-operand - 1)
 
   let force c pc binds =
-    let site = c.b.(pc) in
-    c.konts.(c.a.(pc)) (if site < 0 then 0 else bound binds site)
+    let slot = c.b.(pc) in
+    c.konts.(c.a.(pc)) (if slot < 0 then 0 else bound binds slot)
 end
 
 (* Fork continuations are forced symbolically: each fork site hands its
@@ -218,6 +235,7 @@ type region = {
   mutable scope : int;
       (* earliest fork site whose sentinel the code being compiled may
          have captured, -1 for none *)
+  mutable slots : int;  (* fork slots numbered so far, 0, 1, 2, ... *)
   mutable cur : t;  (* the node to compile next *)
   mutable produced_by : unit -> t;
       (* the thunk whose forcing produced [cur]; [no_thunk] for the
@@ -283,14 +301,19 @@ let compile_once ~budget ~lazy_sites prog =
   let cidx c = intern tbl clst cn ((Cond.id c * 4) + 1) c in
   let sidx s = intern tbl slst sn ((Sem.id s * 4) + 2) s in
   let kidx s = intern tbl klst kn ((Sem.id s * 4) + 3) s in
+  (* Fork sites are numbered across the whole arena, only to name the
+     lazy site a retry leaves unforced.  At run time a fork is known by its
+     slot, numbered from 0 within its region. *)
   let nsites = ref 0 in
   (* Each compiled instruction has exactly one predecessor (subtrees are
      duplicated, never shared), so every instruction belongs to exactly one
      thread-straight-line region: the root is region 0, each fork child
-     opens a fresh region while the continuation stays in the forker's.  A
-     join on a site issued under a different region would look up a fork
-     binding its own thread never established, so it escapes like data.
-     Only sites whose continuation was forced with a sentinel are here. *)
+     opens a fresh region while the continuation stays in the forker's.
+     A thread runs one region of its arena, so a region's slots index
+     its thread's bindings.  A join on a site issued under a different
+     region would look up a fork binding its own thread never
+     established, so it escapes like data.  Only sites whose continuation
+     was forced with a sentinel are here, with their region and slot. *)
   let site_region = Hashtbl.create 16 in
   let next_region = ref 1 in
   (* Physically-shared fork children compile once and every fork site
@@ -308,8 +331,8 @@ let compile_once ~budget ~lazy_sites prog =
     if r.entry = -1 then r.entry <- pc else !nx.(r.last) <- pc;
     r.last <- pc
   in
-  let defer r site k =
-    link r (emit Code.op_dyn (add_kont k) site);
+  let defer r slot k =
+    link r (emit Code.op_dyn (add_kont k) slot);
     r.running <- false
   in
   (* A sentinel used as data: make the earliest site in scope lazy (a later
@@ -352,6 +375,7 @@ let compile_once ~budget ~lazy_sites prog =
         entry = -1;
         last = -1;
         scope;
+        slots = 0;
         cur = prog;
         produced_by = no_thunk;
         running = true;
@@ -398,7 +422,9 @@ let compile_once ~budget ~lazy_sites prog =
         | Fork (child, k) ->
             let site = !nsites in
             incr nsites;
-            let pc = emit Code.op_fork 0 site in
+            let slot = r.slots in
+            r.slots <- slot + 1;
+            let pc = emit Code.op_fork 0 slot in
             link r pc;
             let child_pc =
               match List.find_opt (fun (c, _) -> c == child) !child_memo with
@@ -412,15 +438,15 @@ let compile_once ~budget ~lazy_sites prog =
                   cpc
             in
             !a.(pc) <- child_pc;
-            if r.dyn then defer r site (fun tid -> Dynamic (k tid))
+            if r.dyn then defer r slot (fun tid -> Dynamic (k tid))
             else if List.mem site lazy_sites then begin
               (* The deferred continuation would capture any sentinel in
                  scope, which no run-time binding resolves. *)
               if r.scope >= 0 then raise (Lazy_site r.scope);
-              defer r site k
+              defer r slot k
             end
             else begin
-              Hashtbl.replace site_region site r.id;
+              Hashtbl.replace site_region site (r.id, slot);
               if r.scope < 0 then r.scope <- site;
               (* The sentinel is in scope from here: a [Dynamic] result or
                  a raise makes a site lazy (see [defer_current]). *)
@@ -437,8 +463,8 @@ let compile_once ~budget ~lazy_sites prog =
               if tid >= 0 then tid
               else
                 match Hashtbl.find_opt site_region (sentinel_base - tid) with
-                | Some reg when reg = r.id && is_sentinel tid ->
-                    -(sentinel_base - tid + 1)
+                | Some (reg, slot) when reg = r.id && is_sentinel tid ->
+                    -(slot + 1)
                 | Some _ | None ->
                     ignore (escape r tid);
                     (* no thread has a negative id: joining fails at run
@@ -487,7 +513,6 @@ let compile_once ~budget ~lazy_sites prog =
     conds = Array.of_list (List.rev !clst);
     sems = Array.of_list (List.rev !slst);
     ksems = Array.of_list (List.rev !klst);
-    fork_sites = !nsites;
     konts = Array.of_list (List.rev !konts);
   }
 

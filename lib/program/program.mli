@@ -163,12 +163,15 @@ module Code : sig
     a : int array;
         (** first operand: span (compute/io), sync-object index, cond index
             (wait), child entry pc (fork), join target ([>= 0] literal
-            runtime tid, [< 0] is [-(site+1)] resolved through the joining
+            runtime tid, [< 0] is [-(slot+1)] resolved through the joining
             thread's own fork bindings), block (cache_read), marker id
             (stamp), priority, index into [konts] (dyn) *)
     b : int array;
-        (** second operand: mutex index (wait), fork site (fork; dyn when
-            the continuation takes the forked child's id, else [-1]) *)
+        (** second operand: mutex index (wait), fork slot (fork; dyn when
+            the continuation takes the forked child's id, else [-1]).  A
+            fork's slot numbers it within its thread-straight-line region
+            (0, 1, 2, ... in program order); each thread runs one region
+            of its arena, so the slot indexes that thread's {!binds}. *)
     nx : int array;
         (** next pc ([-1] terminates; only [op_done] and [op_dyn] have
             [-1]) *)
@@ -180,7 +183,6 @@ module Code : sig
             keeps user and kernel semaphore state in separate tables (the
             kernel-thread backends resolve both spaces to one kernel
             table) *)
-    fork_sites : int;  (** number of fork sites (bounds bind-list length) *)
     konts : (thread_id -> program) array;
         (** the unforced continuations [op_dyn] nodes hold *)
   }
@@ -225,7 +227,7 @@ module Code : sig
   val op_set_priority : int  (** = 17 *)
 
   val op_dyn : int
-  (** = 18: apply [konts.(a)] to the thread id bound at fork site [b] (any
+  (** = 18: apply [konts.(a)] to the thread id bound at fork slot [b] (any
       id when [b = -1]), compile the result ({!compile}) and continue at
       its entry.  Backends flush pending charges first, so the forcing
       happens at exactly the simulated instant program order reaches it,
@@ -233,18 +235,30 @@ module Code : sig
 
   val length : t -> int
 
-  (** A thread's fork bindings, [(site, child id)] for each fork it has
-      run in its current arena; empty again after each [op_dyn]. *)
+  type binds
+  (** A thread's fork bindings in its current arena: an [int] array
+      indexed by fork slot, holding the child id forked there or [0] (no
+      thread's id) where that fork has not run; cells past the end are
+      unbound.  Lookups are O(1) and allocate nothing.  Each thread starts
+      with {!no_binds} and is reset to it after each [op_dyn]. *)
 
-  val join_target : (int * thread_id) list -> int -> thread_id
+  val no_binds : binds
+  (** The shared empty bindings. *)
+
+  val bind : binds -> int -> thread_id -> binds
+  (** [bind binds slot tid] records the child forked at [slot], in place
+      when the array reaches [slot], else in a copy grown by doubling; the
+      caller keeps the result.  Never writes into {!no_binds}. *)
+
+  val join_target : binds -> int -> thread_id
   (** [join_target binds a] is the thread an [op_join] with operand [a]
-      joins: [a] itself when [a >= 0], else the child bound at fork site
+      joins: [a] itself when [a >= 0], else the child bound at fork slot
       [-(a+1)], or [0] (no thread's id) when that fork has not run.
       Callers reject ids they do not know. *)
 
-  val force : t -> int -> (int * thread_id) list -> program
+  val force : t -> int -> binds -> program
   (** [force code pc binds] forces the continuation of the [op_dyn] at
-      [pc], passing the child bound at its fork site. *)
+      [pc], passing the child bound at its fork slot. *)
 end
 
 val compile : ?budget:int -> t -> Code.t
@@ -256,8 +270,8 @@ val compile : ?budget:int -> t -> Code.t
 
     Total: every program compiles.  Fork continuations are forced
     symbolically with a per-site sentinel thread id; [Join] on a sentinel
-    compiles to a fork-site reference resolved at run time through the
-    joining thread's own fork bindings.  Eager forcing stops at an
+    compiles to a fork-slot reference resolved at run time, in O(1),
+    through the joining thread's own fork bindings.  Eager forcing stops at an
     [op_dyn] node holding the unforced continuation:
     - inside a [Dynamic] subtree, after every node;
     - after a fork, when code compiled with its sentinel in scope uses a

@@ -61,7 +61,7 @@ type tcb = {
          re-acquire transition pending; 4-5 accumulator flushed, cell op /
          re-acquire pending *)
   mutable acc : int;  (* accumulated not-yet-charged compute (ns) *)
-  mutable binds : (int * int) list;  (* fork site -> spawned child tid *)
+  mutable binds : Pcode.binds;  (* fork slot -> spawned child tid *)
   (* Preallocated as one closure block per arena ([install_flat]). *)
   mutable k_step : unit -> unit;  (* enter step loop at pc *)
   mutable k_commit : unit -> unit;  (* post-charge commit *)
@@ -188,7 +188,7 @@ let blank_tcb tid =
     pc = 0;
     phase = 0;
     acc = 0;
-    binds = [];
+    binds = Pcode.no_binds;
     k_step = nop;
     k_commit = nop;
     k_run = nop;
@@ -842,12 +842,12 @@ and commit_op s d tcb lk =
       flat_advance s d tcb lk
   | 11 (* fork *) ->
       let child_pc = Array.unsafe_get code.Pcode.a pc in
-      let site = Array.unsafe_get code.Pcode.b pc in
+      let slot = Array.unsafe_get code.Pcode.b pc in
       let child = new_flat_thread s d lk ~pc:child_pc in
       child.prio <- tcb.prio;
       if child.prio <> 0 then s.has_priorities <- true;
       s.st.forks <- s.st.forks + 1;
-      tcb.binds <- (site, child.tid) :: tcb.binds;
+      tcb.binds <- Pcode.bind tcb.binds slot child.tid;
       make_ready s d ~at:tcb.binding child;
       flat_advance s d tcb lk
   | 12 (* join *) ->
@@ -964,7 +964,7 @@ and flat_dyn s d tcb lk =
   let k = Pcode.force lk.lcode tcb.pc tcb.binds in
   let lk = link_code s (Program.compile k) in
   tcb.pc <- 0;
-  tcb.binds <- [];
+  tcb.binds <- Pcode.no_binds;
   install_flat s d tcb lk;
   step_loop s d tcb lk
 

@@ -14,7 +14,7 @@ type thr = {
   th_id : int;
   mutable th_done : bool;
   mutable th_join_wakes : (unit -> unit) list;
-  mutable binds : (int * int) list;  (* fork site -> child tid *)
+  mutable binds : Code.binds;  (* fork slot -> child tid *)
 }
 
 type kmutex = {
@@ -104,7 +104,12 @@ let link t code =
 let new_thr t =
   t.next_tid <- t.next_tid + 1;
   let thr =
-    { th_id = t.next_tid; th_done = false; th_join_wakes = []; binds = [] }
+    {
+      th_id = t.next_tid;
+      th_done = false;
+      th_join_wakes = [];
+      binds = Code.no_binds;
+    }
   in
   Hashtbl.replace t.threads thr.th_id thr;
   t.live <- t.live + 1;
@@ -262,7 +267,7 @@ let rec step t thr (ops : Kernel.kt_ops) lk pc =
       ops.Kernel.kt_charge (c_fork t c) (fun () ->
           let child = new_thr t in
           trace_live t ~tid:child.th_id "kt:fork";
-          thr.binds <- (code.Code.b.(pc), child.th_id) :: thr.binds;
+          thr.binds <- Code.bind thr.binds code.Code.b.(pc) child.th_id;
           ignore
             (Kernel.spawn_kthread t.kernel t.sp
                ~name:(Printf.sprintf "dsl-t%d" child.th_id)
@@ -302,7 +307,7 @@ let rec step t thr (ops : Kernel.kt_ops) lk pc =
       ops.Kernel.kt_charge c.Cost_model.procedure_call next
   | _ (* dyn *) ->
       let lk = link t (Program.compile (Code.force code pc thr.binds)) in
-      thr.binds <- [];
+      thr.binds <- Code.no_binds;
       step t thr ops lk 0
 
 let create kernel ~name ~flavor ?(priority = 0) ?cache ?io_dev

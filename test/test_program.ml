@@ -162,7 +162,7 @@ let totality_tests =
         Array.iteri
           (fun pc op ->
             if op = P.Code.op_dyn then
-              check Alcotest.int "it continues fork site 0" 0 code.P.Code.b.(pc))
+              check Alcotest.int "it continues fork slot 0" 0 code.P.Code.b.(pc))
           code.P.Code.op);
     Alcotest.test_case "a raising continuation is deferred, a host fault is not"
       `Quick (fun () ->
@@ -208,7 +208,7 @@ let totality_tests =
           (P.compile p == code));
     Alcotest.test_case "fork sites resolve through the thread's bindings"
       `Quick (fun () ->
-        let binds = [ (1, 9); (0, 7) ] in
+        let binds = P.Code.(bind (bind no_binds 0 7) 1 9) in
         check (Alcotest.list Alcotest.int) "join targets" [ 5; 7; 9; 0 ]
           (List.map (P.Code.join_target binds) [ 5; -1; -2; -3 ]);
         (* The child's id is used as data, so the fork's continuation
@@ -222,7 +222,7 @@ let totality_tests =
         in
         let pc = code.P.Code.nx.(0) in
         check Alcotest.int "fork then op_dyn" P.Code.op_dyn code.P.Code.op.(pc);
-        match P.Code.force code pc [ (0, 42) ] with
+        match P.Code.force code pc (P.Code.bind P.Code.no_binds 0 42) with
         | P.Stamp (42, _) -> ()
         | _ -> Alcotest.fail "expected the bound child id");
   ]

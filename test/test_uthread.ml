@@ -420,6 +420,152 @@ let yield_runs_peer =
         (List.map fst stamps))
 
 (* ------------------------------------------------------------------ *)
+(* Joins by child id                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Times of the stamps carrying [marker], in the order they fired. *)
+let times_of marker stamps =
+  List.filter_map (fun (id, t) -> if id = marker then Some t else None) stamps
+
+(* [fork_all children k] forks every program in [children], then passes
+   their ids, in fork order, to [k]. *)
+let fork_all children k =
+  let rec go acc = function
+    | [] -> k (List.rev acc)
+    | child :: rest -> B.bind (B.fork child) (fun tid -> go (tid :: acc) rest)
+  in
+  go [] children
+
+(* [join_all tids ~stamp_base] joins [tids] in order, stamping
+   [stamp_base + i] right after the i-th join returns. *)
+let join_all tids ~stamp_base =
+  B.iter_list
+    (List.mapi (fun i tid -> (i, tid)) tids)
+    (fun (i, tid) -> B.bind (B.join tid) (fun () -> B.stamp (stamp_base + i)))
+
+(* Stamps [child] and [joined] each fired once, [joined] no earlier. *)
+let check_after stamps (child, joined) =
+  match (times_of child stamps, times_of joined stamps) with
+  | [ c ], [ j ] ->
+      if Time.compare j c < 0 then
+        Alcotest.failf "stamp %d fired before stamp %d" joined child
+  | _ -> Alcotest.failf "stamps %d and %d must fire once each" child joined
+
+let join_by_id_tests =
+  on_all_backends "2000 children joined in fork order" (fun kconfig backend ->
+      let n = 2000 in
+      (* Child [i] waits at its own gate, which the parent opens just
+         before joining it: a join resolved to an earlier child returns
+         before child [i] finishes, and one resolved to a later child
+         never returns. *)
+      let gates = Array.init n (fun _ -> P.Sem.create ~initial:0 ()) in
+      let child i =
+        B.to_program
+          (let open B in
+           let* () = sem_p gates.(i) in
+           let* () = compute (Time.us (100 * (1 + (i mod 7)))) in
+           stamp i)
+      in
+      let prog =
+        B.to_program
+          (fork_all (List.init n child) (fun tids ->
+               let tids = Array.of_list tids in
+               B.repeat n (fun i ->
+                   let open B in
+                   let* () = sem_v gates.(i) in
+                   let* () = join tids.(i) in
+                   stamp (n + i))))
+      in
+      let stamps, job = run_collect ~cpus:4 kconfig backend prog in
+      check Alcotest.bool "finished" true (System.finished job);
+      List.iter (check_after stamps) (List.init n (fun i -> (i, n + i))))
+  @ on_all_backends "nested forkers' slots do not collide"
+      (fun kconfig backend ->
+        (* Parent and child each number their forks from slot 0. *)
+        let leaf i us =
+          B.to_program
+            (let open B in
+             let* () = compute (Time.us us) in
+             stamp i)
+        in
+        let child =
+          B.to_program
+            (let open B in
+             let* () =
+               fork_all [ leaf 0 300; leaf 1 30 ] (fun tids ->
+                   join_all (List.rev tids) ~stamp_base:10)
+             in
+             let* () = compute (Time.us 100) in
+             stamp 2)
+        in
+        let prog =
+          B.to_program
+            (fork_all [ child; leaf 3 100 ] (fun tids ->
+                 join_all tids ~stamp_base:20))
+        in
+        let code = P.compile prog in
+        let fork_slots =
+          List.filter_map
+            (fun pc ->
+              if code.P.Code.op.(pc) = P.Code.op_fork then
+                Some code.P.Code.b.(pc)
+              else None)
+            (List.init (P.Code.length code) Fun.id)
+        in
+        check (Alcotest.list Alcotest.int) "slots restart per region"
+          [ 0; 0; 1; 1 ] (List.sort compare fork_slots);
+        let stamps, _ = run_collect kconfig backend prog in
+        (* The child joins leaf 1 (stamp 10), then leaf 0 (stamp 11);
+           the parent joins the child (20), then leaf 3 (21). *)
+        List.iter (check_after stamps) [ (1, 10); (0, 11); (2, 20); (3, 21) ])
+  @ on_all_backends "one forked value, every instance joins its own child"
+      (fun kconfig backend ->
+        let k = 6 in
+        let instance =
+          B.to_program
+            (let open B in
+             let* g =
+               fork
+                 (B.to_program
+                    (let* () = compute (Time.us 200) in
+                     stamp 1))
+             in
+             let* () = join g in
+             stamp 2)
+        in
+        (* Instances start far enough apart that each grandchild
+           finishes before the next one. *)
+        let prog =
+          B.to_program
+            (B.repeat k (fun _ ->
+                 let open B in
+                 let* () = fork_unit instance in
+                 compute (Time.us 500)))
+        in
+        let code = P.compile prog in
+        let forks =
+          List.length
+            (List.filter
+               (fun o -> o = P.Code.op_fork)
+               (Array.to_list code.P.Code.op))
+        in
+        check Alcotest.int "the instance compiles once" (k + 1) forks;
+        let stamps, job = run_collect kconfig backend prog in
+        check Alcotest.bool "finished" true (System.finished job);
+        let grandchildren = List.sort Time.compare (times_of 1 stamps)
+        and joined = List.sort Time.compare (times_of 2 stamps) in
+        check Alcotest.int "every grandchild ran" k (List.length grandchildren);
+        check Alcotest.int "every instance joined" k (List.length joined);
+        (* The i-th join returns after the i-th grandchild finishes and
+           before the next one does. *)
+        let next = List.tl grandchildren @ [ Time.of_ns max_int ] in
+        List.iteri
+          (fun i ((g, g'), j) ->
+            if Time.compare j g < 0 || Time.compare j g' >= 0 then
+              Alcotest.failf "instance %d did not join its own grandchild" i)
+          (List.combine (List.combine grandchildren next) joined))
+
+(* ------------------------------------------------------------------ *)
 (* FastThreads-specific behaviour                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -968,6 +1114,28 @@ let hot_path_allocation_tests =
               done)
         in
         check (Alcotest.float 0.) "net minor words" 0. (locked -. base));
+    Alcotest.test_case "join resolution on bound slots allocates nothing"
+      `Quick (fun () ->
+        let binds =
+          List.fold_left
+            (fun b slot -> P.Code.bind b slot (slot + 1))
+            P.Code.no_binds (List.init 64 Fun.id)
+        in
+        let base =
+          minor_words_of (fun () ->
+              for i = 1 to 10_000 do
+                ignore (Sys.opaque_identity i)
+              done)
+        in
+        let joined =
+          minor_words_of (fun () ->
+              for i = 1 to 10_000 do
+                ignore
+                  (Sys.opaque_identity
+                     (P.Code.join_target binds (-(i land 63) - 1)))
+              done)
+        in
+        check (Alcotest.float 0.) "net minor words" 0. (joined -. base));
     Alcotest.test_case "fork/yield/exit stays within the per-fork budget"
       `Quick (fun () ->
         let w = words_per_fork 2000 in
@@ -980,6 +1148,7 @@ let () =
     [
       ("deque", deque_tests);
       ("fork_join", fork_join_order);
+      ("join-by-id", join_by_id_tests);
       ("mutex", mutex_excludes);
       ("semaphores", semaphores_order @ semaphores_shared);
       ("condvars", condvar_wakeup);
