@@ -6,9 +6,10 @@
       evaluation section (Tables 1/4/5, Figures 1/2, the Section 5.2 upcall
       measurements) plus the design-choice ablations, printing measured
       values next to the published ones.  These run in simulated time and
-      are deterministic.  With --json the same results are emitted as one
-      JSON object on stdout (machine-readable, for recording BENCH_*.json
-      trajectories across commits).
+      are deterministic.  Each experiment is one [Report.section]; with
+      --json the selected sections are emitted as one JSON object on
+      stdout (machine-readable, for recording BENCH_*.json trajectories
+      across commits), otherwise as text.
 
    2. Bechamel wall-clock micro-benchmarks: one Test.make per paper table /
       figure (measuring the cost of regenerating it) and a group for the
@@ -25,275 +26,85 @@
      bench/main.exe all             paper harness + micro-benchmarks
      bench/main.exe scale           32/64-CPU, ~10k-thread fork-join stress
      bench/main.exe serve           24-tenant serving with per-tenant SLOs
-     bench/main.exe --json [NAMES]  paper harness (or NAMES) as JSON
-     bench/main.exe --json scale    scale stress as JSON (wall time on stderr)
-     bench/main.exe --json serve    serving SLO report as JSON (deterministic)
      bench/main.exe cluster         3-machine cluster serving run
-     bench/main.exe --json cluster  cluster run as JSON (deterministic) *)
+     bench/main.exe --json [NAMES]  paper harness (or NAMES, mixed freely) as JSON
+
+   scale, serve and cluster are outside the default set and report host
+   wall time on stderr.  Serve and cluster JSON is byte-reproducible;
+   scale's rows also carry wall time.  An unknown name exits 2. *)
 
 module E = Sa_metrics.Experiments
 module R = Sa_metrics.Report
 module Nbody = Sa_workload.Nbody
 
 (* ------------------------------------------------------------------ *)
-(* Paper experiments as typed results                                  *)
+(* Paper experiments                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type result =
-  | Latency of E.latency_row list
-  | Speedup of E.speedup_series list
-  | Exec_time of E.exec_time_series list
-  | Multiprog of E.multiprog_row list
-  | Upcalls of E.upcall_row list
-  | Ablation of E.ablation_row list
-  | Server of E.server_row list
+(* A registry entry: [run] computes the rows and [section] describes them. *)
+let entry name title section run =
+  (name, fun () -> section ~name ~title (run ()))
 
-let experiments : (string * string * (unit -> result)) list =
+let paper : (string * (unit -> R.section)) list =
   [
-    ( "table1",
-      "Table 1: Thread Operation Latencies (usec)",
-      fun () -> Latency (E.table1 ()) );
-    ( "table4",
-      "Table 4: Thread Operation Latencies (usec), with Scheduler Activations",
-      fun () -> Latency (E.table4 ()) );
-    ( "figure1",
+    entry "table1" "Table 1: Thread Operation Latencies (usec)" R.latency
+      E.table1;
+    entry "table4"
+      "Table 4: Thread Operation Latencies (usec), with Scheduler Activations"
+      R.latency E.table4;
+    entry "figure1"
       "Figure 1: Speedup of N-Body Application vs. Number of Processors, \
-       100% of Memory Available",
-      fun () -> Speedup (E.figure1 ()) );
-    ( "figure2",
+       100% of Memory Available"
+      R.speedup E.figure1;
+    entry "figure2"
       "Figure 2: Execution Time of N-Body Application vs. Amount of \
-       Available Memory, 6 Processors",
-      fun () -> Exec_time (E.figure2 ()) );
-    ( "table5",
+       Available Memory, 6 Processors"
+      R.exec_time E.figure2;
+    entry "table5"
       "Table 5: Speedup for N-Body Application, Multiprogramming Level = 2, \
-       6 Processors, 100% of Memory Available",
-      fun () -> Multiprog (E.table5 ()) );
-    ( "upcall",
-      "Section 5.2: Upcall Performance (Signal-Wait through the kernel)",
-      fun () -> Upcalls (E.upcall_performance ()) );
-    ( "ablation-critical",
+       6 Processors, 100% of Memory Available"
+      R.multiprog E.table5;
+    entry "upcall"
+      "Section 5.2: Upcall Performance (Signal-Wait through the kernel)"
+      R.upcalls E.upcall_performance;
+    entry "ablation-critical"
       "Ablation (S5.1/S4.3): critical-section marking strategy, latency \
-       impact",
-      fun () -> Ablation (E.ablation_critical_sections ()) );
-    ( "ablation-hysteresis",
-      "Ablation (S4.2): idle-processor hysteresis before reallocation",
-      fun () -> Ablation (E.ablation_hysteresis ~spins_ms:[ 0; 1; 5; 20 ] ())
-    );
-    ( "ablation-pool",
-      "Ablation (S4.3): discarded-scheduler-activation recycling",
-      fun () -> Ablation (E.ablation_activation_pooling ()) );
-    ( "ablation-rotation",
+       impact"
+      R.ablation E.ablation_critical_sections;
+    entry "ablation-hysteresis"
+      "Ablation (S4.2): idle-processor hysteresis before reallocation"
+      R.ablation
+      (E.ablation_hysteresis ~spins_ms:[ 0; 1; 5; 20 ]);
+    entry "ablation-pool"
+      "Ablation (S4.3): discarded-scheduler-activation recycling" R.ablation
+      E.ablation_activation_pooling;
+    entry "ablation-rotation"
       "Ablation (S4.1): time-slicing the remainder processor between equal \
-       jobs (5 CPUs, 2 jobs)",
-      fun () -> Ablation (E.ablation_remainder_rotation ()) );
-    ( "ablation-disk",
+       jobs (5 CPUs, 2 jobs)"
+      R.ablation E.ablation_remainder_rotation;
+    entry "ablation-disk"
       "Ablation (S5.3): Figure 2 with a queued disk (contention) instead of \
-       the fixed 50 ms block",
-      fun () -> Exec_time (E.figure2_disk_contention ()) );
-    ( "server",
+       the fixed 50 ms block"
+      R.exec_time E.figure2_disk_contention;
+    entry "server"
       "Extension: open-arrival server response times (4 CPUs, 200 requests, \
-       80% do 20 ms I/O)",
-      fun () -> Server (E.server_latency ()) );
-    ( "ablation-warning",
+       80% do 20 ms I/O)"
+      R.server E.server_latency;
+    entry "ablation-warning"
       "Related-work comparison (S6): immediate stop-and-upcall vs the \
-       Psyche/Symunix warning protocol (high-priority grant latency)",
-      fun () -> Ablation (E.preemption_protocol ()) );
-    ( "retrospective",
+       Psyche/Symunix warning protocol (high-priority grant latency)"
+      R.ablation E.preemption_protocol;
+    entry "retrospective"
       "Retrospective: the same systems under 2020s costs (ns-scale user \
-       ops, us-scale kernel ops, NVMe I/O) and 1000x finer-grained tasks",
-      fun () -> Ablation (E.modern_retrospective ()) );
-    ( "ablation-fairness",
-      "Ablation (S4.1): allocator fairness in processor-seconds",
-      fun () -> Ablation (E.allocator_fairness ()) );
-    ( "ablation-priority",
-      "Ablation (S4.1): address-space priorities in the allocator",
-      fun () -> Ablation (E.space_priority ()) );
+       ops, us-scale kernel ops, NVMe I/O) and 1000x finer-grained tasks"
+      R.ablation E.modern_retrospective;
+    entry "ablation-fairness"
+      "Ablation (S4.1): allocator fairness in processor-seconds" R.ablation
+      E.allocator_fairness;
+    entry "ablation-priority"
+      "Ablation (S4.1): address-space priorities in the allocator" R.ablation
+      E.space_priority;
   ]
-
-let print_result ~title = function
-  | Latency rows -> R.print_latency_table ~title rows
-  | Speedup series -> R.print_speedup_series ~title series
-  | Exec_time series -> R.print_exec_time_series ~title series
-  | Multiprog rows -> R.print_multiprog ~title rows
-  | Upcalls rows -> R.print_upcalls ~title rows
-  | Ablation rows -> R.print_ablation ~title rows
-  | Server rows -> R.print_server ~title rows
-
-(* ------------------------------------------------------------------ *)
-(* JSON encoding (hand-rolled: the vocabulary is a handful of rows)    *)
-(* ------------------------------------------------------------------ *)
-
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let add_float buf v =
-  if Float.is_nan v || Float.abs v = Float.infinity then
-    Buffer.add_string buf "null"
-  else Buffer.add_string buf (Printf.sprintf "%.6g" v)
-
-let add_fields buf fields =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, add_v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf k;
-      Buffer.add_char buf ':';
-      add_v buf)
-    fields;
-  Buffer.add_char buf '}'
-
-let add_list buf add_item items =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i item ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_item buf item)
-    items;
-  Buffer.add_char buf ']'
-
-(* Value adders for [add_fields]. *)
-let str s buf = add_json_string buf s
-let fl v buf = add_float buf v
-let int n buf = Buffer.add_string buf (string_of_int n)
-let bool v buf = Buffer.add_string buf (if v then "true" else "false")
-
-let fl_opt v buf =
-  match v with None -> Buffer.add_string buf "null" | Some v -> add_float buf v
-
-(* Print one JSON document of [(mode, kind, title, data)] sections, each
-   as ["<mode>":{"kind":..,"title":..,"data":..}]. *)
-let print_sections sections =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  List.iteri
-    (fun i (mode, kind, title, data) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      add_json_string buf mode;
-      Buffer.add_char buf ':';
-      add_fields buf [ ("kind", str kind); ("title", str title); ("data", data) ])
-    sections;
-  Buffer.add_string buf "\n}\n";
-  print_string (Buffer.contents buf)
-
-let add_result buf result =
-  match result with
-  | Latency rows ->
-      add_list buf
-        (fun buf (r : E.latency_row) ->
-          add_fields buf
-            [
-              ("system", str r.system);
-              ("null_fork_us", fl r.null_fork_us);
-              ("signal_wait_us", fl r.signal_wait_us);
-              ("paper_null_fork", fl_opt r.paper_null_fork);
-              ("paper_signal_wait", fl_opt r.paper_signal_wait);
-            ])
-        rows
-  | Speedup series ->
-      add_list buf
-        (fun buf (s : E.speedup_series) ->
-          add_fields buf
-            [
-              ("series", str s.series);
-              ( "points",
-                fun buf ->
-                  add_list buf
-                    (fun buf (p : E.speedup_point) ->
-                      add_fields buf
-                        [
-                          ("processors", int p.processors);
-                          ("speedup", fl p.speedup);
-                        ])
-                    s.points );
-            ])
-        series
-  | Exec_time series ->
-      add_list buf
-        (fun buf (s : E.exec_time_series) ->
-          add_fields buf
-            [
-              ("series", str s.io_series);
-              ( "points",
-                fun buf ->
-                  add_list buf
-                    (fun buf (p : E.exec_time_point) ->
-                      add_fields buf
-                        [
-                          ("memory_percent", int p.memory_percent);
-                          ("exec_time_s", fl p.exec_time_s);
-                        ])
-                    s.io_points );
-            ])
-        series
-  | Multiprog rows ->
-      add_list buf
-        (fun buf (r : E.multiprog_row) ->
-          add_fields buf
-            [
-              ("system", str r.mp_system);
-              ("speedup", fl r.mp_speedup);
-              ("paper", fl_opt r.mp_paper);
-            ])
-        rows
-  | Upcalls rows ->
-      add_list buf
-        (fun buf (r : E.upcall_row) ->
-          add_fields buf
-            [
-              ("config", str r.u_config);
-              ("signal_wait_us", fl r.u_signal_wait_us);
-              ("paper", fl_opt r.u_paper);
-            ])
-        rows
-  | Ablation rows ->
-      add_list buf
-        (fun buf (r : E.ablation_row) ->
-          add_fields buf
-            [
-              ("label", str r.a_label);
-              ("value", fl r.a_value);
-              ("unit", str r.a_unit);
-            ])
-        rows
-  | Server rows ->
-      add_list buf
-        (fun buf (r : E.server_row) ->
-          add_fields buf
-            [
-              ("system", str r.s_system);
-              ("mean_us", fl r.s_mean_us);
-              ("p95_us", fl r.s_p95_us);
-              ("p99_us", fl r.s_p99_us);
-            ])
-        rows
-
-let result_kind = function
-  | Latency _ -> "latency"
-  | Speedup _ -> "speedup"
-  | Exec_time _ -> "exec-time"
-  | Multiprog _ -> "multiprog"
-  | Upcalls _ -> "upcalls"
-  | Ablation _ -> "ablation"
-  | Server _ -> "server"
-
-let print_json selected =
-  print_sections
-    (List.map
-       (fun (name, title, run) ->
-         let result = run () in
-         (name, result_kind result, title, fun buf -> add_result buf result))
-       selected)
 
 (* ------------------------------------------------------------------ *)
 (* Scale mode: large machines, many threads                            *)
@@ -302,27 +113,8 @@ let print_json selected =
 (* Not a paper experiment: a fork-join stress run on 32/64-processor
    machines with ~10k threads, exercising the kernel paths that must stay
    O(1) (dispatch tables, allocation cursor, idle census) and the
-   user-level ready queues.  Deterministic in simulated time; wall-clock
-   is reported on stderr so the JSON stays reproducible. *)
-
-type scale_row = {
-  sc_cpus : int;
-  sc_threads : int;  (* threads forked (the root included) *)
-  sc_makespan_ms : float;  (* simulated span, submit -> last completion *)
-  sc_throughput : float;  (* completions per simulated second *)
-  sc_steals : int;
-  sc_upcalls : int;
-  sc_dispatches : int;
-  sc_reallocations : int;
-  sc_events : int;  (* engine events fired (deterministic per schedule) *)
-  sc_wall_ms : float;  (* host wall-clock for the run (machine-dependent) *)
-  sc_events_per_s_wall : float;  (* engine event throughput against wall *)
-  sc_program_steps : int;  (* interpreter operations executed *)
-  sc_charge_segments : int;  (* logical charge requests *)
-  sc_charge_batches : int;  (* charge events actually issued *)
-  sc_spin_ns : int;  (* simulated ns burnt spinning on held cells *)
-  sc_recoveries : int;  (* Section 3.3 critical-section recoveries *)
-}
+   user-level ready queues.  Deterministic in simulated time apart from
+   the two wall-clock fields, which are also reported on stderr. *)
 
 let scale_configs = [ (32, 10_000); (64, 10_000) ]
 
@@ -379,76 +171,38 @@ let scale_one ~cpus ~threads =
      (%.2fM events/s wall)\n\
      %!"
     cpus completed makespan_ms wall_ms events (events_per_s_wall /. 1e6);
-  {
-    sc_cpus = cpus;
-    sc_threads = completed;
-    sc_makespan_ms = makespan_ms;
-    sc_throughput = float_of_int completed /. (makespan_ms /. 1e3);
-    sc_steals = ft.Ft_core.steals;
-    sc_upcalls = st.Kernel.upcalls;
-    sc_dispatches = ft.Ft_core.dispatches;
-    sc_reallocations = st.Kernel.reallocations;
-    sc_events = events;
-    sc_wall_ms = wall_ms;
-    sc_events_per_s_wall = events_per_s_wall;
-    sc_program_steps = ft.Ft_core.program_steps;
-    sc_charge_segments = ft.Ft_core.charge_segments;
-    sc_charge_batches = ft.Ft_core.charge_batches;
-    sc_spin_ns = ft.Ft_core.cs_spin_ns;
-    sc_recoveries = ft.Ft_core.cs_recoveries;
-  }
+  R.Obj
+    [
+      ("cpus", Int cpus);
+      (* threads forked, the root included *)
+      ("threads", Int completed);
+      (* simulated span, submit -> last completion *)
+      ("makespan_ms", Float makespan_ms);
+      ("throughput_per_s", Float (float_of_int completed /. (makespan_ms /. 1e3)));
+      ("steals", Int ft.Ft_core.steals);
+      ("upcalls", Int st.Kernel.upcalls);
+      ("dispatches", Int ft.Ft_core.dispatches);
+      ("reallocations", Int st.Kernel.reallocations);
+      (* engine events fired (deterministic per schedule) *)
+      ("events_total", Int events);
+      (* host wall clock for the run (machine-dependent) *)
+      ("wall_ms", Float wall_ms);
+      ("events_per_s_wall", Float events_per_s_wall);
+      ("program_steps", Int ft.Ft_core.program_steps);
+      (* logical charge requests, and the charge events actually issued *)
+      ("charge_segments", Int ft.Ft_core.charge_segments);
+      ("charge_batches", Int ft.Ft_core.charge_batches);
+      (* simulated ns burnt spinning on held cells *)
+      ("cs_spin_ns", Int ft.Ft_core.cs_spin_ns);
+      (* Section 3.3 critical-section recoveries *)
+      ("cs_recoveries", Int ft.Ft_core.cs_recoveries);
+    ]
 
 let run_scale () =
   List.map (fun (cpus, threads) -> scale_one ~cpus ~threads) scale_configs
 
-let print_scale_json rows =
-  print_sections
-    [
-      ( "scale",
-        "scale",
-        scale_title,
-        fun buf ->
-          add_list buf
-            (fun buf r ->
-              add_fields buf
-                [
-                  ("cpus", int r.sc_cpus);
-                  ("threads", int r.sc_threads);
-                  ("makespan_ms", fl r.sc_makespan_ms);
-                  ("throughput_per_s", fl r.sc_throughput);
-                  ("steals", int r.sc_steals);
-                  ("upcalls", int r.sc_upcalls);
-                  ("dispatches", int r.sc_dispatches);
-                  ("reallocations", int r.sc_reallocations);
-                  ("events_total", int r.sc_events);
-                  ("wall_ms", fl r.sc_wall_ms);
-                  ("events_per_s_wall", fl r.sc_events_per_s_wall);
-                  ("program_steps", int r.sc_program_steps);
-                  ("charge_segments", int r.sc_charge_segments);
-                  ("charge_batches", int r.sc_charge_batches);
-                  ("cs_spin_ns", int r.sc_spin_ns);
-                  ("cs_recoveries", int r.sc_recoveries);
-                ])
-            rows );
-    ]
-
-let print_scale_text rows =
-  Printf.printf "\n%s\n%s\n" scale_title (String.make 78 '-');
-  Printf.printf "%6s %8s %12s %14s %8s %8s %10s %7s %9s %8s %11s %9s %9s %7s\n"
-    "cpus" "threads" "makespan_ms" "thr/sim-sec" "steals" "upcalls"
-    "dispatches" "realloc" "events" "wall_ms" "ev/s-wall" "steps" "segments"
-    "batch%";
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%6d %8d %12.2f %14.0f %8d %8d %10d %7d %9d %8.1f %11.0f %9d %9d %7.1f\n"
-        r.sc_cpus r.sc_threads r.sc_makespan_ms r.sc_throughput r.sc_steals
-        r.sc_upcalls r.sc_dispatches r.sc_reallocations r.sc_events r.sc_wall_ms
-        r.sc_events_per_s_wall r.sc_program_steps r.sc_charge_segments
-        (100.
-        *. float_of_int r.sc_charge_batches
-        /. float_of_int (max 1 r.sc_charge_segments)))
-    rows
+let scale_section ~name ~title rows =
+  { R.name; kind = "scale"; title; data = R.Arr rows }
 
 (* ------------------------------------------------------------------ *)
 (* Serve mode: multi-tenant serving with tail-latency SLOs             *)
@@ -482,51 +236,6 @@ let run_serve () =
   Printf.eprintf "serve: %d tenants, %d cpus: %.1f ms simulated, %.0f ms wall\n%!"
     s.E.v_tenant_count s.E.v_cpus s.E.v_elapsed_ms wall_ms;
   s
-
-let print_serve_json (s : E.serve_summary) =
-  print_sections
-    [
-      ( "serve",
-        "serve",
-        serve_title,
-        fun buf ->
-          add_fields buf
-            [
-              ("cpus", int s.E.v_cpus);
-              ("tenants", int s.E.v_tenant_count);
-              ("requests_total", int s.E.v_requests_total);
-              ("upcalls", int s.E.v_upcalls);
-              ("preemptions", int s.E.v_preemptions);
-              ("reallocations", int s.E.v_reallocations);
-              ("elapsed_ms", fl s.E.v_elapsed_ms);
-              ( "per_tenant",
-                fun buf ->
-                  add_list buf
-                    (fun buf (r : E.serve_tenant_row) ->
-                      add_fields buf
-                        [
-                          ("tenant", str r.E.v_tenant);
-                          ("class", str r.E.v_class);
-                          ("completed", int r.E.v_completed);
-                          ("mean_us", fl r.E.v_mean_us);
-                          ("p50_us", fl r.E.v_p50_us);
-                          ("p99_us", fl r.E.v_p99_us);
-                          ("p999_us", fl r.E.v_p999_us);
-                          ("max_us", fl r.E.v_max_us);
-                          ("slo_ms", fl r.E.v_slo_ms);
-                          ("violations", int r.E.v_violations);
-                          ("violation_frac", fl r.E.v_violation_frac);
-                          ("makespan_ms", fl r.E.v_makespan_ms);
-                          ("grants", int r.E.v_grants);
-                          ("preempts", int r.E.v_preempts);
-                          ("cpu_seconds", fl r.E.v_cpu_seconds);
-                          ("program_steps", int r.E.v_program_steps);
-                          ("charge_segments", int r.E.v_charge_segments);
-                          ("charge_batches", int r.E.v_charge_batches);
-                        ])
-                    s.E.v_rows );
-            ] );
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Cluster mode: multi-machine serving over the modeled network        *)
@@ -568,77 +277,6 @@ let run_cluster () =
     s.Cluster.cl_machines s.Cluster.cl_cpus s.Cluster.cl_tenants
     s.Cluster.cl_elapsed_ms wall_ms;
   s
-
-let print_cluster_json (s : Cluster.summary) =
-  print_sections
-    [
-      ( "cluster",
-        "cluster",
-        cluster_title,
-        fun buf ->
-          add_fields buf
-            [
-              ("machines", int s.Cluster.cl_machines);
-              ("cpus_per_machine", int s.Cluster.cl_cpus);
-              ("tenants", int s.Cluster.cl_tenants);
-              ("requests_total", int s.Cluster.cl_requests_total);
-              ("migrations", int s.Cluster.cl_migrations);
-              ("evacuations", int s.Cluster.cl_evacuations);
-              ("crashes", int s.Cluster.cl_crashes);
-              ("partitions", int s.Cluster.cl_partitions);
-              ("remote_hits", int s.Cluster.cl_remote_hits);
-              ("remote_fallbacks", int s.Cluster.cl_remote_fallbacks);
-              ("net_messages", int s.Cluster.cl_net.Sa_cluster.Net.messages);
-              ("net_bytes", int s.Cluster.cl_net.Sa_cluster.Net.bytes);
-              ("net_drops", int s.Cluster.cl_net.Sa_cluster.Net.drops);
-              ( "alloc_summaries",
-                int s.Cluster.cl_alloc.Sa_cluster.Cluster_alloc.summaries );
-              ( "alloc_commands",
-                int s.Cluster.cl_alloc.Sa_cluster.Cluster_alloc.commands );
-              ( "alloc_rebalances",
-                int s.Cluster.cl_alloc.Sa_cluster.Cluster_alloc.rebalances );
-              ("elapsed_ms", fl s.Cluster.cl_elapsed_ms);
-              ("completed_all", bool s.Cluster.cl_completed_all);
-              ( "per_machine",
-                fun buf ->
-                  add_list buf
-                    (fun buf (r : Cluster.machine_row) ->
-                      add_fields buf
-                        [
-                          ("machine", int r.Cluster.m_id);
-                          ("alive", bool r.Cluster.m_alive);
-                          ("tenants_final", int r.Cluster.m_tenants_final);
-                          ("upcalls", int r.Cluster.m_upcalls);
-                          ("preemptions", int r.Cluster.m_preemptions);
-                          ("reallocations", int r.Cluster.m_reallocations);
-                          ("migs_in", int r.Cluster.m_migs_in);
-                          ("migs_out", int r.Cluster.m_migs_out);
-                          ("remote_hits", int r.Cluster.m_remote_hits);
-                          ( "remote_fallbacks",
-                            int r.Cluster.m_remote_fallbacks );
-                          ("util", fl r.Cluster.m_util);
-                        ])
-                    s.Cluster.cl_machine_rows );
-              ( "per_tenant",
-                fun buf ->
-                  add_list buf
-                    (fun buf (r : Cluster.tenant_row) ->
-                      add_fields buf
-                        [
-                          ("tenant", int r.Cluster.c_tenant);
-                          ("class", str r.Cluster.c_class);
-                          ("home0", int r.Cluster.c_home0);
-                          ("home", int r.Cluster.c_home);
-                          ("completed", int r.Cluster.c_completed);
-                          ("p50_us", fl r.Cluster.c_p50_us);
-                          ("p99_us", fl r.Cluster.c_p99_us);
-                          ("p999_us", fl r.Cluster.c_p999_us);
-                          ("violations", int r.Cluster.c_violations);
-                          ("slo_ms", fl r.Cluster.c_slo_ms);
-                        ])
-                    s.Cluster.cl_tenant_rows );
-            ] );
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks (wall clock)                              *)
@@ -1008,15 +646,36 @@ let micro_check () =
     Printf.printf "micro gate clean: %d benchmarks within %.0fx of baseline\n"
       (List.length baselines) micro_gate_tolerance
 
+
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_paper () =
-  List.iter (fun (_, title, run) -> print_result ~title (run ())) experiments
+(* Every section the harness can run; [paper] is the default set. *)
+let registry =
+  paper
+  @ [
+      entry "serve" serve_title R.serve run_serve;
+      entry "cluster" cluster_title R.cluster run_cluster;
+      entry "scale" scale_title scale_section run_scale;
+    ]
 
-let find_experiment name =
-  List.find_opt (fun (n, _, _) -> n = name) experiments
+(* What a command-line name stands for: registry sections, or [None] for
+   the micro-benchmarks, which have no JSON form. *)
+let lookup ~json name =
+  let paper = List.map (fun (_, run) -> Some run) paper in
+  match name with
+  | "paper" -> paper
+  | "all" -> if json then paper else paper @ [ None ]
+  | "micro" when not json -> [ None ]
+  | name -> (
+      match List.assoc_opt name registry with
+      | Some run -> [ Some run ]
+      | None ->
+          Printf.eprintf "unknown experiment %S; known: %s, paper, %sall\n" name
+            (String.concat ", " (List.map fst registry))
+            (if json then "" else "micro, ");
+          exit 2)
 
 let () =
   (* A roomier minor heap (2M words = 16 MB) keeps short-lived per-event
@@ -1032,57 +691,17 @@ let () =
     };
   let args = List.tl (Array.to_list Sys.argv) in
   let json = List.mem "--json" args in
-  let args = List.filter (fun a -> a <> "--json") args in
-  if json then begin
-    match args with
-    | [ "scale" ] -> print_scale_json (run_scale ())
-    | [ "serve" ] -> print_serve_json (run_serve ())
-    | [ "cluster" ] -> print_cluster_json (run_cluster ())
-    | _ ->
-    let selected =
-      match args with
-      | [] | [ "paper" ] | [ "all" ] -> experiments
-      | names ->
-          List.map
-            (fun name ->
-              match find_experiment name with
-              | Some e -> e
-              | None ->
-                  Printf.eprintf "unknown experiment %S; known: %s\n" name
-                    (String.concat ", "
-                       (List.map (fun (n, _, _) -> n) experiments));
-                  exit 2)
-            names
-    in
-    print_json selected
-  end
-  else
-    match args with
-    | [] -> run_paper ()
-    | [ "micro"; "--record" ] -> micro_record ()
-    | [ "micro"; "--check" ] -> micro_check ()
-    | args ->
+  match List.filter (fun a -> a <> "--json") args with
+  | [ "micro"; "--record" ] when not json -> micro_record ()
+  | [ "micro"; "--check" ] when not json -> micro_check ()
+  | names ->
+      let steps =
+        List.concat_map (lookup ~json) (if names = [] then [ "paper" ] else names)
+      in
+      if json then
+        print_string (R.json (List.filter_map (Option.map (fun run -> run ())) steps))
+      else
         List.iter
-          (fun a ->
-            match a with
-            | "all" ->
-                run_paper ();
-                run_micro ()
-            | "paper" -> run_paper ()
-            | "micro" -> run_micro ()
-            | "scale" -> print_scale_text (run_scale ())
-            | "serve" ->
-                R.print_serve ~title:serve_title (run_serve ())
-            | "cluster" ->
-                R.print_cluster ~title:cluster_title (run_cluster ())
-            | name -> (
-                match find_experiment name with
-                | Some (_, title, run) -> print_result ~title (run ())
-                | None ->
-                    Printf.eprintf
-                      "unknown experiment %S; known: %s, paper, micro, all\n"
-                      name
-                      (String.concat ", "
-                         (List.map (fun (n, _, _) -> n) experiments));
-                    exit 2))
-          args
+          (function
+            | Some run -> print_string (R.text (run ())) | None -> run_micro ())
+          steps

@@ -3,7 +3,6 @@
    Subcommands:
      run      run the N-body application on a chosen threading backend
      latency  run a latency microbenchmark (null-fork / signal-wait / upcall)
-     report   regenerate the paper's tables and figures
      trace    run a small workload with the kernel/upcall trace streamed live
      chaos    run seeded fault-injection campaigns with invariant checking
      cluster  run the serving workload across a multi-machine cluster
@@ -382,7 +381,10 @@ let serve_cmd =
       }
     in
     let s = E.serve ~params ~cpus () in
-    R.print_serve ~title:"Multi-tenant serving: per-tenant SLO report" s
+    print_string
+      (R.text
+         (R.serve ~name:"serve"
+            ~title:"Multi-tenant serving: per-tenant SLO report" s))
   in
   let term = Term.(const action $ serve_cpus $ tenants $ requests $ seed) in
   Cmd.v
@@ -510,8 +512,10 @@ let cluster_cmd =
                (Cluster.systems cl).(0))
     in
     Cluster.run cl;
-    R.print_cluster ~title:"Cluster serving: multi-machine report"
-      (Cluster.summary cl);
+    print_string
+      (R.text
+         (R.cluster ~name:"cluster" ~title:"Cluster serving: multi-machine report"
+            (Cluster.summary cl)));
     (match injector with
     | None -> ()
     | Some inj ->
@@ -546,49 +550,6 @@ let cluster_cmd =
           machines and buffer-cache misses resolving from peers' caches.  \
           Optional chaos ($(b,machine-crash), $(b,net-partition)) exercises \
           evacuation and disk fallback.")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* report                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let report_cmd =
-  let what =
-    Arg.(
-      value
-      & pos_all string [ "all" ]
-      & info [] ~docv:"EXPERIMENT"
-          ~doc:
-            "Experiments to run: table1, table4, table5, figure1, figure2, \
-             upcall, ablations, or all.")
-  in
-  let action what =
-    let rec dispatch = function
-      | "table1" -> R.print_latency_table ~title:"Table 1" (E.table1 ())
-      | "table4" -> R.print_latency_table ~title:"Table 4" (E.table4 ())
-      | "table5" -> R.print_multiprog ~title:"Table 5" (E.table5 ())
-      | "figure1" -> R.print_speedup_series ~title:"Figure 1" (E.figure1 ())
-      | "figure2" -> R.print_exec_time_series ~title:"Figure 2" (E.figure2 ())
-      | "upcall" -> R.print_upcalls ~title:"Upcall performance" (E.upcall_performance ())
-      | "ablations" ->
-          R.print_ablation ~title:"Critical sections"
-            (E.ablation_critical_sections ());
-          R.print_ablation ~title:"Hysteresis"
-            (E.ablation_hysteresis ~spins_ms:[ 0; 1; 5; 20 ] ());
-          R.print_ablation ~title:"Activation pooling"
-            (E.ablation_activation_pooling ());
-          R.print_ablation ~title:"Remainder rotation"
-            (E.ablation_remainder_rotation ())
-      | "all" ->
-          List.iter dispatch
-            [ "table1"; "table4"; "figure1"; "figure2"; "table5"; "upcall"; "ablations" ]
-      | other -> Printf.eprintf "unknown experiment %S\n" other
-    in
-    List.iter dispatch what
-  in
-  let term = Term.(const action $ what) in
-  Cmd.v
-    (Cmd.info "report" ~doc:"Regenerate the paper's tables and figures.")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -1143,7 +1104,6 @@ let () =
             server_cmd;
             serve_cmd;
             cluster_cmd;
-            report_cmd;
             trace_cmd;
             chaos_cmd;
             explore_cmd;

@@ -1,61 +1,3 @@
-module Summary = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable mn : float;
-    mutable mx : float;
-    mutable total : float;
-  }
-
-  let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; mn = infinity; mx = neg_infinity; total = 0.0 }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.mn then t.mn <- x;
-    if x > t.mx then t.mx <- x;
-    t.total <- t.total +. x
-
-  let count t = t.n
-  let mean t = if t.n = 0 then 0.0 else t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
-  (* Empty summaries report 0.0, consistently with [mean] — the raw
-     sentinels (infinity / neg_infinity) otherwise leak into reports. *)
-  let min t = if t.n = 0 then 0.0 else t.mn
-  let max t = if t.n = 0 then 0.0 else t.mx
-  let total t = t.total
-
-  let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
-    else begin
-      let n = a.n + b.n in
-      let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-      in
-      {
-        n;
-        mean;
-        m2;
-        mn = Stdlib.min a.mn b.mn;
-        mx = Stdlib.max a.mx b.mx;
-        total = a.total +. b.total;
-      }
-    end
-
-  let pp ppf t =
-    Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n (mean t)
-      (stddev t) (min t) (max t)
-end
-
 module Log_histogram = struct
   (* HDR-style log-scale histogram: the range [lo, hi) is split into
      octaves (powers of two above [lo]), each octave into [sub] linear

@@ -1,33 +1,5 @@
 (** Statistical accumulators for simulation measurements. *)
 
-(** Streaming summary: count, mean, variance (Welford), min, max.
-    O(1) per observation, no sample retention. *)
-module Summary : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  (** 0.0 when empty. *)
-
-  val variance : t -> float
-  (** Unbiased sample variance; 0.0 with fewer than two observations. *)
-
-  val stddev : t -> float
-  val min : t -> float
-  (** 0.0 when empty, consistently with [mean]. *)
-
-  val max : t -> float
-  (** 0.0 when empty, consistently with [mean]. *)
-
-  val total : t -> float
-  val merge : t -> t -> t
-  (** Combined summary, as if all observations of both were added to one. *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
 (** Log-scale histogram over [\[lo, hi)] with constant {e relative}
     resolution: each power-of-two octave above [lo] is split into
     [sub_buckets] linear sub-buckets (HDR-histogram bucketing).  O(1)

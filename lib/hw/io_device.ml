@@ -1,6 +1,5 @@
 module Time = Sa_engine.Time
 module Sim = Sa_engine.Sim
-module Stats = Sa_engine.Stats
 
 type discipline =
   | Fixed_latency of Time.span
@@ -19,7 +18,7 @@ type t = {
   total_servers : int;
   mutable outstanding : int;
   mutable done_count : int;
-  latency : Stats.Summary.t;
+  mutable latency_ns : int;  (* summed over completed requests *)
   mutable fault_hook : (unit -> fault option) option;
   mutable retry_count : int;
   mutable fault_count : int;
@@ -48,7 +47,7 @@ let create sim discipline =
     total_servers;
     outstanding = 0;
     done_count = 0;
-    latency = Stats.Summary.create ();
+    latency_ns = 0;
     fault_hook = None;
     retry_count = 0;
     fault_count = 0;
@@ -60,8 +59,7 @@ let consult_fault t = match t.fault_hook with None -> None | Some h -> h ()
 let finish t req =
   t.outstanding <- t.outstanding - 1;
   t.done_count <- t.done_count + 1;
-  Stats.Summary.add t.latency
-    (Time.span_to_us (Time.diff (Sim.now t.sim) req.issued));
+  t.latency_ns <- t.latency_ns + Time.diff (Sim.now t.sim) req.issued;
   req.complete ()
 
 (* A server (or the fixed-latency pipe) reached this request's nominal
@@ -115,5 +113,5 @@ let retries t = t.retry_count
 let faults t = t.fault_count
 
 let mean_latency t =
-  if Stats.Summary.count t.latency = 0 then 0.0
-  else Stats.Summary.mean t.latency
+  if t.done_count = 0 then 0.0
+  else Time.span_to_us t.latency_ns /. float_of_int t.done_count

@@ -1,217 +1,360 @@
-let hr () = print_endline (String.make 78 '-')
+module E = Experiments
+module Cluster = Sa_cluster.Cluster
 
-let header title =
-  print_newline ();
-  hr ();
-  Printf.printf "%s\n" title;
-  hr ()
+type value =
+  | Int of int
+  | Float of float
+  | Str of string
+  | Bool of bool
+  | Null
+  | Arr of value list
+  | Obj of (string * value) list
 
-let opt_f = function Some v -> Printf.sprintf "%10.1f" v | None -> "         -"
+type section = { name : string; kind : string; title : string; data : value }
 
-let print_latency_table ~title rows =
-  header title;
-  Printf.printf "%-40s %10s %10s %10s %10s\n" "Operation latencies (us)"
-    "NullFork" "paper" "SigWait" "paper";
-  List.iter
-    (fun r ->
-      Printf.printf "%-40s %10.1f %s %10.1f %s\n" r.Experiments.system
-        r.Experiments.null_fork_us
-        (opt_f r.Experiments.paper_null_fork)
-        r.Experiments.signal_wait_us
-        (opt_f r.Experiments.paper_signal_wait))
-    rows
+(* ------------------------------------------------------------------ *)
+(* Builders                                                            *)
+(* ------------------------------------------------------------------ *)
 
-let print_speedup_series ~title series =
-  header title;
-  (match series with
-  | [] -> ()
-  | first :: _ ->
-      Printf.printf "%-24s" "speedup";
-      List.iter
-        (fun p -> Printf.printf " %6dP" p.Experiments.processors)
-        first.Experiments.points;
-      print_newline ());
-  List.iter
-    (fun s ->
-      Printf.printf "%-24s" s.Experiments.series;
-      List.iter
-        (fun p -> Printf.printf " %7.2f" p.Experiments.speedup)
-        s.Experiments.points;
-      print_newline ())
-    series;
-  (* ASCII plot: speedup vs processors, one letter per series. *)
-  print_newline ();
-  let letters = [| 'T'; 'o'; 'n'; 'x'; 'y'; 'z' |] in
-  let maxs = 6.0 in
-  for row = 12 downto 0 do
-    let lo = float_of_int row *. maxs /. 12.0 in
-    let hi = float_of_int (row + 1) *. maxs /. 12.0 in
-    Printf.printf "%5.1f |" lo;
-    List.iteri
-      (fun _ () -> ())
-      [];
-    let cols = 6 in
-    for p = 1 to cols do
-      let cell = ref ' ' in
-      List.iteri
-        (fun si s ->
-          List.iter
-            (fun pt ->
-              if
-                pt.Experiments.processors = p
-                && pt.Experiments.speedup >= lo
-                && pt.Experiments.speedup < hi
-              then cell := letters.(si mod Array.length letters))
-            s.Experiments.points)
-        series;
-      Printf.printf "   %c   " !cell
-    done;
-    print_newline ()
-  done;
-  Printf.printf "      +";
-  for _ = 1 to 6 do
-    Printf.printf "-------"
-  done;
-  print_newline ();
-  Printf.printf "       ";
-  for p = 1 to 6 do
-    Printf.printf "   %d   " p
-  done;
-  print_newline ();
+let opt = function Some v -> Float v | None -> Null
+
+(* A section whose data is one object per row. *)
+let rows kind row ~name ~title xs =
+  { name; kind; title; data = Arr (List.map row xs) }
+
+let latency =
+  rows "latency" (fun (r : E.latency_row) ->
+      Obj
+        [
+          ("system", Str r.system);
+          ("null_fork_us", Float r.null_fork_us);
+          ("signal_wait_us", Float r.signal_wait_us);
+          ("paper_null_fork", opt r.paper_null_fork);
+          ("paper_signal_wait", opt r.paper_signal_wait);
+        ])
+
+let speedup =
+  rows "speedup" (fun (s : E.speedup_series) ->
+      Obj
+        [
+          ("series", Str s.series);
+          ( "points",
+            Arr
+              (List.map
+                 (fun (p : E.speedup_point) ->
+                   Obj
+                     [
+                       ("processors", Int p.processors);
+                       ("speedup", Float p.speedup);
+                     ])
+                 s.points) );
+        ])
+
+let exec_time =
+  rows "exec-time" (fun (s : E.exec_time_series) ->
+      Obj
+        [
+          ("series", Str s.io_series);
+          ( "points",
+            Arr
+              (List.map
+                 (fun (p : E.exec_time_point) ->
+                   Obj
+                     [
+                       ("memory_percent", Int p.memory_percent);
+                       ("exec_time_s", Float p.exec_time_s);
+                     ])
+                 s.io_points) );
+        ])
+
+let multiprog =
+  rows "multiprog" (fun (r : E.multiprog_row) ->
+      Obj
+        [
+          ("system", Str r.mp_system);
+          ("speedup", Float r.mp_speedup);
+          ("paper", opt r.mp_paper);
+        ])
+
+let upcalls =
+  rows "upcalls" (fun (r : E.upcall_row) ->
+      Obj
+        [
+          ("config", Str r.u_config);
+          ("signal_wait_us", Float r.u_signal_wait_us);
+          ("paper", opt r.u_paper);
+        ])
+
+let ablation =
+  rows "ablation" (fun (r : E.ablation_row) ->
+      Obj
+        [
+          ("label", Str r.a_label);
+          ("value", Float r.a_value);
+          ("unit", Str r.a_unit);
+        ])
+
+let server =
+  rows "server" (fun (r : E.server_row) ->
+      Obj
+        [
+          ("system", Str r.s_system);
+          ("mean_us", Float r.s_mean_us);
+          ("p95_us", Float r.s_p95_us);
+          ("p99_us", Float r.s_p99_us);
+        ])
+
+let serve ~name ~title (s : E.serve_summary) =
+  let tenant (r : E.serve_tenant_row) =
+    Obj
+      [
+        ("tenant", Str r.v_tenant);
+        ("class", Str r.v_class);
+        ("completed", Int r.v_completed);
+        ("mean_us", Float r.v_mean_us);
+        ("p50_us", Float r.v_p50_us);
+        ("p99_us", Float r.v_p99_us);
+        ("p999_us", Float r.v_p999_us);
+        ("max_us", Float r.v_max_us);
+        ("slo_ms", Float r.v_slo_ms);
+        ("violations", Int r.v_violations);
+        ("violation_frac", Float r.v_violation_frac);
+        ("makespan_ms", Float r.v_makespan_ms);
+        ("grants", Int r.v_grants);
+        ("preempts", Int r.v_preempts);
+        ("cpu_seconds", Float r.v_cpu_seconds);
+        ("program_steps", Int r.v_program_steps);
+        ("charge_segments", Int r.v_charge_segments);
+        ("charge_batches", Int r.v_charge_batches);
+      ]
+  in
+  {
+    name;
+    kind = "serve";
+    title;
+    data =
+      Obj
+        [
+          ("cpus", Int s.v_cpus);
+          ("tenants", Int s.v_tenant_count);
+          ("requests_total", Int s.v_requests_total);
+          ("upcalls", Int s.v_upcalls);
+          ("preemptions", Int s.v_preemptions);
+          ("reallocations", Int s.v_reallocations);
+          ("elapsed_ms", Float s.v_elapsed_ms);
+          ("per_tenant", Arr (List.map tenant s.v_rows));
+        ];
+  }
+
+let cluster ~name ~title (s : Cluster.summary) =
+  let machine (r : Cluster.machine_row) =
+    Obj
+      [
+        ("machine", Int r.m_id);
+        ("alive", Bool r.m_alive);
+        ("tenants_final", Int r.m_tenants_final);
+        ("upcalls", Int r.m_upcalls);
+        ("preemptions", Int r.m_preemptions);
+        ("reallocations", Int r.m_reallocations);
+        ("migs_in", Int r.m_migs_in);
+        ("migs_out", Int r.m_migs_out);
+        ("remote_hits", Int r.m_remote_hits);
+        ("remote_fallbacks", Int r.m_remote_fallbacks);
+        ("util", Float r.m_util);
+      ]
+  in
+  let tenant (r : Cluster.tenant_row) =
+    Obj
+      [
+        ("tenant", Int r.c_tenant);
+        ("class", Str r.c_class);
+        ("home0", Int r.c_home0);
+        ("home", Int r.c_home);
+        ("completed", Int r.c_completed);
+        ("p50_us", Float r.c_p50_us);
+        ("p99_us", Float r.c_p99_us);
+        ("p999_us", Float r.c_p999_us);
+        ("violations", Int r.c_violations);
+        ("slo_ms", Float r.c_slo_ms);
+      ]
+  in
+  let net = s.cl_net and alloc = s.cl_alloc in
+  {
+    name;
+    kind = "cluster";
+    title;
+    data =
+      Obj
+        [
+          ("machines", Int s.cl_machines);
+          ("cpus_per_machine", Int s.cl_cpus);
+          ("tenants", Int s.cl_tenants);
+          ("requests_total", Int s.cl_requests_total);
+          ("migrations", Int s.cl_migrations);
+          ("evacuations", Int s.cl_evacuations);
+          ("crashes", Int s.cl_crashes);
+          ("partitions", Int s.cl_partitions);
+          ("remote_hits", Int s.cl_remote_hits);
+          ("remote_fallbacks", Int s.cl_remote_fallbacks);
+          ("net_messages", Int net.Sa_cluster.Net.messages);
+          ("net_bytes", Int net.bytes);
+          ("net_drops", Int net.drops);
+          ("alloc_summaries", Int alloc.Sa_cluster.Cluster_alloc.summaries);
+          ("alloc_summary_drops", Int alloc.summary_drops);
+          ("alloc_commands", Int alloc.commands);
+          ("alloc_rebalances", Int alloc.rebalances);
+          ("elapsed_ms", Float s.cl_elapsed_ms);
+          ("completed_all", Bool s.cl_completed_all);
+          ("per_machine", Arr (List.map machine s.cl_machine_rows));
+          ("per_tenant", Arr (List.map tenant s.cl_tenant_rows));
+        ];
+  }
+
+(* ------------------------------------------------------------------ *)
+(* JSON                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The one float format of both printers; [None] for NaN and ±inf. *)
+let number f =
+  if Float.is_nan f || Float.abs f = Float.infinity then None
+  else Some (Printf.sprintf "%.6g" f)
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let add_seq buf ~opening ~closing add xs =
+  Buffer.add_char buf opening;
   List.iteri
-    (fun si s ->
-      Printf.printf "  %c = %s\n"
-        letters.(si mod Array.length letters)
-        s.Experiments.series)
-    series
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      add buf x)
+    xs;
+  Buffer.add_char buf closing
 
-let print_exec_time_series ~title series =
-  header title;
-  (match series with
-  | [] -> ()
-  | first :: _ ->
-      Printf.printf "%-24s" "exec time (s)";
+let rec add_value buf = function
+  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Float f -> Buffer.add_string buf (Option.value (number f) ~default:"null")
+  | Str s -> add_string buf s
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Null -> Buffer.add_string buf "null"
+  | Arr vs -> add_seq buf ~opening:'[' ~closing:']' add_value vs
+  | Obj fields ->
+      add_seq buf ~opening:'{' ~closing:'}'
+        (fun buf (k, v) ->
+          add_string buf k;
+          Buffer.add_char buf ':';
+          add_value buf v)
+        fields
+
+let json sections =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\n";
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_string buf ",\n";
+      add_string buf s.name;
+      Buffer.add_char buf ':';
+      add_value buf
+        (Obj [ ("kind", Str s.kind); ("title", Str s.title); ("data", s.data) ]))
+    sections;
+  Buffer.add_string buf "\n}\n";
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* Text                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let scalar = function
+  | Int n -> Some (string_of_int n)
+  | Float f -> Some (Option.value (number f) ~default:"-")
+  | Str s -> Some s
+  | Bool b -> Some (string_of_bool b)
+  | Null -> Some "-"
+  | Arr _ | Obj _ -> None
+
+(* A list renders as a table when its items are objects with the same
+   scalar fields in the same order. *)
+let tabular = function
+  | Obj first :: _ as rows ->
+      let keys = List.map fst first in
+      List.for_all
+        (function
+          | Obj fields ->
+              List.map fst fields = keys
+              && List.for_all (fun (_, v) -> scalar v <> None) fields
+          | _ -> false)
+        rows
+  | _ -> false
+
+(* One output line, without the trailing blanks of a padded last column. *)
+let add_line buf pad s =
+  let n = ref (String.length s) in
+  while !n > 0 && s.[!n - 1] = ' ' do
+    decr n
+  done;
+  Buffer.add_string buf pad;
+  Buffer.add_substring buf s 0 !n;
+  Buffer.add_char buf '\n'
+
+(* One column per key; numeric columns are right-aligned. *)
+let add_table buf pad rows =
+  let rows = List.map (function Obj fields -> fields | _ -> []) rows in
+  let column key =
+    let cells = List.map (List.assoc key) rows in
+    let right =
+      List.for_all (function Int _ | Float _ | Null -> true | _ -> false) cells
+    in
+    let texts = List.map (fun v -> Option.get (scalar v)) cells in
+    let width =
+      List.fold_left (fun w s -> max w (String.length s)) (String.length key)
+        texts
+    in
+    let cell s =
+      if right then Printf.sprintf "%*s" width s else Printf.sprintf "%-*s" width s
+    in
+    (cell key, Array.of_list (List.map cell texts))
+  in
+  let columns = List.map column (List.map fst (List.hd rows)) in
+  add_line buf pad (String.concat "  " (List.map fst columns));
+  List.iteri
+    (fun i _ ->
+      add_line buf pad
+        (String.concat "  " (List.map (fun (_, cells) -> cells.(i)) columns)))
+    rows
+
+let rec add_text buf pad = function
+  | Arr rows when tabular rows -> add_table buf pad rows
+  | Arr items ->
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_char buf '\n';
+          add_text buf pad item)
+        items
+  | Obj fields ->
       List.iter
-        (fun p -> Printf.printf " %5d%%" p.Experiments.memory_percent)
-        first.Experiments.io_points;
-      print_newline ());
-  List.iter
-    (fun s ->
-      Printf.printf "%-24s" s.Experiments.io_series;
-      List.iter
-        (fun p -> Printf.printf " %6.2f" p.Experiments.exec_time_s)
-        s.Experiments.io_points;
-      print_newline ())
-    series
+        (fun (k, v) ->
+          match scalar v with
+          | Some s -> add_line buf pad (k ^ ": " ^ s)
+          | None ->
+              add_line buf pad (k ^ ":");
+              add_text buf (pad ^ "  ") v)
+        fields
+  | v -> add_line buf pad (Option.get (scalar v))
 
-let print_multiprog ~title rows =
-  header title;
-  Printf.printf "%-40s %10s %10s\n" "System" "speedup" "paper";
-  List.iter
-    (fun r ->
-      Printf.printf "%-40s %10.2f %s\n" r.Experiments.mp_system
-        r.Experiments.mp_speedup (opt_f r.Experiments.mp_paper))
-    rows;
-  Printf.printf "(maximum possible: 3.00)\n"
-
-let print_upcalls ~title rows =
-  header title;
-  Printf.printf "%-48s %12s %10s\n" "Configuration" "SigWait(us)" "paper";
-  List.iter
-    (fun r ->
-      Printf.printf "%-48s %12.1f %s\n" r.Experiments.u_config
-        r.Experiments.u_signal_wait_us (opt_f r.Experiments.u_paper))
-    rows
-
-let print_ablation ~title rows =
-  header title;
-  List.iter
-    (fun r ->
-      Printf.printf "%-56s %12.2f %s\n" r.Experiments.a_label
-        r.Experiments.a_value r.Experiments.a_unit)
-    rows
-
-let print_server ~title rows =
-  header title;
-  Printf.printf "%-28s %10s %10s %10s\n" "System" "mean(us)" "p95(us)" "p99(us)";
-  List.iter
-    (fun r ->
-      Printf.printf "%-28s %10.0f %10.0f %10.0f\n" r.Experiments.s_system
-        r.Experiments.s_mean_us r.Experiments.s_p95_us r.Experiments.s_p99_us)
-    rows
-
-let print_serve ~title (s : Experiments.serve_summary) =
-  header title;
-  Printf.printf "%d tenants, %d requests total, %d CPUs\n" s.Experiments.v_tenant_count
-    s.Experiments.v_requests_total s.Experiments.v_cpus;
-  Printf.printf "%-18s %5s %9s %9s %9s %9s %8s %7s %7s %7s %8s %7s\n" "Tenant"
-    "done" "p50(us)" "p99(us)" "p999(us)" "max(us)" "SLO(ms)" "viol%" "grants"
-    "preempt" "steps" "chg/ev";
-  List.iter
-    (fun (r : Experiments.serve_tenant_row) ->
-      Printf.printf
-        "%-18s %5d %9.0f %9.0f %9.0f %9.0f %8.0f %6.1f%% %7d %7d %8d %6.2f\n"
-        r.Experiments.v_tenant r.Experiments.v_completed r.Experiments.v_p50_us
-        r.Experiments.v_p99_us r.Experiments.v_p999_us r.Experiments.v_max_us
-        r.Experiments.v_slo_ms
-        (100.0 *. r.Experiments.v_violation_frac)
-        r.Experiments.v_grants r.Experiments.v_preempts
-        r.Experiments.v_program_steps
-        (if r.Experiments.v_charge_batches = 0 then 0.0
-         else
-           float_of_int r.Experiments.v_charge_segments
-           /. float_of_int r.Experiments.v_charge_batches))
-    s.Experiments.v_rows;
-  Printf.printf
-    "kernel: %d upcalls, %d preemptions, %d reallocations; elapsed %.1f ms\n"
-    s.Experiments.v_upcalls s.Experiments.v_preemptions
-    s.Experiments.v_reallocations s.Experiments.v_elapsed_ms
-
-(* Cluster runs keep kernels separate: one section per machine (its own
-   upcall/preemption/migration counters, never summed across the cluster),
-   then the per-tenant tails, then the cluster-wide totals. *)
-let print_cluster ~title (s : Sa_cluster.Cluster.summary) =
-  let module C = Sa_cluster.Cluster in
-  let module Net = Sa_cluster.Net in
-  header title;
-  Printf.printf "%d machines x %d CPUs, %d tenants, %d requests completed\n"
-    s.C.cl_machines s.C.cl_cpus s.C.cl_tenants s.C.cl_requests_total;
-  List.iter
-    (fun (m : C.machine_row) ->
-      Printf.printf
-        "machine %d%s: %d tenants, util %4.1f%% | %d upcalls, %d preempts, \
-         %d reallocs | migs %d in / %d out | remote %d hits / %d fallbacks\n"
-        m.C.m_id
-        (if m.C.m_alive then "" else " (crashed)")
-        m.C.m_tenants_final
-        (100.0 *. m.C.m_util)
-        m.C.m_upcalls m.C.m_preemptions m.C.m_reallocations m.C.m_migs_in
-        m.C.m_migs_out m.C.m_remote_hits m.C.m_remote_fallbacks)
-    s.C.cl_machine_rows;
-  Printf.printf "%-6s %-12s %7s %5s %9s %9s %9s %8s %5s\n" "Tenant" "class"
-    "home" "done" "p50(us)" "p99(us)" "p999(us)" "SLO(ms)" "viol";
-  List.iter
-    (fun (r : C.tenant_row) ->
-      let home =
-        if r.C.c_home = r.C.c_home0 then Printf.sprintf "m%d" r.C.c_home
-        else Printf.sprintf "m%d->m%d" r.C.c_home0 r.C.c_home
-      in
-      Printf.printf "t%-5d %-12s %7s %5d %9.0f %9.0f %9.0f %8.0f %5d\n"
-        r.C.c_tenant r.C.c_class home r.C.c_completed r.C.c_p50_us
-        r.C.c_p99_us r.C.c_p999_us r.C.c_slo_ms r.C.c_violations)
-    s.C.cl_tenant_rows;
-  Printf.printf
-    "cluster: %d migrations, %d evacuations, %d crashes, %d partitions; %d \
-     remote hits, %d disk fallbacks\n"
-    s.C.cl_migrations s.C.cl_evacuations s.C.cl_crashes s.C.cl_partitions
-    s.C.cl_remote_hits s.C.cl_remote_fallbacks;
-  Printf.printf
-    "net: %d messages, %d bytes, %d drops; allocator: %d summaries (%d \
-     lost), %d commands, %d rebalances\n"
-    s.C.cl_net.Net.messages s.C.cl_net.Net.bytes s.C.cl_net.Net.drops
-    s.C.cl_alloc.Sa_cluster.Cluster_alloc.summaries
-    s.C.cl_alloc.Sa_cluster.Cluster_alloc.summary_drops
-    s.C.cl_alloc.Sa_cluster.Cluster_alloc.commands
-    s.C.cl_alloc.Sa_cluster.Cluster_alloc.rebalances;
-  Printf.printf "elapsed %.1f ms%s\n" s.C.cl_elapsed_ms
-    (if s.C.cl_completed_all then "" else " (INCOMPLETE: horizon expired)")
+let text s =
+  let buf = Buffer.create 1024 in
+  let rule = String.make 78 '-' in
+  Printf.bprintf buf "\n%s\n%s\n%s\n" rule s.title rule;
+  add_text buf "" s.data;
+  Buffer.contents buf

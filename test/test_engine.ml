@@ -511,32 +511,6 @@ let rng_tests =
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let summary_matches_oracle =
-  QCheck.Test.make ~name:"summary mean/total match oracle" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-100.) 100.))
-    (fun xs ->
-      let s = Stats.Summary.create () in
-      List.iter (Stats.Summary.add s) xs;
-      let n = List.length xs in
-      let total = List.fold_left ( +. ) 0.0 xs in
-      let mean = total /. float_of_int n in
-      abs_float (Stats.Summary.mean s -. mean) < 1e-6
-      && abs_float (Stats.Summary.total s -. total) < 1e-6
-      && Stats.Summary.count s = n)
-
-let merge_equals_combined =
-  QCheck.Test.make ~name:"summary merge == adding all" ~count:200
-    QCheck.(pair (list (float_range 0. 10.)) (list (float_range 0. 10.)))
-    (fun (xs, ys) ->
-      let a = Stats.Summary.create () and b = Stats.Summary.create () in
-      let c = Stats.Summary.create () in
-      List.iter (Stats.Summary.add a) xs;
-      List.iter (Stats.Summary.add b) ys;
-      List.iter (Stats.Summary.add c) (xs @ ys);
-      let m = Stats.Summary.merge a b in
-      abs_float (Stats.Summary.mean m -. Stats.Summary.mean c) < 1e-6
-      && abs_float (Stats.Summary.variance m -. Stats.Summary.variance c) < 1e-5)
-
 (* The documented accuracy contract: any percentile of a log histogram is
    within [0.5 /. sub_buckets] relative error of the exact ceil-rank
    order statistic, for in-range samples. *)
@@ -564,18 +538,6 @@ let log_histogram_percentile_accuracy =
 
 let stats_tests =
   [
-    Alcotest.test_case "summary basics" `Quick (fun () ->
-        let s = Stats.Summary.create () in
-        List.iter (Stats.Summary.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-        check (Alcotest.float 1e-9) "mean" 2.5 (Stats.Summary.mean s);
-        check (Alcotest.float 1e-9) "min" 1.0 (Stats.Summary.min s);
-        check (Alcotest.float 1e-9) "max" 4.0 (Stats.Summary.max s);
-        check (Alcotest.float 1e-6) "variance" (5.0 /. 3.0)
-          (Stats.Summary.variance s));
-    Alcotest.test_case "empty summary" `Quick (fun () ->
-        let s = Stats.Summary.create () in
-        check (Alcotest.float 0.0) "mean" 0.0 (Stats.Summary.mean s);
-        check Alcotest.int "count" 0 (Stats.Summary.count s));
     Alcotest.test_case "log histogram bounds, NaN and exact max" `Quick
       (fun () ->
         let h = Stats.Log_histogram.create ~lo:1.0 ~hi:1e6 ~sub_buckets:32 in
@@ -596,8 +558,6 @@ let stats_tests =
         (* 0 for [0,100), 1 for [100,200): average over [0,200] = 0.5 *)
         check (Alcotest.float 1e-9) "avg" 0.5
           (Stats.Weighted.average w ~upto:(Time.of_ns 200)));
-    qtest summary_matches_oracle;
-    qtest merge_equals_combined;
     qtest log_histogram_percentile_accuracy;
   ]
 

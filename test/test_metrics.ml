@@ -1,6 +1,6 @@
-(* Smoke tests for the experiment runners and report formatting: every
+(* Smoke tests for the experiment runners and the report document: every
    runner executes on reduced workloads and produces structurally sound
-   results; printing never raises. *)
+   results, and every builder's section prints as JSON and as text. *)
 
 module Nbody = Sa_workload.Nbody
 module E = Sa_metrics.Experiments
@@ -70,17 +70,129 @@ let runner_tests =
           <= unfair "rotation off: unfairness |j1-j2|/avg" +. 0.05));
   ]
 
+(* A hand-built document using every constructor, printed byte-exact:
+   escapes, %.6g floats, null for NaN/±inf, empty and nested values. *)
+let json_bytes () =
+  let doc =
+    [
+      {
+        R.name = "a\"b";
+        kind = "k";
+        title = "line\nbreak\\\t";
+        data =
+          R.Obj
+            [
+              ("i", R.Int (-3));
+              ("f", R.Float 0.1);
+              ("big", R.Float 1234567.0);
+              ("tiny", R.Float 2.5e-7);
+              ("nan", R.Float Float.nan);
+              ("inf", R.Float Float.infinity);
+              ("ninf", R.Float Float.neg_infinity);
+              ("none", R.Null);
+              ("yes", R.Bool true);
+              ("no", R.Bool false);
+              ("empty", R.Arr []);
+              ( "nested",
+                R.Obj
+                  [
+                    ("o", R.Obj [ ("s", R.Str "x") ]);
+                    ("l", R.Arr [ R.Int 1; R.Obj []; R.Arr [] ]);
+                  ] );
+            ];
+      };
+      { R.name = "second"; kind = "k2"; title = "t"; data = R.Arr [] };
+    ]
+  in
+  check Alcotest.string "bytes"
+    {|{
+"a\"b":{"kind":"k","title":"line\nbreak\\\u0009","data":{"i":-3,"f":0.1,"big":1.23457e+06,"tiny":2.5e-07,"nan":null,"inf":null,"ninf":null,"none":null,"yes":true,"no":false,"empty":[],"nested":{"o":{"s":"x"},"l":[1,{},[]]}}},
+"second":{"kind":"k2","title":"t","data":[]}
+}
+|}
+    (R.json doc)
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+(* Every key and every number of a value, at any depth, as printed. *)
+let rec keys_and_numbers = function
+  | R.Obj fields ->
+      List.concat_map (fun (k, v) -> k :: keys_and_numbers v) fields
+  | R.Arr vs -> List.concat_map keys_and_numbers vs
+  | R.Int n -> [ string_of_int n ]
+  | R.Float f when Float.is_finite f -> [ Printf.sprintf "%.6g" f ]
+  | R.Float _ | R.Str _ | R.Bool _ | R.Null -> []
+
+(* A builder's section is one well-formed JSON member of its own kind, and
+   its text rendering shows every key and the same figures. *)
+let check_section kind (s : R.section) =
+  check Alcotest.string "kind" kind s.R.kind;
+  (match Json_check.parse (R.json [ s ]) with
+  | Json_check.Obj [ (name, body) ] ->
+      check Alcotest.string "name" s.R.name name;
+      check (Alcotest.option Alcotest.string) "kind member" (Some kind)
+        (Json_check.str_member "kind" body)
+  | _ -> Alcotest.fail "expected one section member");
+  let text = R.text s in
+  check Alcotest.bool "title" true (contains text s.R.title);
+  List.iter
+    (fun tok -> check Alcotest.bool ("text shows " ^ tok) true (contains text tok))
+    (keys_and_numbers s.R.data)
+
+let builder_case kind build =
+  Alcotest.test_case (kind ^ " section") `Quick (fun () ->
+      check_section kind (build ~name:kind ~title:("T " ^ kind)))
+
 let report_tests =
+  let module Server = Sa_workload.Server in
+  let module Cluster = Sa_cluster.Cluster in
   [
-    Alcotest.test_case "all printers run without raising" `Quick (fun () ->
-        (* Redirect is unnecessary: printers write to stdout, and alcotest
-           captures test output. *)
-        R.print_latency_table ~title:"t" (E.table1 ~iters:10 ());
-        R.print_speedup_series ~title:"f1" (E.figure1 ~params:tiny ());
-        R.print_exec_time_series ~title:"f2" (E.figure2 ~params:tiny ());
-        R.print_multiprog ~title:"t5" (E.table5 ~params:tiny ());
-        R.print_upcalls ~title:"u" (E.upcall_performance ~iters:10 ());
-        R.print_ablation ~title:"a" (E.ablation_activation_pooling ~iters:10 ()));
+    Alcotest.test_case "json is byte-exact" `Quick json_bytes;
+    builder_case "latency" (fun ~name ~title ->
+        R.latency ~name ~title (E.table1 ~iters:10 ()));
+    builder_case "speedup" (fun ~name ~title ->
+        R.speedup ~name ~title (E.figure1 ~params:tiny ()));
+    builder_case "exec-time" (fun ~name ~title ->
+        R.exec_time ~name ~title (E.figure2 ~params:tiny ()));
+    builder_case "multiprog" (fun ~name ~title ->
+        R.multiprog ~name ~title (E.table5 ~params:tiny ()));
+    builder_case "upcalls" (fun ~name ~title ->
+        R.upcalls ~name ~title (E.upcall_performance ~iters:10 ()));
+    builder_case "ablation" (fun ~name ~title ->
+        R.ablation ~name ~title (E.ablation_activation_pooling ~iters:10 ()));
+    builder_case "server" (fun ~name ~title ->
+        R.server ~name ~title
+          (E.server_latency
+             ~params:{ Server.default_params with Server.requests = 20 }
+             ()));
+    builder_case "serve" (fun ~name ~title ->
+        R.serve ~name ~title
+          (E.serve
+             ~params:
+               {
+                 Server.default_mt_params with
+                 Server.mt_tenants = 3;
+                 mt_requests = 5;
+               }
+             ~cpus:8 ()));
+    builder_case "cluster" (fun ~name ~title ->
+        let cl =
+          Cluster.create
+            {
+              Cluster.default_params with
+              Cluster.machines = 2;
+              cpus = 4;
+              tenants = 3;
+              requests = 6;
+            }
+        in
+        Cluster.run cl;
+        R.cluster ~name ~title (Cluster.summary cl));
   ]
 
 let protocol_tests =
