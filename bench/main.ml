@@ -129,9 +129,6 @@ let scale_one ~cpus ~threads =
   let module Program = Sa_program.Program in
   let module Ft_core = Sa_uthread.Ft_core in
   let sys = System.create ~cpus () in
-  (* Throughput run: nothing reads the trace, so recording it would only
-     tax the measurement. *)
-  Sa_engine.Trace.set_recording (Sa_engine.Sim.trace (System.sim sys)) false;
   (* Two-level fan-out: the root forks one branch per processor, each
      branch forks its share of leaves, so forking itself runs in
      parallel.  Leaves yield mid-compute to exercise the queue
@@ -333,11 +330,10 @@ let simulator_tests =
              Cpu.begin_work cpu ~occupant ~length:(Time.us 1) seg;
              Sim.run sim));
       (* The idle-hysteresis path: 1000 empty slice boundaries, each
-         re-armed inside the CPU, traced off as in workload runs. *)
+         re-armed inside the CPU, with no trace sink as in workload runs. *)
       Test.make ~name:"cpu spin boundary x1000"
         (Staged.stage (fun () ->
              let sim = Sim.create () in
-             Sa_engine.Trace.set_recording (Sim.trace sim) false;
              let cpu = Cpu.create sim 0 in
              let occupant = Cpu.Occupant { space = 0; detail = "bench" } in
              Cpu.begin_spin cpu ~occupant ~slice:(Time.us 1)
@@ -471,7 +467,6 @@ let program_bench =
   in
   let run_one ?(cpus = 1) prog () =
     let sys = System.create ~cpus () in
-    Sa_engine.Trace.set_recording (Sa_engine.Sim.trace (System.sim sys)) false;
     ignore (System.submit sys ~backend:`Fastthreads_on_sa ~name:"micro" prog);
     System.run sys
   in
@@ -499,7 +494,6 @@ let kernel_bench () =
   let module Sim = Sa_engine.Sim in
   let module Time = Sa_engine.Time in
   let sim = Sim.create () in
-  Sa_engine.Trace.set_recording (Sim.trace sim) false;
   let machine = Sa_hw.Machine.create sim ~cpus:64 in
   let k =
     Kernel.create sim machine Sa_hw.Cost_model.firefly_cvax

@@ -585,19 +585,18 @@ let trace_cmd =
   let action backend cpus millis format out =
     let sys = System.create ~cpus ~kconfig:(kconfig_of backend) () in
     let tr = Sim.trace (System.sim sys) in
-    (* The stream is written as records are emitted, so the export is not
-       bounded by the trace ring's capacity. *)
+    (* Both formats are sinks: each record is written as it is emitted. *)
     let finish =
       match format with
       | `Text -> (
           match out with
           | None ->
-              Trace.set_live tr (Some Format.std_formatter);
+              Trace.add_sink tr (Trace.printer Format.std_formatter);
               fun () -> ()
           | Some file ->
               let oc = open_out file in
               let ppf = Format.formatter_of_out_channel oc in
-              Trace.set_live tr (Some ppf);
+              Trace.add_sink tr (Trace.printer ppf);
               fun () ->
                 Format.pp_print_flush ppf ();
                 close_out oc)

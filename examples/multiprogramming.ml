@@ -45,14 +45,13 @@ let () =
   let tr = Sim.trace (System.sim sys) in
   Trace.enable tr Trace.Upcall false;
   Trace.enable tr Trace.Cpu false;
-  Trace.set_live tr (Some Format.std_formatter);
+  Trace.add_sink tr (Trace.printer Format.std_formatter);
   let timeline =
     Sa_metrics.Timeline.attach sys ~resolution:(Time.ms 2)
   in
   let j1 = System.submit sys ~backend:`Fastthreads_on_sa ~name:"alpha" phased_job in
   let j2 = System.submit sys ~backend:`Fastthreads_on_sa ~name:"beta" phased_job in
   System.run sys;
-  Trace.set_live tr None;
   print_newline ();
   print_endline "processor occupancy (a = alpha, b = beta, t = kernel daemons):";
   Sa_metrics.Timeline.render timeline Format.std_formatter;

@@ -16,4 +16,3 @@ let equal ?(eps = 1e-12) a b =
   && abs_float (a.y -. b.y) <= eps
   && abs_float (a.z -. b.z) <= eps
 
-let pp ppf a = Format.fprintf ppf "(%g, %g, %g)" a.x a.y a.z

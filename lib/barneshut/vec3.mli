@@ -15,4 +15,3 @@ val norm2 : t -> float
 val norm : t -> float
 val dist2 : t -> t -> float
 val equal : ?eps:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

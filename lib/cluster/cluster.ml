@@ -1,6 +1,5 @@
 module Time = Sa_engine.Time
 module Sim = Sa_engine.Sim
-module Trace = Sa_engine.Trace
 module Machine = Sa_hw.Machine
 module Buffer_cache = Sa_hw.Buffer_cache
 module Cost_model = Sa_hw.Cost_model
@@ -332,7 +331,6 @@ let create p =
   if p.tenants <= 0 then invalid_arg "Cluster.create: tenants";
   if p.cache_blocks < 0 then invalid_arg "Cluster.create: cache_blocks";
   let sim = Sim.create () in
-  Trace.set_recording (Sim.trace sim) false;
   let ids = ref 0 in
   let nodes =
     Array.init p.machines (fun m ->

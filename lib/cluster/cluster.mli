@@ -55,7 +55,7 @@ val default_params : params
     50 us latency and cost 1 ns per byte, a remote fetch sends a 64-byte
     request and receives an 8 KiB block, a migration transfers 4096 bytes
     plus 512 per resident activation, a crashed machine's spaces begin
-    their restore after 5 ms, and trace recording is off. *)
+    their restore after 5 ms, and no trace sink is registered. *)
 
 type t
 

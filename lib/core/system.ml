@@ -153,7 +153,6 @@ let completion_time j =
 (* Evaluated once per simulated event by {!run}: avoid the polymorphic
    [<> None]. *)
 let finished j = match completion_time j with None -> false | Some _ -> true
-let start_time j = j.j_started
 
 (* Cluster migration bookkeeping: move a job record between systems so
    per-system listings (and the invariant auditors walking them) track

@@ -98,7 +98,6 @@ val submit :
 
 val job_name : job -> string
 val finished : job -> bool
-val start_time : job -> Time.t
 val completion_time : job -> Time.t option
 
 val elapsed : job -> Time.span option

@@ -149,6 +149,4 @@ module Weighted = struct
       in
       (t.area +. tail) /. float_of_int span
     end
-
-  let current t = t.level
 end

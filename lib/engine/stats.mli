@@ -54,6 +54,4 @@ module Weighted : sig
 
   val average : t -> upto:Time.t -> float
   (** Time-weighted mean level over [\[start, upto\]]. *)
-
-  val current : t -> float
 end

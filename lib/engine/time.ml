@@ -30,7 +30,6 @@ let s n = n * 1_000_000_000
 let us_f x = int_of_float (Float.round (x *. 1_000.))
 let span_to_us d = float_of_int d /. 1_000.
 let span_to_ms d = float_of_int d /. 1_000_000.
-let to_us t = span_to_us t
 let to_ms t = span_to_ms t
 
 let pp_span ppf d =

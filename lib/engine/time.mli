@@ -51,7 +51,6 @@ val us_f : float -> span
 
 val span_to_us : span -> float
 val span_to_ms : span -> float
-val to_us : t -> float
 val to_ms : t -> float
 
 (** {1 Printing} *)

@@ -16,14 +16,6 @@ let category_index = function
   | Uthread -> 4
   | Workload -> 5
 
-let category_of_index = function
-  | 0 -> Sim
-  | 1 -> Cpu
-  | 2 -> Kernel
-  | 3 -> Upcall
-  | 4 -> Uthread
-  | _ -> Workload
-
 let n_categories = 6
 
 type kind = Instant | Span_begin | Span_end | Counter of float
@@ -41,71 +33,38 @@ type record = {
 
 let no_id = -1
 
-(* Kind tags for the flattened ring.  [Counter]'s payload lives in the
-   parallel float array so a ring write never boxes. *)
-let k_instant = 0
-let k_span_begin = 1
-let k_span_end = 2
-let k_counter = 3
-
-let kind_index = function
-  | Instant -> k_instant
-  | Span_begin -> k_span_begin
-  | Span_end -> k_span_end
-  | Counter _ -> k_counter
-
-let kind_value = function Counter v -> v | _ -> 0.
-
-(* The ring is a struct-of-arrays: one slot is a row across nine parallel
-   arrays rather than a heap-allocated record.  Recording a span then costs
-   only the row writes — the int and float stores skip the GC write barrier
-   entirely, and nothing is allocated unless a live formatter or sink needs
-   a materialized {!record}. *)
 type t = {
-  r_time : int array;  (* Time.to_ns *)
-  r_cat : int array;
-  r_kind : int array;
-  r_name : string array;
-  r_cpu : int array;
-  r_space : int array;
-  r_act : int array;
-  r_msg : string array;
-  r_value : float array;  (* counter payload; 0. otherwise *)
-  mutable next : int;
-  mutable total : int;
-  enabled_mask : bool array;
+  wanted : bool array;  (* per-category switch set by [enable] *)
+  live : bool array;  (* [wanted] && recording && some sink: the hot check *)
   mutable recording : bool;
-  mutable live : Format.formatter option;
   mutable sinks : (record -> unit) array;  (* registration order *)
 }
 
-let create ?(capacity = 4096) () =
-  if capacity <= 0 then invalid_arg "Trace.create: capacity";
+let create () =
   {
-    r_time = Array.make capacity 0;
-    r_cat = Array.make capacity 0;
-    r_kind = Array.make capacity 0;
-    r_name = Array.make capacity "";
-    r_cpu = Array.make capacity no_id;
-    r_space = Array.make capacity no_id;
-    r_act = Array.make capacity no_id;
-    r_msg = Array.make capacity "";
-    r_value = Array.make capacity 0.;
-    next = 0;
-    total = 0;
-    enabled_mask = Array.make n_categories true;
+    wanted = Array.make n_categories true;
+    live = Array.make n_categories false;
     recording = true;
-    live = None;
     sinks = [||];
   }
 
-let enable t cat v = t.enabled_mask.(category_index cat) <- v
-let set_recording t v = t.recording <- v
-let recording t = t.recording
-let set_live t fmt = t.live <- fmt
-let add_sink t sink = t.sinks <- Array.append t.sinks [| sink |]
+let refresh t =
+  let on = t.recording && Array.length t.sinks > 0 in
+  Array.iteri (fun i w -> t.live.(i) <- on && w) t.wanted
 
-let enabled t cat = t.recording && t.enabled_mask.(category_index cat)
+let enable t cat v =
+  t.wanted.(category_index cat) <- v;
+  refresh t
+
+let set_recording t v =
+  t.recording <- v;
+  refresh t
+
+let add_sink t sink =
+  t.sinks <- Array.append t.sinks [| sink |];
+  refresh t
+
+let enabled t cat = t.live.(category_index cat)
 
 let render_message r =
   match r.kind with
@@ -118,68 +77,24 @@ let render_message r =
       if r.message = "" then tag ^ r.name
       else Printf.sprintf "%s%s (%s)" tag r.name r.message
 
-let pp_record ppf r =
-  Format.fprintf ppf "[%a] %-8s %s" Time.pp r.time
+let printer ppf r =
+  Format.fprintf ppf "[%a] %-8s %s@." Time.pp r.time
     (category_name r.category)
     (render_message r)
 
-(* Rebuild a {!record} from ring row [i] — only for observers (live
-   formatter, sinks, {!records}), never on the recording path proper. *)
-let materialize t i =
-  let kind =
-    let k = t.r_kind.(i) in
-    if k = k_instant then Instant
-    else if k = k_span_begin then Span_begin
-    else if k = k_span_end then Span_end
-    else Counter t.r_value.(i)
-  in
-  {
-    time = Time.of_ns t.r_time.(i);
-    category = category_of_index t.r_cat.(i);
-    kind;
-    name = t.r_name.(i);
-    cpu = t.r_cpu.(i);
-    space = t.r_space.(i);
-    act = t.r_act.(i);
-    message = t.r_msg.(i);
-  }
-
-let write t ~time ~cat_i ~kind_i ~name ~cpu ~space ~act ~message ~value =
-  let i = t.next in
-  t.r_time.(i) <- Time.to_ns time;
-  t.r_cat.(i) <- cat_i;
-  t.r_kind.(i) <- kind_i;
-  t.r_name.(i) <- name;
-  t.r_cpu.(i) <- cpu;
-  t.r_space.(i) <- space;
-  t.r_act.(i) <- act;
-  t.r_msg.(i) <- message;
-  t.r_value.(i) <- value;
-  t.next <- (i + 1) mod Array.length t.r_time;
-  t.total <- t.total + 1;
-  if not (t.live == None && Array.length t.sinks = 0) then begin
-    let r = materialize t i in
-    (match t.live with
-    | None -> ()
-    | Some ppf -> Format.fprintf ppf "%a@." pp_record r);
+let record t ~time ~category ~kind ~name ~cpu ~space ~act ~message =
+  if enabled t category then begin
+    let r = { time; category; kind; name; cpu; space; act; message } in
     Array.iter (fun sink -> sink r) t.sinks
   end
 
-let record t ~time ~category ~kind ~name ~cpu ~space ~act ~message =
-  if enabled t category then
-    write t ~time ~cat_i:(category_index category) ~kind_i:(kind_index kind)
-      ~name ~cpu ~space ~act ~message ~value:(kind_value kind)
-
-let free_form t ~time category message =
-  write t ~time ~cat_i:(category_index category) ~kind_i:k_instant ~name:""
-    ~cpu:no_id ~space:no_id ~act:no_id ~message ~value:0.
-
-let emit t ~time category message =
-  if enabled t category then free_form t ~time category (Lazy.force message)
-
 let emitf t ~time category fmt =
   if enabled t category then
-    Format.kasprintf (fun message -> free_form t ~time category message) fmt
+    Format.kasprintf
+      (fun message ->
+        record t ~time ~category ~kind:Instant ~name:"" ~cpu:no_id ~space:no_id
+          ~act:no_id ~message)
+      fmt
   else
     (* Consume the format arguments without formatting or allocating. *)
     Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
@@ -201,19 +116,3 @@ let span_end t ~time ?(cpu = no_id) ?(space = no_id) ?(act = no_id)
 let counter t ~time ?(cpu = no_id) category name value =
   record t ~time ~category ~kind:(Counter value) ~name ~cpu ~space:no_id
     ~act:no_id ~message:""
-
-let records t =
-  let cap = Array.length t.r_time in
-  let n = min t.total cap in
-  let out = ref [] in
-  (* Prepend newest first so the result reads oldest first. *)
-  for i = 0 to n - 1 do
-    let idx = (t.next - 1 - i + (2 * cap)) mod cap in
-    out := materialize t idx :: !out
-  done;
-  !out
-
-let count t = t.total
-
-let dump t ppf =
-  List.iter (fun r -> Format.fprintf ppf "%a@." pp_record r) (records t)

@@ -2,14 +2,14 @@
 
     Components emit typed trace records tagged with a category and,
     optionally, the hardware/kernel entities involved (processor, address
-    space, activation).  A trace sink keeps the most recent records in a
-    ring buffer, can mirror them to a formatter as they arrive, and can
-    stream them to structured sinks (e.g. the Chrome trace-event exporter in
-    {!Trace_export}).  Tracing off the hot path costs one branch: every
-    emitter checks the category's enable bit (and the master
-    {!set_recording} switch) before doing any formatting or allocation.
-    The ring itself is flattened into parallel arrays, so recording a
-    span allocates nothing unless a live formatter or sink is attached. *)
+    space, activation).  A trace is a dispatcher: each record is built and
+    handed to the registered sinks ({!add_sink}) — the Chrome trace-event
+    exporter in {!Trace_export}, the text {!printer}, explore's coverage
+    sink — or, when nothing listens, never built at all.  There is no
+    buffer.  Tracing off the hot path costs one array load: every emitter
+    checks a per-category bit that is set only while {!set_recording} is on,
+    the category is enabled and at least one sink is registered, before it
+    does any formatting or allocation. *)
 
 type category =
   | Sim  (** engine-level events *)
@@ -46,37 +46,28 @@ val no_id : int
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Ring of at most [capacity] (default 4096) records. *)
+val create : unit -> t
+(** A trace with every category enabled, recording on and no sinks. *)
 
 val enable : t -> category -> bool -> unit
-(** Toggle recording of a category.  All categories start enabled. *)
+(** Toggle a category.  All categories start enabled. *)
 
 val set_recording : t -> bool -> unit
 (** Master recording switch, [true] at creation.  When off, {!enabled} is
-    [false] for every category: nothing reaches the ring, the live
-    formatter, or the sinks, and every emitter's guard short-circuits —
-    callers that build detail strings behind {!enabled} checks pay nothing.
-    Benchmarks measuring engine throughput turn this off; leave it on when
-    any observer (trace export, explore coverage sinks) needs the
-    stream. *)
-
-val recording : t -> bool
-(** Current state of the master switch. *)
-
-val set_live : t -> Format.formatter option -> unit
-(** When set, records are also printed (text format) as they are emitted. *)
+    [false] for every category even while sinks are registered. *)
 
 val add_sink : t -> (record -> unit) -> unit
-(** Register a structured sink: called with every record as it is emitted,
-    before ring eviction — sinks see the full stream, not just the last
-    [capacity] records.  Sinks fire in registration order. *)
+(** Register a sink, called with every enabled record as it is emitted.
+    Sinks fire in registration order. *)
+
+val printer : Format.formatter -> record -> unit
+(** A text sink: [Trace.add_sink t (Trace.printer ppf)] prints each record
+    as one [\[time\] category message] line and flushes [ppf]. *)
 
 val enabled : t -> category -> bool
-
-val emit : t -> time:Time.t -> category -> string Lazy.t -> unit
-(** Record a free-form instant event.  The message is only forced if the
-    category is enabled. *)
+(** [true] iff recording is on, [category] is enabled and at least one sink
+    is registered — i.e. a record emitted now would reach someone.  Callers
+    that build detail strings guard them with this. *)
 
 val emitf :
   t ->
@@ -128,15 +119,3 @@ val span_end :
 val counter : t -> time:Time.t -> ?cpu:int -> category -> string -> float -> unit
 (** [counter t ~time cat name v] records that the counter [name] holds [v]
     from [time] on. *)
-
-val records : t -> record list
-(** Contents of the ring, oldest first. *)
-
-val count : t -> int
-(** Total records emitted (including ones evicted from the ring). *)
-
-val render_message : record -> string
-(** The text rendering of a record's payload, as used by {!dump}. *)
-
-val dump : t -> Format.formatter -> unit
-(** Print the ring contents in the text format, oldest first. *)

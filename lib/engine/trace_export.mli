@@ -1,7 +1,7 @@
 (** Chrome trace-event (Perfetto-compatible) JSON export of {!Trace} records.
 
-    The writer streams events as they are fed, so it can act as a live
-    {!Trace.add_sink} sink and is not bounded by the trace ring's capacity.
+    The writer streams events as they are fed, so it acts as a
+    {!Trace.add_sink} sink and sees the whole run.
     Output is the JSON object format [{"traceEvents": [...]}], loadable in
     Perfetto (ui.perfetto.dev) or [chrome://tracing].
 
@@ -29,7 +29,8 @@ val close : t -> unit
     no-op. *)
 
 val export : out:(string -> unit) -> Trace.record list -> unit
-(** One-shot export of a record list (e.g. {!Trace.records}). *)
+(** One-shot export of a record list, e.g. one gathered by a collecting
+    {!Trace.add_sink} sink. *)
 
 val to_string : Trace.record list -> string
 (** [export] into a fresh buffer. *)

@@ -50,7 +50,7 @@ let compute_targets t =
   store_targets sc 0 t.spaces
 
 let preempt_slot_now t sp slot =
-  t.st_preemptions <- t.st_preemptions + 1;
+  t.stats.preemptions <- t.stats.preemptions + 1;
   sp.sp_preempted <- sp.sp_preempted + 1;
   tracef t "allocator: preempt cpu%d from %s" (Cpu.id slot.slot_cpu)
     sp.sp_name;
@@ -96,7 +96,7 @@ let chaos_preempt t ~cpu =
   | Kconfig.Explicit_allocation -> (
       match slot.slot_owner with
       | Some sp ->
-          t.st_chaos_preempts <- t.st_chaos_preempts + 1;
+          t.stats.chaos_preempts <- t.stats.chaos_preempts + 1;
           tracef t "chaos: forced preemption of cpu%d from %s" cpu sp.sp_name;
           preempt_slot_now t sp slot;
           reevaluate t;
@@ -105,8 +105,8 @@ let chaos_preempt t ~cpu =
   | Kconfig.Native_oblivious -> (
       match slot.slot_kt with
       | Some kt ->
-          t.st_chaos_preempts <- t.st_chaos_preempts + 1;
-          t.st_preemptions <- t.st_preemptions + 1;
+          t.stats.chaos_preempts <- t.stats.chaos_preempts + 1;
+          t.stats.preemptions <- t.stats.preemptions + 1;
           tracef t "chaos: forced preemption of cpu%d from kt%d (%s)" cpu
             kt.kt_id kt.kt_name;
           (match Cpu.preempt slot.slot_cpu with
@@ -250,7 +250,7 @@ let do_reallocate t =
     let reclaimed = reclaim t 0 t.spaces in
     ignore (grant_oldest_first t 0 t.spaces : int);
     if reclaimed > 0 || t.st_grants > grants then
-      t.st_reallocations <- t.st_reallocations + 1;
+      t.stats.reallocations <- t.stats.reallocations + 1;
     (* Rotate an uneven remainder after a quantum (Section 4.1). *)
     if
       t.cfg.Kconfig.rotate_remainder && t.rotation_timer = None

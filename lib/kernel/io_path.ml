@@ -40,7 +40,7 @@ let schedule_io_completion t ~io wake =
   let id = fresh_id t in
   let fired = ref false in
   let fire () =
-    if !fired then t.st_spurious_dropped <- t.st_spurious_dropped + 1
+    if !fired then t.stats.spurious_dropped <- t.stats.spurious_dropped + 1
     else begin
       fired := true;
       Hashtbl.remove t.io_inflight id;
@@ -51,7 +51,8 @@ let schedule_io_completion t ~io wake =
   let rec attempt ~delay ~backoff =
     ignore
       (Sim.schedule_after t.sim ~delay (fun () ->
-           if !fired then t.st_spurious_dropped <- t.st_spurious_dropped + 1
+           if !fired then
+             t.stats.spurious_dropped <- t.stats.spurious_dropped + 1
            else
              let fault =
                match t.io_fault_hook with None -> None | Some h -> h ()
@@ -63,11 +64,11 @@ let schedule_io_completion t ~io wake =
                      (Sim.pick t.sim ~site:"io-complete"
                         ~arity:io_defer_arity ~default:0)
              | Some (Io_delay extra) ->
-                 t.st_io_faults <- t.st_io_faults + 1;
+                 t.stats.io_faults <- t.stats.io_faults + 1;
                  attempt ~delay:extra ~backoff
              | Some Io_transient_error ->
-                 t.st_io_faults <- t.st_io_faults + 1;
-                 t.st_io_retries <- t.st_io_retries + 1;
+                 t.stats.io_faults <- t.stats.io_faults + 1;
+                 t.stats.io_retries <- t.stats.io_retries + 1;
                  attempt ~delay:backoff
                    ~backoff:(min (backoff * 2) io_backoff_cap)))
   in
@@ -91,7 +92,7 @@ let chaos_spurious_completion t ~pick =
     let idx = Sim.pick t.sim ~site:"io-spurious" ~arity:n ~default:idx in
     let id = List.nth keys idx in
     let fire = Hashtbl.find t.io_inflight id in
-    t.st_spurious_fired <- t.st_spurious_fired + 1;
+    t.stats.spurious_fired <- t.stats.spurious_fired + 1;
     tracef t "chaos: spurious completion of I/O request %d" id;
     fire ();
     true

@@ -105,7 +105,7 @@ let new_kthread_space t ~name ?(priority = 0) () =
       sp_preempted = 0;
       sp_manager_swapped = false;
       sp_alloc_track =
-        Some (Sa_engine.Stats.Weighted.create ~at:(Sim.now t.sim) ~level:0.0);
+        Sa_engine.Stats.Weighted.create ~at:(Sim.now t.sim) ~level:0.0;
       sp_target = 0;
     }
   in
@@ -137,7 +137,7 @@ let new_sa_space t ~name ?(priority = 0) ~client () =
       sp_preempted = 0;
       sp_manager_swapped = false;
       sp_alloc_track =
-        Some (Sa_engine.Stats.Weighted.create ~at:(Sim.now t.sim) ~level:0.0);
+        Sa_engine.Stats.Weighted.create ~at:(Sim.now t.sim) ~level:0.0;
       sp_target = 0;
     }
   in
@@ -154,7 +154,7 @@ let start_daemons t =
     let rec loop () =
       ops.kt_block_for period (fun () ->
           if t.cfg.Kconfig.mode = Kconfig.Explicit_allocation then
-            t.st_daemon_wakeups <- t.st_daemon_wakeups + 1;
+            t.stats.daemon_wakeups <- t.stats.daemon_wakeups + 1;
           ops.kt_charge burst loop)
     in
     loop ()
@@ -206,20 +206,23 @@ let create ?ids sim machine costs cfg =
       rotation = 0;
       rotation_timer = None;
       alloc_scratch = Alloc_policy.scratch ();
-      st_upcalls = 0;
-      st_upcall_events = 0;
-      st_preemptions = 0;
+      stats =
+        {
+          upcalls = 0;
+          upcall_events = 0;
+          preemptions = 0;
+          reallocations = 0;
+          io_blocks = 0;
+          kt_dispatches = 0;
+          kt_timeslices = 0;
+          daemon_wakeups = 0;
+          io_faults = 0;
+          io_retries = 0;
+          spurious_fired = 0;
+          spurious_dropped = 0;
+          chaos_preempts = 0;
+        };
       st_grants = 0;
-      st_reallocations = 0;
-      st_io_blocks = 0;
-      st_kt_dispatches = 0;
-      st_kt_timeslices = 0;
-      st_daemon_wakeups = 0;
-      st_io_faults = 0;
-      st_io_retries = 0;
-      st_spurious_fired = 0;
-      st_spurious_dropped = 0;
-      st_chaos_preempts = 0;
       chaos_realloc_drop = false;
       io_fault_hook = None;
       io_inflight = Hashtbl.create 32;
@@ -237,38 +240,24 @@ let create ?ids sim machine costs cfg =
 (* Stats & invariants                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type stats = {
-  upcalls : int;
-  upcall_events : int;
-  preemptions : int;
-  reallocations : int;
-  io_blocks : int;
-  kt_dispatches : int;
-  kt_timeslices : int;
-  daemon_wakeups : int;
-  io_faults : int;
-  io_retries : int;
-  spurious_fired : int;
-  spurious_dropped : int;
-  chaos_preempts : int;
+type stats = Ktypes.stats = {
+  mutable upcalls : int;
+  mutable upcall_events : int;
+  mutable preemptions : int;
+  mutable reallocations : int;
+  mutable io_blocks : int;
+  mutable kt_dispatches : int;
+  mutable kt_timeslices : int;
+  mutable daemon_wakeups : int;
+  mutable io_faults : int;
+  mutable io_retries : int;
+  mutable spurious_fired : int;
+  mutable spurious_dropped : int;
+  mutable chaos_preempts : int;
 }
 
-let stats t =
-  {
-    upcalls = t.st_upcalls;
-    upcall_events = t.st_upcall_events;
-    preemptions = t.st_preemptions;
-    reallocations = t.st_reallocations;
-    io_blocks = t.st_io_blocks;
-    kt_dispatches = t.st_kt_dispatches;
-    kt_timeslices = t.st_kt_timeslices;
-    daemon_wakeups = t.st_daemon_wakeups;
-    io_faults = t.st_io_faults;
-    io_retries = t.st_io_retries;
-    spurious_fired = t.st_spurious_fired;
-    spurious_dropped = t.st_spurious_dropped;
-    chaos_preempts = t.st_chaos_preempts;
-  }
+(* A copy, so callers hold a snapshot rather than the live counters. *)
+let stats t = { t.stats with upcalls = t.stats.upcalls }
 
 let dump t ppf =
   Array.iter
@@ -316,11 +305,8 @@ let dump t ppf =
 let find_space t id = Hashtbl.find_opt t.spaces_by_id id
 
 let space_cpu_seconds t sp =
-  match sp.sp_alloc_track with
-  | Some w ->
-      Sa_engine.Stats.Weighted.average w ~upto:(Sim.now t.sim)
-      *. Time.to_ms (Sim.now t.sim) /. 1000.0
-  | None -> 0.0
+  Sa_engine.Stats.Weighted.average sp.sp_alloc_track ~upto:(Sim.now t.sim)
+  *. Time.to_ms (Sim.now t.sim) /. 1000.0
 
 let free_cpus t =
   Array.fold_left
@@ -461,7 +447,6 @@ let check_invariants t =
    target kernel can index them without translation. *)
 type migration = { mig_space : space; mig_acts : activation list }
 
-let migration_space m = m.mig_space
 let migration_act_count m = List.length m.mig_acts
 
 let detach_space t sp =

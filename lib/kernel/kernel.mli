@@ -202,23 +202,28 @@ val sa_return_activation : t -> int -> unit
 
 (** {1 Introspection & statistics} *)
 
-type stats = {
-  upcalls : int;
-  upcall_events : int;
-  preemptions : int;  (** processor preemptions (explicit mode) *)
-  reallocations : int;  (** allocator decisions that moved processors *)
-  io_blocks : int;
-  kt_dispatches : int;
-  kt_timeslices : int;  (** quantum-expiry preemptions (native mode) *)
-  daemon_wakeups : int;
-  io_faults : int;  (** injected I/O faults (delays + transient errors) *)
-  io_retries : int;  (** completions re-attempted after a transient error *)
-  spurious_fired : int;  (** spurious completion interrupts injected *)
-  spurious_dropped : int;  (** duplicate completions absorbed by the guard *)
-  chaos_preempts : int;  (** forced preemptions via {!chaos_preempt} *)
+type stats = Ktypes.stats = private {
+  mutable upcalls : int;
+  mutable upcall_events : int;
+  mutable preemptions : int;  (** processor preemptions (explicit mode) *)
+  mutable reallocations : int;  (** allocator decisions that moved processors *)
+  mutable io_blocks : int;
+  mutable kt_dispatches : int;
+  mutable kt_timeslices : int;  (** quantum-expiry preemptions (native mode) *)
+  mutable daemon_wakeups : int;
+  mutable io_faults : int;
+      (** injected I/O faults (delays + transient errors) *)
+  mutable io_retries : int;
+      (** completions re-attempted after a transient error *)
+  mutable spurious_fired : int;  (** spurious completion interrupts injected *)
+  mutable spurious_dropped : int;
+      (** duplicate completions absorbed by the guard *)
+  mutable chaos_preempts : int;  (** forced preemptions via {!chaos_preempt} *)
 }
 
 val stats : t -> stats
+(** A snapshot of the kernel's counters. *)
+
 val space_upcalls : space -> int
 
 val space_grants : space -> int
@@ -348,7 +353,6 @@ val attach_space : t -> migration -> unit
     its activation records, and trigger a reallocation pass so the pending
     backlog is delivered with the first grant. *)
 
-val migration_space : migration -> space
 val migration_act_count : migration -> int
 (** Resident activation records in transit — the size proxy for the modeled
     state-transfer cost. *)

@@ -78,7 +78,7 @@ let rec dispatch_kt_on t slot kt =
   slot.slot_kt <- Some kt;
   slot.slot_gen <- slot.slot_gen + 1;
   set_kt_state t kt (K_running (Cpu.id slot.slot_cpu));
-  t.st_kt_dispatches <- t.st_kt_dispatches + 1;
+  t.stats.kt_dispatches <- t.stats.kt_dispatches + 1;
   let cost = t.costs.Cost_model.kt_context_switch + kt.kt_pending_cost in
   kt.kt_pending_cost <- 0;
   (* Kernel threads time-slice in both kernels: globally under native
@@ -130,7 +130,7 @@ and quantum_fire t slot =
   | _ -> ()
 
 and timeslice_preempt t slot kt =
-  t.st_kt_timeslices <- t.st_kt_timeslices + 1;
+  t.stats.kt_timeslices <- t.stats.kt_timeslices + 1;
   tracef t "timeslice: preempt kt%d (%s) on cpu%d" kt.kt_id kt.kt_name
     (Cpu.id slot.slot_cpu);
   (match Cpu.preempt slot.slot_cpu with
@@ -193,12 +193,12 @@ let make_ready t kt =
            woken higher-priority thread runs there at once — even if some
            other processor is idle.  This is the native-Topaz obliviousness
            the paper contrasts with explicit allocation (Section 5.3). *)
-        t.st_daemon_wakeups <- t.st_daemon_wakeups + 1;
+        t.stats.daemon_wakeups <- t.stats.daemon_wakeups + 1;
         let slot = t.slots.(Rng.int t.rng (ncpus t)) in
         defer t (fun () ->
             match slot.slot_kt with
             | Some victim when victim.kt_prio < kt.kt_prio ->
-                t.st_preemptions <- t.st_preemptions + 1;
+                t.stats.preemptions <- t.stats.preemptions + 1;
                 (match Cpu.preempt slot.slot_cpu with
                 | Some p -> save_kt_context t victim p
                 | None -> ());
@@ -256,7 +256,7 @@ let ops_for t kt =
         let slot = leave_cpu () in
         set_kt_state t kt K_blocked;
         refresh_kt_desired t kt.kt_sp;
-        t.st_io_blocks <- t.st_io_blocks + 1;
+        t.stats.io_blocks <- t.stats.io_blocks + 1;
         Trace.span_begin (ktrace t) ~time:(Sim.now t.sim)
           ~space:kt.kt_sp.sp_id ~act:kt.kt_id Trace.Kernel "io-block";
         Io_path.schedule_io_completion t ~io:span (fun () ->

@@ -26,6 +26,23 @@ module Cpu = Sa_hw.Cpu
 module Machine = Sa_hw.Machine
 module Cost_model = Sa_hw.Cost_model
 
+(* The counters {!Kernel.stats} reports; only the kernel writes them. *)
+type stats = {
+  mutable upcalls : int;
+  mutable upcall_events : int;
+  mutable preemptions : int;
+  mutable reallocations : int;
+  mutable io_blocks : int;
+  mutable kt_dispatches : int;
+  mutable kt_timeslices : int;
+  mutable daemon_wakeups : int;
+  mutable io_faults : int;
+  mutable io_retries : int;
+  mutable spurious_fired : int;
+  mutable spurious_dropped : int;
+  mutable chaos_preempts : int;
+}
+
 type kt_state = K_ready | K_running of int (* cpu id *) | K_blocked | K_dead
 
 type kt_ops = {
@@ -121,7 +138,7 @@ and space = {
          themselves be paged out; the next upcall must first fault them in
          ("the kernel must check for this, and when it occurs, delay the
          subsequent upcall until the page fault completes") *)
-  mutable sp_alloc_track : Sa_engine.Stats.Weighted.t option;
+  sp_alloc_track : Sa_engine.Stats.Weighted.t;
       (* integral of processors owned over time (explicit mode) *)
   mutable sp_target : int;
       (* processors the last allocator pass assigned this space; written
@@ -192,20 +209,8 @@ and t = {
   alloc_scratch : Alloc_policy.scratch;
       (* the policy's inputs, targets and sort order, reused by every
          allocator pass so a pass allocates nothing *)
-  mutable st_upcalls : int;
-  mutable st_upcall_events : int;
-  mutable st_preemptions : int;
+  stats : stats;
   mutable st_grants : int;  (* processors granted, all spaces *)
-  mutable st_reallocations : int;
-  mutable st_io_blocks : int;
-  mutable st_kt_dispatches : int;
-  mutable st_kt_timeslices : int;
-  mutable st_daemon_wakeups : int;
-  mutable st_io_faults : int;
-  mutable st_io_retries : int;
-  mutable st_spurious_fired : int;
-  mutable st_spurious_dropped : int;
-  mutable st_chaos_preempts : int;
   mutable chaos_realloc_drop : bool;
       (* armed by the fault injector: the next deferred reallocation pass
          is silently discarded, modelling a lost reallocation request *)
@@ -245,11 +250,8 @@ let set_assigned t sp v =
    if Trace.enabled tr Trace.Kernel then
      Trace.counter tr ~time:(Sim.now t.sim) Trace.Kernel
        ("procs:" ^ sp.sp_name) (float_of_int v));
-  match sp.sp_alloc_track with
-  | Some w ->
-      Sa_engine.Stats.Weighted.update w ~at:(Sim.now t.sim)
-        ~level:(float_of_int v)
-  | None -> ()
+  Sa_engine.Stats.Weighted.update sp.sp_alloc_track ~at:(Sim.now t.sim)
+    ~level:(float_of_int v)
 
 let slot_owned_by slot sp =
   match slot.slot_owner with Some o -> same_space o sp | None -> false

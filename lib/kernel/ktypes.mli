@@ -13,6 +13,23 @@ module Cpu = Sa_hw.Cpu
 module Machine = Sa_hw.Machine
 module Cost_model = Sa_hw.Cost_model
 
+(* The counters {!Kernel.stats} reports; only the kernel writes them. *)
+type stats = {
+  mutable upcalls : int;
+  mutable upcall_events : int;
+  mutable preemptions : int;
+  mutable reallocations : int;
+  mutable io_blocks : int;
+  mutable kt_dispatches : int;
+  mutable kt_timeslices : int;
+  mutable daemon_wakeups : int;
+  mutable io_faults : int;
+  mutable io_retries : int;
+  mutable spurious_fired : int;
+  mutable spurious_dropped : int;
+  mutable chaos_preempts : int;
+}
+
 type kt_state = K_ready | K_running of int (* cpu id *) | K_blocked | K_dead
 
 type kt_ops = {
@@ -87,7 +104,7 @@ and space = {
   mutable sp_granted : int;  (** processors granted by the allocator *)
   mutable sp_preempted : int;  (** processors reclaimed by the allocator *)
   mutable sp_manager_swapped : bool;
-  mutable sp_alloc_track : Sa_engine.Stats.Weighted.t option;
+  sp_alloc_track : Sa_engine.Stats.Weighted.t;
   mutable sp_target : int;
       (** processors the last allocator pass assigned (explicit mode) *)
 }
@@ -139,20 +156,8 @@ and t = {
   mutable rotation : int;
   mutable rotation_timer : Sim.handle option;
   alloc_scratch : Alloc_policy.scratch;
-  mutable st_upcalls : int;
-  mutable st_upcall_events : int;
-  mutable st_preemptions : int;
+  stats : stats;
   mutable st_grants : int;
-  mutable st_reallocations : int;
-  mutable st_io_blocks : int;
-  mutable st_kt_dispatches : int;
-  mutable st_kt_timeslices : int;
-  mutable st_daemon_wakeups : int;
-  mutable st_io_faults : int;
-  mutable st_io_retries : int;
-  mutable st_spurious_fired : int;
-  mutable st_spurious_dropped : int;
-  mutable st_chaos_preempts : int;
   mutable chaos_realloc_drop : bool;
   mutable io_fault_hook : (unit -> io_fault option) option;
   io_inflight : (int, unit -> unit) Hashtbl.t;

@@ -59,8 +59,8 @@ let deliver_upcall t slot sp ~extra_cost events =
   s.running_acts <- s.running_acts + 1;
   slot.slot_act <- Some act;
   slot.slot_kt <- None;
-  t.st_upcalls <- t.st_upcalls + 1;
-  t.st_upcall_events <- t.st_upcall_events + List.length events;
+  t.stats.upcalls <- t.stats.upcalls + 1;
+  t.stats.upcall_events <- t.stats.upcall_events + List.length events;
   sp.sp_upcalls <- sp.sp_upcalls + 1;
   if Trace.enabled (ktrace t) Trace.Upcall then
     upcall_tracef t "upcall to %s on cpu%d act%d: %s" sp.sp_name
@@ -252,7 +252,7 @@ let sa_block_common t act ~arrange_wakeup k =
       s.running_acts <- s.running_acts - 1;
       s.blocked_acts <- s.blocked_acts + 1;
       slot.slot_act <- None;
-      t.st_io_blocks <- t.st_io_blocks + 1;
+      t.stats.io_blocks <- t.stats.io_blocks + 1;
       Trace.span_begin (ktrace t) ~time:(Sim.now t.sim) ~space:sp.sp_id
         ~act:act.act_id Trace.Kernel "io-block";
       arrange_wakeup (fun () ->

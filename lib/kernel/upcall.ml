@@ -12,13 +12,6 @@ let event_name = function
   | Activation_blocked _ -> "activation-blocked"
   | Activation_unblocked _ -> "activation-unblocked"
 
-let event_act = function
-  | Add_processor -> -1
-  | Processor_preempted { act; _ }
-  | Activation_blocked { act }
-  | Activation_unblocked { act; _ } ->
-      act
-
 let pp_event ppf = function
   | Add_processor -> Format.pp_print_string ppf "add-processor"
   | Processor_preempted { act; ctx } ->

@@ -39,7 +39,4 @@ val event_name : event -> string
 (** Stable kebab-case name of the event kind, used as the trace span name
     ([upcall:<name>]). *)
 
-val event_act : event -> int
-(** Activation id the event concerns, or [-1] for [Add_processor]. *)
-
 val pp_event : Format.formatter -> event -> unit

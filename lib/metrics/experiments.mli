@@ -154,9 +154,9 @@ val serve :
     through the space-sharing allocator.  Reports per-tenant tail latency
     against each class's SLO plus the allocator's per-tenant grant and
     preemption counts.  Deterministic in [params.mt_seed].  [tracing]
-    (default [true]) controls the trace ring's recording switch; wall-clock
-    benchmarks pass [false] — the summary itself never depends on the
-    trace, so results are identical either way. *)
+    (default [true]) sets the trace's recording switch; no sink is
+    registered, so either way nothing is traced and results are
+    identical. *)
 
 val preemption_protocol : unit -> ablation_row list
 (** Section 6 comparison: how long a newly arrived high-priority job waits

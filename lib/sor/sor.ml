@@ -69,4 +69,3 @@ let residual t =
   done;
   !worst
 
-let interior_cells t = (t.nrows - 2) * (t.ncols - 2)

@@ -37,5 +37,3 @@ val residual : t -> float
 (** Maximum absolute Laplace residual |4 u(i,j) - sum of neighbours| over
     interior points; approaches 0 at the solution. *)
 
-val interior_cells : t -> int
-(** Number of relaxable points (for workload cost accounting). *)

@@ -503,9 +503,6 @@ let charge_counted s d tcb span k =
 (* Interpreter                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let cs_crossings_null_fork = 6
-let cs_crossings_signal_wait = 3
-
 (* Dispatch cost charged by the substrate driver when it takes a thread off
    a ready list (one critical-section crossing). *)
 let dispatch_cost d =

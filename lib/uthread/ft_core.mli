@@ -281,8 +281,3 @@ val resume_preempted :
     once the context has been dealt with (after the recovery continuation,
     if one was needed). *)
 
-val cs_crossings_null_fork : int
-(** Critical sections on the Null-Fork path (for the Section 5.1 ablation
-    arithmetic): fork(2) + schedule(1) + finish(1). *)
-
-val cs_crossings_signal_wait : int

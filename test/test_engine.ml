@@ -565,41 +565,44 @@ let stats_tests =
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A trace with one sink that collects every record it is handed. *)
+let collecting () =
+  let tr = Trace.create () in
+  let seen = ref [] in
+  Trace.add_sink tr (fun r -> seen := r :: !seen);
+  (tr, fun () -> List.rev !seen)
+
 let trace_tests =
   [
-    Alcotest.test_case "records kept oldest-first" `Quick (fun () ->
-        let tr = Trace.create ~capacity:8 () in
+    Alcotest.test_case "sinks receive records in emission order" `Quick
+      (fun () ->
+        let tr, seen = collecting () in
         Trace.emitf tr ~time:Time.zero Trace.Sim "one";
         Trace.emitf tr ~time:(Time.of_ns 5) Trace.Cpu "two";
-        let msgs = List.map (fun r -> r.Trace.message) (Trace.records tr) in
+        let msgs = List.map (fun r -> r.Trace.message) (seen ()) in
         check (Alcotest.list Alcotest.string) "order" [ "one"; "two" ] msgs);
-    Alcotest.test_case "ring evicts oldest" `Quick (fun () ->
-        let tr = Trace.create ~capacity:3 () in
-        for i = 1 to 5 do
-          Trace.emitf tr ~time:Time.zero Trace.Sim "m%d" i
-        done;
-        let msgs = List.map (fun r -> r.Trace.message) (Trace.records tr) in
-        check (Alcotest.list Alcotest.string) "last three" [ "m3"; "m4"; "m5" ]
-          msgs;
-        check Alcotest.int "total counts all" 5 (Trace.count tr));
     Alcotest.test_case "disabled category drops records" `Quick (fun () ->
-        let tr = Trace.create () in
+        let tr, seen = collecting () in
         Trace.enable tr Trace.Cpu false;
-        Trace.emit tr ~time:Time.zero Trace.Cpu (lazy "hidden");
+        Trace.emitf tr ~time:Time.zero Trace.Cpu "hidden";
         Trace.emitf tr ~time:Time.zero Trace.Kernel "shown";
-        check Alcotest.int "one record" 1 (List.length (Trace.records tr)));
-    Alcotest.test_case "lazy message not forced when disabled" `Quick (fun () ->
-        let tr = Trace.create () in
-        Trace.enable tr Trace.Uthread false;
-        let forced = ref false in
-        Trace.emit tr ~time:Time.zero Trace.Uthread
-          (lazy
-            (forced := true;
-             "x"));
-        check Alcotest.bool "not forced" false !forced);
-    Alcotest.test_case "emitf performs no formatting when disabled" `Quick
+        check Alcotest.int "one record" 1 (List.length (seen ())));
+    Alcotest.test_case "category switches hold across add_sink" `Quick
       (fun () ->
         let tr = Trace.create () in
+        Trace.enable tr Trace.Cpu false;
+        let seen = ref [] in
+        Trace.add_sink tr (fun r -> seen := r.Trace.name :: !seen);
+        check Alcotest.bool "cpu still off" false (Trace.enabled tr Trace.Cpu);
+        check Alcotest.bool "kernel on" true (Trace.enabled tr Trace.Kernel);
+        Trace.instant tr ~time:Time.zero Trace.Cpu "off";
+        Trace.enable tr Trace.Cpu true;
+        Trace.instant tr ~time:Time.zero Trace.Cpu "on";
+        check (Alcotest.list Alcotest.string) "only after re-enable" [ "on" ]
+          !seen);
+    Alcotest.test_case "emitf performs no formatting when disabled" `Quick
+      (fun () ->
+        let tr, seen = collecting () in
         Trace.enable tr Trace.Cpu false;
         (* A custom %a printer is only invoked if formatting actually runs,
            so the counter proves the disabled path formats nothing. *)
@@ -610,19 +613,44 @@ let trace_tests =
         in
         Trace.emitf tr ~time:Time.zero Trace.Cpu "cpu %a %d" pr () 3;
         check Alcotest.int "printer never ran" 0 !formatted;
-        check Alcotest.int "nothing recorded" 0 (Trace.count tr);
+        check Alcotest.int "nothing delivered" 0 (List.length (seen ()));
         Trace.emitf tr ~time:Time.zero Trace.Kernel "kernel %a %d" pr () 3;
         check Alcotest.int "printer ran when enabled" 1 !formatted;
-        check Alcotest.int "one record" 1 (Trace.count tr));
-    Alcotest.test_case "structured records carry ids and render" `Quick
-      (fun () ->
+        check Alcotest.int "one record" 1 (List.length (seen ())));
+    Alcotest.test_case "no sink, no work" `Quick (fun () ->
+        (* Recording on and every category enabled, but nobody listens:
+           emitters must not format anything. *)
         let tr = Trace.create () in
+        let formatted = ref 0 in
+        let pr ppf () =
+          incr formatted;
+          Format.pp_print_string ppf "payload"
+        in
+        let all = Trace.[ Sim; Cpu; Kernel; Upcall; Uthread; Workload ] in
+        List.iter (fun c -> Trace.emitf tr ~time:Time.zero c "%a" pr ()) all;
+        check Alcotest.int "printer never ran" 0 !formatted;
+        check Alcotest.bool "nothing enabled" false
+          (List.exists (Trace.enabled tr) all);
+        let delivered = ref 0 in
+        Trace.add_sink tr (fun _ -> incr delivered);
+        Trace.emitf tr ~time:Time.zero Trace.Kernel "%a" pr ();
+        check Alcotest.int "a sink turns formatting on" 1 !formatted;
+        check Alcotest.int "and receives the record" 1 !delivered;
+        Trace.set_recording tr false;
+        Trace.emitf tr ~time:Time.zero Trace.Kernel "%a" pr ();
+        check Alcotest.int "set_recording false silences it" 1 !formatted;
+        check Alcotest.int "no delivery while off" 1 !delivered;
+        Trace.set_recording tr true;
+        Trace.emitf tr ~time:Time.zero Trace.Kernel "%a" pr ();
+        check Alcotest.int "back on" 2 !delivered);
+    Alcotest.test_case "structured records carry ids" `Quick (fun () ->
+        let tr, seen = collecting () in
         Trace.span_begin tr ~time:Time.zero ~cpu:2 ~space:1 ~act:7 Trace.Upcall
           "upcall:add-processor";
         Trace.counter tr ~time:(Time.of_ns 10) Trace.Kernel "runq:native" 3.0;
         Trace.span_end tr ~time:(Time.of_ns 20) ~cpu:2 Trace.Upcall
           "upcall:add-processor";
-        match Trace.records tr with
+        match seen () with
         | [ b; c; e ] ->
             check Alcotest.int "cpu" 2 b.Trace.cpu;
             check Alcotest.int "space" 1 b.Trace.space;
@@ -631,40 +659,56 @@ let trace_tests =
               (b.Trace.kind = Trace.Span_begin);
             check Alcotest.bool "counter kind" true
               (c.Trace.kind = Trace.Counter 3.0);
-            check Alcotest.string "counter rendering" "runq:native = 3"
-              (Trace.render_message c);
-            check Alcotest.string "span end rendering"
-              "-upcall:add-processor" (Trace.render_message e)
+            check Alcotest.bool "end kind" true (e.Trace.kind = Trace.Span_end)
         | l ->
             Alcotest.fail
               (Printf.sprintf "expected 3 records, got %d" (List.length l)));
-    Alcotest.test_case "ring wraps structured records oldest-first" `Quick
+    Alcotest.test_case "printer writes one text line per record" `Quick
       (fun () ->
-        let tr = Trace.create ~capacity:3 () in
-        for i = 1 to 7 do
-          Trace.instant tr ~time:(Time.of_ns i) Trace.Kernel
-            (Printf.sprintf "ev%d" i)
-        done;
-        let names = List.map (fun r -> r.Trace.name) (Trace.records tr) in
-        check
-          (Alcotest.list Alcotest.string)
-          "last three, oldest first" [ "ev5"; "ev6"; "ev7" ] names;
-        check Alcotest.int "count includes evicted" 7 (Trace.count tr));
-    Alcotest.test_case "sinks see the full stream past ring capacity" `Quick
+        (* The exact lines of the live text stream that [Trace.printer]
+           replaced, one record of each kind. *)
+        let buf = Buffer.create 256 in
+        let tr = Trace.create () in
+        Trace.add_sink tr (Trace.printer (Format.formatter_of_buffer buf));
+        Trace.emitf tr ~time:Time.zero Trace.Sim "free %d" 1;
+        Trace.instant tr ~time:(Time.of_ns 1_500) ~cpu:1 Trace.Cpu "idle";
+        Trace.instant tr ~time:(Time.of_ns 1_500) ~cpu:1 ~detail:"why"
+          Trace.Workload "mark";
+        Trace.span_begin tr ~time:(Time.of_ns 2_000) ~cpu:2 ~space:1 ~act:7
+          ~detail:"cpu=2" Trace.Upcall "upcall:add-processor";
+        Trace.span_end tr ~time:(Time.of_ns 3_000_000) ~cpu:2 Trace.Upcall
+          "upcall:add-processor";
+        Trace.counter tr ~time:(Time.of_ns 1_234_567) Trace.Kernel
+          "runq:native" 3.0;
+        Trace.counter tr ~time:(Time.of_ns 10) Trace.Uthread "ready" 0.25;
+        check Alcotest.string "lines"
+          "[0ns] sim      free 1\n\
+           [1.500us] cpu      idle\n\
+           [1.500us] workload mark (why)\n\
+           [2.000us] upcall   +upcall:add-processor (cpu=2)\n\
+           [3.000ms] upcall   -upcall:add-processor\n\
+           [1.235ms] kernel   runq:native = 3\n\
+           [10ns] uthread  ready = 0.25\n"
+          (Buffer.contents buf));
+    Alcotest.test_case "every sink sees every enabled record" `Quick
       (fun () ->
-        let tr = Trace.create ~capacity:2 () in
-        let seen = ref [] in
-        Trace.add_sink tr (fun r -> seen := r.Trace.name :: !seen);
+        let tr, seen = collecting () in
+        let names = ref [] in
+        Trace.add_sink tr (fun r -> names := r.Trace.name :: !names);
         Trace.enable tr Trace.Cpu false;
         Trace.instant tr ~time:Time.zero Trace.Cpu "dropped";
         for i = 1 to 4 do
           Trace.instant tr ~time:(Time.of_ns i) Trace.Kernel
             (Printf.sprintf "k%d" i)
         done;
+        let expect = [ "k1"; "k2"; "k3"; "k4" ] in
         check
           (Alcotest.list Alcotest.string)
-          "enabled records only, in order" [ "k1"; "k2"; "k3"; "k4" ]
-          (List.rev !seen));
+          "second sink, in order" expect (List.rev !names);
+        check
+          (Alcotest.list Alcotest.string)
+          "first sink, in order" expect
+          (List.map (fun r -> r.Trace.name) (seen ())));
   ]
 
 (* ------------------------------------------------------------------ *)

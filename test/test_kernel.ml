@@ -685,7 +685,6 @@ let allocator_pass_tests =
         (* 24 spaces that each want 4 of 64 processors, settled: every
            further pass finds each space at its target and moves nothing. *)
         let sim, _m, k = make ~cpus:64 ~kconfig:Kconfig.default () in
-        Sa_engine.Trace.set_recording (Sim.trace sim) false;
         let spaces =
           List.init 24 (fun i -> fst (holding_space k (Printf.sprintf "s%d" i)))
         in

@@ -1067,7 +1067,7 @@ let minor_words_of f =
   Gc.minor_words () -. before
 
 (* Words allocated per fork by a whole [n]-thread run on [Ft_sa] (4 CPUs,
-   tracing off): compile, kernel and engine work included. *)
+   no trace sink): compile, kernel and engine work included. *)
 let words_per_fork n =
   let leaf =
     B.to_program
@@ -1078,7 +1078,6 @@ let words_per_fork n =
   let prog = B.to_program (B.repeat n (fun _ -> B.fork_unit leaf)) in
   let before = Gc.allocated_bytes () in
   let sys = System.create ~cpus:4 ~kconfig:Kconfig.default () in
-  Sa_engine.Trace.set_recording (Sa_engine.Sim.trace (System.sim sys)) false;
   let job = System.submit sys ~backend:`Fastthreads_on_sa ~name:"spawn" prog in
   System.run sys;
   let words =
