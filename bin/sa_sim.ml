@@ -55,9 +55,21 @@ let backend_arg =
            $(b,orig-ft) (FastThreads on kernel threads), $(b,topaz) (kernel \
            threads directly), $(b,ultrix) (heavyweight processes).")
 
+(* A count that must be at least [n].  A smaller value is a command-line
+   parse error (exit 124) rather than an exception from deep inside the
+   run. *)
+let at_least n =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= n -> Ok v
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is below the minimum of %d" s n))
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let cpus_arg =
   Arg.(
-    value & opt int 6
+    value & opt (at_least 1) 6
     & info [ "cpus" ] ~docv:"N" ~doc:"Number of simulated processors.")
 
 let kconfig_of = function
@@ -89,17 +101,17 @@ let kinds_of_names names =
 let run_cmd =
   let bodies =
     Arg.(
-      value & opt int Nbody.default_params.Nbody.n_bodies
+      value & opt (at_least 1) Nbody.default_params.Nbody.n_bodies
       & info [ "bodies" ] ~docv:"N" ~doc:"N-body problem size.")
   in
   let steps =
     Arg.(
-      value & opt int Nbody.default_params.Nbody.steps
+      value & opt (at_least 1) Nbody.default_params.Nbody.steps
       & info [ "steps" ] ~docv:"N" ~doc:"Simulation timesteps.")
   in
   let memory =
     Arg.(
-      value & opt int 100
+      value & opt (at_least 0) 100
       & info [ "memory" ] ~docv:"PCT"
           ~doc:
             "Percentage of the data set the buffer cache holds (the x-axis \
@@ -107,15 +119,17 @@ let run_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt (at_least 1) 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:"Multiprogramming level: identical copies of the application.")
   in
   let parallelism =
     Arg.(
-      value & opt (some int) None
+      value & opt (some (at_least 1)) None
       & info [ "parallelism" ] ~docv:"N"
-          ~doc:"Cap the application's parallelism at N processors.")
+          ~doc:
+            "Cap the application's parallelism at N processors (at most \
+             $(b,--cpus)).")
   in
   let seed =
     Arg.(
@@ -129,6 +143,11 @@ let run_cmd =
           ~doc:"Render an ASCII processor-occupancy timeline after the run.")
   in
   let action backend cpus bodies steps memory jobs parallelism seed timeline =
+    (match parallelism with
+    | Some p when p > cpus ->
+        Printf.eprintf "--parallelism %d exceeds --cpus %d\n" p cpus;
+        exit 2
+    | Some _ | None -> ());
     let params =
       { Nbody.default_params with Nbody.n_bodies = bodies; steps; seed }
     in
@@ -146,7 +165,7 @@ let run_cmd =
         ~name:(Printf.sprintf "nbody-%d" i)
         ~cache_capacity ?parallelism prep.Nbody.program
     in
-    let js = List.init (max 1 jobs) submit in
+    let js = List.init jobs submit in
     System.run sys;
     let seq_s = Time.span_to_ms prep.Nbody.seq_time /. 1000.0 in
     Printf.printf "workload: %d bodies, %d steps, %d tasks, %d interactions\n"
@@ -223,7 +242,10 @@ let latency_cmd =
           ~doc:"One of $(b,null-fork), $(b,signal-wait), $(b,upcall).")
   in
   let iters =
-    Arg.(value & opt int 200 & info [ "iters" ] ~docv:"N" ~doc:"Iterations.")
+    Arg.(
+      value & opt (at_least 4) 200
+      & info [ "iters" ] ~docv:"N"
+          ~doc:"Iterations (at least 4: the first two are warm-up).")
   in
   let action backend bench iters =
     let kconfig =
@@ -264,12 +286,12 @@ let latency_cmd =
 let sor_cmd =
   let grid =
     Arg.(
-      value & opt int 96
+      value & opt (at_least 3) 96
       & info [ "grid" ] ~docv:"N" ~doc:"Grid dimension (N x N).")
   in
   let bands =
     Arg.(
-      value & opt int 12
+      value & opt (at_least 1) 12
       & info [ "bands" ] ~docv:"N" ~doc:"Row bands (tasks) per half-sweep.")
   in
   let action backend cpus grid bands =
@@ -307,7 +329,7 @@ let sor_cmd =
 let server_cmd =
   let requests =
     Arg.(
-      value & opt int 200
+      value & opt (at_least 1) 200
       & info [ "requests" ] ~docv:"N" ~doc:"Number of requests.")
   in
   let action backend cpus requests =
@@ -346,7 +368,7 @@ let serve_cmd =
   let d = Server.default_mt_params in
   let tenants =
     Arg.(
-      value & opt int d.Server.mt_tenants
+      value & opt (at_least 1) d.Server.mt_tenants
       & info [ "tenants" ] ~docv:"N"
           ~doc:
             "Number of tenants (address spaces); tenant $(i,i) draws the \
@@ -354,7 +376,7 @@ let serve_cmd =
   in
   let requests =
     Arg.(
-      value & opt int d.Server.mt_requests
+      value & opt (at_least 1) d.Server.mt_requests
       & info [ "requests" ] ~docv:"N" ~doc:"Requests per tenant.")
   in
   let seed =
@@ -367,7 +389,7 @@ let serve_cmd =
   in
   let serve_cpus =
     Arg.(
-      value & opt int 64
+      value & opt (at_least 1) 64
       & info [ "cpus" ] ~docv:"N" ~doc:"Number of simulated processors.")
   in
   let action cpus tenants requests seed =
@@ -407,18 +429,18 @@ let cluster_cmd =
   let d = Cluster.default_params in
   let machines_arg =
     Arg.(
-      value & opt int d.Cluster.machines
+      value & opt (at_least 1) d.Cluster.machines
       & info [ "machines" ] ~docv:"N"
           ~doc:"Machines in the cluster (each its own kernel).")
   in
   let cpus_arg =
     Arg.(
-      value & opt int d.Cluster.cpus
+      value & opt (at_least 1) d.Cluster.cpus
       & info [ "cpus" ] ~docv:"N" ~doc:"Processors per machine.")
   in
   let tenants_arg =
     Arg.(
-      value & opt int d.Cluster.tenants
+      value & opt (at_least 1) d.Cluster.tenants
       & info [ "tenants" ] ~docv:"N"
           ~doc:
             "Tenant address spaces, spread over the first N-1 machines so \
@@ -426,7 +448,7 @@ let cluster_cmd =
   in
   let requests_arg =
     Arg.(
-      value & opt int d.Cluster.requests
+      value & opt (at_least 1) d.Cluster.requests
       & info [ "requests" ] ~docv:"N" ~doc:"Requests per tenant.")
   in
   let seed_arg =
@@ -437,7 +459,7 @@ let cluster_cmd =
   in
   let cache_blocks_arg =
     Arg.(
-      value & opt int d.Cluster.cache_blocks
+      value & opt (at_least 0) d.Cluster.cache_blocks
       & info [ "cache-blocks" ] ~docv:"N"
           ~doc:
             "Per-tenant block universe; each tenant prewarms only its home \
@@ -446,7 +468,7 @@ let cluster_cmd =
   in
   let jitter_arg =
     Arg.(
-      value & opt int d.Cluster.net_jitter_us
+      value & opt (at_least 0) d.Cluster.net_jitter_us
       & info [ "jitter-us" ] ~docv:"US"
           ~doc:"Uniform extra network delay in [0, US] per message.")
   in
@@ -559,7 +581,7 @@ let cluster_cmd =
 let trace_cmd =
   let millis =
     Arg.(
-      value & opt int 0
+      value & opt (at_least 0) 0
       & info [ "for" ] ~docv:"MS"
           ~doc:
             "Simulated milliseconds to trace.  0 (the default) traces until \
@@ -651,7 +673,7 @@ let chaos_cmd =
   let module Injector = Sa_fault.Injector in
   let seeds_arg =
     Arg.(
-      value & opt int 50
+      value & opt (at_least 1) 50
       & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
   in
   let base_seed_arg =
@@ -776,7 +798,7 @@ let explore_cmd =
   in
   let schedules_arg =
     Arg.(
-      value & opt int 25
+      value & opt (at_least 0) 25
       & info [ "schedules" ] ~docv:"N"
           ~doc:"Perturbed schedules to try (stops at the first violation).")
   in
@@ -792,7 +814,7 @@ let explore_cmd =
   in
   let depth_arg =
     Arg.(
-      value & opt int 3
+      value & opt (at_least 0) 3
       & info [ "depth" ] ~docv:"D" ~doc:"Change points for the PCT strategy.")
   in
   let seed_arg =
@@ -803,18 +825,18 @@ let explore_cmd =
   in
   let cpus_arg =
     Arg.(
-      value & opt int 4
+      value & opt (at_least 1) 4
       & info [ "cpus" ] ~docv:"N" ~doc:"Number of simulated processors.")
   in
   let requests_arg =
     Arg.(
-      value & opt int 40
+      value & opt (at_least 1) 40
       & info [ "requests" ] ~docv:"N"
           ~doc:"Requests in the server workload.")
   in
   let horizon_arg =
     Arg.(
-      value & opt int 10_000
+      value & opt (at_least 1) 10_000
       & info [ "horizon-ms" ] ~docv:"MS"
           ~doc:"Simulated-time budget per run (milliseconds).")
   in

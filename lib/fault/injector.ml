@@ -204,13 +204,11 @@ let install_daemon_storm t rng =
   recurring t rng ~mean_us:storm_gap_us (fun () ->
       t.n_storms <- t.n_storms + 1;
       for i = 1 to storm_size do
-        ignore
-          (Kernel.spawn_kthread kern storm_sp
-             ~name:(Printf.sprintf "storm-%d" i)
-             ~body:(fun ops ->
-               ops.Kernel.kt_charge storm_burst (fun () ->
-                   ops.Kernel.kt_exit ()))
-             ())
+        Kernel.spawn_kthread kern storm_sp
+          ~name:(Printf.sprintf "storm-%d" i)
+          ~body:(fun ops ->
+            ops.Kernel.kt_charge storm_burst (fun () -> ops.Kernel.kt_exit ()))
+          ()
       done)
 
 (* --- Priority_flap: transient allocation-priority boosts -------------- *)
@@ -283,12 +281,11 @@ let install_space_churn t rng =
       let threads = 1 + Rng.int rng 2 in
       for i = 1 to threads do
         let work = Time.us (50 + Rng.int rng 250) in
-        ignore
-          (Kernel.spawn_kthread kern sp
-             ~name:(Printf.sprintf "churn-%d.%d" t.n_churns i)
-             ~body:(fun ops ->
-               ops.Kernel.kt_charge work (fun () -> ops.Kernel.kt_exit ()))
-             ())
+        Kernel.spawn_kthread kern sp
+          ~name:(Printf.sprintf "churn-%d.%d" t.n_churns i)
+          ~body:(fun ops ->
+            ops.Kernel.kt_charge work (fun () -> ops.Kernel.kt_exit ()))
+          ()
       done)
 
 let attach ?(kinds = survivable_kinds) ?cluster ~seed sys =

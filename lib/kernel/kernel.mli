@@ -28,7 +28,6 @@ module Cpu = Sa_hw.Cpu
 
 type t
 type space
-type kthread
 type activation
 
 val create :
@@ -96,9 +95,6 @@ type kt_ops = {
   kt_yield : (unit -> unit) -> unit;
       (** relinquish the processor to the next ready thread *)
   kt_exit : unit -> unit;  (** terminate this kernel thread *)
-  kt_now : unit -> Time.t;
-  kt_self : unit -> int;  (** this kernel thread's id *)
-  kt_cpu : unit -> int;  (** id of the processor currently held *)
 }
 
 val spawn_kthread :
@@ -108,13 +104,10 @@ val spawn_kthread :
   ?startup_cost:Time.span ->
   body:(kt_ops -> unit) ->
   unit ->
-  kthread
+  unit
 (** Create a kernel thread; it becomes ready immediately and its body runs
     once first dispatched.  [startup_cost] is charged on its first dispatch
     (models fork-path kernel work attributed to the child side). *)
-
-val kthread_id : kthread -> int
-val kthread_space : kthread -> space
 
 (** {1 Scheduler-activation services (downcalls and execution)} *)
 
@@ -202,7 +195,7 @@ val sa_return_activation : t -> int -> unit
 
 (** {1 Introspection & statistics} *)
 
-type stats = Ktypes.stats = private {
+type stats = private {
   mutable upcalls : int;
   mutable upcall_events : int;
   mutable preemptions : int;  (** processor preemptions (explicit mode) *)

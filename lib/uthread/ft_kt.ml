@@ -159,11 +159,10 @@ let start t prog =
   let root = Ft_core.new_thread t.core_state d prog in
   Ft_core.make_ready t.core_state d ~at:0 root;
   for i = 0 to t.vps - 1 do
-    ignore
-      (Kernel.spawn_kthread t.kernel t.space
-         ~name:(Printf.sprintf "vp%d" i)
-         ~body:(fun ops ->
-           t.vp_ops.(i) <- Some ops;
-           vp_step t i ops)
-         ())
+    Kernel.spawn_kthread t.kernel t.space
+      ~name:(Printf.sprintf "vp%d" i)
+      ~body:(fun ops ->
+        t.vp_ops.(i) <- Some ops;
+        vp_step t i ops)
+      ()
   done

@@ -268,11 +268,10 @@ let rec step t thr (ops : Kernel.kt_ops) lk pc =
           let child = new_thr t in
           trace_live t ~tid:child.th_id "kt:fork";
           thr.binds <- Code.bind thr.binds code.Code.b.(pc) child.th_id;
-          ignore
-            (Kernel.spawn_kthread t.kernel t.sp
-               ~name:(Printf.sprintf "dsl-t%d" child.th_id)
-               ~body:(fun cops -> step t child cops lk arg)
-               ());
+          Kernel.spawn_kthread t.kernel t.sp
+            ~name:(Printf.sprintf "dsl-t%d" child.th_id)
+            ~body:(fun cops -> step t child cops lk arg)
+            ();
           next ())
   | 12 (* join *) -> (
       match Hashtbl.find_opt t.threads (Code.join_target thr.binds arg) with
@@ -337,7 +336,6 @@ let start t prog =
   t.started <- true;
   let root = new_thr t in
   let lk = link t (Program.compile prog) in
-  ignore
-    (Kernel.spawn_kthread t.kernel t.sp ~name:"dsl-main"
-       ~body:(fun ops -> step t root ops lk 0)
-       ())
+  Kernel.spawn_kthread t.kernel t.sp ~name:"dsl-main"
+    ~body:(fun ops -> step t root ops lk 0)
+    ()

@@ -29,13 +29,12 @@ let native_tests =
         let sim, _m, k = make () in
         let sp = Kernel.new_kthread_space k ~name:"app" () in
         let ran = ref false in
-        ignore
-          (Kernel.spawn_kthread k sp ~name:"t"
-             ~body:(fun ops ->
-               ops.Kernel.kt_charge (Time.us 10) (fun () ->
-                   ran := true;
-                   ops.Kernel.kt_exit ()))
-             ());
+        Kernel.spawn_kthread k sp ~name:"t"
+          ~body:(fun ops ->
+            ops.Kernel.kt_charge (Time.us 10) (fun () ->
+                ran := true;
+                ops.Kernel.kt_exit ()))
+          ();
         Sim.run sim;
         check Alcotest.bool "ran" true !ran;
         Kernel.check_invariants k);
@@ -44,13 +43,12 @@ let native_tests =
         let sp = Kernel.new_kthread_space k ~name:"app" () in
         let order = ref [] in
         let spawn name =
-          ignore
-            (Kernel.spawn_kthread k sp ~name
-               ~body:(fun ops ->
-                 ops.Kernel.kt_charge (Time.us 5) (fun () ->
-                     order := name :: !order;
-                     ops.Kernel.kt_exit ()))
-               ())
+          Kernel.spawn_kthread k sp ~name
+            ~body:(fun ops ->
+              ops.Kernel.kt_charge (Time.us 5) (fun () ->
+                  order := name :: !order;
+                  ops.Kernel.kt_exit ()))
+            ()
         in
         spawn "a";
         spawn "b";
@@ -63,20 +61,18 @@ let native_tests =
         let sim, _m, k = make ~cpus:1 () in
         let sp = Kernel.new_kthread_space k ~name:"app" () in
         let events = ref [] in
-        ignore
-          (Kernel.spawn_kthread k sp ~name:"sleeper"
-             ~body:(fun ops ->
-               ops.Kernel.kt_block_for (Time.ms 10) (fun () ->
-                   events := "woke" :: !events;
-                   ops.Kernel.kt_exit ()))
-             ());
-        ignore
-          (Kernel.spawn_kthread k sp ~name:"worker"
-             ~body:(fun ops ->
-               ops.Kernel.kt_charge (Time.us 100) (fun () ->
-                   events := "worked" :: !events;
-                   ops.Kernel.kt_exit ()))
-             ());
+        Kernel.spawn_kthread k sp ~name:"sleeper"
+          ~body:(fun ops ->
+            ops.Kernel.kt_block_for (Time.ms 10) (fun () ->
+                events := "woke" :: !events;
+                ops.Kernel.kt_exit ()))
+          ();
+        Kernel.spawn_kthread k sp ~name:"worker"
+          ~body:(fun ops ->
+            ops.Kernel.kt_charge (Time.us 100) (fun () ->
+                events := "worked" :: !events;
+                ops.Kernel.kt_exit ()))
+          ();
         Sim.run sim;
         check
           (Alcotest.list Alcotest.string)
@@ -87,22 +83,20 @@ let native_tests =
         let sp = Kernel.new_kthread_space k ~name:"app" () in
         let wake_fn = ref (fun () -> ()) in
         let woke = ref false in
-        ignore
-          (Kernel.spawn_kthread k sp ~name:"waiter"
-             ~body:(fun ops ->
-               ops.Kernel.kt_block_on
-                 ~register:(fun wake -> wake_fn := wake)
-                 (fun () ->
-                   woke := true;
-                   ops.Kernel.kt_exit ()))
-             ());
-        ignore
-          (Kernel.spawn_kthread k sp ~name:"waker"
-             ~body:(fun ops ->
-               ops.Kernel.kt_charge (Time.us 50) (fun () ->
-                   !wake_fn ();
-                   ops.Kernel.kt_exit ()))
-             ());
+        Kernel.spawn_kthread k sp ~name:"waiter"
+          ~body:(fun ops ->
+            ops.Kernel.kt_block_on
+              ~register:(fun wake -> wake_fn := wake)
+              (fun () ->
+                woke := true;
+                ops.Kernel.kt_exit ()))
+          ();
+        Kernel.spawn_kthread k sp ~name:"waker"
+          ~body:(fun ops ->
+            ops.Kernel.kt_charge (Time.us 50) (fun () ->
+                !wake_fn ();
+                ops.Kernel.kt_exit ()))
+          ();
         Sim.run sim;
         check Alcotest.bool "woke" true !woke);
     Alcotest.test_case "time-slicing preempts long-running threads" `Quick
@@ -110,20 +104,18 @@ let native_tests =
         let sim, _m, k = make ~cpus:1 () in
         let sp = Kernel.new_kthread_space k ~name:"app" () in
         let first_done = ref Time.zero and second_done = ref Time.zero in
-        ignore
-          (Kernel.spawn_kthread k sp ~name:"hog"
-             ~body:(fun ops ->
-               ops.Kernel.kt_charge (Time.ms 300) (fun () ->
-                   first_done := Sim.now sim;
-                   ops.Kernel.kt_exit ()))
-             ());
-        ignore
-          (Kernel.spawn_kthread k sp ~name:"short"
-             ~body:(fun ops ->
-               ops.Kernel.kt_charge (Time.ms 10) (fun () ->
-                   second_done := Sim.now sim;
-                   ops.Kernel.kt_exit ()))
-             ());
+        Kernel.spawn_kthread k sp ~name:"hog"
+          ~body:(fun ops ->
+            ops.Kernel.kt_charge (Time.ms 300) (fun () ->
+                first_done := Sim.now sim;
+                ops.Kernel.kt_exit ()))
+          ();
+        Kernel.spawn_kthread k sp ~name:"short"
+          ~body:(fun ops ->
+            ops.Kernel.kt_charge (Time.ms 10) (fun () ->
+                second_done := Sim.now sim;
+                ops.Kernel.kt_exit ()))
+          ();
         Sim.run sim;
         (* With a 100 ms quantum, the short thread must finish long before
            the 300 ms hog. *)
@@ -137,22 +129,20 @@ let native_tests =
         let sim, _m, k = make ~cpus:1 () in
         let sp = Kernel.new_kthread_space k ~name:"app" () in
         let order = ref [] in
-        ignore
-          (Kernel.spawn_kthread k sp ~name:"a"
-             ~body:(fun ops ->
-               ops.Kernel.kt_charge (Time.us 1) (fun () ->
-                   order := "a1" :: !order;
-                   ops.Kernel.kt_yield (fun () ->
-                       order := "a2" :: !order;
-                       ops.Kernel.kt_exit ())))
-             ());
-        ignore
-          (Kernel.spawn_kthread k sp ~name:"b"
-             ~body:(fun ops ->
-               ops.Kernel.kt_charge (Time.us 1) (fun () ->
-                   order := "b" :: !order;
-                   ops.Kernel.kt_exit ()))
-             ());
+        Kernel.spawn_kthread k sp ~name:"a"
+          ~body:(fun ops ->
+            ops.Kernel.kt_charge (Time.us 1) (fun () ->
+                order := "a1" :: !order;
+                ops.Kernel.kt_yield (fun () ->
+                    order := "a2" :: !order;
+                    ops.Kernel.kt_exit ())))
+          ();
+        Kernel.spawn_kthread k sp ~name:"b"
+          ~body:(fun ops ->
+            ops.Kernel.kt_charge (Time.us 1) (fun () ->
+                order := "b" :: !order;
+                ops.Kernel.kt_exit ()))
+          ();
         Sim.run sim;
         check (Alcotest.list Alcotest.string) "interleaved" [ "a1"; "b"; "a2" ]
           (List.rev !order));
@@ -164,6 +154,35 @@ let native_tests =
         (* 500 ms / ~51 ms period: expect roughly 9-10 wakeups. *)
         check Alcotest.bool "several wakeups" true (st.Kernel.daemon_wakeups >= 8);
         Kernel.check_invariants k);
+    Alcotest.test_case "stats is a snapshot, not the live counters" `Quick
+      (fun () ->
+        let sim, _m, k = make ~cpus:1 () in
+        let sp = Kernel.new_kthread_space k ~name:"app" () in
+        let spawn name =
+          Kernel.spawn_kthread k sp ~name
+            ~body:(fun ops ->
+              ops.Kernel.kt_block_for (Time.us 50) (fun () ->
+                  ops.Kernel.kt_exit ()))
+            ()
+        in
+        spawn "a";
+        Sim.run sim;
+        let held = Kernel.stats k in
+        let dispatches = held.Kernel.kt_dispatches
+        and blocks = held.Kernel.io_blocks in
+        check Alcotest.bool "first run counted" true
+          (dispatches >= 1 && blocks = 1);
+        spawn "b";
+        Sim.run sim;
+        check Alcotest.int "held dispatches unchanged" dispatches
+          held.Kernel.kt_dispatches;
+        check Alcotest.int "held io_blocks unchanged" blocks
+          held.Kernel.io_blocks;
+        let fresh = Kernel.stats k in
+        check Alcotest.bool "fresh dispatches grew" true
+          (fresh.Kernel.kt_dispatches > dispatches);
+        check Alcotest.int "fresh io_blocks grew" (blocks + 1)
+          fresh.Kernel.io_blocks);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -364,19 +383,17 @@ let explicit_tests =
         let sim, _m, k = make ~cpus:1 ~kconfig:Kconfig.default () in
         let sp = Kernel.new_kthread_space k ~name:"legacy" () in
         let short_done = ref Time.zero in
-        ignore
-          (Kernel.spawn_kthread k sp ~name:"hog"
-             ~body:(fun ops ->
-               ops.Kernel.kt_charge (Time.ms 300) (fun () ->
-                   ops.Kernel.kt_exit ()))
-             ());
-        ignore
-          (Kernel.spawn_kthread k sp ~name:"short"
-             ~body:(fun ops ->
-               ops.Kernel.kt_charge (Time.ms 10) (fun () ->
-                   short_done := Sim.now sim;
-                   ops.Kernel.kt_exit ()))
-             ());
+        Kernel.spawn_kthread k sp ~name:"hog"
+          ~body:(fun ops ->
+            ops.Kernel.kt_charge (Time.ms 300) (fun () ->
+                ops.Kernel.kt_exit ()))
+          ();
+        Kernel.spawn_kthread k sp ~name:"short"
+          ~body:(fun ops ->
+            ops.Kernel.kt_charge (Time.ms 10) (fun () ->
+                short_done := Sim.now sim;
+                ops.Kernel.kt_exit ()))
+          ();
         Sim.run sim;
         check Alcotest.bool "short thread ran within two quanta" true
           (Time.to_ms !short_done < 250.0);
@@ -387,14 +404,13 @@ let explicit_tests =
         let sp = Kernel.new_kthread_space k ~name:"legacy" () in
         let done_count = ref 0 in
         for i = 1 to 4 do
-          ignore
-            (Kernel.spawn_kthread k sp
-               ~name:(Printf.sprintf "w%d" i)
-               ~body:(fun ops ->
-                 ops.Kernel.kt_charge (Time.ms 2) (fun () ->
-                     incr done_count;
-                     ops.Kernel.kt_exit ()))
-               ())
+          Kernel.spawn_kthread k sp
+            ~name:(Printf.sprintf "w%d" i)
+            ~body:(fun ops ->
+              ops.Kernel.kt_charge (Time.ms 2) (fun () ->
+                  incr done_count;
+                  ops.Kernel.kt_exit ()))
+            ()
         done;
         Sim.run sim;
         check Alcotest.int "all four ran" 4 !done_count;
