@@ -411,14 +411,15 @@ let calq_bench =
     ]
 
 (* The compiled-program interpreter measured in isolation: arena-compile
-   cost (with fork-child memoization over a shared leaf), the flat step
-   loop's dispatch over an accumulate-and-yield body, and the sync-op fast
-   path (uncontended acquire/release).  These interpreter runs are pinned
-   to one CPU so the numbers track per-op interpreter overhead, not
-   scheduling.  The spawn run forks 1,000 leaves onto 4 CPUs: the thread
-   lifecycle (TCB creation, dispatch, steals, exit), whose per-fork
-   allocation is the cost it tracks.  Gated by [micro --check] alongside
-   the engine groups. *)
+   cost (with fork-child memoization over one shared leaf, and over the
+   distinct leaves of a forkjoin root), the flat step loop's dispatch over
+   an accumulate-and-yield body, and the sync-op fast path (uncontended
+   acquire/release).  These interpreter runs are pinned to one CPU so the
+   numbers track per-op interpreter overhead, not scheduling.  The spawn
+   run forks 1,000 leaves onto 4 CPUs: the thread lifecycle (TCB
+   creation, dispatch, steals, exit), whose per-fork allocation is the
+   cost it tracks.  Gated by [micro --check] alongside the engine
+   groups. *)
 let program_bench =
   let module Program = Sa_program.Program in
   let module Time = Sa_engine.Time in
@@ -434,6 +435,23 @@ let program_bench =
      same program value, which would time a cache hit. *)
   let fanout () =
     Program.Build.(to_program (repeat 64 (fun _ -> fork_unit leaf)))
+  in
+  (* The root [perf]'s forkjoin submits on 64 CPUs: 64 branches, each
+     forking its own leaf 156 times.  128 distinct shared children, twice
+     the compile memo's capacity, so the memo must keep each child while
+     it is still being forked or the arena triples. *)
+  let forkjoin () =
+    let branch _ =
+      let leaf =
+        Program.Build.(
+          to_program
+            (let* () = compute (Time.us 1) in
+             let* () = yield in
+             compute (Time.us 1)))
+      in
+      Program.Build.(to_program (repeat 156 (fun _ -> fork_unit leaf)))
+    in
+    Program.Build.(to_program (iter_list (List.init 64 branch) fork_unit))
   in
   let stepper =
     Program.Build.(
@@ -474,6 +492,8 @@ let program_bench =
     [
       Test.make ~name:"compile fanout-64"
         (Staged.stage (fun () -> ignore (Program.compile (fanout ()))));
+      Test.make ~name:"compile forkjoin-64"
+        (Staged.stage (fun () -> ignore (Program.compile (forkjoin ()))));
       Test.make ~name:"step dispatch yield x250"
         (Staged.stage (run_one stepper));
       Test.make ~name:"sync fast path x250" (Staged.stage (run_one locker));

@@ -906,8 +906,21 @@ let explore_cmd =
       ]
   in
   let do_replay file =
-    let sched = Schedule.load file in
-    let spec = Search.spec_of_meta sched.Schedule.meta in
+    (* A file that does not parse, or whose header names a configuration
+       the command line would refuse, is a domain error. *)
+    let sched, spec =
+      match
+        let sched = Schedule.load file in
+        (sched, Search.spec_of_meta sched.Schedule.meta)
+      with
+      | loaded -> loaded
+      | exception Failure msg ->
+          Printf.eprintf "%s: %s\n" file msg;
+          exit 2
+      | exception Sys_error msg ->
+          prerr_endline msg;
+          exit 2
+    in
     Printf.printf "replay %s: workload=%s seed=%d cpus=%d decisions=%d\n"
       file
       (Search.workload_name spec.Search.workload)

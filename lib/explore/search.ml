@@ -235,8 +235,9 @@ let meta_of_spec spec ~strategy =
 
 (* A missing key keeps its default and an unknown key is ignored: older
    files also record the demand-drop gap, which is now an injector
-   constant.  A present key whose value does not parse is refused, like
-   any other malformed schedule input. *)
+   constant.  A present key whose value does not parse, or a count the
+   command line would refuse (below 1), is refused like any other
+   malformed schedule input. *)
 let spec_of_meta meta =
   let d = default_spec in
   let field k parse default =
@@ -249,6 +250,9 @@ let spec_of_meta meta =
             failwith
               (Printf.sprintf "Search.spec_of_meta: malformed %s %S" k v))
   in
+  let positive v =
+    match int_of_string_opt v with Some n when n >= 1 -> Some n | _ -> None
+  in
   let kinds = function
     | "" -> Some []
     | v ->
@@ -259,9 +263,9 @@ let spec_of_meta meta =
   {
     workload = field "workload" workload_of_name d.workload;
     seed = field "seed" int_of_string_opt d.seed;
-    cpus = field "cpus" int_of_string_opt d.cpus;
-    requests = field "requests" int_of_string_opt d.requests;
-    horizon = field "horizon_ns" int_of_string_opt d.horizon;
+    cpus = field "cpus" positive d.cpus;
+    requests = field "requests" positive d.requests;
+    horizon = field "horizon_ns" positive d.horizon;
     inject = field "inject" bool_of_string_opt d.inject;
     inject_kinds = field "inject_kinds" kinds d.inject_kinds;
   }

@@ -87,7 +87,8 @@ val spec_of_meta : (string * string) list -> spec
 (** Reconstruct a spec from a schedule header, falling back to
     {!default_spec} for missing fields and ignoring unknown ones.  Raises
     [Failure] naming the key and value when a present field does not
-    parse (including an unknown injector kind). *)
+    parse (including an unknown injector kind) or a count is out of range
+    ([cpus], [requests] and [horizon_ns] must be at least 1). *)
 
 (** {1 Search} *)
 

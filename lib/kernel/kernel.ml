@@ -293,9 +293,14 @@ let trace_counter t cat name v =
   Trace.counter (ktrace t) ~time:(Sim.now t.sim) cat name v
 
 (* Downcalls (Table 3) appear as instants on the trace; they share the
-   Upcall category so enabling it captures the whole SA protocol. *)
-let trace_downcall t ?cpu ?space ?act name =
-  trace_instant t ?cpu ?space ?act Trace.Upcall ("downcall:" ^ name)
+   Upcall category so enabling it captures the whole SA protocol.  The ids
+   are plain ints ([Trace.no_id] for none) and the name is built after the
+   enable test, so an untraced downcall allocates nothing. *)
+let trace_downcall t ~cpu ~space ~act name =
+  let tr = ktrace t in
+  if Trace.enabled tr Trace.Upcall then
+    Trace.instant tr ~time:(Sim.now t.sim) ~cpu ~space ~act Trace.Upcall
+      ("downcall:" ^ name)
 
 let defer t f = ignore (Sim.schedule_after t.sim ~delay:0 f)
 
@@ -1087,7 +1092,7 @@ let sa_block_kernel t act ~register k =
    upcall on the same processor. *)
 let sa_request_preempt t sp ~cpu =
   if cpu < 0 || cpu >= ncpus t then invalid_arg "sa_request_preempt: cpu";
-  trace_downcall t ~cpu ~space:sp.sp_id "preempt-processor";
+  trace_downcall t ~cpu ~space:sp.sp_id ~act:Trace.no_id "preempt-processor";
   defer t (fun () ->
       let slot = slot_of_cpu t cpu in
       if slot_owned_by slot sp then begin
@@ -1105,7 +1110,8 @@ let sa_request_preempt t sp ~cpu =
 
 let sa_add_more_processors t sp n =
   if n < 0 then invalid_arg "sa_add_more_processors";
-  trace_downcall t ~space:sp.sp_id "add-more-processors";
+  trace_downcall t ~cpu:Trace.no_id ~space:sp.sp_id ~act:Trace.no_id
+    "add-more-processors";
   let want = min (ncpus t) (sp.sp_assigned + n) in
   if want > sp.sp_desired then begin
     sp.sp_desired <- want;
@@ -1169,7 +1175,7 @@ let sa_return_activation t act_id =
   match Hashtbl.find_opt t.acts act_id with
   | None -> invalid_arg "sa_return_activation: unknown activation"
   | Some act -> (
-      trace_downcall t ~space:act.act_sp.sp_id ~act:act_id
+      trace_downcall t ~cpu:Trace.no_id ~space:act.act_sp.sp_id ~act:act_id
         "return-activation";
       match act.act_state with
       | A_stopped ->

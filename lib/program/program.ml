@@ -244,6 +244,20 @@ type region = {
   mutable dyn : bool;  (* inside a [Dynamic] subtree: one node, then [op_dyn] *)
 }
 
+(* The fork-child memo of [compile_once]: a ring of [memo_cap] slots (a
+   power of two, so a slot is an insertion count [land] the mask) filled
+   by the last [n] insertions.  [memo_find keys pcs n child 1] scans it
+   newest first for [child] by physical equality and returns its entry pc,
+   or -1. *)
+let memo_cap = 64
+
+let rec memo_find keys pcs n child k =
+  if k > n || k > memo_cap then -1
+  else
+    let i = (n - k) land (memo_cap - 1) in
+    if Array.unsafe_get keys i == child then Array.unsafe_get pcs i
+    else memo_find keys pcs n child (k + 1)
+
 let compile_once ~budget ~lazy_sites prog =
   let cap = ref 8 in
   let op = ref (Array.make !cap 0)
@@ -313,8 +327,23 @@ let compile_once ~budget ~lazy_sites prog =
      its thread's bindings.  A join on a site issued under a different
      region would look up a fork binding its own thread never
      established, so it escapes like data.  Only sites whose continuation
-     was forced with a sentinel are here, with their region and slot. *)
-  let site_region = Hashtbl.create 16 in
+     was forced with a sentinel have a region here (-1 elsewhere), and
+     [site_slot] holds their slot; both are indexed by site number. *)
+  let site_region = ref [||] and site_slot = ref [||] in
+  let record_site site region slot =
+    let n = Array.length !site_region in
+    if site >= n then begin
+      let grow arr fill =
+        let g = Array.make (max (site + 1) (max 16 (2 * n))) fill in
+        Array.blit !arr 0 g 0 n;
+        arr := g
+      in
+      grow site_region (-1);
+      grow site_slot 0
+    end;
+    !site_region.(site) <- region;
+    !site_slot.(site) <- slot
+  in
   let next_region = ref 1 in
   (* Physically-shared fork children compile once and every fork site
      points at the same entry pc.  Fan-out programs fork one shared
@@ -323,10 +352,23 @@ let compile_once ~budget ~lazy_sites prog =
      resolve fork sites through each running thread's own bindings, so
      instances sharing code (and fork sites) stay independent.  Keyed on
      physical equality: one value captures the same thread ids wherever it
-     is forked, so compiling it once stands for every instance.  The list
-     stays tiny (distinct shared children, capped), so [==] scans beat
-     hashing. *)
-  let child_memo = ref [] in
+     is forked, so compiling it once stands for every instance.  The table
+     holds the [memo_cap] most recently compiled children ([memo_find]):
+     fan-outs fork each child from one stretch of code, so recency keeps
+     every child that is still being forked, and the hit is usually the
+     newest entry.  It stays short, so [==] scans beat hashing; an arena
+     that forks nothing allocates none of it. *)
+  let memo_child = ref [||] and memo_pc = ref [||] and memo_n = ref 0 in
+  let remember child cpc =
+    if !memo_n = 0 then begin
+      memo_child := Array.make memo_cap child;
+      memo_pc := Array.make memo_cap cpc
+    end;
+    let i = !memo_n land (memo_cap - 1) in
+    !memo_child.(i) <- child;
+    !memo_pc.(i) <- cpc;
+    incr memo_n
+  in
   let link r pc =
     if r.entry = -1 then r.entry <- pc else !nx.(r.last) <- pc;
     r.last <- pc
@@ -427,15 +469,14 @@ let compile_once ~budget ~lazy_sites prog =
             let pc = emit Code.op_fork 0 slot in
             link r pc;
             let child_pc =
-              match List.find_opt (fun (c, _) -> c == child) !child_memo with
-              | Some (_, cpc) -> cpc
-              | None ->
+              match memo_find !memo_child !memo_pc !memo_n child 1 with
+              | -1 ->
                   let child_region = !next_region in
                   incr next_region;
                   let cpc = go child_region r.scope child in
-                  if List.length !child_memo < 64 then
-                    child_memo := (child, cpc) :: !child_memo;
+                  remember child cpc;
                   cpc
+              | cpc -> cpc
             in
             !a.(pc) <- child_pc;
             if r.dyn then defer r slot (fun tid -> Dynamic (k tid))
@@ -446,7 +487,7 @@ let compile_once ~budget ~lazy_sites prog =
               defer r slot k
             end
             else begin
-              Hashtbl.replace site_region site (r.id, slot);
+              record_site site r.id slot;
               if r.scope < 0 then r.scope <- site;
               (* The sentinel is in scope from here: a [Dynamic] result or
                  a raise makes a site lazy (see [defer_current]). *)
@@ -462,14 +503,18 @@ let compile_once ~budget ~lazy_sites prog =
             let operand =
               if tid >= 0 then tid
               else
-                match Hashtbl.find_opt site_region (sentinel_base - tid) with
-                | Some (reg, slot) when reg = r.id && is_sentinel tid ->
-                    -(slot + 1)
-                | Some _ | None ->
-                    ignore (escape r tid);
-                    (* no thread has a negative id: joining fails at run
-                       time *)
-                    max_int
+                let site = sentinel_base - tid in
+                if
+                  is_sentinel tid
+                  && site < Array.length !site_region
+                  && !site_region.(site) = r.id
+                then -(!site_slot.(site) + 1)
+                else begin
+                  ignore (escape r tid);
+                  (* no thread has a negative id: joining fails at run
+                     time *)
+                  max_int
+                end
             in
             link r (emit Code.op_join operand 0);
             next r k

@@ -117,8 +117,9 @@ type state = {
   mutable ready_count : int;
   mutable running_count : int;
   mutable threads : tcb array;
-      (* tid -> tcb for tids 1..[next_tid] (never reused); slot 0 and the
-         unused tail hold [no_tcb] *)
+      (* tid -> tcb for tids 1..[next_tid] (never reused); a finished
+         thread's slot holds [retired], slot 0 and the unused tail hold
+         [no_tcb] *)
   mutexes : (int, mutex_state) Hashtbl.t;
   conds : (int, cond_state) Hashtbl.t;
   sems : (int, sem_state) Hashtbl.t;
@@ -197,6 +198,12 @@ let blank_tcb tid =
 (* Filler for the unused slots of [state.threads]. *)
 let no_tcb = blank_tcb 0
 
+(* Stands in the slot of every finished thread, so the TCB and its
+   closure block become garbage once the vessel lets go of them.  Only its
+   [Done] state is ever read: a join on it advances at once, and the
+   census counts it [Done]. *)
+let retired = { (blank_tcb 0) with tstate = Done }
+
 let tcb_id t = t.tid
 let tcb_priority t = t.prio
 let tcb_state t = t.tstate
@@ -266,7 +273,7 @@ let threads_in s st =
   let acc = ref [] in
   for tid = s.next_tid downto 1 do
     let tcb = s.threads.(tid) in
-    if tcb.tstate = st then acc := tcb :: !acc
+    if tcb.tstate = st && tcb != retired then acc := tcb :: !acc
   done;
   !acc
 
@@ -754,6 +761,7 @@ and commit_op s d tcb lk =
       let joiners = tcb.joiners in
       tcb.joiners <- [];
       List.iter (fun j -> make_ready s d ~at:tcb.binding j) joiners;
+      s.threads.(tcb.tid) <- retired;
       if s.live = 0 then d.all_done ();
       d.thread_stopped tcb
   | 2 (* acquire *) ->

@@ -107,9 +107,12 @@ val finished : state -> bool
 (** All threads have completed. *)
 
 val state_counts : state -> (tstate * int) list
-(** Thread-count per state (diagnostics). *)
+(** Thread-count per state (diagnostics), over every thread the state has
+    created: finished threads count as [Done]. *)
 
 val threads_in : state -> tstate -> tcb list
+(** The threads currently in a state, in tid order.  A finished thread's
+    TCB is retired when it exits, so [threads_in s Done] is empty. *)
 
 val io_device : state -> Sa_hw.Io_device.t option
 (** The device servicing this state's cache misses, if one was attached. *)

@@ -179,9 +179,10 @@ let test_truncated_schedule_rejected () =
   | exception Failure _ -> ());
   Sys.remove path
 
-(* A header field that is present but does not parse is refused, naming
-   the key and value; a missing key keeps its default and an unknown key
-   (such as the [drop_gap_us] older files carry) is ignored. *)
+(* A header field that is present but does not parse, or a count the
+   command line would refuse (below 1), is refused, naming the key and
+   value; a missing key keeps its default and an unknown key (such as the
+   [drop_gap_us] older files carry) is ignored. *)
 let test_malformed_meta_rejected () =
   let meta = Search.meta_of_spec drop_spec ~strategy:"default" in
   Alcotest.(check bool)
@@ -207,7 +208,18 @@ let test_malformed_meta_rejected () =
       ("horizon_ns", "10s");
       ("inject", "yes");
       ("inject_kinds", "preempt,bogus");
-    ]
+      ("cpus", "0");
+      ("cpus", "-2");
+      ("requests", "0");
+      ("horizon_ns", "0");
+      ("horizon_ns", "-1");
+    ];
+  let least =
+    Search.spec_of_meta [ ("cpus", "1"); ("requests", "1"); ("horizon_ns", "1") ]
+  in
+  Alcotest.(check (list int))
+    "1 is the least count" [ 1; 1; 1 ]
+    [ least.Search.cpus; least.Search.requests; least.Search.horizon ]
 
 (* --- replay determinism (the qcheck satellites) ----------------------- *)
 

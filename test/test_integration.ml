@@ -103,8 +103,19 @@ let figure2_shape_tests =
         let orig = find "orig FastThreads" in
         let new_ft = find "new FastThreads" in
         (* at 100% memory the user-level systems beat Topaz *)
-        check Alcotest.bool "new FT fastest at 100%" true
+        check Alcotest.bool "new FT beats Topaz at 100%" true
           (at new_ft 100 < at topaz 100);
+        (* below 100% new FT is the fastest of the three; at 100% original
+           FT edges it out, by under 2% *)
+        check Alcotest.bool "new FT within 2% of orig FT at 100%" true
+          (at new_ft 100 < 1.02 *. at orig 100);
+        List.iter
+          (fun pct ->
+            check Alcotest.bool
+              (Printf.sprintf "new FT fastest at %d%%" pct)
+              true
+              (at new_ft pct < at orig pct && at new_ft pct < at topaz pct))
+          [ 90; 80; 70; 60; 50; 40 ];
         (* orig FT degrades the most: by 40% memory it is the slowest *)
         check Alcotest.bool "orig FT worst at 40%" true
           (at orig 40 > at new_ft 40 && at orig 40 > at topaz 40);

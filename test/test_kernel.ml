@@ -724,6 +724,21 @@ let allocator_pass_tests =
         check Alcotest.int "no reallocation counted" passes
           (Kernel.stats k).Kernel.reallocations;
         Kernel.check_invariants k);
+    Alcotest.test_case "an untraced downcall that changes nothing allocates \
+                        nothing" `Quick (fun () ->
+        (* No trace sink: the downcall's trace instant must cost only its
+           enable test, not a built name or boxed ids. *)
+        let _sim, _m, k = make ~cpus:4 ~kconfig:Kconfig.default () in
+        let sp, _ = holding_space k "s" in
+        let words =
+          minor_words_of (fun () ->
+              for _ = 1 to 100 do
+                Kernel.sa_add_more_processors k sp 0
+              done)
+        in
+        check (Alcotest.float 0.) "net minor words" (minor_words_of ignore)
+          words;
+        check Alcotest.int "demand unchanged" 0 (Kernel.space_desired sp));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -206,6 +206,22 @@ let totality_tests =
           (P.compile ~budget:2 p == code);
         check Alcotest.bool "back to the default budget" false
           (P.compile p == code));
+    Alcotest.test_case "each shared fork child compiles once" `Quick
+      (fun () ->
+        (* 128 distinct children, each forked 10 times in a row: twice the
+           64 children the memo holds, so every child must stay memoized
+           for as long as it is being forked. *)
+        let children = List.init 128 (fun i -> P.compute_only (i + 1)) in
+        let prog =
+          B.to_program
+            (B.iter_list children (fun c ->
+                 B.repeat 10 (fun _ -> B.fork_unit c)))
+        in
+        (* the root's 1,280 forks and done, then one compute and done per
+           child *)
+        check Alcotest.int "one copy of each child body"
+          (1280 + 1 + (128 * 2))
+          (P.Code.length (P.compile prog)));
     Alcotest.test_case "fork sites resolve through the thread's bindings"
       `Quick (fun () ->
         let binds = P.Code.(bind (bind no_binds 0 7) 1 9) in

@@ -1057,6 +1057,79 @@ let representation_tests =
         check Alcotest.int "all 41 done" 41 (count Ft_core.Done));
   ]
 
+(* Finished threads are retired: their slot no longer holds the TCB, so
+   it is garbage once its vessel lets go, while joins and the census
+   still see a [Done] thread.  Driven on [Ft_core] directly with the
+   synchronous driver, one ready list. *)
+let run_ready s =
+  let rec go () =
+    match Ft_core.pop_own s 0 with
+    | Some tcb ->
+        Ft_core.run_thread s ~index:0 tcb;
+        go ()
+    | None -> ()
+  in
+  go ()
+
+let retirement_tests =
+  [
+    Alcotest.test_case "finished threads' TCBs are collectable" `Quick
+      (fun () ->
+        let n = 100 in
+        let stopped = Weak.create (n + 1) in
+        let d =
+          {
+            sync_driver with
+            Ft_core.thread_stopped =
+              (fun tcb -> Weak.set stopped (Ft_core.tcb_id tcb - 1) (Some tcb));
+          }
+        in
+        let s = Ft_core.create_state ~queues:1 () in
+        let root =
+          B.to_program
+            (B.repeat n (fun _ -> B.fork_unit (P.compute_only (Time.us 1))))
+        in
+        Ft_core.make_ready s d ~at:0 (Ft_core.new_thread s d root);
+        run_ready s;
+        check Alcotest.bool "all finished" true (Ft_core.finished s);
+        Gc.full_major ();
+        (* Slot 0 is the root, which the ready list keeps as its filler. *)
+        for i = 1 to n do
+          if Weak.check stopped i then
+            Alcotest.failf "child %d's TCB is still reachable" (i + 1)
+        done;
+        check Alcotest.int "census still counts every thread done" (n + 1)
+          (List.assoc Ft_core.Done (Ft_core.state_counts s));
+        check Alcotest.int "no placeholder handed out" 0
+          (List.length (Ft_core.threads_in s Ft_core.Done)));
+    Alcotest.test_case "a join on a retired child resolves at once" `Quick
+      (fun () ->
+        let s = Ft_core.create_state ~queues:1 () in
+        let parent =
+          B.to_program
+            (let open B in
+             let* tid = fork (P.compute_only (Time.us 1)) in
+             (* Forks push at the front and a yield at the back, so the
+                child runs to completion first. *)
+             let* () = yield in
+             join tid)
+        in
+        Ft_core.make_ready s sync_driver ~at:0
+          (Ft_core.new_thread s sync_driver parent);
+        let count st = List.assoc st (Ft_core.state_counts s) in
+        (* Run the parent to its yield, then the child to its exit. *)
+        for _ = 1 to 2 do
+          Ft_core.run_thread s ~index:0 (Option.get (Ft_core.pop_own s 0))
+        done;
+        check Alcotest.int "child done" 1 (count Ft_core.Done);
+        check Alcotest.int "parent ready" 1 (count Ft_core.Ready);
+        run_ready s;
+        check Alcotest.bool "all finished" true (Ft_core.finished s);
+        check Alcotest.int "the join never blocked" 0
+          (Ft_core.stats s).Ft_core.ublocks;
+        check Alcotest.int "both counted done" 2 (count Ft_core.Done));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Hot-path allocation budgets                                         *)
 (* ------------------------------------------------------------------ *)
@@ -1160,5 +1233,6 @@ let () =
       ("ready-lists", ready_list_tests);
       ("misuse", misuse_tests);
       ("representation", representation_tests);
+      ("retirement", retirement_tests);
       ("hot-path allocation", hot_path_allocation_tests);
     ]
