@@ -349,6 +349,11 @@ let simulator_tests =
                | Buffer_cache.Miss -> Buffer_cache.fill c (i * 31 mod 128)
                | Buffer_cache.Hit | Buffer_cache.Miss_in_flight -> ()
              done));
+      (* The whole Barnes-Hut run the N-body workload is costed from:
+         Plummer bodies, seven tree builds and force phases, programs. *)
+      Test.make ~name:"nbody prepare n=300"
+        (Staged.stage (fun () ->
+             ignore (Sa_workload.Nbody.prepare Sa_workload.Nbody.default_params)));
       Test.make ~name:"octree build n=500"
         (Staged.stage
            (let rng = Sa_engine.Rng.create 7 in

@@ -27,7 +27,9 @@ val force_on :
 (** [force_on tree ~theta ~eps b] is the gravitational acceleration on [b]
     (G = 1) and the number of body–cell interactions evaluated — the work
     measure used to cost the parallel workload.  [eps] is the Plummer
-    softening length.  The body itself is skipped when encountered. *)
+    softening length.  The body itself is skipped when encountered.  The
+    walk's stack lives in the tree, so one tree must not be walked from
+    two domains at once. *)
 
 val force_exact : Body.t array -> eps:float -> Body.t -> Vec3.t
 (** Direct O(N) summation, the accuracy oracle for tests. *)

@@ -74,7 +74,7 @@ let no_poll () = false
 (* Start the spin's next slice: the same record updates, trace span and
    [Sim.schedule_after] as a [begin_work] of that slice. *)
 let arm_slice t =
-  let slice = min t.spin_slice t.spin_left in
+  let slice = Int.min t.spin_slice t.spin_left in
   t.spin_left <- t.spin_left - slice;
   t.segments <- t.segments + 1;
   trace_segment_begin t;

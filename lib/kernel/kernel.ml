@@ -527,7 +527,7 @@ let runq_head_prio t =
 let refresh_kt_desired t sp =
   match sp.sp_kind with
   | Kthreads k ->
-      let d = min k.kt_runnable (ncpus t) in
+      let d = Int.min k.kt_runnable (ncpus t) in
       if d <> sp.sp_desired then begin
         sp.sp_desired <- d;
         if t.cfg.Kconfig.mode = Kconfig.Explicit_allocation then reevaluate t

@@ -16,7 +16,10 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : 'a -> 'a t
+(** [create filler] is an empty deque.  Slots that hold no element hold
+    [filler], so a popped element is never kept alive by the deque. *)
+
 val is_empty : 'a t -> bool
 val length : 'a t -> int
 val push_front : 'a t -> 'a -> unit
@@ -25,6 +28,9 @@ val push_back : 'a t -> 'a -> unit
 val pop_back : 'a t -> 'a option
 val to_list : 'a t -> 'a list
 (** Front first. *)
+
+val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
+(** Front first, without building a list. *)
 
 val remove_first : 'a t -> ('a -> bool) -> 'a option
 (** Remove and return the front-most element satisfying the predicate. *)

@@ -201,7 +201,8 @@ let no_tcb = blank_tcb 0
 (* Stands in the slot of every finished thread, so the TCB and its
    closure block become garbage once the vessel lets go of them.  Only its
    [Done] state is ever read: a join on it advances at once, and the
-   census counts it [Done]. *)
+   census counts it [Done].  It is also the ready lists' filler for their
+   empty slots. *)
 let retired = { (blank_tcb 0) with tstate = Done }
 
 let tcb_id t = t.tid
@@ -214,7 +215,7 @@ let cell_owner c = if c.owner = 0 then None else Some c.owner
 let create_state ~queues ?cache ?io_dev () =
   if queues <= 0 then invalid_arg "Ft_core.create_state: queues";
   {
-    queues = Array.init queues (fun _ -> Deque.create ());
+    queues = Array.init queues (fun _ -> Deque.create retired);
     q_cells = Array.init queues (fun _ -> fresh_cell ());
     next_tid = 0;
     live = 0;
@@ -368,7 +369,7 @@ let make_ready s d ~at tcb =
    (Section 1.2, goal 2).  Ties prefer the local list; a local pick is
    front-most, a foreign one back-most. *)
 let best_prio dq =
-  List.fold_left (fun acc t -> max acc t.prio) min_int (Deque.to_list dq)
+  Deque.fold (fun acc t -> if t.prio > acc then t.prio else acc) min_int dq
 
 let pop_own s index =
   let dq = s.queues.(index) in

@@ -371,7 +371,7 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
              processors (capped at the application's parallelism limit). *)
           let sp = space t in
           let runnable = Ft_core.runnable_threads s in
-          let want = min t.max_procs runnable in
+          let want = Int.min t.max_procs runnable in
           let n = want - Kernel.space_assigned sp in
           if n > 0 then Kernel.sa_add_more_processors t.kernel sp n;
           (* Section 3.1 priority extension: if the newly ready thread
@@ -430,6 +430,6 @@ let nudge_demand t =
   | None -> ()
   | Some sp ->
       let runnable = Ft_core.runnable_threads t.core_state in
-      let want = min t.max_procs runnable in
+      let want = Int.min t.max_procs runnable in
       let n = want - Kernel.space_assigned sp in
       if n > 0 then Kernel.sa_add_more_processors t.kernel sp n

@@ -3,6 +3,7 @@
 module Vec3 = Barneshut.Vec3
 module Body = Barneshut.Body
 module Octree = Barneshut.Octree
+module Oracle = Octree_oracle
 module Nbody_sim = Barneshut.Nbody_sim
 module Rng = Sa_engine.Rng
 
@@ -81,6 +82,58 @@ let theta_zero_is_exact =
           Vec3.norm (Vec3.sub approx exact) <= 1e-9 *. (1.0 +. Vec3.norm exact))
         bodies)
 
+(* Bodies for the differential test: a Plummer sphere, a uniform cube,
+   or a Plummer sphere of unequal masses with some positions copied onto
+   others, so at least two (and from n = 3, three) bodies coincide and
+   insertion takes the max-depth merge path. *)
+let gen_bodies kind n seed =
+  let rng = Rng.create seed in
+  match kind with
+  | 0 -> Nbody_sim.plummer rng ~n
+  | 1 -> Nbody_sim.uniform_cube rng ~n
+  | _ ->
+      let n = max 2 n in
+      let bodies =
+        Array.map
+          (fun b ->
+            Body.make ~id:b.Body.id
+              ~mass:(b.Body.mass *. (0.5 +. Rng.float rng 1.0))
+              ~pos:b.Body.pos ~vel:b.Body.vel)
+          (Nbody_sim.plummer rng ~n)
+      in
+      let copy ~src ~dst = bodies.(dst).Body.pos <- bodies.(src).Body.pos in
+      copy ~src:0 ~dst:(n - 1);
+      if n >= 3 then copy ~src:0 ~dst:(n - 2);
+      for _ = 1 to n / 10 do
+        copy ~src:(Rng.int rng n) ~dst:(Rng.int rng n)
+      done;
+      bodies
+
+let bits = Int64.bits_of_float
+
+let same_vec3 (a : Vec3.t) (b : Vec3.t) =
+  bits a.x = bits b.x && bits a.y = bits b.y && bits a.z = bits b.z
+
+let matches_oracle =
+  QCheck.Test.make ~name:"array tree is bit-identical to the record oracle"
+    ~count:60
+    QCheck.(
+      quad (int_range 0 2) (int_range 1 400) small_nat
+        (oneofl [ 0.0; 0.3; 0.7; 1.0 ]))
+    (fun (kind, n, seed, theta) ->
+      let bodies = gen_bodies kind n seed in
+      let tree = Octree.build bodies and oracle = Oracle.build bodies in
+      Octree.node_count tree = Oracle.node_count oracle
+      && Octree.depth tree = Oracle.depth oracle
+      && bits (Octree.mass tree) = bits (Oracle.mass oracle)
+      && same_vec3 (Octree.center_of_mass tree) (Oracle.center_of_mass oracle)
+      && Array.for_all
+           (fun b ->
+             let acc, count = Octree.force_on tree ~theta ~eps:0.05 b in
+             let acc', count' = Oracle.force_on oracle ~theta ~eps:0.05 b in
+             count = count' && same_vec3 acc acc')
+           bodies)
+
 let octree_tests =
   [
     Alcotest.test_case "empty build rejected" `Quick (fun () ->
@@ -137,10 +190,48 @@ let octree_tests =
     qtest tree_mass_conserved;
     qtest com_matches;
     qtest theta_zero_is_exact;
+    qtest matches_oracle;
   ]
+
+(* Every step's per-body interaction counts, then the bits of every final
+   position: the work profile the N-body workload is costed from. *)
+let profile_digest ~seed ~n ~steps =
+  let sim = Nbody_sim.create (mk_bodies (Rng.create seed) n) in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun prof ->
+      Array.iter
+        (fun c ->
+          Buffer.add_string buf (string_of_int c);
+          Buffer.add_char buf ',')
+        prof.Nbody_sim.interactions;
+      Buffer.add_char buf ';')
+    (Nbody_sim.run sim ~steps);
+  Array.iter
+    (fun b ->
+      let p = b.Body.pos in
+      List.iter
+        (fun f -> Buffer.add_string buf (Printf.sprintf "%Lx," (bits f)))
+        [ p.Vec3.x; p.Vec3.y; p.Vec3.z ])
+    (Nbody_sim.bodies sim);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let sim_tests =
   [
+    Alcotest.test_case "seed-42 profile is pinned" `Quick (fun () ->
+        check Alcotest.string "digest" "10da4059270df3d594a1b4dcf5aa6576"
+          (profile_digest ~seed:42 ~n:300 ~steps:6));
+    Alcotest.test_case "a step allocates at most 64 minor words per body"
+      `Quick (fun () ->
+        let n = 300 in
+        let sim = Nbody_sim.create (mk_bodies (Rng.create 7) n) in
+        (* The first step also computes the initial accelerations. *)
+        ignore (Nbody_sim.step sim);
+        let before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Nbody_sim.step sim));
+        let per_body = (Gc.minor_words () -. before) /. float_of_int n in
+        if per_body > 64.0 then
+          Alcotest.failf "%.1f minor words per body" per_body);
     Alcotest.test_case "momentum conserved over integration" `Quick (fun () ->
         let rng = Rng.create 21 in
         let sim = Nbody_sim.create (mk_bodies rng 200) in

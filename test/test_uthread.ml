@@ -21,7 +21,7 @@ let deque_model =
   QCheck.Test.make ~name:"deque behaves like a list at both ends" ~count:300
     QCheck.(list (pair bool small_nat))
     (fun ops ->
-      let d = Deque.create () in
+      let d = Deque.create 0 in
       let model = ref [] in
       List.iter
         (fun (front, v) ->
@@ -34,13 +34,15 @@ let deque_model =
             model := !model @ [ v ]
           end)
         ops;
-      Deque.to_list d = !model && Deque.length d = List.length !model)
+      Deque.to_list d = !model
+      && Deque.fold (fun acc x -> x :: acc) [] d = List.rev !model
+      && Deque.length d = List.length !model)
 
 let deque_pop_prop =
   QCheck.Test.make ~name:"pops agree with model" ~count:300
     QCheck.(list (int_range 0 3))
     (fun ops ->
-      let d = Deque.create () in
+      let d = Deque.create 0 in
       let model = ref [] in
       let ok = ref true in
       List.iteri
@@ -73,7 +75,7 @@ let deque_remove_first_model =
   QCheck.Test.make ~name:"remove_first matches list semantics" ~count:300
     QCheck.(pair (list (int_range 0 5)) (int_range 0 5))
     (fun (items, target) ->
-      let d = Deque.create () in
+      let d = Deque.create 0 in
       List.iter (Deque.push_back d) items;
       let got = Deque.remove_first d (fun x -> x = target) in
       let rec model acc = function
@@ -89,7 +91,7 @@ let deque_remove_last_model =
     ~count:300
     QCheck.(pair (list (int_range 0 5)) (int_range 0 5))
     (fun (items, target) ->
-      let d = Deque.create () in
+      let d = Deque.create 0 in
       List.iter (Deque.push_back d) items;
       let got = Deque.remove_last d (fun x -> x = target) in
       let rec model acc = function
@@ -103,7 +105,7 @@ let deque_remove_last_model =
 let deque_tests =
   [
     Alcotest.test_case "front is LIFO, back steals oldest" `Quick (fun () ->
-        let d = Deque.create () in
+        let d = Deque.create 0 in
         Deque.push_front d 1;
         Deque.push_front d 2;
         Deque.push_front d 3;
@@ -113,7 +115,7 @@ let deque_tests =
           (Deque.pop_back d);
         check Alcotest.int "one left" 1 (Deque.length d));
     Alcotest.test_case "empty pops" `Quick (fun () ->
-        let d = Deque.create () in
+        let d = Deque.create 0 in
         check Alcotest.bool "front" true (Deque.pop_front d = None);
         check Alcotest.bool "back" true (Deque.pop_back d = None);
         check Alcotest.bool "empty" true (Deque.is_empty d));
@@ -1093,10 +1095,9 @@ let retirement_tests =
         run_ready s;
         check Alcotest.bool "all finished" true (Ft_core.finished s);
         Gc.full_major ();
-        (* Slot 0 is the root, which the ready list keeps as its filler. *)
-        for i = 1 to n do
+        for i = 0 to n do
           if Weak.check stopped i then
-            Alcotest.failf "child %d's TCB is still reachable" (i + 1)
+            Alcotest.failf "thread %d's TCB is still reachable" (i + 1)
         done;
         check Alcotest.int "census still counts every thread done" (n + 1)
           (List.assoc Ft_core.Done (Ft_core.state_counts s));

@@ -141,6 +141,12 @@ let nbody_tests =
         check Alcotest.int "blocks" 20 prep.Nbody.blocks;
         check Alcotest.int "cap 50%" 10 (Nbody.cache_capacity prep ~percent:50);
         check Alcotest.int "cap 0%" 0 (Nbody.cache_capacity prep ~percent:0));
+    Alcotest.test_case "prepare allocates under 1 M minor words" `Quick
+      (fun () ->
+        let before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Nbody.prepare Nbody.default_params));
+        let words = Gc.minor_words () -. before in
+        if words > 1e6 then Alcotest.failf "%.0f minor words" words);
     Alcotest.test_case "seq_time dominated by interactions" `Quick (fun () ->
         let prep = Nbody.prepare { Nbody.default_params with steps = 2 } in
         let interact_time =
