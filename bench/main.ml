@@ -380,7 +380,7 @@ let calq_bench =
     [
       Test.make ~name:"add+pop cold x1000"
         (Staged.stage (fun () ->
-             let q = Calq.create () in
+             let q = Calq.create 0 in
              for i = 0 to 999 do
                ignore (Calq.add q ~key:(i * 7919 mod 1000) ~seq:i i)
              done;
@@ -390,7 +390,7 @@ let calq_bench =
              drain ()));
       Test.make ~name:"steady add+pop x1000"
         (Staged.stage
-           (let q = Calq.create () in
+           (let q = Calq.create 0 in
             let seq = ref 0 in
             fun () ->
               (* key = seq/4: time advances with ~4 events per instant,
@@ -402,7 +402,7 @@ let calq_bench =
               done));
       Test.make ~name:"steady add+cancel churn x1000"
         (Staged.stage
-           (let q = Calq.create () in
+           (let q = Calq.create 0 in
             let seq = ref 0 in
             fun () ->
               (* 3 of 4 timers cancelled before firing, like the kernel's

@@ -23,10 +23,11 @@ val run : t -> steps:int -> step_profile list
 (** Profiles in step order. *)
 
 val kinetic_energy : t -> float
-val potential_energy : t -> float
-(** Exact pairwise potential (O(N^2)); for diagnostics only. *)
 
 val total_energy : t -> float
+(** Kinetic plus the exact pairwise potential (O(N^2)); for diagnostics
+    only. *)
+
 val momentum : t -> Vec3.t
 
 (** {1 Initial conditions} *)

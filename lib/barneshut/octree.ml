@@ -78,9 +78,21 @@ let new_child t c i =
   t.half.(c') <- h /. 2.0;
   c'
 
+(* Write into node [dst] the summary of nodes [v] and [b] together: their
+   total mass at their mass-weighted centre.  [dst] may be [v]. *)
+let merge t dst v b =
+  let mv = t.mass.(v) and mb = t.mass.(b) in
+  let inv = 1.0 /. (mv +. mb) in
+  t.mass.(dst) <- mv +. mb;
+  t.cmx.(dst) <- inv *. ((mv *. t.cmx.(v)) +. (mb *. t.cmx.(b)));
+  t.cmy.(dst) <- inv *. ((mv *. t.cmy.(v)) +. (mb *. t.cmy.(b)));
+  t.cmz.(dst) <- inv *. ((mv *. t.cmz.(v)) +. (mb *. t.cmz.(b)))
+
 (* Descend from the root to body [b]'s empty octant.  Meeting a body [v]
    there splits the octant into a new cell holding [v] and carries on one
-   level down; [depth] counts this insertion's splits. *)
+   level down; [depth] counts this insertion's splits.  Only merged cells
+   carry mass before [summarize], and a body that reaches one folds into
+   its summary, so merged cells stay childless. *)
 let insert t b =
   let c = ref 0 and depth = ref 0 and placed = ref false in
   while not !placed do
@@ -91,7 +103,13 @@ let insert t b =
       t.child.(slot) <- b;
       placed := true
     end
-    else if v >= t.n then c := v - t.n
+    else if v >= t.n then begin
+      if t.mass.(v) > 0.0 then begin
+        merge t v v b;
+        placed := true
+      end
+      else c := v - t.n
+    end
     else begin
       let c' = new_child t !c i in
       let cell = t.n + c' in
@@ -99,12 +117,7 @@ let insert t b =
       if !depth >= max_depth then begin
         (* Coincident bodies: a childless cell whose summary holds both;
            the force walk treats it as a point mass. *)
-        let mv = t.mass.(v) and mb = t.mass.(b) in
-        let inv = 1.0 /. (mv +. mb) in
-        t.mass.(cell) <- mv +. mb;
-        t.cmx.(cell) <- inv *. ((mv *. t.cmx.(v)) +. (mb *. t.cmx.(b)));
-        t.cmy.(cell) <- inv *. ((mv *. t.cmy.(v)) +. (mb *. t.cmy.(b)));
-        t.cmz.(cell) <- inv *. ((mv *. t.cmz.(v)) +. (mb *. t.cmz.(b)));
+        merge t cell v b;
         placed := true
       end
       else begin

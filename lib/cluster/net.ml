@@ -118,12 +118,6 @@ let send t ~src ~dst ~bytes k =
 
 type stats = { messages : int; bytes : int; drops : int }
 
-let link_stats t ~src ~dst =
-  check t src "Net.link_stats";
-  check t dst "Net.link_stats";
-  let l = t.links.(src).(dst) in
-  { messages = l.l_messages; bytes = l.l_bytes; drops = l.l_drops }
-
 let stats t =
   let m = ref 0 and b = ref 0 and d = ref 0 in
   Array.iter

@@ -62,5 +62,3 @@ type stats = { messages : int; bytes : int; drops : int }
 
 val stats : t -> stats
 (** Aggregate over every link. *)
-
-val link_stats : t -> src:int -> dst:int -> stats

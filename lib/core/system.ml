@@ -99,33 +99,21 @@ let submit t ~backend ~name ?cache_capacity ?(prewarm_cache = true) ?disk
   let impl =
     match backend with
     | `Fastthreads_on_sa ->
-        let ft =
-          Ft_sa.create t.kernel ~name ~priority:space_priority ?cache ?io_dev
-            ~strategy ?max_procs:parallelism ?observer ~on_done ()
-        in
-        Ft_sa.start ft prog;
-        J_ft_sa ft
+        J_ft_sa
+          (Ft_sa.create t.kernel ~name ~priority:space_priority ?cache ?io_dev
+             ~strategy ?max_procs:parallelism ?observer ~on_done prog)
     | `Fastthreads_on_kthreads vps ->
-        let ft =
-          Ft_kt.create t.kernel ~name ~vps ~priority:space_priority ?cache
-            ?io_dev ~strategy ?observer ~on_done ()
-        in
-        Ft_kt.start ft prog;
-        J_ft_kt ft
+        J_ft_kt
+          (Ft_kt.create t.kernel ~name ~vps ~priority:space_priority ?cache
+             ?io_dev ~strategy ?observer ~on_done prog)
     | `Topaz_kthreads ->
-        let d =
-          Kt_direct.create t.kernel ~name ~flavor:`Topaz
-            ~priority:space_priority ?cache ?io_dev ?observer ~on_done ()
-        in
-        Kt_direct.start d prog;
-        J_direct d
+        J_direct
+          (Kt_direct.create t.kernel ~name ~flavor:`Topaz
+             ~priority:space_priority ?cache ?io_dev ?observer ~on_done prog)
     | `Ultrix_processes ->
-        let d =
-          Kt_direct.create t.kernel ~name ~flavor:`Ultrix
-            ~priority:space_priority ?cache ?io_dev ?observer ~on_done ()
-        in
-        Kt_direct.start d prog;
-        J_direct d
+        J_direct
+          (Kt_direct.create t.kernel ~name ~flavor:`Ultrix
+             ~priority:space_priority ?cache ?io_dev ?observer ~on_done prog)
   in
   let job =
     {

@@ -68,7 +68,7 @@ type 'a t = {
   mutable e_next : int array; (* bucket FIFO link, or freelist link *)
   mutable e_state : int array;
   mutable e_val : 'a array; (* [||] until the first add *)
-  mutable v_dummy : 'a array; (* one retained value used to clear slots *)
+  filler : 'a; (* fills free slots, so no freed value is kept alive *)
   mutable free_head : int;
   mutable live : int;
   mutable dead : int;
@@ -93,7 +93,7 @@ type 'a t = {
   mutable last_seq : int;
 }
 
-let create () =
+let create filler =
   {
     e_key = [||];
     e_seq = [||];
@@ -101,7 +101,7 @@ let create () =
     e_next = [||];
     e_state = [||];
     e_val = [||];
-    v_dummy = [||];
+    filler;
     free_head = nil;
     live = 0;
     dead = 0;
@@ -122,7 +122,6 @@ let create () =
 let length q = q.live
 let is_empty q = q.live = 0
 let last_key q = q.last_key
-let last_seq q = q.last_seq
 let slab_capacity q = Array.length q.e_key
 let bucket_count q = q.hp_size
 
@@ -135,7 +134,7 @@ let grow_int_array a cap ncap fill =
   Array.blit a 0 n 0 cap;
   n
 
-let grow_entries q v =
+let grow_entries q =
   let cap = Array.length q.e_key in
   if cap = 0 then begin
     q.e_key <- Array.make 16 0;
@@ -143,8 +142,7 @@ let grow_entries q v =
     q.e_gen <- Array.make 16 0;
     q.e_next <- Array.init 16 (fun i -> if i = 15 then nil else i + 1);
     q.e_state <- Array.make 16 st_free;
-    q.e_val <- Array.make 16 v;
-    q.v_dummy <- [| v |];
+    q.e_val <- Array.make 16 q.filler;
     q.free_head <- 0
   end
   else begin
@@ -159,14 +157,14 @@ let grow_entries q v =
       next.(i) <- (if i = ncap - 1 then q.free_head else i + 1)
     done;
     q.e_next <- next;
-    let vals = Array.make ncap q.v_dummy.(0) in
+    let vals = Array.make ncap q.filler in
     Array.blit q.e_val 0 vals 0 cap;
     q.e_val <- vals;
     q.free_head <- cap
   end
 
 let alloc_entry q ~key ~seq v =
-  if q.free_head = nil then grow_entries q v;
+  if q.free_head = nil then grow_entries q;
   let s = q.free_head in
   q.free_head <- q.e_next.(s);
   q.e_key.(s) <- key;
@@ -182,7 +180,7 @@ let alloc_entry q ~key ~seq v =
 let free_entry q s =
   q.e_gen.(s) <- (q.e_gen.(s) + 1) land gen_mask;
   q.e_state.(s) <- st_free;
-  q.e_val.(s) <- q.v_dummy.(0);
+  q.e_val.(s) <- q.filler;
   q.e_next.(s) <- q.free_head;
   q.free_head <- s
 
@@ -458,7 +456,7 @@ let cancel q h =
     && q.e_state.(s) = st_live
   then begin
     q.e_state.(s) <- st_dead;
-    q.e_val.(s) <- q.v_dummy.(0);
+    q.e_val.(s) <- q.filler;
     q.live <- q.live - 1;
     q.dead <- q.dead + 1;
     maybe_sweep q
@@ -548,7 +546,7 @@ let pop_pick_exn q ~pick =
     (* Picked out of FIFO position: exactly a cancellation, reclaimed by
        the same lazy machinery. *)
     q.e_state.(s) <- st_dead;
-    q.e_val.(s) <- q.v_dummy.(0);
+    q.e_val.(s) <- q.filler;
     q.dead <- q.dead + 1;
     maybe_sweep q
   end;

@@ -32,7 +32,10 @@ val nil_handle : handle
     {!handle_live} is [false].  Lets callers keep a [handle] field without
     an option box. *)
 
-val create : unit -> 'a t
+val create : 'a -> 'a t
+(** [create filler]: an empty queue whose free slots hold [filler], so a
+    popped or cancelled value is never kept alive by the queue.  Pass a
+    value that holds on to nothing. *)
 
 val is_empty : 'a t -> bool
 (** [true] iff no live (non-cancelled) entries remain.  O(1). *)
@@ -51,14 +54,11 @@ val pop : 'a t -> (int * int * 'a) option
     [(key, seq, value)]. *)
 
 val pop_exn : 'a t -> 'a
-(** Allocation-free [pop]: returns the value alone; read the priority via
-    {!last_key}/{!last_seq}.  Raises [Invalid_argument] if empty. *)
+(** Allocation-free [pop]: returns the value alone; read its key via
+    {!last_key}.  Raises [Invalid_argument] if empty. *)
 
 val last_key : 'a t -> int
 (** Key of the most recently popped entry (any pop variant). *)
-
-val last_seq : 'a t -> int
-(** Seq of the most recently popped entry (any pop variant). *)
 
 val next_key : 'a t -> int
 (** Key of the entry a pop would return, or [max_int] if empty.  O(1),

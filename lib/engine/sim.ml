@@ -24,7 +24,7 @@ let create ?trace () =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   {
     clock = Time.zero;
-    queue = Calq.create ();
+    queue = Calq.create ignore;
     seq = 0;
     trace;
     same_instant = 0;

@@ -34,7 +34,6 @@ val default_spec : spec
     on with the survivable default mix. *)
 
 val workload_name : workload -> string
-val workload_of_name : string -> workload option
 
 type outcome = Completed | Violation of string | No_completion of string
 

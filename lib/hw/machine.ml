@@ -36,7 +36,6 @@ let cpu t i =
   t.cpus.(i)
 
 let cpus t = t.cpus
-let idle_count t = t.idle_count
 let busy_count t = Array.length t.cpus - t.idle_count
 
 let idle_cpus t =

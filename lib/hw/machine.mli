@@ -20,11 +20,9 @@ val idle_cpus : t -> Cpu.t list
 (** CPUs with no segment in flight, in id order.  Allocates only the
     result cells — nothing when every CPU is busy. *)
 
-val idle_count : t -> int
-(** Number of idle CPUs, maintained at the busy-transition sites — O(1). *)
-
 val busy_count : t -> int
-(** [cpu_count - idle_count] — O(1). *)
+(** CPUs with a segment in flight, from an idle count maintained at the
+    busy-transition sites — O(1). *)
 
 val total_busy_time : t -> Sa_engine.Time.span
 (** Sum of completed busy time over all CPUs. *)

@@ -26,9 +26,6 @@ val sweep_color : t -> omega:float -> black:bool -> float
     the maximum absolute update made.  One red + one black sweep is one SOR
     iteration. *)
 
-val iterate : t -> omega:float -> float
-(** One full iteration (red then black); returns the maximum update. *)
-
 val solve : t -> omega:float -> tol:float -> max_iters:int -> int * float
 (** Iterate until the maximum update falls below [tol] (or [max_iters]);
     returns (iterations used, final maximum update). *)

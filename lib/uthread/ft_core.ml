@@ -140,11 +140,12 @@ type state = {
   st : stats;
 }
 
-type driver = {
+type 'v driver = {
   costs : Cost_model.t;
   strategy : strategy;
   sa_accounting : bool;
   io_latency : Time.span;
+  sim : Sim.t;
   charge : tcb -> Time.span -> (unit -> unit) -> unit;
   block_io : tcb -> Time.span -> (unit -> unit) -> unit;
   block_kernel :
@@ -153,6 +154,11 @@ type driver = {
   work_created : state -> tcb -> unit;
   all_done : unit -> unit;
   on_stamp : int -> unit;
+  sched_charge :
+    'v -> Time.span -> repair:(unit -> unit) -> (unit -> unit) -> unit;
+  picked : 'v -> tcb -> unit;
+  unpicked : 'v -> tcb -> unit;
+  idle : 'v -> int -> unit;
 }
 
 (* Compiled code linked against one state: code-local sync-object indices
@@ -400,7 +406,6 @@ let steal_from s ~victim =
     Deque.remove_last dq (fun t -> t.prio = best)
 
 let any_ready s = Array.exists (fun q -> not (Deque.is_empty q)) s.queues
-let requeue_front s index tcb = Deque.push_front s.queues.(index) tcb
 
 let run_thread s ~index tcb =
   (match tcb.tstate with
@@ -441,10 +446,16 @@ let lease_cell s cell ~holder ~span =
   cell.lease_until <- Time.add (s.clock ()) span;
   cell.lease_for <- holder
 
-let default_spin_slice = Time.us 10
+(* The initial spin slice while waiting on a held cell: a few uncontended
+   lock costs, floored at 50 ns. *)
+let spin_slice d = max (5 * d.costs.Cost_model.ut_lock) (Time.ns 50)
 
-let spin_lock_cell s cell ~owner ?(slice = default_spin_slice) ~charge k =
-  let slice = max slice (Time.ns 50) in
+(* Acquire [cell], charging spin slices through [charge] while it is held,
+   backing off exponentially from {!spin_slice}: the processor burns real
+   simulated time, so a holder descheduled by the kernel makes spinners
+   waste their processors exactly as in Section 3.3. *)
+let spin_lock_cell s d cell ~owner ~charge k =
+  let slice = spin_slice d in
   let slice_max = slice * 100 in
   let rec attempt slice =
     if try_lock_cell s cell ~owner then k ()
@@ -498,8 +509,6 @@ let flag_cost d crossings =
   match d.strategy with
   | Copy_sections -> 0
   | Explicit_flag -> crossings * d.costs.Cost_model.ut_critical_flag
-
-let spin_slice d = max (5 * d.costs.Cost_model.ut_lock) (Time.ns 50)
 
 (* One logical charge request that also issues one [d.charge] event. *)
 let charge_counted s d tcb span k =
@@ -721,7 +730,7 @@ and flat_charge_op s d tcb ~cell ~cost ~crossings ~phase =
     d.charge tcb cost tcb.k_commit
   end
   else
-    spin_lock_cell s cell ~owner:tcb.tid ~slice:(spin_slice d)
+    spin_lock_cell s d cell ~owner:tcb.tid
       ~charge:(fun slice k -> d.charge tcb slice k)
       (fun () ->
         tcb.held_cell <- cell;
@@ -1010,16 +1019,11 @@ and install_flat s d tcb lk =
       tcb.held_cell <- no_cell
     end;
     match tcb.cs_hook with
-    | None -> (
-        let ph = tcb.phase in
-        tcb.phase <- 0;
-        match ph with
-        | 3 ->
-            commit_acquire s d tcb lk
-              lk.lmut.(Array.unsafe_get lk.lcode.Pcode.b tcb.pc)
-        | 4 -> flat_cell_op s d tcb lk
-        | 5 -> flat_reacquire s d tcb lk
-        | _ -> commit_op s d tcb lk)
+    | None ->
+        (* Every charge that completes here left a pending commit (2-5),
+           which [step_loop] routes. *)
+        assert (tcb.phase >= 2 && tcb.phase <= 5);
+        step_loop s d tcb lk
     | Some hook ->
         (* Temporarily-continued thread reached the section exit:
            relinquish back to the original upcall (Section 3.3).  The
@@ -1066,6 +1070,51 @@ let fold_dispatch s d tcb =
     true
   end
   else false
+
+(* ------------------------------------------------------------------ *)
+(* The scheduler loop                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Run a thread taken off the list guarded by [cell] (held) on vessel [v].
+   At an op boundary the dispatch cost rides in the thread's charge
+   accumulator and the cell is released under a lease covering the same
+   window; otherwise the cost is charged as scheduler work of its own,
+   whose preemption puts the half-dispatched thread back. *)
+let run_picked s d v index cell tcb =
+  d.picked v tcb;
+  if fold_dispatch s d tcb then begin
+    lease_cell s cell ~holder:tcb.tid ~span:(dispatch_cost d);
+    run_thread s ~index tcb
+  end
+  else
+    d.sched_charge v (dispatch_cost d)
+      ~repair:(fun () ->
+        unlock_cell cell;
+        d.unpicked v tcb;
+        Deque.push_front s.queues.(index) tcb)
+      (fun () ->
+        unlock_cell cell;
+        run_thread s ~index tcb)
+
+let schedule_locked s d v index cell =
+  match pop_own s index with
+  | Some tcb -> run_picked s d v index cell tcb
+  | None -> (
+      unlock_cell cell;
+      match steal s d.sim ~thief:index with
+      | Some (vcell, tcb) -> run_picked s d v index vcell tcb
+      | None -> d.idle v index)
+
+(* The own list's cell is probed first, so the uncontended path builds no
+   spin closures ([spin_lock_cell] starts with the same probe). *)
+let schedule s d v ~index =
+  let cell = s.q_cells.(index) in
+  let owner = -(index + 1) in
+  if try_lock_cell s cell ~owner then schedule_locked s d v index cell
+  else
+    spin_lock_cell s d cell ~owner
+      ~charge:(fun slice k -> d.sched_charge v slice ~repair:nop k)
+      (fun () -> schedule_locked s d v index cell)
 
 let set_resume tcb k = tcb.resume <- k
 

@@ -131,14 +131,17 @@ val queued_tids : state -> int list
     Every entry should be a [Ready] thread and appear at most once — the
     invariant the chaos campaigns audit against {!state_counts}. *)
 
-(** Substrate capabilities injected by {!Ft_kt} / {!Ft_sa}. *)
-type driver = {
+(** Substrate capabilities injected by {!Ft_kt} / {!Ft_sa}.  ['v] is the
+    substrate's vessel — what runs the scheduler loop on one processor: a
+    kernel thread's operations, or an activation. *)
+type 'v driver = {
   costs : Cost_model.t;
   strategy : strategy;
   sa_accounting : bool;
       (** charge the busy-count bookkeeping / resume-check overheads that
           the activation substrate adds (Section 5.1) *)
   io_latency : Time.span;
+  sim : Sa_engine.Sim.t;  (** the simulator the vessels run on *)
   charge : tcb -> Time.span -> (unit -> unit) -> unit;
       (** run a thread work segment on the thread's current vessel *)
   block_io : tcb -> Time.span -> (unit -> unit) -> unit;
@@ -156,11 +159,22 @@ type driver = {
           processor running lower-priority work (Section 3.1) *)
   all_done : unit -> unit;  (** the last thread completed *)
   on_stamp : int -> unit;  (** measurement marker callback *)
+  sched_charge :
+    'v -> Time.span -> repair:(unit -> unit) -> (unit -> unit) -> unit;
+      (** charge scheduler work (a spin slice, a dispatch) on the vessel.
+          If the kernel preempts it, [repair] runs instead of the
+          continuation (activations; a kernel thread just resumes) *)
+  picked : 'v -> tcb -> unit;
+      (** the scheduler loop took [tcb] for the vessel *)
+  unpicked : 'v -> tcb -> unit;
+      (** a preempted dispatch put [tcb] back on its ready list *)
+  idle : 'v -> int -> unit;
+      (** the loop found no thread for the vessel of that index *)
 }
 
 (** {1 Thread lifecycle} *)
 
-val new_thread : state -> driver -> Program.t -> tcb
+val new_thread : state -> 'v driver -> Program.t -> tcb
 (** Allocate a TCB in [Embryo] state (not yet on any ready list) with the
     next thread id, its program compiled and linked against the state's
     sync objects. *)
@@ -175,7 +189,7 @@ val mark_kernel_blocked : state -> tcb -> unit
     re-mark at the actual block point because a preemption inside the entry
     path re-dispatches the thread as [Running]. *)
 
-val make_ready : state -> driver -> at:int -> tcb -> unit
+val make_ready : state -> 'v driver -> at:int -> tcb -> unit
 (** Push onto the front of ready list [at] and fire [work_created].
     Preempted threads re-enter at the front too; a yielding thread goes to
     the back so its peers run first. *)
@@ -184,37 +198,28 @@ val pop_own : state -> int -> tcb option
 (** Next thread for vessel [index]: the front of its own ready list.  Once
     any thread has a non-zero priority, the best priority across all lists
     instead; ties prefer the own list, the front-most there, else the
-    back-most on the other list.  Does not lock — callers hold the cell
-    via {!spin_lock_cell}. *)
+    back-most on the other list.  Does not lock — {!schedule} holds the
+    list's cell. *)
 
 val steal_from : state -> victim:int -> tcb option
 (** Take the back (oldest) thread of [victim]'s ready list, or its
     back-most best-priority thread once priorities are in use. *)
 
-val requeue_front : state -> int -> tcb -> unit
-(** Undo a {!pop_own} or steal whose dispatch was preempted (dispatch
-    repair). *)
-
-val dispatch_cost : driver -> Time.span
-(** Cost the substrate charges to take a thread off a ready list (includes
-    the Explicit_flag crossing when that strategy is active). *)
-
-val fold_dispatch : state -> driver -> tcb -> bool
-(** Try to absorb {!dispatch_cost} into the thread's charge accumulator
-    instead of a [Sim] event of its own.  Succeeds ([true]) only when the
-    thread sits at an op boundary — its next charge then consumes the
-    folded cost before any state transition, so all transition instants
-    match the unfolded schedule.  On [false] the caller must charge the
-    dispatch cost itself (preemption re-charges, Section-3.3 section
-    exits). *)
-
-val spin_slice : driver -> Time.span
-(** The initial spin-slice used when waiting on a held cell (a few
-    uncontended lock costs, floored at 50 ns). *)
-
 val run_thread : state -> index:int -> tcb -> unit
 (** Bind the thread to vessel [index] and resume its program.  The caller
     must have charged dispatch overhead already. *)
+
+val schedule : state -> 'v driver -> 'v -> index:int -> unit
+(** The one user-level scheduler loop, run by vessel [v] on processor
+    [index] whenever it is free (Section 4.2).  It locks the own ready
+    list's cell, spinning through [sched_charge] while it is held, pops
+    the own list or unlocks and runs {!steal}, reports the pick through
+    [picked], and runs the thread.  The dispatch cost rides in the
+    thread's charge accumulator when the thread sits at an op boundary
+    (the cell is then released under a {!lease_cell}); otherwise it is
+    charged as its own [sched_charge] segment, whose repair unlocks the
+    cell, reports [unpicked] and puts the thread back at the front of the
+    own list.  With nothing anywhere it calls [idle]. *)
 
 (** {1 Critical-section cells} *)
 
@@ -231,11 +236,11 @@ val unlock_cell : cs_cell -> unit
 
 val lease_cell : state -> cs_cell -> holder:int -> span:Time.span -> unit
 (** Release [cell] but keep it unavailable to every owner except [holder]
-    for [span] from now.  {!fold_dispatch} call sites use this in place of
-    the unlock that would have followed a dispatch-cost charge event: other
-    processors' probes see the same contention window as if the dispatcher
-    had held the cell across that event, while the dispatched thread itself
-    passes through (its next merged charge covers the window). *)
+    for [span] from now.  {!schedule} uses this in place of the unlock that
+    would have followed a dispatch-cost charge event: other processors'
+    probes see the same contention window as if the dispatcher had held
+    the cell across that event, while the dispatched thread itself passes
+    through (its next merged charge covers the window). *)
 
 val set_clock : state -> (unit -> Time.t) -> unit
 (** Install the simulated-time source consulted by cell-lease probes.
@@ -250,25 +255,11 @@ val steal : state -> Sa_engine.Sim.t -> thief:int -> (cs_cell * tcb) option
     every probe fails — at once, with no chooser installed and every list
     empty. *)
 
-val spin_lock_cell :
-  state ->
-  cs_cell ->
-  owner:int ->
-  ?slice:Time.span ->
-  charge:(Time.span -> (unit -> unit) -> unit) ->
-  (unit -> unit) ->
-  unit
-(** Acquire [cell], charging spin slices (with exponential backoff from
-    [slice], default a few lock costs) through [charge] while it is held —
-    the processor burns real simulated time, so a holder descheduled by the
-    kernel makes spinners waste their processors exactly as in Section 3.3.
-    [owner] identifies the locker for diagnostics. *)
-
 (** {1 Interpreter} *)
 
 val resume_preempted :
   state ->
-  driver ->
+  'v driver ->
   at:int ->
   tcb ->
   remaining:Time.span ->

@@ -21,14 +21,12 @@ val create :
   ?strategy:Ft_core.strategy ->
   ?observer:(int -> Sa_engine.Time.t -> unit) ->
   ?on_done:(unit -> unit) ->
-  unit ->
+  Sa_program.Program.t ->
   t
 (** Build an address space running original FastThreads with [vps] virtual
-    processors (kernel threads).  [observer] receives [Stamp] markers;
-    [on_done] fires when the last user-level thread completes. *)
-
-val start : t -> Sa_program.Program.t -> unit
-(** Create the main user-level thread and start the virtual processors. *)
+    processors (kernel threads), make the program its main user-level
+    thread and start the virtual processors.  [observer] receives [Stamp]
+    markers; [on_done] fires when the last user-level thread completes. *)
 
 val core : t -> Ft_core.state
 val space : t -> Sa_kernel.Kernel.space

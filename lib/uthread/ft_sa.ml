@@ -5,7 +5,6 @@ module Cpu = Sa_hw.Cpu
 module Cost_model = Sa_hw.Cost_model
 module Kernel = Sa_kernel.Kernel
 module Upcall = Sa_kernel.Upcall
-module Program = Sa_program.Program
 
 type loaded = L_none | L_thread of Ft_core.tcb | L_manager
 
@@ -14,8 +13,9 @@ type t = {
       (* the kernel currently hosting our space; cluster migration re-points
          it ([rehome]) before the space is attached to the target *)
   mutable space : Kernel.space option;
-  mutable core_state : Ft_core.state;
-  mutable driver : Ft_core.driver option;
+      (* [None] only while [create] builds the space's upcall client *)
+  core_state : Ft_core.state;
+  driver : Kernel.activation Ft_core.driver;
   (* Direct-mapped tables: ids are dense enough that an array lookup beats
      hashing on the per-dispatch path.  [loaded] and [act_cpu] grow together
      (both indexed by activation id); absent entries are [L_none] / [-1] /
@@ -29,14 +29,11 @@ type t = {
       (* threads stopped mid-critical-section, awaiting temporary
          continuation (Section 3.3); drained by the next manager step *)
   mutable done_at : Time.t option;
-  mutable started : bool;
-  on_done : unit -> unit;
 }
 
 let core t = t.core_state
 let space t = Option.get t.space
 let completion_time t = t.done_at
-let driver t = Option.get t.driver
 
 let grow_by_id a id fill =
   let n = Array.length a in
@@ -99,11 +96,6 @@ let unbind t act tcb =
 (* The manager: what an activation does when it is not running a thread *)
 (* ------------------------------------------------------------------ *)
 
-(* Charge manager work: idempotent scheduling activity whose preemption the
-   kernel repairs rather than reports. *)
-let charge_manager t act ?(repair = fun () -> ()) span k =
-  Kernel.sa_charge ~repair t.kernel act span k
-
 let release_processor t act =
   let aid = Kernel.activation_id act in
   ensure_aid t aid;
@@ -142,7 +134,7 @@ let rec manager_continue t act =
          here (Section 3.3). *)
       t.pending_recovery <- rest;
       bind t act tcb;
-      Ft_core.resume_preempted t.core_state (driver t) ~at:idx tcb ~remaining
+      Ft_core.resume_preempted t.core_state t.driver ~at:idx tcb ~remaining
         ~resume (fun () ->
           trace_recovery t `E tcb;
           if Ft_core.tcb_id tcb < Array.length t.bound then
@@ -151,57 +143,7 @@ let rec manager_continue t act =
           manager_continue t act)
   | [] ->
       if Ft_core.finished t.core_state then release_processor t act
-      else dispatch t act idx
-
-(* Probe the own list's cell first: the uncontended path builds no spin
-   closures.  [spin_lock_cell]'s own first probe is the same
-   [try_lock_cell], followed by a synchronous continuation, so the
-   contended path is unchanged. *)
-and dispatch t act idx =
-  let s = t.core_state in
-  let cell = Ft_core.queue_cell s idx in
-  let owner = -(idx + 1) in
-  if Ft_core.try_lock_cell s cell ~owner then dispatch_locked t act idx cell
-  else
-    Ft_core.spin_lock_cell s cell ~owner
-      ~slice:(Ft_core.spin_slice (driver t))
-      ~charge:(fun slice k -> charge_manager t act slice k)
-      (fun () -> dispatch_locked t act idx cell)
-
-and dispatch_locked t act idx cell =
-  let s = t.core_state in
-  match Ft_core.pop_own s idx with
-  | Some tcb -> run_picked t act idx cell tcb
-  | None -> (
-      Ft_core.unlock_cell cell;
-      match Ft_core.steal s (Kernel.sim t.kernel) ~thief:idx with
-      | Some (vcell, tcb) -> run_picked t act idx vcell tcb
-      | None -> idle_hysteresis t act)
-
-and run_picked t act idx cell tcb =
-  let s = t.core_state in
-  let d = driver t in
-  trace_ready t;
-  bind t act tcb;
-  if Ft_core.fold_dispatch s d tcb then begin
-    (* Compiled thread at an op boundary: the dispatch cost rides in the
-       thread's charge accumulator — no manager event.  The queue cell is
-       released under a lease so thieves see the same contention window a
-       dispatch-cost charge event would have produced. *)
-    Ft_core.lease_cell s cell ~holder:(Ft_core.tcb_id tcb)
-      ~span:(Ft_core.dispatch_cost d);
-    Ft_core.run_thread s ~index:idx tcb
-  end
-  else
-    let repair () =
-      (* Preempted mid-dispatch: put the half-dispatched thread back. *)
-      Ft_core.unlock_cell cell;
-      unbind t act tcb;
-      Ft_core.requeue_front s idx tcb
-    in
-    charge_manager t act ~repair (Ft_core.dispatch_cost d) (fun () ->
-        Ft_core.unlock_cell cell;
-        Ft_core.run_thread s ~index:idx tcb)
+      else Ft_core.schedule t.core_state t.driver act ~index:idx
 
 and idle_hysteresis t act =
   (* Section 4.2: an idle processor spins for a while before notifying the
@@ -255,7 +197,7 @@ let handle_event t idx = function
           (* The saved context resumes the thread where it left the kernel;
              it runs when some processor dispatches it. *)
           Ft_core.set_resume tcb ctx.Upcall.resume;
-          Ft_core.make_ready t.core_state (driver t) ~at:idx tcb
+          Ft_core.make_ready t.core_state t.driver ~at:idx tcb
       | L_manager | L_none ->
           failwith "Ft_sa: unblocked activation carried no thread")
   | Upcall.Processor_preempted { act = aid; ctx } -> (
@@ -274,7 +216,7 @@ let handle_event t idx = function
               @ [ (tcb, ctx.Upcall.remaining, ctx.Upcall.resume) ]
           end
           else
-            Ft_core.resume_preempted t.core_state (driver t) ~at:idx tcb
+            Ft_core.resume_preempted t.core_state t.driver ~at:idx tcb
               ~remaining:ctx.Upcall.remaining ~resume:ctx.Upcall.resume
               (fun () ->
                 if Ft_core.tcb_id tcb < Array.length t.bound then
@@ -299,7 +241,7 @@ let on_upcall t delivery =
 
 let create kernel ~name ?(priority = 0) ?cache ?io_dev
     ?(strategy = Ft_core.Copy_sections) ?max_procs
-    ?(observer = fun _ _ -> ()) ?(on_done = fun () -> ()) () =
+    ?(observer = fun _ _ -> ()) ?(on_done = fun () -> ()) prog =
   let ncpus = Sa_hw.Machine.cpu_count (Kernel.machine kernel) in
   let max_procs =
     match max_procs with
@@ -308,37 +250,29 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
     | Some _ -> invalid_arg "Ft_sa.create: max_procs out of range"
   in
   let core_state = Ft_core.create_state ~queues:ncpus ?cache ?io_dev () in
-  let t =
+  let costs = Kernel.costs kernel in
+  let sim = Kernel.sim kernel in
+  Ft_core.set_clock core_state (fun () -> Sim.now sim);
+  let rec t =
     {
       kernel;
       space = None;
       core_state;
-      driver = None;
+      driver = d;
       loaded = Array.make 32 L_none;
       bound = Array.make 32 None;
       act_cpu = Array.make 32 (-1);
       max_procs;
       pending_recovery = [];
       done_at = None;
-      started = false;
-      on_done;
     }
-  in
-  let costs = Kernel.costs kernel in
-  let sim = Kernel.sim kernel in
-  Ft_core.set_clock core_state (fun () -> Sim.now sim);
-  let sp =
-    Kernel.new_sa_space kernel ~name ~priority
-      ~client:{ Kernel.on_upcall = (fun delivery -> on_upcall t delivery) }
-      ()
-  in
-  t.space <- Some sp;
-  let d =
+  and d =
     {
       Ft_core.costs;
       strategy;
       sa_accounting = true;
       io_latency = costs.Cost_model.io_latency;
+      sim;
       charge = (fun tcb span k -> Kernel.sa_charge t.kernel (act_of t tcb) span k);
       block_io =
         (fun tcb span k ->
@@ -405,19 +339,28 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
       all_done =
         (fun () ->
           t.done_at <- Some (Sim.now sim);
-          t.on_done ());
+          on_done ());
       on_stamp = (fun id -> observer id (Sim.now sim));
+      (* Scheduler work is idempotent: the kernel repairs its preemption
+         rather than reporting it. *)
+      sched_charge =
+        (fun act span ~repair k ->
+          Kernel.sa_charge ~repair t.kernel act span k);
+      picked =
+        (fun act tcb ->
+          trace_ready t;
+          bind t act tcb);
+      unpicked = (fun act tcb -> unbind t act tcb);
+      idle = (fun act _ -> idle_hysteresis t act);
     }
   in
-  t.driver <- Some d;
+  t.space <-
+    Some
+      (Kernel.new_sa_space kernel ~name ~priority
+         ~client:{ Kernel.on_upcall = (fun delivery -> on_upcall t delivery) }
+         ());
+  Ft_core.make_ready core_state d ~at:0 (Ft_core.new_thread core_state d prog);
   t
-
-let start t prog =
-  if t.started then invalid_arg "Ft_sa.start: already started";
-  t.started <- true;
-  let d = driver t in
-  let root = Ft_core.new_thread t.core_state d prog in
-  Ft_core.make_ready t.core_state d ~at:0 root
 
 (* ------------------------------------------------------------------ *)
 (* Cluster migration                                                   *)

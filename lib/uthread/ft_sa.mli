@@ -27,17 +27,14 @@ val create :
   ?max_procs:int ->
   ?observer:(int -> Sa_engine.Time.t -> unit) ->
   ?on_done:(unit -> unit) ->
-  unit ->
+  Sa_program.Program.t ->
   t
-(** Build a scheduler-activation address space running modified FastThreads.
-    [max_procs] caps how many processors the space ever asks the kernel
-    for (default: all of them) — the knob behind the speedup-vs-processors
-    sweep of Figure 1.  Raises [Invalid_argument] if the kernel is in
-    native mode. *)
-
-val start : t -> Sa_program.Program.t -> unit
-(** Create the main thread and request a first processor; the initial
-    upcall starts execution. *)
+(** Build a scheduler-activation address space running modified FastThreads,
+    make the program its main thread and request a first processor; the
+    initial upcall starts execution.  [max_procs] caps how many processors
+    the space ever asks the kernel for (default: all of them) — the knob
+    behind the speedup-vs-processors sweep of Figure 1.  Raises
+    [Invalid_argument] if the kernel is in native mode. *)
 
 val core : t -> Ft_core.state
 val space : t -> Sa_kernel.Kernel.space

@@ -52,7 +52,6 @@ type t = {
   mutable next_tid : int;
   mutable live : int;
   mutable done_at : Time.t option;
-  mutable started : bool;
 }
 
 let space t = t.sp
@@ -310,32 +309,30 @@ let rec step t thr (ops : Kernel.kt_ops) lk pc =
       step t thr ops lk 0
 
 let create kernel ~name ~flavor ?(priority = 0) ?cache ?io_dev
-    ?(observer = fun _ _ -> ()) ?(on_done = fun () -> ()) () =
+    ?(observer = fun _ _ -> ()) ?(on_done = fun () -> ()) prog =
   let sp = Kernel.new_kthread_space kernel ~name ~priority () in
-  {
-    kernel;
-    sp;
-    flavor;
-    cache;
-    io_dev;
-    observer;
-    on_done;
-    threads = Hashtbl.create 64;
-    kmutexes = Hashtbl.create 16;
-    kconds = Hashtbl.create 16;
-    ksems = Hashtbl.create 16;
-    cache_waiters = Hashtbl.create 16;
-    next_tid = 0;
-    live = 0;
-    done_at = None;
-    started = false;
-  }
-
-let start t prog =
-  if t.started then invalid_arg "Kt_direct.start: already started";
-  t.started <- true;
+  let t =
+    {
+      kernel;
+      sp;
+      flavor;
+      cache;
+      io_dev;
+      observer;
+      on_done;
+      threads = Hashtbl.create 64;
+      kmutexes = Hashtbl.create 16;
+      kconds = Hashtbl.create 16;
+      ksems = Hashtbl.create 16;
+      cache_waiters = Hashtbl.create 16;
+      next_tid = 0;
+      live = 0;
+      done_at = None;
+    }
+  in
   let root = new_thr t in
   let lk = link t (Program.compile prog) in
-  Kernel.spawn_kthread t.kernel t.sp ~name:"dsl-main"
+  Kernel.spawn_kthread kernel sp ~name:"dsl-main"
     ~body:(fun ops -> step t root ops lk 0)
-    ()
+    ();
+  t

@@ -27,11 +27,11 @@ val create :
   ?io_dev:Sa_hw.Io_device.t ->
   ?observer:(int -> Sa_engine.Time.t -> unit) ->
   ?on_done:(unit -> unit) ->
-  unit ->
+  Sa_program.Program.t ->
   t
-(** These threads have no user-level ready lists: the kernel schedules
+(** Build the address space and start the program's main thread in it.
+    These threads have no user-level ready lists: the kernel schedules
     every one of them directly. *)
 
-val start : t -> Sa_program.Program.t -> unit
 val space : t -> Sa_kernel.Kernel.space
 val completion_time : t -> Sa_engine.Time.t option

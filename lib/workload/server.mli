@@ -56,18 +56,11 @@ type tenant_class = {
   tc_priority : int;  (** address-space allocation priority *)
 }
 
-val interactive_class : tenant_class
-(** Fast, shallow requests with frequent small bursts and a tight SLO;
-    allocation priority 1. *)
-
-val bursty_class : tenant_class
-(** Mid-weight requests arriving in large periodic clumps. *)
-
-val batch_class : tenant_class
-(** Heavy fan-out compute/I/O requests with a loose SLO. *)
-
 val default_classes : tenant_class list
-(** [interactive; bursty; batch], cycled across tenants. *)
+(** Cycled across tenants: interactive (fast, shallow requests with
+    frequent small bursts and a tight SLO; allocation priority 1), bursty
+    (mid-weight requests arriving in large periodic clumps) and batch
+    (heavy fan-out compute/I/O requests with a loose SLO). *)
 
 type mt_params = {
   mt_tenants : int;

@@ -50,6 +50,15 @@ let new_cell center half =
    them into the cell summary only. *)
 let max_depth = 64
 
+(* Set [c]'s summary to masses [m1] at [p1] and [m2] at [p2] together. *)
+let merge c m1 p1 m2 p2 =
+  c.total_mass <- m1 +. m2;
+  c.com <-
+    Vec3.scale (1.0 /. c.total_mass)
+      (Vec3.add (Vec3.scale m1 p1) (Vec3.scale m2 p2))
+
+(* Only merged cells carry mass before [summarize]; a body that reaches one
+   folds into its summary, so merged cells stay childless. *)
 let rec insert node center half body depth =
   match node with
   | Empty -> Leaf body
@@ -58,13 +67,8 @@ let rec insert node center half body depth =
         (* Degenerate: coincident bodies.  Keep a cell whose summary holds
            both; force computation treats it as a point mass. *)
         let c = new_cell center half in
-        c.total_mass <- existing.Body.mass +. body.Body.mass;
-        c.com <-
-          Vec3.scale
-            (1.0 /. c.total_mass)
-            (Vec3.add
-               (Vec3.scale existing.Body.mass existing.Body.pos)
-               (Vec3.scale body.Body.mass body.Body.pos));
+        merge c existing.Body.mass existing.Body.pos body.Body.mass
+          body.Body.pos;
         Cell c
       end
       else begin
@@ -72,6 +76,9 @@ let rec insert node center half body depth =
         let n1 = insert_into_cell (Cell c) existing (depth + 1) in
         insert_into_cell n1 body (depth + 1)
       end
+  | Cell c when c.total_mass > 0.0 ->
+      merge c c.total_mass c.com body.Body.mass body.Body.pos;
+      Cell c
   | Cell c -> insert_into_cell (Cell c) body depth
 
 and insert_into_cell node body depth =

@@ -157,6 +157,20 @@ let octree_tests =
         in
         let tree = Octree.build bodies in
         check (Alcotest.float 1e-9) "mass" 3.0 (Octree.mass tree));
+    Alcotest.test_case "a third coincident body joins the merged cell" `Quick
+      (fun () ->
+        let p = Vec3.make 0.5 0.5 0.5 in
+        let bodies =
+          Array.init 4 (fun id ->
+              let pos = if id < 3 then p else Vec3.zero in
+              Body.make ~id ~mass:1.0 ~pos ~vel:Vec3.zero)
+        in
+        let tree = Octree.build bodies in
+        check (Alcotest.float 1e-9) "mass" 4.0 (Octree.mass tree);
+        let approx, _ = Octree.force_on tree ~theta:0.0 ~eps:0.05 bodies.(3) in
+        let exact = Octree.force_exact bodies ~eps:0.05 bodies.(3) in
+        check (Alcotest.float 1e-9) "force" 0.0
+          (Vec3.norm (Vec3.sub approx exact)));
     Alcotest.test_case "force accuracy at theta=0.7" `Quick (fun () ->
         let rng = Rng.create 5 in
         let bodies = mk_bodies rng 300 in

@@ -265,7 +265,7 @@ let calq_differential =
   QCheck.Test.make ~name:"calq matches pqueue on random op sequences"
     ~count:150 diff_ops_arb
     (fun ops ->
-      let c = Calq.create () and p = Pqueue.create () in
+      let c = Calq.create 0 and p = Pqueue.create () in
       let n_ops = List.length ops in
       (* Parallel handle stores: slot i holds the two names for the i-th
          inserted entry, so a D_cancel replays on both sides. *)
@@ -352,7 +352,7 @@ let calq_differential_scrambled_seqs =
         seqs.(i) <- seqs.(j);
         seqs.(j) <- t
       done;
-      let c = Calq.create () and p = Pqueue.create () in
+      let c = Calq.create 0 and p = Pqueue.create () in
       List.iteri
         (fun i k ->
           ignore (Calq.add c ~key:k ~seq:seqs.(i) i);
@@ -370,7 +370,7 @@ let calq_tests =
   [
     Alcotest.test_case "stale handles are inert after slot reuse" `Quick
       (fun () ->
-        let q = Calq.create () in
+        let q = Calq.create "" in
         let h1 = Calq.add q ~key:1 ~seq:0 "a" in
         check Alcotest.bool "live" true (Calq.handle_live q h1);
         check Alcotest.bool "pop a" true (Calq.pop q = Some (1, 0, "a"));
@@ -388,7 +388,7 @@ let calq_tests =
         check Alcotest.int "nil cancel is a no-op" 1 (Calq.length q);
         check Alcotest.bool "b pops" true (Calq.pop q = Some (2, 1, "b")));
     Alcotest.test_case "steady churn reuses the slab" `Quick (fun () ->
-        let q = Calq.create () in
+        let q = Calq.create 0 in
         let window = 32 in
         for i = 0 to 9_999 do
           ignore (Calq.add q ~key:(i land 7) ~seq:i i);
@@ -400,7 +400,7 @@ let calq_tests =
         check Alcotest.bool "buckets bounded" true (Calq.bucket_count q <= 16));
     Alcotest.test_case "cancel-heavy churn is bounded by the sweep" `Quick
       (fun () ->
-        let q = Calq.create () in
+        let q = Calq.create 0 in
         for i = 0 to 4_999 do
           let h = Calq.add q ~key:(i land 15) ~seq:i i in
           if i land 7 <> 0 then Calq.cancel q h
@@ -802,8 +802,29 @@ let trace_export_tests =
 (* Sim                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Schedule, as [sim]'s first event, a closure that captures a fresh
+   block; the block goes into [w]'s slot 0.  Out of line, so no local of
+   the caller keeps the block alive. *)
+let[@inline never] schedule_tracked sim w =
+  let block = Bytes.make 64 'x' in
+  Weak.set w 0 (Some block);
+  ignore
+    (Sim.schedule sim ~at:(Time.of_ns 1) (fun () ->
+         ignore (Sys.opaque_identity (Bytes.length block))))
+
 let sim_tests =
   [
+    Alcotest.test_case "a fired event's closure is not retained" `Quick
+      (fun () ->
+        let sim = Sim.create () in
+        let w = Weak.create 1 in
+        schedule_tracked sim w;
+        Sim.run sim;
+        Gc.full_major ();
+        check Alcotest.bool "captured block collected" false (Weak.check w 0);
+        (* The simulator itself stays live and usable. *)
+        ignore (Sim.schedule sim ~at:(Time.of_ns 2) ignore);
+        Sim.run sim);
     Alcotest.test_case "events fire in time order" `Quick (fun () ->
         let sim = Sim.create () in
         let log = ref [] in

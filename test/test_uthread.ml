@@ -666,13 +666,15 @@ let ft_specific_tests =
    lists filled by two parent threads run on a synchronous driver (every
    charge completes at once), then [pop_own] / [steal_from] are probed.
    Forks push at the front, so a queue lists its children newest first. *)
-let sync_driver =
+let sync_driver : unit Ft_core.driver =
   let no_block _ = failwith "sync driver: unexpected kernel block" in
+  let no_loop () = failwith "sync driver: no scheduler loop" in
   {
     Ft_core.costs = Sa_hw.Cost_model.firefly_cvax;
     strategy = Ft_core.Copy_sections;
     sa_accounting = false;
     io_latency = 0;
+    sim = Sa_engine.Sim.create ();
     charge = (fun _ _ k -> k ());
     block_io = (fun tcb _ _ -> no_block tcb);
     block_kernel = (fun tcb ~register:_ _ -> no_block tcb);
@@ -680,6 +682,10 @@ let sync_driver =
     work_created = (fun _ _ -> ());
     all_done = (fun () -> ());
     on_stamp = (fun _ -> ());
+    sched_charge = (fun v _ ~repair:_ _ -> no_loop v);
+    picked = (fun v _ -> no_loop v);
+    unpicked = (fun v _ -> no_loop v);
+    idle = (fun v _ -> no_loop v);
   }
 
 (* [fill_queues qs] forks one child per listed priority, in list order,
@@ -949,20 +955,13 @@ let misuse_tests =
               (B.to_program (B.join tid))
               "Kt_direct: join on unknown thread")
           [ 424242; 0; 2 ]);
-    Alcotest.test_case "double start is rejected" `Quick (fun () ->
-        let sys = System.create ~cpus:1 ~kconfig:Kconfig.default () in
-        let kernel = System.kernel sys in
-        let f = Sa_uthread.Ft_sa.create kernel ~name:"once" () in
-        Sa_uthread.Ft_sa.start f P.null;
-        Alcotest.check_raises "restart"
-          (Invalid_argument "Ft_sa.start: already started") (fun () ->
-            Sa_uthread.Ft_sa.start f P.null));
     Alcotest.test_case "zero VPs rejected" `Quick (fun () ->
         let sys = System.create ~cpus:1 ~kconfig:Kconfig.native () in
         Alcotest.check_raises "vps" (Invalid_argument "Ft_kt.create: vps")
           (fun () ->
             ignore
-              (Sa_uthread.Ft_kt.create (System.kernel sys) ~name:"x" ~vps:0 ())));
+              (Sa_uthread.Ft_kt.create (System.kernel sys) ~name:"x" ~vps:0
+                 P.null)));
     Alcotest.test_case "horizon failure reports unfinished jobs" `Quick
       (fun () ->
         (* a thread that waits forever on a semaphore nobody Vs *)
@@ -1160,6 +1159,43 @@ let words_per_fork n =
   check Alcotest.bool "run finished" true (System.finished job);
   words /. float_of_int n
 
+(* Minor words per dispatch once a lone thread that only yields is in
+   steady state on one processor.  Each yield stops the thread; the
+   scheduler loop pops it off its own ready list again and folds the
+   dispatch cost into its next charge.  The window covers the yield's
+   charges too; compile and setup stay outside it. *)
+let words_per_folded_dispatch kconfig backend =
+  let prog = B.to_program (B.repeat 3000 (fun _ -> B.yield)) in
+  let sys = System.create ~cpus:1 ~kconfig () in
+  let job = System.submit sys ~backend ~name:"yield" prog in
+  let steps n =
+    for _ = 1 to n do
+      ignore (Sa_engine.Sim.step (System.sim sys))
+    done
+  in
+  let dispatches () =
+    (Option.get (System.uthread_stats job)).Ft_core.dispatches
+  in
+  steps 500;
+  let before = dispatches () in
+  let words = minor_words_of (fun () -> steps 1000) in
+  let n = dispatches () - before in
+  System.run sys;
+  check Alcotest.bool "run finished" true (System.finished job);
+  check Alcotest.bool "dispatches in the window" true (n > 0);
+  words /. float_of_int n
+
+(* Both counts were measured on the parent of the change that made the
+   scheduler loop one function shared by both substrates, when each
+   substrate had its own copy: 6 words per dispatch on activations (4 of
+   them the binding-table entries [L_thread] and [Some act]), 2 on kernel
+   threads.  The shared loop must not add to them. *)
+let folded_dispatch_budgets =
+  [
+    ("ft-sa", Kconfig.default, `Fastthreads_on_sa, 6.);
+    ("ft-kt", Kconfig.native, `Fastthreads_on_kthreads 1, 2.);
+  ]
+
 (* This fork/yield/exit run allocated 358 words per fork (64-bit) while
    every dispatch built spin closures and every fork formatted a thread
    name and filled a hash table; 159 once the fast path allocates only the
@@ -1215,6 +1251,16 @@ let hot_path_allocation_tests =
         if w > fork_word_budget then
           Alcotest.failf "%.1f words per fork, budget %.0f" w fork_word_budget);
   ]
+  @ List.map
+      (fun (name, kconfig, backend, budget) ->
+        Alcotest.test_case
+          (Printf.sprintf "folded own-list dispatch allocates no more [%s]"
+             name)
+          `Quick (fun () ->
+            let w = words_per_folded_dispatch kconfig backend in
+            if w > budget then
+              Alcotest.failf "%.2f words per dispatch, budget %.0f" w budget))
+      folded_dispatch_budgets
 
 let () =
   Alcotest.run "uthread"
