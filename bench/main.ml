@@ -369,11 +369,13 @@ let simulator_tests =
                 (Barneshut.Octree.force_on tree ~theta:0.7 ~eps:0.05 bodies.(0))));
     ]
 
-(* The calendar queue measured on the access patterns the simulator
-   actually generates: monotone seqs, time mostly advancing, a few events
-   per instant, cancel-heavy timer traffic.  The steady-state variants
-   reuse one queue across runs so the slab is warm — that is the
-   configuration whose regressions matter. *)
+(* The event queue measured on the access patterns the simulator actually
+   generates: monotone seqs, time advancing, cancel-heavy timer traffic.
+   Most adds open an instant of their own (over 90% in serve, cluster and
+   the N-body runs, about 90 pending in serve), which the distinct-instants
+   row reproduces; the others keep a few events per instant, as fork-join
+   does.  The steady-state variants reuse one queue across runs so the slab
+   is warm — that is the configuration whose regressions matter. *)
 let calq_bench =
   let module Calq = Sa_engine.Calq in
   Test.make_grouped ~name:"calq"
@@ -399,6 +401,24 @@ let calq_bench =
                 ignore (Calq.add q ~key:(!seq lsr 2) ~seq:!seq !seq);
                 incr seq;
                 ignore (Calq.pop_exn q)
+              done));
+      Test.make ~name:"steady distinct instants depth 64 x1000"
+        (Staged.stage
+           (let q = Calq.create 0 in
+            let seq = ref 0 in
+            let next () =
+              (* A fresh key 1-10 us past the last pop. *)
+              let key = Calq.last_key q + 1_000 + (!seq * 7_919 mod 9_000) in
+              ignore (Calq.add q ~key ~seq:!seq !seq);
+              incr seq
+            in
+            for _ = 1 to 64 do
+              next ()
+            done;
+            fun () ->
+              for _ = 1 to 1000 do
+                ignore (Calq.pop_exn q);
+                next ()
               done));
       Test.make ~name:"steady add+cancel churn x1000"
         (Staged.stage

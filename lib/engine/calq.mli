@@ -1,24 +1,24 @@
-(** Calendar event queue: the simulator's hot-path priority queue.
+(** Event queue: the simulator's hot-path priority queue.  It keeps the
+    name [Calq] so that call sites and the [calq/*] micro-gate rows do too.
 
     Elements carry integer-pair priorities [(key, seq)] compared
     lexicographically — the discrete-event core uses [key] for the ns
     firing time and [seq] for FIFO order among simultaneous events.  The
-    pop sequence is the strict ascending [(key, seq)] order; a qcheck
-    differential suite in [test/] holds it, byte for byte, to a
-    binary-heap reference queue kept there as the oracle.
+    pop sequence is the strict ascending [(key, seq)] order, for any seqs,
+    monotone or not; a qcheck differential suite in [test/] holds it, byte
+    for byte, to a reference queue kept there as the oracle.
 
-    Layout: one bucket per distinct pending ns key holds its events as a
-    FIFO in ascending [seq]; a small index heap orders the buckets.  Adding
-    to an instant that is already pending and popping from the current
-    instant are O(1); only the first event of a new instant pays O(log k)
-    in the number of distinct pending instants.  The steady-state add/pop
-    path allocates nothing: entries live in a recycled slab and handles are
-    generation-tagged immediate ints, so a stale handle held across its
-    entry's death (and the slot's reuse) can never cancel the wrong event.
+    Layout: one flat binary min-heap whose entries carry their key and seq
+    inline, over a slab of values.  Add and pop are O(log n) in the number
+    of pending entries, whether or not their instants coincide.  The
+    steady-state add/pop path allocates nothing: values live in a recycled
+    slab and handles are generation-tagged immediate ints, so a stale
+    handle held across its entry's death (and the slot's reuse) can never
+    cancel the wrong event.
 
     Cancellation is lazy and O(1); dead entries are reclaimed when a pop
     reaches them or by an amortized sweep once they outnumber live ones, so
-    cancel-heavy workloads cannot grow the slab without bound. *)
+    cancel-heavy workloads cannot grow the queue without bound. *)
 
 type 'a t
 
@@ -44,10 +44,9 @@ val length : 'a t -> int
 (** Number of live entries.  O(1). *)
 
 val add : 'a t -> key:int -> seq:int -> 'a -> handle
-(** [add q ~key ~seq v] inserts [v] with priority [(key, seq)].  O(1) when
-    [key] is already pending or [seq] is the largest in its bucket (always
-    true for the simulator's globally monotone seqs); a smaller [seq] for
-    an existing key falls back to a sorted insert within the bucket. *)
+(** [add q ~key ~seq v] inserts [v] with priority [(key, seq)].
+    O(log n); [seq] need not be monotone, so an entry may be placed ahead
+    of already-pending entries at the same [key]. *)
 
 val pop : 'a t -> (int * int * 'a) option
 (** Removes and returns the live entry with the smallest priority, as
@@ -61,8 +60,8 @@ val last_key : 'a t -> int
 (** Key of the most recently popped entry (any pop variant). *)
 
 val next_key : 'a t -> int
-(** Key of the entry a pop would return, or [max_int] if empty.  O(1),
-    allocation-free (the [peek_key] of the hot path). *)
+(** Key of the entry a pop would return, or [max_int] if empty.
+    Allocation-free (the [peek_key] of the hot path). *)
 
 val peek_key : 'a t -> (int * int) option
 (** Priority of the entry [pop] would return, without removing it. *)
@@ -95,7 +94,3 @@ val to_list : 'a t -> (int * int * 'a) list
 val slab_capacity : 'a t -> int
 (** Entry slots currently allocated, live or free (for tests asserting
     reuse and sweep bounds). *)
-
-val bucket_count : 'a t -> int
-(** Active buckets, i.e. distinct pending keys plus any short-lived
-    memo-miss duplicates (for tests). *)

@@ -711,19 +711,16 @@ and flat_reacquire s d tcb lk =
   flat_charge_op s d tcb ~cell:ms.m_cell ~cost:d.costs.Cost_model.ut_lock
     ~crossings:1 ~phase:3
 
-(* Charged operation protected by a cell: one [d.charge] event covering
-   the accumulated compute plus the op cost, cell taken for the whole
-   merged segment.  Only queue-cell ops (done/fork/join/yield) reach here
-   with a non-empty accumulator — thieves merely [try_lock_cell] queue
-   cells (probe fails, no spinning), so the longer window costs at most a
-   missed steal; sync-object ops flush first ([flat_flush]).  Uncontended
-   path allocates nothing ([k_commit] is preallocated, as is the kernel's
+(* Charged operation protected by a cell: one [d.charge] event of the op
+   cost alone, cell taken for exactly that window.  The accumulator is
+   always empty here: [step_loop] flushes it ([flat_flush]) before any
+   cell-protected op and before the wait re-acquire.  Uncontended path
+   allocates nothing ([k_commit] is preallocated, as is the kernel's
    per-activation charge closure). *)
 and flat_charge_op s d tcb ~cell ~cost ~crossings ~phase =
   s.st.charge_segments <- s.st.charge_segments + 1;
   s.st.charge_batches <- s.st.charge_batches + 1;
-  let cost = cost + flag_cost d crossings + tcb.acc in
-  tcb.acc <- 0;
+  let cost = cost + flag_cost d crossings in
   tcb.phase <- phase;
   if try_lock_cell s cell ~owner:tcb.tid then begin
     tcb.held_cell <- cell;

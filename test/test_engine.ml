@@ -230,7 +230,7 @@ let pqueue_tests =
 (* Calq: differential suite against the Pqueue reference               *)
 (* ------------------------------------------------------------------ *)
 
-(* The calendar queue and the binary heap implement the same contract —
+(* Calq and the reference heap implement the same contract —
    strict ascending (key, seq) pop order, lazy O(1) cancellation, the
    same-instant candidate set exposed to [pop_pick] in ascending seq —
    and [Sim] treats them as interchangeable.  These properties drive both
@@ -238,8 +238,17 @@ let pqueue_tests =
    behaviour at every step, including the [pick] arities (candidate-set
    sizes), so a divergence pinpoints the first differing operation. *)
 
-type diff_op = D_add of int | D_cancel of int | D_pop | D_pick of int
+(* [D_again i] adds at the key of an earlier add, so a wide-key run still
+   has ties to break by seq. *)
+type diff_op =
+  | D_add of int
+  | D_again of int
+  | D_cancel of int
+  | D_pop
+  | D_pick of int
 
+(* Tie-heavy: keys from 0-24, so most adds join a pending key and the
+   queue stays shallow. *)
 let diff_op_gen =
   QCheck.Gen.(
     frequency
@@ -250,93 +259,124 @@ let diff_op_gen =
         (2, map (fun s -> D_pick s) (int_range 0 1000));
       ])
 
+(* Wide keys, as the simulator's traffic has them: mostly distinct ns
+   times over 0-10^9, with one add in eight repeating an earlier key, and
+   adds outweighing removals so a run ends with some 60-300 entries
+   pending, 6-9 heap levels. *)
+let wide_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (14, map (fun k -> D_add k) (int_range 0 1_000_000_000));
+        (2, map (fun i -> D_again i) (int_range 0 1000));
+        (2, map (fun i -> D_cancel i) (int_range 0 1000));
+        (3, return D_pop);
+        (2, map (fun s -> D_pick s) (int_range 0 1000));
+      ])
+
 let pp_diff_op = function
   | D_add k -> Printf.sprintf "add key:%d" k
+  | D_again i -> Printf.sprintf "add key of #%d" i
   | D_cancel i -> Printf.sprintf "cancel #%d" i
   | D_pop -> "pop"
   | D_pick s -> Printf.sprintf "pop_pick salt:%d" s
 
-let diff_ops_arb =
-  QCheck.make
-    ~print:(QCheck.Print.list pp_diff_op)
-    QCheck.Gen.(list_size (int_range 50 400) diff_op_gen)
+let diff_ops_arb ~size gen =
+  QCheck.make ~print:(QCheck.Print.list pp_diff_op)
+    QCheck.Gen.(list_size size gen)
+
+(* Replays [ops] on a Calq and a Pqueue side by side; [true] iff every
+   observation agreed. *)
+let calq_matches_pqueue ops =
+  let c = Calq.create 0 and p = Pqueue.create () in
+  let n_ops = List.length ops in
+  (* Parallel handle stores: slot i holds the two names for the i-th
+     inserted entry, so a D_cancel replays on both sides. *)
+  let ch = Array.make (max 1 n_ops) Calq.nil_handle in
+  let pe = Array.make (max 1 n_ops) None in
+  let keys = Array.make (max 1 n_ops) 0 in
+  let n_added = ref 0 in
+  let seq = ref 0 in
+  let ok = ref true in
+  let add k =
+    ch.(!n_added) <- Calq.add c ~key:k ~seq:!seq !seq;
+    pe.(!n_added) <- Some (Pqueue.add p ~key:k ~seq:!seq !seq);
+    keys.(!n_added) <- k;
+    incr n_added;
+    incr seq
+  in
+  List.iter
+    (fun op ->
+      if !ok then begin
+        (match op with
+        | D_add k -> add k
+        | D_again i ->
+            add (if !n_added = 0 then 0 else keys.(i mod !n_added))
+        | D_cancel i ->
+            if !n_added > 0 then begin
+              (* May hit an entry already popped or cancelled: both
+                 sides must treat that as a no-op. *)
+              let i = i mod !n_added in
+              Calq.cancel c ch.(i);
+              match pe.(i) with
+              | Some e -> Pqueue.remove p e
+              | None -> ()
+            end
+        | D_pop ->
+            if Calq.peek_key c <> Pqueue.peek_key p then ok := false;
+            let expected_next =
+              match Pqueue.peek_key p with
+              | None -> max_int
+              | Some (k, _) -> k
+            in
+            if Calq.next_key c <> expected_next then ok := false;
+            if Calq.pop c <> Pqueue.pop p then ok := false
+        | D_pick salt ->
+            (* Both sides consult [pick] only when >= 2 candidates
+               share the minimal key, so equal arities mean equal
+               same-instant candidate sets. *)
+            let arity_c = ref (-1) and arity_p = ref (-1) in
+            let pick a n =
+              a := n;
+              salt mod n
+            in
+            let rc = Calq.pop_pick c ~pick:(pick arity_c) in
+            let rp = Pqueue.pop_pick p ~pick:(pick arity_p) in
+            if rc <> rp || !arity_c <> !arity_p then ok := false);
+        if !ok && Calq.length c <> Pqueue.length p then ok := false
+      end)
+    ops;
+  (* Liveness of every handle ever issued must agree too. *)
+  for i = 0 to !n_added - 1 do
+    let pl =
+      match pe.(i) with Some e -> Pqueue.entry_live e | None -> false
+    in
+    if Calq.handle_live c ch.(i) <> pl then ok := false
+  done;
+  !ok
+  && Calq.to_list c = Pqueue.to_list p
+  &&
+  let rec drain () =
+    let rc = Calq.pop c and rp = Pqueue.pop p in
+    rc = rp && (rc = None || drain ())
+  in
+  drain ()
 
 let calq_differential =
   QCheck.Test.make ~name:"calq matches pqueue on random op sequences"
-    ~count:150 diff_ops_arb
-    (fun ops ->
-      let c = Calq.create 0 and p = Pqueue.create () in
-      let n_ops = List.length ops in
-      (* Parallel handle stores: slot i holds the two names for the i-th
-         inserted entry, so a D_cancel replays on both sides. *)
-      let ch = Array.make (max 1 n_ops) Calq.nil_handle in
-      let pe = Array.make (max 1 n_ops) None in
-      let n_added = ref 0 in
-      let seq = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          if !ok then begin
-            (match op with
-            | D_add k ->
-                ch.(!n_added) <- Calq.add c ~key:k ~seq:!seq !seq;
-                pe.(!n_added) <- Some (Pqueue.add p ~key:k ~seq:!seq !seq);
-                incr n_added;
-                incr seq
-            | D_cancel i ->
-                if !n_added > 0 then begin
-                  (* May hit an entry already popped or cancelled: both
-                     sides must treat that as a no-op. *)
-                  let i = i mod !n_added in
-                  Calq.cancel c ch.(i);
-                  match pe.(i) with
-                  | Some e -> Pqueue.remove p e
-                  | None -> ()
-                end
-            | D_pop ->
-                if Calq.peek_key c <> Pqueue.peek_key p then ok := false;
-                let expected_next =
-                  match Pqueue.peek_key p with
-                  | None -> max_int
-                  | Some (k, _) -> k
-                in
-                if Calq.next_key c <> expected_next then ok := false;
-                if Calq.pop c <> Pqueue.pop p then ok := false
-            | D_pick salt ->
-                (* Both sides consult [pick] only when >= 2 candidates
-                   share the minimal key, so equal arities mean equal
-                   same-instant candidate sets. *)
-                let arity_c = ref (-1) and arity_p = ref (-1) in
-                let pick a n =
-                  a := n;
-                  salt mod n
-                in
-                let rc = Calq.pop_pick c ~pick:(pick arity_c) in
-                let rp = Pqueue.pop_pick p ~pick:(pick arity_p) in
-                if rc <> rp || !arity_c <> !arity_p then ok := false);
-            if !ok && Calq.length c <> Pqueue.length p then ok := false
-          end)
-        ops;
-      (* Liveness of every handle ever issued must agree too. *)
-      for i = 0 to !n_added - 1 do
-        let pl =
-          match pe.(i) with Some e -> Pqueue.entry_live e | None -> false
-        in
-        if Calq.handle_live c ch.(i) <> pl then ok := false
-      done;
-      !ok
-      && Calq.to_list c = Pqueue.to_list p
-      &&
-      let rec drain () =
-        let rc = Calq.pop c and rp = Pqueue.pop p in
-        rc = rp && (rc = None || drain ())
-      in
-      drain ())
+    ~count:150
+    (diff_ops_arb ~size:(QCheck.Gen.int_range 50 400) diff_op_gen)
+    calq_matches_pqueue
+
+let calq_differential_wide_keys =
+  QCheck.Test.make ~name:"calq matches pqueue on deep wide-key sequences"
+    ~count:150
+    (diff_ops_arb ~size:(QCheck.Gen.int_range 200 600) wide_op_gen)
+    calq_matches_pqueue
 
 (* The simulator always inserts with globally monotone seqs, but the
    contract does not require it: a smaller seq for an already-pending key
-   takes the calendar's sorted-insert fallback.  Scrambled unique seqs
-   exercise exactly that path. *)
+   must still pop first.  Scrambled unique seqs exercise exactly that. *)
 let calq_differential_scrambled_seqs =
   QCheck.Test.make ~name:"calq matches pqueue under non-monotone seqs"
     ~count:100
@@ -365,6 +405,52 @@ let calq_differential_scrambled_seqs =
         rc = rp && (rc = None || drain ())
       in
       drain ())
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* A warm queue held at 64 pending entries on distinct keys, as the
+   simulator keeps it: each add is a fresh key 1-10 us past the last pop. *)
+let calq_allocation_free () =
+  let q = Calq.create 0 in
+  let seq = ref 0 in
+  let add i =
+    let key = Calq.last_key q + 1_000 + (i * 7_919 mod 9_000) in
+    let h = Calq.add q ~key ~seq:!seq i in
+    incr seq;
+    h
+  in
+  for i = 1 to 64 do
+    ignore (add (i * 1_000))
+  done;
+  let add_pop () =
+    for i = 1 to 10_000 do
+      ignore (Calq.pop_exn q);
+      ignore (add i)
+    done
+  in
+  let add_cancel () =
+    for i = 1 to 10_000 do
+      Calq.cancel q (add i)
+    done
+  in
+  (* Warm-up: grow the arrays to what cancelled entries awaiting the sweep
+     take, so the measured loops meet only steady state. *)
+  add_pop ();
+  add_cancel ();
+  let base =
+    minor_words_of (fun () ->
+        for i = 1 to 10_000 do
+          ignore (Sys.opaque_identity i)
+        done)
+  in
+  check (Alcotest.float 0.) "add+pop, net minor words" 0.
+    (minor_words_of add_pop -. base);
+  check (Alcotest.float 0.) "add+cancel, net minor words" 0.
+    (minor_words_of add_cancel -. base);
+  check Alcotest.int "still 64 pending" 64 (Calq.length q)
 
 let calq_tests =
   [
@@ -396,8 +482,9 @@ let calq_tests =
         done;
         (* 10k events through a 32-deep window: the slab must have settled
            at the window's doubling size, not grown with throughput. *)
-        check Alcotest.bool "slab bounded" true (Calq.slab_capacity q <= 64);
-        check Alcotest.bool "buckets bounded" true (Calq.bucket_count q <= 16));
+        check Alcotest.bool "slab bounded" true (Calq.slab_capacity q <= 64));
+    Alcotest.test_case "steady add+pop and add+cancel allocate nothing" `Quick
+      calq_allocation_free;
     Alcotest.test_case "cancel-heavy churn is bounded by the sweep" `Quick
       (fun () ->
         let q = Calq.create 0 in
@@ -422,6 +509,7 @@ let calq_tests =
         check Alcotest.int "survivors pop in order" 625
           (drain (min_int, min_int) 0));
     qtest calq_differential;
+    qtest calq_differential_wide_keys;
     qtest calq_differential_scrambled_seqs;
   ]
 
