@@ -552,7 +552,7 @@ let kernel_bench () =
     in
     let sp =
       Kernel.new_sa_space k ~name:(Printf.sprintf "s%d" i)
-        ~client:{ Kernel.on_upcall = handler } ()
+        ~on_upcall:handler ()
     in
     Kernel.sa_add_more_processors k sp 4
   done;

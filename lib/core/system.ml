@@ -38,6 +38,7 @@ type job = {
   j_started : Time.t;
   j_cache : Buffer_cache.t option;
   j_owner : owner ref;
+  j_done : Time.t option ref;  (* when the last thread finished *)
 }
 
 and owner = No_owner | Owner of t
@@ -91,7 +92,9 @@ let submit t ~backend ~name ?cache_capacity ?(prewarm_cache = true) ?disk
   | Some _ | None -> ());
   let io_dev = Option.map (fun d -> Sa_hw.Io_device.create t.sim d) disk in
   let owner = ref No_owner in
+  let done_at = ref None in
   let on_done () =
+    done_at := Some (Sim.now t.sim);
     match !owner with
     | Owner s -> s.live_jobs <- s.live_jobs - 1
     | No_owner -> ()
@@ -122,6 +125,7 @@ let submit t ~backend ~name ?cache_capacity ?(prewarm_cache = true) ?disk
       j_started = Sim.now t.sim;
       j_cache = cache;
       j_owner = owner;
+      j_done = done_at;
     }
   in
   owner := Owner t;
@@ -132,15 +136,10 @@ let submit t ~backend ~name ?cache_capacity ?(prewarm_cache = true) ?disk
 let job_name j = j.j_name
 let jobs t = List.rev t.jobs
 
-let completion_time j =
-  match j.j_impl with
-  | J_ft_kt ft -> Ft_kt.completion_time ft
-  | J_ft_sa ft -> Ft_sa.completion_time ft
-  | J_direct d -> Kt_direct.completion_time d
+let completion_time j = !(j.j_done)
 
-(* Evaluated once per simulated event by {!run}: avoid the polymorphic
-   [<> None]. *)
-let finished j = match completion_time j with None -> false | Some _ -> true
+(* Cheap enough for a per-event stop check: no polymorphic [<> None]. *)
+let finished j = match !(j.j_done) with None -> false | Some _ -> true
 
 (* Cluster migration bookkeeping: move a job record between systems so
    per-system listings (and the invariant auditors walking them) track

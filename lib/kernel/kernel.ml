@@ -114,7 +114,7 @@ and kt_space_state = {
 }
 
 and sa_space_state = {
-  client : sa_client;
+  on_upcall : upcall_delivery -> unit;
   mutable pending : Upcall.event list;  (* newest first *)
   mutable pool : activation list;
   mutable running_acts : int;
@@ -150,8 +150,6 @@ and space = {
       (* processors the last allocator pass assigned this space; written
          for every registered space at the start of each pass *)
 }
-
-and sa_client = { on_upcall : upcall_delivery -> unit }
 
 and upcall_delivery = {
   uc_activation : activation;
@@ -265,11 +263,13 @@ let set_assigned t sp v =
 let slot_owned_by slot sp =
   match slot.slot_owner with Some o -> same_space o sp | None -> false
 
-(* Every release of an owned processor goes through here, so a freed slot
-   carries no preemption warning into its next grant. *)
-let release_slot slot =
+(* Every processor an owner gives up or loses goes back to the allocator
+   through here, so a freed slot carries no preemption warning into its
+   next grant. *)
+let release_slot t slot sp =
   slot.slot_owner <- None;
-  slot.slot_warned <- false
+  slot.slot_warned <- false;
+  set_assigned t sp (sp.sp_assigned - 1)
 
 let fresh_id t =
   incr t.ids;
@@ -317,6 +317,13 @@ let schedule_pass t =
     t.sched_pass_pending <- true;
     defer t t.sched_pass
   end
+
+(* A processor its owner has no work for returns to the allocator and
+   idles in the kernel until its next grant. *)
+let return_idle_cpu t slot sp =
+  release_slot t slot sp;
+  Cpu.set_occupant slot.slot_cpu Cpu.Kernel_idle;
+  reevaluate t
 
 let upcall_cost t =
   if t.cfg.Kconfig.tuned_upcalls then t.costs.Cost_model.upcall
@@ -534,6 +541,48 @@ let refresh_kt_desired t sp =
       end
   | Sa _ -> ()
 
+let local_runq sp =
+  match sp.sp_kind with
+  | Kthreads k -> k.local_runq
+  | Sa _ -> invalid_arg "kernel thread in an SA space"
+
+(* A ready kernel thread waits on the global priority queues under native
+   Topaz and on its space's own FIFO under explicit allocation.  These three
+   functions are the only ones that choose between the two. *)
+let kt_enqueue t kt =
+  match t.cfg.Kconfig.mode with
+  | Kconfig.Native_oblivious -> runq_push t kt
+  | Kconfig.Explicit_allocation -> Queue.add kt (local_runq kt.kt_sp)
+
+(* The next ready kernel thread for [slot]'s processor: under explicit
+   allocation, one of its owner's. *)
+let kt_take t slot =
+  match (t.cfg.Kconfig.mode, slot.slot_owner) with
+  | Kconfig.Native_oblivious, _ -> runq_pop t
+  | Kconfig.Explicit_allocation, Some sp -> Queue.take_opt (local_runq sp)
+  | Kconfig.Explicit_allocation, None -> None
+
+(* Whether a peer that may take [kt]'s processor at quantum end is waiting:
+   one of sufficient priority anywhere under native mode, any of its own
+   space's under explicit allocation. *)
+let kt_contender t kt =
+  match t.cfg.Kconfig.mode with
+  | Kconfig.Native_oblivious -> (
+      match runq_head_prio t with Some p -> p >= kt.kt_prio | None -> false)
+  | Kconfig.Explicit_allocation -> not (Queue.is_empty (local_runq kt.kt_sp))
+
+(* Stop [kt] on [slot] and put it back on its ready queue with its
+   interrupted segment saved.  Every caller runs in its own event, when a
+   kernel thread holding a processor always has a segment in flight. *)
+let kt_bump t slot kt =
+  (match Cpu.preempt slot.slot_cpu with
+  | Some p -> save_kt_context t kt p
+  | None -> failwith "kt_bump: running kthread has no segment in flight");
+  cancel_quantum t slot;
+  slot.slot_kt <- None;
+  set_kt_state t kt K_ready;
+  kt_enqueue t kt
+
 let rec dispatch_kt_on t slot kt =
   slot.slot_kt <- Some kt;
   slot.slot_gen <- slot.slot_gen + 1;
@@ -571,71 +620,46 @@ and quantum_fire t slot =
   slot.slot_quantum <- Sim.null_handle;
   match slot.slot_kt with
   | Some kt when slot.slot_gen = slot.slot_q_gen && kt.kt_id = slot.slot_q_ktid ->
-      (* Preempt at quantum end only if a peer of sufficient priority waits:
-         the global queue under native mode, the space's own queue under
-         explicit allocation. *)
-      let contender_waiting =
-        match t.cfg.Kconfig.mode with
-        | Kconfig.Native_oblivious -> (
-            match runq_head_prio t with
-            | Some p -> p >= kt.kt_prio
-            | None -> false)
-        | Kconfig.Explicit_allocation -> (
-            match kt.kt_sp.sp_kind with
-            | Kthreads k -> not (Queue.is_empty k.local_runq)
-            | Sa _ -> false)
-      in
-      if contender_waiting then timeslice_preempt t slot kt
+      if kt_contender t kt then timeslice_preempt t slot kt
       else arm_quantum t slot kt
   | _ -> ()
 
+(* The quantum has fired, so [kt_bump]'s cancel finds no timer. *)
 and timeslice_preempt t slot kt =
   t.stats.kt_timeslices <- t.stats.kt_timeslices + 1;
   tracef t "timeslice: preempt kt%d (%s) on cpu%d" kt.kt_id kt.kt_name
     (Cpu.id slot.slot_cpu);
-  (match Cpu.preempt slot.slot_cpu with
-  | Some p -> save_kt_context t kt p
-  | None -> ());
-  slot.slot_kt <- None;
-  set_kt_state t kt K_ready;
-  match t.cfg.Kconfig.mode with
-  | Kconfig.Native_oblivious ->
-      runq_push t kt;
-      native_dispatch t slot
-  | Kconfig.Explicit_allocation -> (
-      match kt.kt_sp.sp_kind with
-      | Kthreads k -> (
-          Queue.add kt k.local_runq;
-          match Queue.take_opt k.local_runq with
-          | Some next -> dispatch_kt_on t slot next
-          | None -> ())
-      | Sa _ -> ())
+  kt_bump t slot kt;
+  dispatch_next t slot
 
-and native_dispatch t slot =
-  if not (Cpu.is_busy slot.slot_cpu) then begin
-    match runq_pop t with
+(* Give [slot]'s free processor the next ready kernel thread, or idle it in
+   the kernel. *)
+and dispatch_next t slot =
+  if not (Cpu.is_busy slot.slot_cpu) then
+    match kt_take t slot with
     | Some kt -> dispatch_kt_on t slot kt
     | None ->
         slot.slot_kt <- None;
         Cpu.set_occupant slot.slot_cpu Cpu.Kernel_idle
-  end
 
-(* A processor freed by a kernel thread: find it new work. *)
+(* An interrupt (a daemon's wakeup, or chaos) takes [slot] from the kernel
+   thread running there and gives it to the next ready one. *)
+let kt_preempt t slot kt =
+  t.stats.preemptions <- t.stats.preemptions + 1;
+  kt_bump t slot kt;
+  dispatch_next t slot
+
+(* A processor freed by a kernel thread: find it new work, or under
+   explicit allocation return it to the allocator. *)
 let kt_cpu_released t slot =
-  match t.cfg.Kconfig.mode with
-  | Kconfig.Native_oblivious -> native_dispatch t slot
-  | Kconfig.Explicit_allocation -> (
-      match slot.slot_owner with
-      | Some ({ sp_kind = Kthreads k; _ } as sp) -> (
-          match Queue.take_opt k.local_runq with
-          | Some kt -> dispatch_kt_on t slot kt
-          | None ->
-              (* No local work: return the processor to the allocator. *)
-              release_slot slot;
-              set_assigned t sp (sp.sp_assigned - 1);
-              Cpu.set_occupant slot.slot_cpu Cpu.Kernel_idle;
-              reevaluate t)
-      | Some { sp_kind = Sa _; _ } | None -> reevaluate t)
+  match (t.cfg.Kconfig.mode, slot.slot_owner) with
+  | Kconfig.Native_oblivious, _ -> dispatch_next t slot
+  | Kconfig.Explicit_allocation, Some ({ sp_kind = Kthreads _; _ } as sp) -> (
+      match kt_take t slot with
+      | Some kt -> dispatch_kt_on t slot kt
+      | None -> return_idle_cpu t slot sp)
+  | Kconfig.Explicit_allocation, (Some { sp_kind = Sa _; _ } | None) ->
+      reevaluate t
 
 (* Make a kernel thread runnable and get it a processor if one is due. *)
 let make_ready t kt =
@@ -645,9 +669,9 @@ let make_ready t kt =
   | K_ready | K_blocked -> ());
   set_kt_state t kt K_ready;
   kt_runnable_delta kt.kt_sp 1;
+  kt_enqueue t kt;
   match t.cfg.Kconfig.mode with
   | Kconfig.Native_oblivious ->
-      runq_push t kt;
       if kt.kt_random_wake then begin
         (* The wakeup interrupt fires on an arbitrary processor and the
            woken higher-priority thread runs there at once — even if some
@@ -658,64 +682,55 @@ let make_ready t kt =
         defer t (fun () ->
             match slot.slot_kt with
             | Some victim when victim.kt_prio < kt.kt_prio ->
-                t.stats.preemptions <- t.stats.preemptions + 1;
-                (match Cpu.preempt slot.slot_cpu with
-                | Some p -> save_kt_context t victim p
-                | None -> ());
-                cancel_quantum t slot;
-                slot.slot_kt <- None;
-                set_kt_state t victim K_ready;
-                runq_push t victim;
-                native_dispatch t slot
+                kt_preempt t slot victim
             | Some _ | None -> schedule_pass t)
       end
       else schedule_pass t
-  | Kconfig.Explicit_allocation -> (
-      match kt.kt_sp.sp_kind with
-      | Kthreads k ->
-          Queue.add kt k.local_runq;
-          refresh_kt_desired t kt.kt_sp;
-          (* If the space has a granted processor sitting idle, use it. *)
-          defer t (fun () ->
-              Array.iter
-                (fun slot ->
-                  if
-                    slot_owned_by slot kt.kt_sp
-                    && slot.slot_kt = None
-                    && not (Cpu.is_busy slot.slot_cpu)
-                  then
-                    match Queue.take_opt k.local_runq with
-                    | Some kt' -> dispatch_kt_on t slot kt'
-                    | None -> ())
-                t.slots)
-      | Sa _ -> failwith "make_ready: kthread in SA space")
+  | Kconfig.Explicit_allocation ->
+      refresh_kt_desired t kt.kt_sp;
+      (* If the space has a granted processor sitting idle, use it. *)
+      defer t (fun () ->
+          Array.iter
+            (fun slot ->
+              if
+                slot_owned_by slot kt.kt_sp
+                && slot.slot_kt = None
+                && not (Cpu.is_busy slot.slot_cpu)
+              then
+                match kt_take t slot with
+                | Some kt' -> dispatch_kt_on t slot kt'
+                | None -> ())
+            t.slots)
+
+let kt_slot t kt =
+  match kt.kt_state with
+  | K_running cpu_id -> slot_of_cpu t cpu_id
+  | K_ready | K_blocked | K_dead ->
+      failwith (Printf.sprintf "kthread %s used ops while not running" kt.kt_name)
+
+let kt_leave_cpu t kt =
+  let slot = kt_slot t kt in
+  cancel_quantum t slot;
+  slot.slot_kt <- None;
+  slot
+
+(* Block or exit: [kt] leaves its processor and stops being runnable. *)
+let kt_stop t kt resume st =
+  kt.kt_resume <- resume;
+  kt_runnable_delta kt.kt_sp (-1);
+  let slot = kt_leave_cpu t kt in
+  set_kt_state t kt st;
+  refresh_kt_desired t kt.kt_sp;
+  slot
 
 (* The per-kthread capability record. *)
 let ops_for t kt =
-  let current_slot () =
-    match kt.kt_state with
-    | K_running cpu_id -> slot_of_cpu t cpu_id
-    | K_ready | K_blocked | K_dead ->
-        failwith
-          (Printf.sprintf "kthread %s used ops while not running" kt.kt_name)
-  in
-  let leave_cpu () =
-    let slot = current_slot () in
-    cancel_quantum t slot;
-    slot.slot_kt <- None;
-    slot
-  in
   {
     kt_charge =
-      (fun cost k ->
-        charge_on_slot (current_slot ()) ~occupant:kt.kt_occ ~cost k);
+      (fun cost k -> charge_on_slot (kt_slot t kt) ~occupant:kt.kt_occ ~cost k);
     kt_block_for =
       (fun span k ->
-        kt.kt_resume <- k;
-        kt_runnable_delta kt.kt_sp (-1);
-        let slot = leave_cpu () in
-        set_kt_state t kt K_blocked;
-        refresh_kt_desired t kt.kt_sp;
+        let slot = kt_stop t kt k K_blocked in
         t.stats.io_blocks <- t.stats.io_blocks + 1;
         Trace.span_begin (ktrace t) ~time:(Sim.now t.sim)
           ~space:kt.kt_sp.sp_id ~act:kt.kt_id Trace.Kernel "io-block";
@@ -728,11 +743,7 @@ let ops_for t kt =
         kt_cpu_released t slot);
     kt_block_on =
       (fun ~register k ->
-        kt.kt_resume <- k;
-        kt_runnable_delta kt.kt_sp (-1);
-        let slot = leave_cpu () in
-        set_kt_state t kt K_blocked;
-        refresh_kt_desired t kt.kt_sp;
+        let slot = kt_stop t kt k K_blocked in
         register (fun () ->
             match kt.kt_state with
             | K_blocked ->
@@ -745,23 +756,14 @@ let ops_for t kt =
     kt_yield =
       (fun k ->
         kt.kt_resume <- k;
-        let slot = leave_cpu () in
+        let slot = kt_leave_cpu t kt in
         set_kt_state t kt K_ready;
-        (match t.cfg.Kconfig.mode with
-        | Kconfig.Native_oblivious -> runq_push t kt
-        | Kconfig.Explicit_allocation -> (
-            match kt.kt_sp.sp_kind with
-            | Kthreads ksp -> Queue.add kt ksp.local_runq
-            | Sa _ -> failwith "yield: kthread in SA space"));
+        kt_enqueue t kt;
         kt_cpu_released t slot);
     kt_exit =
       (fun () ->
-        kt.kt_resume <- (fun () -> failwith "resumed dead kthread");
-        kt_runnable_delta kt.kt_sp (-1);
-        let slot = leave_cpu () in
-        set_kt_state t kt K_dead;
-        refresh_kt_desired t kt.kt_sp;
-        kt_cpu_released t slot);
+        kt_cpu_released t
+          (kt_stop t kt (fun () -> failwith "resumed dead kthread") K_dead));
   }
 
 let spawn_kthread_gen t sp ~name ~prio ~random_wake ?(startup_cost = 0) ~body
@@ -800,7 +802,7 @@ let sched_pass t =
     Array.iter
       (fun slot ->
         if (not (Cpu.is_busy slot.slot_cpu)) && slot.slot_kt = None then
-          native_dispatch t slot)
+          dispatch_next t slot)
       t.slots
 
 (* ------------------------------------------------------------------ *)
@@ -843,6 +845,17 @@ let alloc_activation t sp =
           k ());
       Hashtbl.replace t.acts act.act_id act;
       (act, t.costs.Cost_model.activation_fresh_alloc)
+
+(* An activation the user level will not resume goes back to the pool
+   (Section 4.3), or is dropped when pooling is off. *)
+let free_activation t act =
+  act.act_state <- A_free;
+  act.act_charge_k <- ignore;
+  act.act_repair <- None;
+  if t.cfg.Kconfig.activation_pooling then begin
+    let s = sa_fields act.act_sp in
+    s.pool <- act :: s.pool
+  end
 
 (* Deliver an upcall on [slot] (no in-flight segment) with a fresh or
    recycled activation.  [extra_cost] accounts for the interrupt that freed
@@ -894,7 +907,7 @@ let deliver_upcall t slot sp ~extra_cost events =
   charge_on_slot slot ~occupant:act.act_occ_upcall ~cost (fun () ->
       slot.slot_delivery <- None;
       List.iter (trace_event_span `E) (List.rev events);
-      s.client.on_upcall
+      s.on_upcall
         { uc_activation = act; uc_cpu = slot.slot_cpu; uc_events = events })
 
 (* Take the space's queued Table-2 events, oldest first. *)
@@ -937,19 +950,12 @@ let stop_activation_on t slot =
                 ("upcall:" ^ Upcall.event_name ev))
             (List.rev events);
           s.pending <- List.rev_append events s.pending;
-          victim.act_state <- A_free;
-          victim.act_charge_k <- ignore;
-          victim.act_repair <- None;
-          if t.cfg.Kconfig.activation_pooling then s.pool <- victim :: s.pool;
+          free_activation t victim;
           []
       | None -> (
           match victim.act_repair with
           | Some repair ->
-              victim.act_repair <- None;
-              victim.act_charge_k <- ignore;
-              victim.act_state <- A_free;
-              if t.cfg.Kconfig.activation_pooling then
-                s.pool <- victim :: s.pool;
+              free_activation t victim;
               repair ();
               []
           | None ->
@@ -976,10 +982,21 @@ let stop_activation_on t slot =
               in
               [ Upcall.Processor_preempted { act = victim.act_id; ctx } ]))
 
+(* Interrupt [slot]'s processor and deliver the space's pending events,
+   plus the interrupted context as a Processor_preempted event, in one
+   upcall on it: the space keeps the processor. *)
+let interrupt_and_deliver t slot sp =
+  let extra = stop_activation_on t slot in
+  let events =
+    match drain_pending sp @ extra with
+    | [] -> [ Upcall.Add_processor ]
+    | events -> events
+  in
+  deliver_upcall t slot sp ~extra_cost:t.costs.Cost_model.preempt_interrupt
+    events
+
 (* Notify an SA space of pending events by borrowing one of its own
-   processors: interrupt it, add the interrupted context as a
-   Processor_preempted event (the space keeps the processor), and deliver
-   everything in one upcall — the paper's I/O-completion dance. *)
+   processors — the paper's I/O-completion dance. *)
 let notify_sa t sp =
   let s = sa_fields sp in
   if s.pending <> [] then begin
@@ -992,11 +1009,7 @@ let notify_sa t sp =
         None t.slots
     in
     match slot_opt with
-    | Some slot ->
-        let extra_events = stop_activation_on t slot in
-        let events = drain_pending sp @ extra_events in
-        deliver_upcall t slot sp
-          ~extra_cost:t.costs.Cost_model.preempt_interrupt events
+    | Some slot -> interrupt_and_deliver t slot sp
     | None ->
         (* The space has no processor: it needs one to receive the
            notification ("the kernel must allocate one to do the upcall").
@@ -1097,14 +1110,7 @@ let sa_request_preempt t sp ~cpu =
       let slot = slot_of_cpu t cpu in
       if slot_owned_by slot sp then begin
         match sp.sp_kind with
-        | Sa _ ->
-            let extra = stop_activation_on t slot in
-            let events = drain_pending sp @ extra in
-            let events =
-              if events = [] then [ Upcall.Add_processor ] else events
-            in
-            deliver_upcall t slot sp
-              ~extra_cost:t.costs.Cost_model.preempt_interrupt events
+        | Sa _ -> interrupt_and_deliver t slot sp
         | Kthreads _ -> ()
       end)
 
@@ -1120,25 +1126,25 @@ let sa_add_more_processors t sp n =
     reevaluate t
   end
 
+(* Table 3's voluntary returns: the activation running on [slot] is
+   recycled and the processor goes back to the allocator. *)
+let sa_give_back t act slot downcall =
+  let sp = act.act_sp in
+  let s = sa_fields sp in
+  trace_downcall t ~cpu:(Cpu.id slot.slot_cpu) ~space:sp.sp_id
+    ~act:act.act_id downcall;
+  free_activation t act;
+  s.running_acts <- s.running_acts - 1;
+  slot.slot_act <- None;
+  return_idle_cpu t slot sp
+
 let sa_cpu_idle t act =
   match act.act_state with
   | A_running cpu_id ->
-      let slot = slot_of_cpu t cpu_id in
       let sp = act.act_sp in
-      let s = sa_fields sp in
-      trace_downcall t ~cpu:cpu_id ~space:sp.sp_id ~act:act.act_id
-        "this-processor-is-idle";
-      act.act_state <- A_free;
-      act.act_repair <- None;
-      if t.cfg.Kconfig.activation_pooling then s.pool <- act :: s.pool;
-      s.running_acts <- s.running_acts - 1;
-      slot.slot_act <- None;
-      release_slot slot;
-      set_assigned t sp (sp.sp_assigned - 1);
+      sa_give_back t act (slot_of_cpu t cpu_id) "this-processor-is-idle";
       sp.sp_desired <- min sp.sp_desired sp.sp_assigned;
-      Cpu.set_occupant slot.slot_cpu Cpu.Kernel_idle;
-      tracef t "%s returns cpu%d (idle)" sp.sp_name cpu_id;
-      reevaluate t
+      tracef t "%s returns cpu%d (idle)" sp.sp_name cpu_id
   | A_blocked | A_stopped | A_free -> failwith "sa_cpu_idle: not running"
 
 (* The warning side of the Psyche/Symunix protocol: the user level polls at
@@ -1154,20 +1160,9 @@ let sa_respond_warning t act =
       let slot = slot_of_cpu t cpu_id in
       if not slot.slot_warned then
         invalid_arg "sa_respond_warning: no warning outstanding";
-      let sp = act.act_sp in
-      let s = sa_fields sp in
-      trace_downcall t ~cpu:cpu_id ~space:sp.sp_id ~act:act.act_id
-        "respond-warning";
-      act.act_state <- A_free;
-      act.act_repair <- None;
-      if t.cfg.Kconfig.activation_pooling then s.pool <- act :: s.pool;
-      s.running_acts <- s.running_acts - 1;
-      slot.slot_act <- None;
-      release_slot slot;
-      set_assigned t sp (sp.sp_assigned - 1);
-      Cpu.set_occupant slot.slot_cpu Cpu.Kernel_idle;
-      tracef t "%s responds to warning, releases cpu%d" sp.sp_name cpu_id;
-      reevaluate t
+      sa_give_back t act slot "respond-warning";
+      tracef t "%s responds to warning, releases cpu%d" act.act_sp.sp_name
+        cpu_id
   | A_blocked | A_stopped | A_free ->
       invalid_arg "sa_respond_warning: activation not running"
 
@@ -1178,12 +1173,7 @@ let sa_return_activation t act_id =
       trace_downcall t ~cpu:Trace.no_id ~space:act.act_sp.sp_id ~act:act_id
         "return-activation";
       match act.act_state with
-      | A_stopped ->
-          act.act_state <- A_free;
-          if t.cfg.Kconfig.activation_pooling then begin
-            let s = sa_fields act.act_sp in
-            s.pool <- act :: s.pool
-          end
+      | A_stopped -> free_activation t act
       | A_free -> ()  (* already recycled (bulk returns may repeat) *)
       | A_running _ | A_blocked ->
           failwith "sa_return_activation: activation still in use")
@@ -1284,27 +1274,16 @@ let preempt_slot_now t sp slot =
   | Sa s ->
       let events = stop_activation_on t slot in
       s.pending <- List.rev_append events s.pending;
-      release_slot slot;
-      set_assigned t sp (sp.sp_assigned - 1);
+      release_slot t slot sp;
       (* Tell the old space, on another of its processors — or with its
          next grant if it has none left (the paper delays it too).  The
          notification resolves [sp_home] at fire time: a migrating space's
          preemption events must chase it to its new kernel. *)
       defer t (fun () -> notify_sa sp.sp_home sp)
-  | Kthreads k ->
-      (match Cpu.preempt slot.slot_cpu with
-      | Some p -> (
-          match slot.slot_kt with
-          | Some victim ->
-              save_kt_context t victim p;
-              set_kt_state t victim K_ready;
-              Queue.add victim k.local_runq
-          | None -> ())
-      | None -> ());
-      cancel_quantum t slot;
-      slot.slot_kt <- None;
-      release_slot slot;
-      set_assigned t sp (sp.sp_assigned - 1)
+  | Kthreads _ ->
+      (* A processor without a kernel thread is idle, with no quantum armed. *)
+      (match slot.slot_kt with Some kt -> kt_bump t slot kt | None -> ());
+      release_slot t slot sp
 
 (* Chaos: forcibly preempt whatever holds [cpu], exactly as the allocator
    or a native wakeup interrupt would, at an adversarial instant.  Explicit
@@ -1330,17 +1309,9 @@ let chaos_preempt t ~cpu =
       match slot.slot_kt with
       | Some kt ->
           t.stats.chaos_preempts <- t.stats.chaos_preempts + 1;
-          t.stats.preemptions <- t.stats.preemptions + 1;
           tracef t "chaos: forced preemption of cpu%d from kt%d (%s)" cpu
             kt.kt_id kt.kt_name;
-          (match Cpu.preempt slot.slot_cpu with
-          | Some p -> save_kt_context t kt p
-          | None -> ());
-          cancel_quantum t slot;
-          slot.slot_kt <- None;
-          set_kt_state t kt K_ready;
-          runq_push t kt;
-          native_dispatch t slot;
+          kt_preempt t slot kt;
           true
       | None -> false)
 
@@ -1400,10 +1371,7 @@ let grant_cpu_to t slot sp =
   | Sa _ ->
       let events = Upcall.Add_processor :: drain_pending sp in
       deliver_upcall t slot sp ~extra_cost:0 events
-  | Kthreads k -> (
-      match Queue.take_opt k.local_runq with
-      | Some kt -> dispatch_kt_on t slot kt
-      | None -> Cpu.set_occupant slot.slot_cpu Cpu.Kernel_idle)
+  | Kthreads _ -> dispatch_next t slot
 
 (* Phase 1 for one space above its target: reclaim the excess.
    Outstanding warnings count as reclaims in flight.  Returns the number of
@@ -1530,11 +1498,11 @@ let new_kthread_space t ~name ?(priority = 0) () =
   new_space t ~name ~priority
     (Kthreads { local_runq = Queue.create (); kt_runnable = 0 })
 
-let new_sa_space t ~name ?(priority = 0) ~client () =
+let new_sa_space t ~name ?(priority = 0) ~on_upcall () =
   if t.cfg.Kconfig.mode = Kconfig.Native_oblivious then
     invalid_arg "new_sa_space: kernel is in Native_oblivious mode";
   new_space t ~name ~priority
-    (Sa { client; pending = []; pool = []; running_acts = 0; blocked_acts = 0 })
+    (Sa { on_upcall; pending = []; pool = []; running_acts = 0; blocked_acts = 0 })
 
 (* The periodic Topaz kernel daemons (Section 5.3): wake every
    [daemon_period], run for [daemon_burst], go back to sleep. *)

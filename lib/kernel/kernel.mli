@@ -19,7 +19,7 @@
 
     Kernel threads execute bodies written against {!kt_ops}, a small
     capability record (charge work, block, exit...).  Scheduler-activation
-    spaces register an {!sa_client} upcall handler and drive their
+    spaces register an upcall handler ([new_sa_space ~on_upcall]) and drive their
     activations through the [sa_*] functions. *)
 
 module Time = Sa_engine.Time
@@ -60,16 +60,15 @@ type upcall_delivery = {
   uc_events : Upcall.event list;  (** oldest first; never empty *)
 }
 
-type sa_client = { on_upcall : upcall_delivery -> unit }
-(** The user-level thread system's fixed upcall entry point.  When invoked,
-    the activation is running on [uc_cpu] and the upcall-delivery cost has
-    already been charged; the handler continues execution by charging work
-    via {!sa_charge} and must eventually either run forever, block, or
-    return the processor with {!sa_cpu_idle}. *)
-
 val new_sa_space :
-  t -> name:string -> ?priority:int -> client:sa_client -> unit -> space
-(** A scheduler-activation address space.  Raises [Invalid_argument] under
+  t -> name:string -> ?priority:int -> on_upcall:(upcall_delivery -> unit) ->
+  unit -> space
+(** A scheduler-activation address space.  [on_upcall] is the user-level
+    thread system's fixed upcall entry point.  When invoked, the activation
+    is running on [uc_cpu] and the upcall-delivery cost has already been
+    charged; the handler continues execution by charging work via
+    {!sa_charge} and must eventually either run forever, block, or return
+    the processor with {!sa_cpu_idle}.  Raises [Invalid_argument] under
     [Native_oblivious] mode. *)
 
 val space_id : space -> int

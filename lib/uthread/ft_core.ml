@@ -144,7 +144,6 @@ type 'v driver = {
   costs : Cost_model.t;
   strategy : strategy;
   sa_accounting : bool;
-  io_latency : Time.span;
   sim : Sim.t;
   charge : tcb -> Time.span -> (unit -> unit) -> unit;
   block_io : tcb -> Time.span -> (unit -> unit) -> unit;
@@ -913,7 +912,8 @@ and commit_op s d tcb lk =
                       d.block_kernel tcb
                         ~register:(fun wake -> Io_device.submit dev wake)
                         fill_done
-                  | None -> d.block_io tcb d.io_latency fill_done))
+                  | None ->
+                      d.block_io tcb d.costs.Cost_model.io_latency fill_done))
           | Buffer_cache.Miss_in_flight ->
               s.st.cache_misses <- s.st.cache_misses + 1;
               let old =

@@ -140,7 +140,6 @@ type 'v driver = {
   sa_accounting : bool;
       (** charge the busy-count bookkeeping / resume-check overheads that
           the activation substrate adds (Section 5.1) *)
-  io_latency : Time.span;
   sim : Sa_engine.Sim.t;  (** the simulator the vessels run on *)
   charge : tcb -> Time.span -> (unit -> unit) -> unit;
       (** run a thread work segment on the thread's current vessel *)

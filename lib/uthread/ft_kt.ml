@@ -9,12 +9,10 @@ let idle_slice = Time.us 50
 type t = {
   space : Kernel.space;
   core_state : Ft_core.state;
-  mutable done_at : Time.t option;
 }
 
 let core t = t.core_state
 let space t = t.space
-let completion_time t = t.done_at
 
 let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
     ?(strategy = Ft_core.Copy_sections) ?(observer = fun _ _ -> ())
@@ -22,7 +20,7 @@ let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
   if vps <= 0 then invalid_arg "Ft_kt.create: vps";
   let space = Kernel.new_kthread_space kernel ~name ~priority () in
   let s = Ft_core.create_state ~queues:vps ?cache ?io_dev () in
-  let t = { space; core_state = s; done_at = None } in
+  let t = { space; core_state = s } in
   let vp_ops = Array.make vps None in
   let costs = Kernel.costs kernel in
   let sim = Kernel.sim kernel in
@@ -51,7 +49,6 @@ let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
       Ft_core.costs;
       strategy;
       sa_accounting = false;
-      io_latency = costs.Cost_model.io_latency;
       sim;
       charge = (fun tcb span k -> (ops_of tcb).Kernel.kt_charge span k);
       block_io =
@@ -71,10 +68,7 @@ let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
         (fun tcb -> vp_step (ops_of tcb) (Ft_core.tcb_binding tcb));
       (* VPs poll their ready lists *)
       work_created = (fun _ _ -> trace_ready ());
-      all_done =
-        (fun () ->
-          t.done_at <- Some (Sim.now sim);
-          on_done ());
+      all_done = on_done;
       on_stamp = (fun id -> observer id (Sim.now sim));
       (* A kernel thread preempted in its scheduler just resumes there. *)
       sched_charge = (fun ops span ~repair:_ k -> ops.Kernel.kt_charge span k);

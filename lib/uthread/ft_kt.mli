@@ -30,6 +30,3 @@ val create :
 
 val core : t -> Ft_core.state
 val space : t -> Sa_kernel.Kernel.space
-
-val completion_time : t -> Sa_engine.Time.t option
-(** Simulated instant the last thread finished, once finished. *)

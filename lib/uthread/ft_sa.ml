@@ -28,12 +28,10 @@ type t = {
     (Ft_core.tcb * Time.span * (unit -> unit)) list;
       (* threads stopped mid-critical-section, awaiting temporary
          continuation (Section 3.3); drained by the next manager step *)
-  mutable done_at : Time.t option;
 }
 
 let core t = t.core_state
 let space t = Option.get t.space
-let completion_time t = t.done_at
 
 let grow_by_id a id fill =
   let n = Array.length a in
@@ -264,14 +262,12 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
       act_cpu = Array.make 32 (-1);
       max_procs;
       pending_recovery = [];
-      done_at = None;
     }
   and d =
     {
       Ft_core.costs;
       strategy;
       sa_accounting = true;
-      io_latency = costs.Cost_model.io_latency;
       sim;
       charge = (fun tcb span k -> Kernel.sa_charge t.kernel (act_of t tcb) span k);
       block_io =
@@ -336,10 +332,7 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
                 if cpu >= 0 then Kernel.sa_request_preempt t.kernel sp ~cpu
             | Some _ | None -> ()
           end);
-      all_done =
-        (fun () ->
-          t.done_at <- Some (Sim.now sim);
-          on_done ());
+      all_done = on_done;
       on_stamp = (fun id -> observer id (Sim.now sim));
       (* Scheduler work is idempotent: the kernel repairs its preemption
          rather than reporting it. *)
@@ -356,9 +349,7 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
   in
   t.space <-
     Some
-      (Kernel.new_sa_space kernel ~name ~priority
-         ~client:{ Kernel.on_upcall = (fun delivery -> on_upcall t delivery) }
-         ());
+      (Kernel.new_sa_space kernel ~name ~priority ~on_upcall:(on_upcall t) ());
   Ft_core.make_ready core_state d ~at:0 (Ft_core.new_thread core_state d prog);
   t
 

@@ -38,7 +38,6 @@ val create :
 
 val core : t -> Ft_core.state
 val space : t -> Sa_kernel.Kernel.space
-val completion_time : t -> Sa_engine.Time.t option
 
 (** {1 Cluster migration} *)
 

@@ -51,11 +51,9 @@ type t = {
       (* blocks being filled -> threads waiting on the fill *)
   mutable next_tid : int;
   mutable live : int;
-  mutable done_at : Time.t option;
 }
 
 let space t = t.sp
-let completion_time t = t.done_at
 
 (* Live kernel-thread counter track, plus fork/exit markers: the visible
    cost driver of this backend is the sheer number of kernel threads. *)
@@ -208,10 +206,7 @@ let rec step t thr (ops : Kernel.kt_ops) lk pc =
           let wakes = thr.th_join_wakes in
           thr.th_join_wakes <- [];
           List.iter (fun w -> w ()) wakes;
-          if t.live = 0 then begin
-            t.done_at <- Some (Sim.now (Kernel.sim t.kernel));
-            t.on_done ()
-          end;
+          if t.live = 0 then t.on_done ();
           ops.Kernel.kt_exit ())
   | 1 (* compute *) -> ops.Kernel.kt_charge arg next
   | 2 (* acquire *) -> acquire thr ops c lk.lmut.(arg) next
@@ -327,7 +322,6 @@ let create kernel ~name ~flavor ?(priority = 0) ?cache ?io_dev
       cache_waiters = Hashtbl.create 16;
       next_tid = 0;
       live = 0;
-      done_at = None;
     }
   in
   let root = new_thr t in

@@ -34,4 +34,3 @@ val create :
     every one of them directly. *)
 
 val space : t -> Sa_kernel.Kernel.space
-val completion_time : t -> Sa_engine.Time.t option

@@ -183,6 +183,52 @@ let test_campaign_native () =
            seed))
     [ 11; 12; 13; 14 ]
 
+(* Every kernel counter, in [Kernel.stats] field order. *)
+let kstats_fields (s : Kernel.stats) =
+  [
+    ("upcalls", s.upcalls);
+    ("upcall_events", s.upcall_events);
+    ("preemptions", s.preemptions);
+    ("reallocations", s.reallocations);
+    ("io_blocks", s.io_blocks);
+    ("kt_dispatches", s.kt_dispatches);
+    ("kt_timeslices", s.kt_timeslices);
+    ("daemon_wakeups", s.daemon_wakeups);
+    ("io_faults", s.io_faults);
+    ("io_retries", s.io_retries);
+    ("spurious_fired", s.spurious_fired);
+    ("spurious_dropped", s.spurious_dropped);
+    ("chaos_preempts", s.chaos_preempts);
+  ]
+
+(* Native-mode chaos drives the kernel-thread preemption paths: forced
+   preemptions and daemon wakeups that land on a busy processor (the
+   preemptions beyond chaos_preempts).  Counts and makespans recorded with
+   the scheduler as it stands; any change to those paths moves them. *)
+let test_campaign_native_pinned () =
+  List.iter
+    (fun (seed, makespan, counts) ->
+      let r =
+        Campaign.run_seed ~config:quick_config ~mode:Kconfig.Native_oblivious
+          seed
+      in
+      let what = Printf.sprintf "seed %d" seed in
+      let got = kstats_fields r.Campaign.kstats in
+      Alcotest.(check (list (pair string int)))
+        (what ^ " kernel stats")
+        (List.map2 (fun (name, _) n -> (name, n)) got counts)
+        got;
+      match r.Campaign.outcome with
+      | Campaign.Completed m ->
+          Alcotest.(check int) (what ^ " makespan (ns)") makespan m
+      | _ -> Alcotest.fail (what ^ " did not complete"))
+    [
+      (11, 13_612_460, [ 0; 0; 39; 0; 18; 111; 0; 5; 2; 0; 6; 2; 36 ]);
+      (12, 10_768_459, [ 0; 0; 31; 0; 17; 91; 0; 3; 1; 0; 4; 1; 30 ]);
+      (13, 10_861_148, [ 0; 0; 41; 0; 15; 86; 0; 3; 1; 1; 4; 2; 39 ]);
+      (14, 7_994_790, [ 0; 0; 15; 0; 6; 46; 0; 1; 1; 1; 1; 1; 15 ]);
+    ]
+
 let test_campaign_deterministic () =
   let run () =
     Campaign.run_seed ~config:quick_config ~mode:Kconfig.Explicit_allocation 99
@@ -277,5 +323,7 @@ let () =
             test_injector_constants_pinned;
           Alcotest.test_case "demand-drop gap gives a pinned count" `Quick
             test_demand_drop_gap_pinned;
+          Alcotest.test_case "native-mode seeds give pinned stats" `Quick
+            test_campaign_native_pinned;
         ] );
     ]

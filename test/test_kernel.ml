@@ -218,7 +218,7 @@ let mini_space ?(work = Time.ms 1) k name =
         c.work_done <- c.work_done + 1;
         Kernel.sa_cpu_idle k act)
   in
-  let sp = Kernel.new_sa_space k ~name ~client:{ Kernel.on_upcall = handler } () in
+  let sp = Kernel.new_sa_space k ~name ~on_upcall:handler () in
   (sp, c)
 
 let explicit_tests =
@@ -229,9 +229,7 @@ let explicit_tests =
           (Invalid_argument "new_sa_space: kernel is in Native_oblivious mode")
           (fun () ->
             ignore
-              (Kernel.new_sa_space k ~name:"x"
-                 ~client:{ Kernel.on_upcall = (fun _ -> ()) }
-                 ())));
+              (Kernel.new_sa_space k ~name:"x" ~on_upcall:(fun _ -> ()) ())));
     Alcotest.test_case "add_more_processors triggers an Add_processor upcall"
       `Quick (fun () ->
         let sim, _m, k = make ~kconfig:Kconfig.default () in
@@ -255,7 +253,7 @@ let explicit_tests =
             spin ()
           in
           let sp =
-            Kernel.new_sa_space k ~name ~client:{ Kernel.on_upcall = handler } ()
+            Kernel.new_sa_space k ~name ~on_upcall:handler ()
           in
           (sp, got)
         in
@@ -276,7 +274,7 @@ let explicit_tests =
             in
             spin ()
           in
-          Kernel.new_sa_space k ~name ~client:{ Kernel.on_upcall = handler } ()
+          Kernel.new_sa_space k ~name ~on_upcall:handler ()
         in
         let sp1 = hold "small" and sp2 = hold "big" in
         Kernel.sa_add_more_processors k sp1 1;
@@ -340,7 +338,7 @@ let explicit_tests =
               | _ -> Kernel.sa_cpu_idle k act)
         in
         let sp =
-          Kernel.new_sa_space k ~name:"io" ~client:{ Kernel.on_upcall = handler } ()
+          Kernel.new_sa_space k ~name:"io" ~on_upcall:handler ()
         in
         Kernel.sa_add_more_processors k sp 1;
         Sim.run sim;
@@ -367,7 +365,7 @@ let explicit_tests =
           spin ()
         in
         let sp =
-          Kernel.new_sa_space k ~name:"app" ~client:{ Kernel.on_upcall = handler } ()
+          Kernel.new_sa_space k ~name:"app" ~on_upcall:handler ()
         in
         Kernel.sa_add_more_processors k sp 1;
         Sim.run ~until:(Time.of_ns (Time.ms 500)) sim;
@@ -435,8 +433,7 @@ let extension_tests =
               Kernel.sa_cpu_idle k act)
         in
         let sp =
-          Kernel.new_sa_space k ~name:"paged"
-            ~client:{ Kernel.on_upcall = handler } ()
+          Kernel.new_sa_space k ~name:"paged" ~on_upcall:handler ()
         in
         Kernel.swap_out_manager k sp;
         Kernel.sa_add_more_processors k sp 1;
@@ -458,8 +455,7 @@ let extension_tests =
               Kernel.sa_cpu_idle k act)
         in
         let sp =
-          Kernel.new_sa_space k ~name:"paged"
-            ~client:{ Kernel.on_upcall = handler } ()
+          Kernel.new_sa_space k ~name:"paged" ~on_upcall:handler ()
         in
         Kernel.swap_out_manager k sp;
         Kernel.sa_add_more_processors k sp 1;
@@ -485,8 +481,7 @@ let extension_tests =
               Kernel.sa_cpu_idle k act)
         in
         let sp =
-          Kernel.new_sa_space k ~name:"dbg"
-            ~client:{ Kernel.on_upcall = handler } ()
+          Kernel.new_sa_space k ~name:"dbg" ~on_upcall:handler ()
         in
         Kernel.sa_add_more_processors k sp 1;
         (* let the activation start its 10 ms of work, then freeze it for
@@ -528,8 +523,7 @@ let extension_tests =
                 Kernel.sa_cpu_idle k act)
           in
           let sp =
-            Kernel.new_sa_space k ~name:"idle"
-              ~client:{ Kernel.on_upcall = handler } ()
+            Kernel.new_sa_space k ~name:"idle" ~on_upcall:handler ()
           in
           Kernel.sa_add_more_processors k sp 1;
           Sim.run_while sim (fun () -> !started = None);
@@ -569,8 +563,7 @@ let extension_tests =
               Kernel.sa_cpu_idle k act)
         in
         let sp =
-          Kernel.new_sa_space k ~name:"dbg"
-            ~client:{ Kernel.on_upcall = handler } ()
+          Kernel.new_sa_space k ~name:"dbg" ~on_upcall:handler ()
         in
         Kernel.sa_add_more_processors k sp 1;
         Sim.run sim;
@@ -597,8 +590,7 @@ let holding_space k ?priority name =
     spin ()
   in
   let sp =
-    Kernel.new_sa_space k ~name ?priority ~client:{ Kernel.on_upcall = handler }
-      ()
+    Kernel.new_sa_space k ~name ?priority ~on_upcall:handler ()
   in
   (sp, acts)
 
@@ -667,7 +659,7 @@ let allocator_pass_tests =
         in
         let a =
           Kernel.new_sa_space k ~name:"a"
-            ~client:{ Kernel.on_upcall = a_handler } ()
+            ~on_upcall:a_handler ()
         in
         let b_handler delivery =
           let act = delivery.Kernel.uc_activation in
@@ -679,7 +671,7 @@ let allocator_pass_tests =
         in
         let b =
           Kernel.new_sa_space k ~name:"b" ~priority:1
-            ~client:{ Kernel.on_upcall = b_handler } ()
+            ~on_upcall:b_handler ()
         in
         Kernel.sa_add_more_processors k a 1;
         Sim.run_while sim (fun () -> !a_first = None);

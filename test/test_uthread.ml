@@ -673,7 +673,6 @@ let sync_driver : unit Ft_core.driver =
     Ft_core.costs = Sa_hw.Cost_model.firefly_cvax;
     strategy = Ft_core.Copy_sections;
     sa_accounting = false;
-    io_latency = 0;
     sim = Sa_engine.Sim.create ();
     charge = (fun _ _ k -> k ());
     block_io = (fun tcb _ _ -> no_block tcb);
