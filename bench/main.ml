@@ -341,6 +341,23 @@ let simulator_tests =
                ~poll:(fun () -> false)
                ignore;
              Sim.run sim));
+      (* The same spin with 64 other events pending at distinct instants
+         past its end, the depth serve keeps: what each empty boundary's
+         re-arm and firing cost in a populated event queue. *)
+      Test.make ~name:"cpu spin boundary depth 64 x1000"
+        (Staged.stage (fun () ->
+             let sim = Sim.create () in
+             for i = 1 to 64 do
+               let at = Time.of_ns (Time.ms 2 + (i * 7_919)) in
+               ignore (Sim.schedule sim ~at ignore)
+             done;
+             let cpu = Cpu.create sim 0 in
+             let occupant = Cpu.Occupant { space = 0; detail = "bench" } in
+             Cpu.begin_spin cpu ~occupant ~slice:(Time.us 1)
+               ~length:(Time.us 1000)
+               ~poll:(fun () -> false)
+               ignore;
+             Sim.run ~until:(Time.of_ns (Time.ms 1)) sim));
       Test.make ~name:"buffer cache access x1000"
         (Staged.stage (fun () ->
              let c = Buffer_cache.create ~capacity:64 in

@@ -1075,11 +1075,22 @@ let explore_cmd =
                   exit 1)
         end
   in
+  (* The search writes its files only after it has run, so a path into a
+     directory that does not exist is refused up front, as a domain
+     error. *)
+  let require_dir opt dir =
+    if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+      Printf.eprintf "%s: directory %S does not exist\n" opt dir;
+      exit 2
+    end
+  in
   let action workload schedules strategy depth seed cpus requests horizon_ms
       no_inject kinds replay_file do_shrink out save =
     match replay_file with
     | Some file -> do_replay file
     | None ->
+        require_dir "--out" out;
+        Option.iter (fun f -> require_dir "--save" (Filename.dirname f)) save;
         let inject_kinds =
           match kinds with
           | None -> Search.default_spec.Search.inject_kinds

@@ -31,19 +31,51 @@
    Cancellation is lazy: [cancel] retires the entry in O(1); dead entries
    are dropped when they reach the root, or by an O(n) sweep once they
    outnumber the live ones, so mass-cancel workloads cannot grow the heap
-   without bound. *)
+   without bound.
+
+   Lanes: beside the heap, any number of FIFO rings for entries the caller
+   adds in ascending (key, seq) order — a tick re-armed a fixed period
+   after the current time, with a fresh seq, always lands behind every
+   earlier tick of that period.  Each ring is then already sorted, so add,
+   pop and cancel on it are O(1), and a pop takes the least of the heap
+   root and the lane heads.  A lane entry's handle carries [lane_tag] and
+   names its lane and its ticket (the entry's position in the lane's add
+   order); the ring slot holding the entry holds that ticket while the
+   entry is live and -1 after, which is the lane's generation check.
+   Dead lane entries are dropped when they reach their ring's head, so a
+   ring holds no more than the entries added within one period. *)
 
 type handle = int
 
-(* Handle layout: low 32 bits = slab slot, upper bits = generation at the
-   time of issue (wraps at 2^30 retirements of a single slot). *)
+(* Heap handle layout: low 32 bits = slab slot, bits 32-60 = generation
+   at the time of issue (wraps at 2^29 retirements of a single slot).  A
+   lane handle sets [lane_tag] (bit 61) and holds the lane in bits 48-60
+   and the ticket, modulo 2^48, below. *)
 let slot_bits = 32
 let slot_mask = (1 lsl slot_bits) - 1
-let gen_mask = (1 lsl 30) - 1
+let gen_mask = (1 lsl 29) - 1
+let lane_tag = 1 lsl 61
+let ticket_bits = 48
+let ticket_mask = (1 lsl ticket_bits) - 1
+let lane_max = 1 lsl 13
 
-(* [-1] decodes to an out-of-range slot, so cancel/handle_live treat it as
-   already dead — a handle value that never names an entry. *)
+(* [-1] is negative and carries the lane tag, so cancel/handle_live treat
+   it as already dead — a handle value that never names an entry. *)
 let nil_handle = -1
+
+(* One lane: a ring of [mask + 1] slots (a power of two) holding the
+   entries with tickets [hd, tl), the entry with ticket [n] at slot
+   [n land mask]. *)
+type 'a lane = {
+  mutable l_key : int array;
+  mutable l_seq : int array;
+  mutable l_tk : int array; (* the entry's ticket while live, else -1 *)
+  mutable l_val : 'a array;
+  mutable mask : int;
+  mutable hd : int;
+  mutable tl : int;
+  mutable llive : int;
+}
 
 type 'a t = {
   (* Heap in heap order over [0, size); free slots in [size, capacity). *)
@@ -55,8 +87,11 @@ type 'a t = {
   mutable e_gen : int array;
   mutable e_val : 'a array;
   filler : 'a; (* fills free slots, so no retired value is kept alive *)
-  mutable live : int;
-  (* Reusable pop_pick scratch: heap positions of the candidates. *)
+  mutable live : int; (* heap and lanes *)
+  mutable hlive : int; (* heap only *)
+  mutable lanes : 'a lane array;
+  (* Reusable pop_pick scratch: the candidates, as heap positions or lane
+     handles. *)
   mutable scratch : int array;
   (* Key/seq of the most recently popped entry (valid after a pop). *)
   mutable last_key : int;
@@ -73,6 +108,8 @@ let create filler =
     e_val = [||];
     filler;
     live = 0;
+    hlive = 0;
+    lanes = [||];
     scratch = [||];
     last_key = 0;
     last_seq = 0;
@@ -94,6 +131,7 @@ let is_current q h =
 let retire q s =
   q.e_gen.(s) <- (q.e_gen.(s) + 1) land gen_mask;
   q.e_val.(s) <- q.filler;
+  q.hlive <- q.hlive - 1;
   q.live <- q.live - 1
 
 (* Called with the heap full (no free slot): double every array, handing
@@ -176,12 +214,136 @@ let remove_root q =
   if n > 0 then sift_down q.h_key q.h_seq hh n key seq h 0
 
 (* Drop dead entries at the root, so the root is the live minimum.
-   Requires live > 0. *)
+   Requires hlive > 0. *)
 let rec settle q =
   if not (is_current q q.h_hnd.(0)) then begin
     remove_root q;
     settle q
   end
+
+(* ------------------------------------------------------------------ *)
+(* Lanes                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let new_lane q =
+  let n = Array.length q.lanes in
+  if n = lane_max then invalid_arg "Calq.new_lane: too many lanes";
+  let cap = 16 in
+  let ln =
+    {
+      l_key = Array.make cap 0;
+      l_seq = Array.make cap 0;
+      l_tk = Array.make cap (-1);
+      l_val = Array.make cap q.filler;
+      mask = cap - 1;
+      hd = 0;
+      tl = 0;
+      llive = 0;
+    }
+  in
+  q.lanes <- Array.append q.lanes [| ln |];
+  n
+
+let lane_handle lane ticket =
+  lane_tag lor (lane lsl ticket_bits) lor (ticket land ticket_mask)
+
+(* Called with the ring full: double it, re-placing each entry at the slot
+   its ticket names under the wider mask. *)
+let grow_lane q ln =
+  let cap = ln.mask + 1 in
+  let ncap = 2 * cap in
+  let nmask = ncap - 1 in
+  let key = Array.make ncap 0
+  and seq = Array.make ncap 0
+  and tk = Array.make ncap (-1)
+  and v = Array.make ncap q.filler in
+  for n = ln.hd to ln.tl - 1 do
+    let i = n land ln.mask and j = n land nmask in
+    key.(j) <- ln.l_key.(i);
+    seq.(j) <- ln.l_seq.(i);
+    tk.(j) <- ln.l_tk.(i);
+    v.(j) <- ln.l_val.(i)
+  done;
+  ln.l_key <- key;
+  ln.l_seq <- seq;
+  ln.l_tk <- tk;
+  ln.l_val <- v;
+  ln.mask <- nmask
+
+let add_lane q ~lane ~key ~seq v =
+  if lane < 0 || lane >= Array.length q.lanes then
+    invalid_arg "Calq.add_lane: no such lane";
+  let ln = q.lanes.(lane) in
+  (* An all-dead ring is emptied, so its dead entries bound no order. *)
+  if ln.llive = 0 then ln.hd <- ln.tl
+  else begin
+    let j = (ln.tl - 1) land ln.mask in
+    let k = ln.l_key.(j) in
+    if key < k || (key = k && seq <= ln.l_seq.(j)) then
+      invalid_arg "Calq.add_lane: out of order"
+  end;
+  if ln.tl - ln.hd > ln.mask then grow_lane q ln;
+  let n = ln.tl in
+  let i = n land ln.mask in
+  ln.l_key.(i) <- key;
+  ln.l_seq.(i) <- seq;
+  ln.l_tk.(i) <- n;
+  ln.l_val.(i) <- v;
+  ln.tl <- n + 1;
+  ln.llive <- ln.llive + 1;
+  q.live <- q.live + 1;
+  lane_handle lane n
+
+(* The ring slot a lane handle names if its entry is still live, else
+   -1. *)
+let lane_slot q h =
+  if h < 0 then -1
+  else
+    let l = (h lsr ticket_bits) land (lane_max - 1) in
+    if l >= Array.length q.lanes then -1
+    else
+      let ln = q.lanes.(l) in
+      let t = h land ticket_mask in
+      let i = t land ln.mask in
+      let tk = ln.l_tk.(i) in
+      if tk >= 0 && tk land ticket_mask = t then i else -1
+
+let lane_of_handle q h = q.lanes.((h lsr ticket_bits) land (lane_max - 1))
+
+(* The entry in ring slot [i] stops being live. *)
+let retire_lane q ln i =
+  ln.l_tk.(i) <- -1;
+  ln.l_val.(i) <- q.filler;
+  ln.llive <- ln.llive - 1;
+  q.live <- q.live - 1
+
+(* Drop dead entries at the head, so the head is the lane's live minimum.
+   Requires llive > 0. *)
+let rec settle_lane ln =
+  if ln.l_tk.(ln.hd land ln.mask) < 0 then begin
+    ln.hd <- ln.hd + 1;
+    settle_lane ln
+  end
+
+(* The lane whose live head is least by (key, seq), from lane [l] on,
+   against the best found so far; -1 when no lane holds a live entry. *)
+let rec min_lane (lanes : 'a lane array) l best =
+  if l = Array.length lanes then best
+  else
+    let ln = lanes.(l) in
+    if ln.llive = 0 then min_lane lanes (l + 1) best
+    else begin
+      settle_lane ln;
+      let better =
+        best < 0
+        ||
+        let b = lanes.(best) in
+        let i = ln.hd land ln.mask and j = b.hd land b.mask in
+        let k = ln.l_key.(i) and bk = b.l_key.(j) in
+        k < bk || (k = bk && ln.l_seq.(i) < b.l_seq.(j))
+      in
+      min_lane lanes (l + 1) (if better then l else best)
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Add, pop                                                            *)
@@ -193,6 +355,7 @@ let add q ~key ~seq v =
   let s = q.h_hnd.(i) in
   let h = (q.e_gen.(s) lsl slot_bits) lor s in
   q.e_val.(s) <- v;
+  q.hlive <- q.hlive + 1;
   q.live <- q.live + 1;
   q.size <- i + 1;
   sift_up q.h_key q.h_seq q.h_hnd key seq h i;
@@ -207,12 +370,54 @@ let take q p =
   retire q s;
   v
 
+(* The same for ring slot [i] of [ln]; the head slot also leaves the
+   ring. *)
+let take_lane q ln i =
+  let v = ln.l_val.(i) in
+  q.last_key <- ln.l_key.(i);
+  q.last_seq <- ln.l_seq.(i);
+  retire_lane q ln i;
+  if i = ln.hd land ln.mask then ln.hd <- ln.hd + 1;
+  v
+
+let ahead_of_root q k s =
+  let hk = q.h_key.(0) in
+  k < hk || (k = hk && s < q.h_seq.(0))
+
+(* The source of the live minimum: the heap ([-1]) or a lane.  Settles
+   every lane head it compares, and the heap root unless a lane head is
+   ahead of it.  Requires live > 0. *)
+let first q =
+  let l = if q.live = q.hlive then -1 else min_lane q.lanes 0 (-1) in
+  if l < 0 then begin
+    settle q;
+    -1
+  end
+  else if q.hlive = 0 then l
+  else begin
+    let ln = q.lanes.(l) in
+    let i = ln.hd land ln.mask in
+    let k = ln.l_key.(i) and s = ln.l_seq.(i) in
+    (* The root, live or dead, is no later than the heap's live minimum,
+       so a lane head ahead of it wins without settling the heap. *)
+    if ahead_of_root q k s then l
+    else begin
+      settle q;
+      if ahead_of_root q k s then l else -1
+    end
+  end
+
 let pop_exn q =
   if q.live = 0 then invalid_arg "Calq.pop_exn: empty";
-  settle q;
-  let v = take q 0 in
-  remove_root q;
-  v
+  let l = first q in
+  if l < 0 then begin
+    let v = take q 0 in
+    remove_root q;
+    v
+  end
+  else
+    let ln = q.lanes.(l) in
+    take_lane q ln (ln.hd land ln.mask)
 
 let pop q =
   if q.live = 0 then None
@@ -223,17 +428,22 @@ let pop q =
 
 let next_key q =
   if q.live = 0 then max_int
-  else begin
-    settle q;
-    q.h_key.(0)
-  end
+  else
+    let l = first q in
+    if l < 0 then q.h_key.(0)
+    else
+      let ln = q.lanes.(l) in
+      ln.l_key.(ln.hd land ln.mask)
 
 let peek_key q =
   if q.live = 0 then None
-  else begin
-    settle q;
-    Some (q.h_key.(0), q.h_seq.(0))
-  end
+  else
+    let l = first q in
+    if l < 0 then Some (q.h_key.(0), q.h_seq.(0))
+    else
+      let ln = q.lanes.(l) in
+      let i = ln.hd land ln.mask in
+      Some (ln.l_key.(i), ln.l_seq.(i))
 
 (* ------------------------------------------------------------------ *)
 (* Cancel and sweep                                                    *)
@@ -269,78 +479,116 @@ let sweep q =
 (* Amortized O(1) per cancellation: sweep only once dead entries dominate
    and there are enough to pay for the walk. *)
 let maybe_sweep q =
-  let dead = q.size - q.live in
-  if dead > 64 && dead > q.live then sweep q
+  let dead = q.size - q.hlive in
+  if dead > 64 && dead > q.hlive then sweep q
 
 let cancel q h =
-  if is_current q h then begin
-    retire q (h land slot_mask);
-    maybe_sweep q
+  if h land lane_tag = 0 then begin
+    if is_current q h then begin
+      retire q (h land slot_mask);
+      maybe_sweep q
+    end
   end
+  else
+    let i = lane_slot q h in
+    if i >= 0 then retire_lane q (lane_of_handle q h) i
 
-let handle_live = is_current
+let handle_live q h =
+  if h land lane_tag = 0 then is_current q h else lane_slot q h >= 0
 
 (* ------------------------------------------------------------------ *)
 (* pop_pick: same-instant candidate selection                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Push onto the scratch array the heap positions of the live entries
-   keyed [kmin] in the subtree at [p], after the [n] already there; returns
-   the new count.  An entry with a larger key heads a subtree whose keys are
-   all larger, so the walk touches only minimal-key entries (dead ones too:
-   their children may be live) plus their direct children. *)
+(* A candidate is a heap position, or the handle of a live lane entry
+   (told apart by [lane_tag]), pushed onto the scratch array after the
+   [n] already there; returns the new count. *)
+let push_candidate q c n =
+  if n = Array.length q.scratch then begin
+    let ns = Array.make (max 16 (2 * n)) 0 in
+    Array.blit q.scratch 0 ns 0 n;
+    q.scratch <- ns
+  end;
+  q.scratch.(n) <- c;
+  n + 1
+
+let candidate_seq q c =
+  if c land lane_tag = 0 then q.h_seq.(c)
+  else
+    let ln = lane_of_handle q c in
+    ln.l_seq.(c land ticket_mask land ln.mask)
+
+(* Push the heap positions of the live entries keyed [kmin] in the
+   subtree at [p].  An entry with a larger key heads a subtree whose keys
+   are all larger, so the walk touches only minimal-key entries (dead ones
+   too: their children may be live) plus their direct children. *)
 let rec collect q kmin p n =
   if p < q.size && q.h_key.(p) = kmin then begin
-    let n =
-      if is_current q q.h_hnd.(p) then begin
-        if n = Array.length q.scratch then begin
-          let ns = Array.make (max 16 (2 * n)) 0 in
-          Array.blit q.scratch 0 ns 0 n;
-          q.scratch <- ns
-        end;
-        q.scratch.(n) <- p;
-        n + 1
-      end
-      else n
-    in
+    let n = if is_current q q.h_hnd.(p) then push_candidate q p n else n in
     collect q kmin ((2 * p) + 2) (collect q kmin ((2 * p) + 1) n)
   end
   else n
 
-(* The live entries keyed [kmin], as heap positions in the scratch array in
+(* Push the live entries keyed [kmin] of lane [l], from ticket [t] on:
+   ring order is key order, so they form a run from the head. *)
+let rec collect_lane q l kmin t n =
+  let ln = q.lanes.(l) in
+  if t = ln.tl then n
+  else
+    let i = t land ln.mask in
+    if ln.l_key.(i) <> kmin then n
+    else
+      let n =
+        if ln.l_tk.(i) < 0 then n
+        else push_candidate q (lane_handle l t) n
+      in
+      collect_lane q l kmin (t + 1) n
+
+(* The live entries keyed [kmin], heap and lanes, in the scratch array in
    ascending seq; returns their count. *)
 let collect_candidates q kmin =
-  let n = collect q kmin 0 0 in
-  let sc = q.scratch and hs = q.h_seq in
+  let n = ref (if q.hlive > 0 then collect q kmin 0 0 else 0) in
+  for l = 0 to Array.length q.lanes - 1 do
+    let ln = q.lanes.(l) in
+    if ln.llive > 0 then n := collect_lane q l kmin ln.hd !n
+  done;
+  let n = !n in
+  let sc = q.scratch in
   for i = 1 to n - 1 do
-    let p = sc.(i) in
-    let seq = hs.(p) in
+    let c = sc.(i) in
+    let seq = candidate_seq q c in
     let j = ref (i - 1) in
-    while !j >= 0 && hs.(sc.(!j)) > seq do
+    while !j >= 0 && candidate_seq q sc.(!j) > seq do
       sc.(!j + 1) <- sc.(!j);
       decr j
     done;
-    sc.(!j + 1) <- p
+    sc.(!j + 1) <- c
   done;
   n
 
-(* After [settle] the root is the live minimum, so it is candidate 0 and a
-   pick of 0 is exactly [pop_exn].  Any other pick is retired in place,
-   exactly like a cancellation. *)
+(* The least of the heap root and the lane heads, once [first] has
+   settled them, is candidate 0, so a pick of 0 is exactly [pop_exn].  A
+   dead root left unsettled comes after the lane head that won, so it
+   holds [kmin] only on a key tie, and [collect] walks past it.  Any other
+   pick is retired in place, exactly like a cancellation. *)
 let pop_pick_exn q ~pick =
   if q.live = 0 then invalid_arg "Calq.pop_pick_exn: empty";
-  settle q;
-  let n = collect_candidates q q.h_key.(0) in
+  let n = collect_candidates q (next_key q) in
   let i =
     if n <= 1 then 0
     else
       let i = pick n in
       if i < 0 || i >= n then 0 else i
   in
-  let p = q.scratch.(i) in
-  let v = take q p in
-  if p = 0 then remove_root q else maybe_sweep q;
-  v
+  let c = q.scratch.(i) in
+  if c land lane_tag = 0 then begin
+    let v = take q c in
+    if c = 0 then remove_root q else maybe_sweep q;
+    v
+  end
+  else
+    let ln = lane_of_handle q c in
+    take_lane q ln (c land ticket_mask land ln.mask)
 
 let pop_pick q ~pick =
   if q.live = 0 then None
@@ -361,6 +609,14 @@ let to_list q =
         (q.h_key.(p), q.h_seq.(p), q.e_val.(q.h_hnd.(p) land slot_mask))
         :: !out
   done;
+  Array.iter
+    (fun ln ->
+      for t = ln.hd to ln.tl - 1 do
+        let i = t land ln.mask in
+        if ln.l_tk.(i) >= 0 then
+          out := (ln.l_key.(i), ln.l_seq.(i), ln.l_val.(i)) :: !out
+      done)
+    q.lanes;
   List.sort
     (fun (k1, s1, _) (k2, s2, _) ->
       if k1 <> k2 then Int.compare k1 k2 else Int.compare s1 s2)

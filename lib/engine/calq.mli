@@ -18,7 +18,15 @@
 
     Cancellation is lazy and O(1); dead entries are reclaimed when a pop
     reaches them or by an amortized sweep once they outnumber live ones, so
-    cancel-heavy workloads cannot grow the queue without bound. *)
+    cancel-heavy workloads cannot grow the queue without bound.
+
+    Lanes: entries a caller adds in ascending [(key, seq)] order — ticks
+    re-armed a fixed period after the current time — may go to a {e lane}
+    ({!new_lane}, {!add_lane}) instead: a FIFO ring beside the heap, with
+    O(1) add and cancel; a pop compares the heap root with each lane's
+    head.  Pops, {!pop_pick}'s candidates, {!length},
+    {!next_key}, handles and cancellation treat lane entries exactly as
+    heap entries; only the cost differs. *)
 
 type 'a t
 
@@ -47,6 +55,17 @@ val add : 'a t -> key:int -> seq:int -> 'a -> handle
 (** [add q ~key ~seq v] inserts [v] with priority [(key, seq)].
     O(log n); [seq] need not be monotone, so an entry may be placed ahead
     of already-pending entries at the same [key]. *)
+
+val new_lane : 'a t -> int
+(** [new_lane q] adds an empty lane to [q] and returns its index (0, 1, …
+    in creation order).  At most 8192 lanes per queue. *)
+
+val add_lane : 'a t -> lane:int -> key:int -> seq:int -> 'a -> handle
+(** [add_lane q ~lane ~key ~seq v] inserts [v] with priority [(key, seq)]
+    at the tail of [lane], in O(1).  [(key, seq)] must be greater than
+    that of the last entry added to the lane, unless every entry in it has
+    been popped or cancelled (raises [Invalid_argument] otherwise, or if
+    [lane] does not exist).  The handle is a handle like {!add}'s. *)
 
 val pop : 'a t -> (int * int * 'a) option
 (** Removes and returns the live entry with the smallest priority, as
@@ -92,5 +111,5 @@ val to_list : 'a t -> (int * int * 'a) list
 (**/**)
 
 val slab_capacity : 'a t -> int
-(** Entry slots currently allocated, live or free (for tests asserting
-    reuse and sweep bounds). *)
+(** Heap entry slots currently allocated, live or free (for tests
+    asserting reuse and sweep bounds). *)

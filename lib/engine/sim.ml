@@ -16,6 +16,7 @@ type t = {
   mutable same_instant_limit : int;
   mutable events : int;  (* events fired since creation *)
   mutable chooser : chooser option;
+  mutable tick_periods : int array;  (* lane [i] holds ticks of this period *)
 }
 
 exception Stalled of string
@@ -31,6 +32,7 @@ let create ?trace () =
     same_instant_limit = 200_000;
     events = 0;
     chooser = None;
+    tick_periods = [||];
   }
 
 let now t = t.clock
@@ -59,6 +61,26 @@ let schedule t ~at f =
   Calq.add t.queue ~key:(Time.to_ns at) ~seq f
 
 let schedule_after t ~delay f = schedule t ~at:(Time.add t.clock delay) f
+
+(* The queue lane that holds ticks of [period], made on first use. *)
+let rec lane_of_period t period l =
+  if l = Array.length t.tick_periods then begin
+    let lane = Calq.new_lane t.queue in
+    t.tick_periods <- Array.append t.tick_periods [| period |];
+    lane
+  end
+  else if t.tick_periods.(l) = period then l
+  else lane_of_period t period (l + 1)
+
+(* The clock never goes back and seqs only grow, so ticks of one period
+   arrive in ascending (time, seq) order: the lane's FIFO invariant. *)
+let schedule_tick t ~period f =
+  if period < 0 then invalid_arg "Sim.schedule_tick: negative period";
+  let lane = lane_of_period t period 0 in
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  Calq.add_lane t.queue ~lane ~key:(Time.to_ns t.clock + period) ~seq f
+
 let cancel t h = Calq.cancel t.queue h
 let pending t = Calq.length t.queue
 

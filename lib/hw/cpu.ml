@@ -72,7 +72,9 @@ let trace_segment_end t ~who ?detail () =
 let no_poll () = false
 
 (* Start the spin's next slice: the same record updates, trace span and
-   [Sim.schedule_after] as a [begin_work] of that slice. *)
+   event key as a [begin_work] of that slice.  A full slice is a
+   fixed-period tick, so it goes to the period's FIFO lane
+   ([Sim.schedule_tick]); a short last slice goes to the heap. *)
 let arm_slice t =
   let slice = Int.min t.spin_slice t.spin_left in
   t.spin_left <- t.spin_left - slice;
@@ -80,7 +82,9 @@ let arm_slice t =
   trace_segment_begin t;
   t.run_started <- Sim.now t.sim;
   t.run_length <- slice;
-  t.run_event <- Sim.schedule_after t.sim ~delay:slice t.tick
+  t.run_event <-
+    (if slice = t.spin_slice then Sim.schedule_tick t.sim ~period:slice t.tick
+     else Sim.schedule_after t.sim ~delay:slice t.tick)
 
 let create sim cpu_id =
   let t =

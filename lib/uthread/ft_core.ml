@@ -404,8 +404,6 @@ let steal_from s ~victim =
     let best = best_prio dq in
     Deque.remove_last dq (fun t -> t.prio = best)
 
-let any_ready s = Array.exists (fun q -> not (Deque.is_empty q)) s.queues
-
 let run_thread s ~index tcb =
   (match tcb.tstate with
   | Ready -> ()
@@ -469,16 +467,25 @@ let set_clock s f = s.clock <- f
 
 (* The one steal sweep: probe the other lists in rotation order after the
    thief, each probe a "steal-victim" choice point the explorer can
-   redirect.  Top-level recursion, so a fruitless sweep allocates
-   nothing. *)
-let rec steal_probe s sim ~thief k =
+   redirect.  With [all] false (no chooser installed) an empty list is
+   passed over unprobed, since probing it cannot be observed: the victim
+   pick would return its default and record nothing, a failed
+   [try_lock_cell] changes nothing, and a successful one on an empty list
+   only clears a lease that has expired — and stays expired, read by
+   nothing but [try_lock_cell] — before the unlock.  [d] is the
+   rotation's default victim [(thief + k) mod n], carried along rather
+   than divided out per probe.  Top-level recursion, so a fruitless sweep
+   allocates nothing. *)
+let rec steal_probe s sim ~thief ~all k d =
   let n = Array.length s.queues in
   if k >= n then None
   else
     let v =
-      Sim.pick sim ~site:"steal-victim" ~arity:n ~default:((thief + k) mod n)
+      if all then Sim.pick sim ~site:"steal-victim" ~arity:n ~default:d else d
     in
-    if v = thief then steal_probe s sim ~thief (k + 1)
+    let d = if d + 1 = n then 0 else d + 1 in
+    if v = thief || ((not all) && Deque.is_empty s.queues.(v)) then
+      steal_probe s sim ~thief ~all (k + 1) d
     else
       let cell = s.q_cells.(v) in
       if try_lock_cell s cell ~owner:(-(thief + 1)) then begin
@@ -488,17 +495,19 @@ let rec steal_probe s sim ~thief k =
             Some (cell, tcb)
         | None ->
             unlock_cell cell;
-            steal_probe s sim ~thief (k + 1)
+            steal_probe s sim ~thief ~all (k + 1) d
       end
-      else steal_probe s sim ~thief (k + 1)
+      else steal_probe s sim ~thief ~all (k + 1) d
 
-(* With no chooser installed, a sweep over empty lists is pure mechanism
-   (default victim draws and failed probes with no observable effect), so
-   an emptiness check stands in for it; under a chooser every probe is a
-   recorded choice, so the full sweep runs. *)
+(* Under a chooser every probe is a recorded choice, so the sweep probes
+   every list.  Without one, a sweep with no ready thread would pass over
+   every list, since each listed thread is [Ready], so it ends at once. *)
 let steal s sim ~thief =
-  if Option.is_none (Sim.chooser sim) && not (any_ready s) then None
-  else steal_probe s sim ~thief 1
+  let all = Option.is_some (Sim.chooser sim) in
+  if (not all) && s.ready_count = 0 then None
+  else
+    let n = Array.length s.queues in
+    steal_probe s sim ~thief ~all 1 ((thief + 1) mod n)
 
 (* ------------------------------------------------------------------ *)
 (* Charged operations                                                  *)

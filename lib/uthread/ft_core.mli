@@ -251,8 +251,9 @@ val steal : state -> Sa_engine.Sim.t -> thief:int -> (cs_cell * tcb) option
     ["steal-victim"] {!Sa_engine.Sim.pick} choice point, skipping victims
     whose cell is held.  The first steal ({!steal_from}) is counted and
     returned with the victim's cell, still held by [thief].  [None] when
-    every probe fails — at once, with no chooser installed and every list
-    empty. *)
+    every probe fails.  With no chooser installed, empty lists are passed
+    over unprobed, and a sweep with no ready thread ends at once; no
+    caller can tell either from probing every list. *)
 
 (** {1 Interpreter} *)
 

@@ -239,13 +239,21 @@ let pqueue_tests =
    sizes), so a divergence pinpoints the first differing operation. *)
 
 (* [D_again i] adds at the key of an earlier add, so a wide-key run still
-   has ties to break by seq. *)
+   has ties to break by seq.  [D_lane l] adds to Calq lane [l] at
+   [now + lane_periods.(l)] and [D_after d] to the heap at [now + d], where
+   [now] is the key of the last pop — the simulator's clock. *)
 type diff_op =
   | D_add of int
   | D_again of int
+  | D_lane of int
+  | D_after of int
   | D_cancel of int
   | D_pop
   | D_pick of int
+
+(* A zero period ties lane adds with the current instant; the others tie
+   them with heap adds at the same delay. *)
+let lane_periods = [| 0; 3; 7 |] (* lane_op_gen draws lanes 0-2 *)
 
 (* Tie-heavy: keys from 0-24, so most adds join a pending key and the
    queue stays shallow. *)
@@ -274,9 +282,28 @@ let wide_op_gen =
         (2, map (fun s -> D_pick s) (int_range 0 1000));
       ])
 
+(* Fixed-period ticks in lanes among heap adds at small delays, 0
+   included, so lane and heap entries keep sharing keys.  No add goes
+   below [now], as none can in the simulator.  Cancels of both
+   kinds, stale ones too, and pops and picks over the mixed candidate
+   sets. *)
+let lane_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun l -> D_lane l) (int_range 0 2));
+        (4, map (fun d -> D_after d) (int_range 0 8));
+        (1, map (fun d -> D_after d) (int_range 0 1_000));
+        (3, map (fun i -> D_cancel i) (int_range 0 1000));
+        (4, return D_pop);
+        (3, map (fun s -> D_pick s) (int_range 0 1000));
+      ])
+
 let pp_diff_op = function
   | D_add k -> Printf.sprintf "add key:%d" k
   | D_again i -> Printf.sprintf "add key of #%d" i
+  | D_lane l -> Printf.sprintf "lane %d add" l
+  | D_after d -> Printf.sprintf "add after:%d" d
   | D_cancel i -> Printf.sprintf "cancel #%d" i
   | D_pop -> "pop"
   | D_pick s -> Printf.sprintf "pop_pick salt:%d" s
@@ -289,6 +316,10 @@ let diff_ops_arb ~size gen =
    observation agreed. *)
 let calq_matches_pqueue ops =
   let c = Calq.create 0 and p = Pqueue.create () in
+  Array.iteri
+    (fun l _ -> check Alcotest.int "lane index" l (Calq.new_lane c))
+    lane_periods;
+  let now = ref 0 in
   let n_ops = List.length ops in
   (* Parallel handle stores: slot i holds the two names for the i-th
      inserted entry, so a D_cancel replays on both sides. *)
@@ -298,13 +329,17 @@ let calq_matches_pqueue ops =
   let n_added = ref 0 in
   let seq = ref 0 in
   let ok = ref true in
-  let add k =
-    ch.(!n_added) <- Calq.add c ~key:k ~seq:!seq !seq;
+  let add ?lane k =
+    ch.(!n_added) <-
+      (match lane with
+      | None -> Calq.add c ~key:k ~seq:!seq !seq
+      | Some lane -> Calq.add_lane c ~lane ~key:k ~seq:!seq !seq);
     pe.(!n_added) <- Some (Pqueue.add p ~key:k ~seq:!seq !seq);
     keys.(!n_added) <- k;
     incr n_added;
     incr seq
   in
+  let popped = function Some (k, _, _) -> now := k | None -> () in
   List.iter
     (fun op ->
       if !ok then begin
@@ -312,6 +347,8 @@ let calq_matches_pqueue ops =
         | D_add k -> add k
         | D_again i ->
             add (if !n_added = 0 then 0 else keys.(i mod !n_added))
+        | D_lane l -> add ~lane:l (!now + lane_periods.(l))
+        | D_after d -> add (!now + d)
         | D_cancel i ->
             if !n_added > 0 then begin
               (* May hit an entry already popped or cancelled: both
@@ -330,7 +367,9 @@ let calq_matches_pqueue ops =
               | Some (k, _) -> k
             in
             if Calq.next_key c <> expected_next then ok := false;
-            if Calq.pop c <> Pqueue.pop p then ok := false
+            let rp = Pqueue.pop p in
+            popped rp;
+            if Calq.pop c <> rp then ok := false
         | D_pick salt ->
             (* Both sides consult [pick] only when >= 2 candidates
                share the minimal key, so equal arities mean equal
@@ -342,6 +381,7 @@ let calq_matches_pqueue ops =
             in
             let rc = Calq.pop_pick c ~pick:(pick arity_c) in
             let rp = Pqueue.pop_pick p ~pick:(pick arity_p) in
+            popped rp;
             if rc <> rp || !arity_c <> !arity_p then ok := false);
         if !ok && Calq.length c <> Pqueue.length p then ok := false
       end)
@@ -372,6 +412,11 @@ let calq_differential_wide_keys =
   QCheck.Test.make ~name:"calq matches pqueue on deep wide-key sequences"
     ~count:150
     (diff_ops_arb ~size:(QCheck.Gen.int_range 200 600) wide_op_gen)
+    calq_matches_pqueue
+
+let calq_differential_lanes =
+  QCheck.Test.make ~name:"calq with lanes matches pqueue" ~count:200
+    (diff_ops_arb ~size:(QCheck.Gen.int_range 50 500) lane_op_gen)
     calq_matches_pqueue
 
 (* The simulator always inserts with globally monotone seqs, but the
@@ -452,6 +497,40 @@ let calq_allocation_free () =
     (minor_words_of add_cancel -. base);
   check Alcotest.int "still 64 pending" 64 (Calq.length q)
 
+(* A spinning CPU's lane beside 64 heap entries at distinct instants
+   past it, as serve keeps them: each tick pops the lane head and re-arms
+   one period later. *)
+let calq_lane_allocation_free () =
+  let q = Calq.create 0 in
+  let lane = Calq.new_lane q in
+  for i = 1 to 64 do
+    ignore (Calq.add q ~key:(1_000_000_000 + (i * 7_919)) ~seq:i i)
+  done;
+  let seq = ref 65 in
+  let tick () =
+    ignore (Calq.add_lane q ~lane ~key:(Calq.last_key q + 1_000) ~seq:!seq 0);
+    incr seq
+  in
+  for _ = 1 to 8 do
+    tick ()
+  done;
+  let add_pop () =
+    for _ = 1 to 10_000 do
+      ignore (Calq.pop_exn q);
+      tick ()
+    done
+  in
+  add_pop ();
+  let base =
+    minor_words_of (fun () ->
+        for i = 1 to 10_000 do
+          ignore (Sys.opaque_identity i)
+        done)
+  in
+  check (Alcotest.float 0.) "lane add+pop, net minor words" 0.
+    (minor_words_of add_pop -. base);
+  check Alcotest.int "still 72 pending" 72 (Calq.length q)
+
 let calq_tests =
   [
     Alcotest.test_case "stale handles are inert after slot reuse" `Quick
@@ -485,6 +564,67 @@ let calq_tests =
         check Alcotest.bool "slab bounded" true (Calq.slab_capacity q <= 64));
     Alcotest.test_case "steady add+pop and add+cancel allocate nothing" `Quick
       calq_allocation_free;
+    Alcotest.test_case "steady lane add+pop allocates nothing" `Quick
+      calq_lane_allocation_free;
+    Alcotest.test_case "lane handles are inert once fired or cancelled"
+      `Quick (fun () ->
+        let q = Calq.create "" in
+        let l = Calq.new_lane q in
+        let h1 = Calq.add_lane q ~lane:l ~key:5 ~seq:0 "a" in
+        let hh = Calq.add q ~key:5 ~seq:1 "b" in
+        let h2 = Calq.add_lane q ~lane:l ~key:5 ~seq:2 "c" in
+        check Alcotest.bool "lane handle live" true (Calq.handle_live q h1);
+        check Alcotest.bool "heap handle live" true (Calq.handle_live q hh);
+        check Alcotest.int "three pending" 3 (Calq.length q);
+        check Alcotest.int "next key" 5 (Calq.next_key q);
+        check Alcotest.bool "a first" true (Calq.pop q = Some (5, 0, "a"));
+        check Alcotest.bool "a's handle dead" false (Calq.handle_live q h1);
+        Calq.cancel q h1;
+        Calq.cancel q h2;
+        Calq.cancel q h2;
+        check Alcotest.int "only b left" 1 (Calq.length q);
+        (* Tickets grow, so the ring slot h1 and h2 named holds a new
+           entry under a ticket neither handle carries. *)
+        let h3 = Calq.add_lane q ~lane:l ~key:6 ~seq:3 "d" in
+        Calq.cancel q h1;
+        Calq.cancel q h2;
+        check Alcotest.bool "d live" true (Calq.handle_live q h3);
+        check Alcotest.bool "b" true (Calq.pop q = Some (5, 1, "b"));
+        check Alcotest.bool "d" true (Calq.pop q = Some (6, 3, "d"));
+        check Alcotest.bool "empty" true (Calq.pop q = None));
+    Alcotest.test_case "lane adds must ascend" `Quick (fun () ->
+        let q = Calq.create 0 in
+        let l = Calq.new_lane q in
+        ignore (Calq.add_lane q ~lane:l ~key:10 ~seq:4 0);
+        Alcotest.check_raises "earlier key"
+          (Invalid_argument "Calq.add_lane: out of order") (fun () ->
+            ignore (Calq.add_lane q ~lane:l ~key:9 ~seq:5 0));
+        Alcotest.check_raises "same key, earlier seq"
+          (Invalid_argument "Calq.add_lane: out of order") (fun () ->
+            ignore (Calq.add_lane q ~lane:l ~key:10 ~seq:3 0));
+        Alcotest.check_raises "no such lane"
+          (Invalid_argument "Calq.add_lane: no such lane") (fun () ->
+            ignore (Calq.add_lane q ~lane:1 ~key:10 ~seq:5 0));
+        (* Once every entry is dead, the order starts afresh. *)
+        ignore (Calq.pop q);
+        ignore (Calq.add_lane q ~lane:l ~key:1 ~seq:0 0);
+        check Alcotest.int "one pending" 1 (Calq.length q));
+    Alcotest.test_case "a lane ring grows and keeps its order" `Quick
+      (fun () ->
+        let q = Calq.create 0 in
+        let l = Calq.new_lane q in
+        (* 100 ticks with every third cancelled, then drained: the ring
+           doubles past its initial 16 slots with dead entries inside. *)
+        let hs =
+          Array.init 100 (fun i -> Calq.add_lane q ~lane:l ~key:i ~seq:i i)
+        in
+        Array.iteri (fun i h -> if i mod 3 = 0 then Calq.cancel q h) hs;
+        let rec drain acc =
+          match Calq.pop q with Some (_, _, v) -> drain (v :: acc) | None -> acc
+        in
+        check (Alcotest.list Alcotest.int) "survivors in order"
+          (List.filter (fun i -> i mod 3 <> 0) (List.init 100 Fun.id))
+          (List.rev (drain [])));
     Alcotest.test_case "cancel-heavy churn is bounded by the sweep" `Quick
       (fun () ->
         let q = Calq.create 0 in
@@ -510,6 +650,7 @@ let calq_tests =
           (drain (min_int, min_int) 0));
     qtest calq_differential;
     qtest calq_differential_wide_keys;
+    qtest calq_differential_lanes;
     qtest calq_differential_scrambled_seqs;
   ]
 
@@ -900,8 +1041,59 @@ let[@inline never] schedule_tracked sim w =
     (Sim.schedule sim ~at:(Time.of_ns 1) (fun () ->
          ignore (Sys.opaque_identity (Bytes.length block))))
 
+(* The same through [Sim.schedule_tick], whose events go to a lane. *)
+let[@inline never] schedule_tick_tracked sim w =
+  let block = Bytes.make 64 'x' in
+  Weak.set w 0 (Some block);
+  ignore
+    (Sim.schedule_tick sim ~period:1 (fun () ->
+         ignore (Sys.opaque_identity (Bytes.length block))))
+
 let sim_tests =
   [
+    Alcotest.test_case "a fired lane event's closure is not retained" `Quick
+      (fun () ->
+        let sim = Sim.create () in
+        let w = Weak.create 1 in
+        schedule_tick_tracked sim w;
+        Sim.run sim;
+        Gc.full_major ();
+        check Alcotest.bool "captured block collected" false (Weak.check w 0);
+        ignore (Sim.schedule_tick sim ~period:1 ignore);
+        Sim.run sim);
+    Alcotest.test_case "ticks fire as schedule_after would" `Quick (fun () ->
+        (* Two runs of one program: ticks through [schedule_tick] in one,
+           [schedule_after] in the other, among heap events at tying
+           instants; same firing log, same cancellations. *)
+        let run ~tick =
+          let sim = Sim.create () in
+          let log = ref [] in
+          let note name () = log := name :: !log in
+          let arm ~period name =
+            if tick then Sim.schedule_tick sim ~period (note name)
+            else Sim.schedule_after sim ~delay:period (note name)
+          in
+          let rec spin name period n () =
+            note name ();
+            if n > 0 then begin
+              ignore (arm ~period (name ^ "'"));
+              ignore
+                (Sim.schedule_after sim ~delay:period
+                   (spin name period (n - 1)))
+            end
+          in
+          ignore (Sim.schedule_after sim ~delay:0 (spin "a" 2 5));
+          ignore (Sim.schedule_after sim ~delay:0 (spin "b" 3 4));
+          let doomed = arm ~period:4 "doomed" in
+          ignore (Sim.schedule_after sim ~delay:4 (note "h4"));
+          ignore
+            (Sim.schedule_after sim ~delay:1 (fun () -> Sim.cancel sim doomed));
+          check Alcotest.int "pending counts ticks" 5 (Sim.pending sim);
+          Sim.run sim;
+          List.rev !log
+        in
+        check (Alcotest.list Alcotest.string) "same log" (run ~tick:false)
+          (run ~tick:true));
     Alcotest.test_case "a fired event's closure is not retained" `Quick
       (fun () ->
         let sim = Sim.create () in

@@ -755,6 +755,126 @@ let cross_queue_priority_tests =
           (Some (List.nth q1 2)) (tid_of (Ft_core.steal_from s ~victim:1)));
   ]
 
+(* Without a chooser the sweep passes empty lists over unprobed; under a
+   chooser it probes each.  A chooser that always answers the default
+   must therefore see the same sweep: over random list contents (with and
+   without priorities), held cells, and live and expired leases, both
+   sides steal the same thread from the same cell, and every later
+   [try_lock_cell] — before, at and after the last lease expiry —
+   answers the same on both. *)
+type sweep_cell = Free | Held | Live_lease | Expired_lease | Expired_then_held
+
+let sweep_case_gen =
+  QCheck.Gen.(
+    let* n = int_range 2 6 in
+    let* lists =
+      list_repeat n
+        (pair
+           (list_size (int_range 0 3) (int_range 0 2))
+           (oneofl
+              [ Free; Held; Live_lease; Expired_lease; Expired_then_held ]))
+    in
+    let* thief = int_range 0 (n - 1) in
+    let* prio = bool in
+    return (lists, thief, prio))
+
+let pp_sweep_cell = function
+  | Free -> "free"
+  | Held -> "held"
+  | Live_lease -> "live-lease"
+  | Expired_lease -> "expired-lease"
+  | Expired_then_held -> "expired-then-held"
+
+let sweep_case_arb =
+  QCheck.make
+    ~print:(fun (lists, thief, prio) ->
+      Printf.sprintf "thief=%d prio=%b lists=[%s]" thief prio
+        (String.concat "; "
+           (List.map
+              (fun (ps, c) ->
+                Printf.sprintf "%s %s"
+                  (String.concat "," (List.map string_of_int ps))
+                  (pp_sweep_cell c))
+              lists)))
+    sweep_case_gen
+
+(* One side of the comparison: the lists filled and the cells set up at
+   time 1000, then the sweep at 1200, under [chooser]. *)
+let sweep_side (lists, thief, prio) chooser =
+  let s, _ = fill_queues ~prio (List.map fst lists) in
+  let now = ref (Time.of_ns 1000) in
+  Ft_core.set_clock s (fun () -> !now);
+  List.iteri
+    (fun i (_, c) ->
+      let cell = Ft_core.queue_cell s i in
+      let holder = 1000 + i in
+      match c with
+      | Free -> ()
+      | Held -> ignore (Ft_core.try_lock_cell s cell ~owner:77)
+      | Live_lease -> Ft_core.lease_cell s cell ~holder ~span:500
+      | Expired_lease | Expired_then_held ->
+          Ft_core.lease_cell s cell ~holder ~span:100)
+    lists;
+  now := Time.of_ns 1200;
+  List.iteri
+    (fun i (_, c) ->
+      if c = Expired_then_held then
+        ignore (Ft_core.try_lock_cell s (Ft_core.queue_cell s i) ~owner:77))
+    lists;
+  let sim = Sa_engine.Sim.create () in
+  Sa_engine.Sim.set_chooser sim chooser;
+  let n = List.length lists in
+  let stolen =
+    match Ft_core.steal s sim ~thief with
+    | None -> None
+    | Some (cell, tcb) ->
+        let v =
+          List.find
+            (fun i -> Ft_core.queue_cell s i == cell)
+            (List.init n Fun.id)
+        in
+        Some (v, Ft_core.tcb_id tcb)
+  in
+  (s, now, stolen)
+
+let default_chooser =
+  {
+    Sa_engine.Sim.ch_pick = (fun ~site:_ ~arity:_ ~default -> default);
+    ch_draw = (fun ~site:_ ~default -> default);
+  }
+
+let sweep_skip_unobservable =
+  QCheck.Test.make ~name:"sweep skipping empty lists = probing every list"
+    ~count:300 sweep_case_arb (fun ((lists, _, _) as case) ->
+      let a, now_a, stolen_a = sweep_side case None in
+      let b, now_b, stolen_b = sweep_side case (Some default_chooser) in
+      let n = List.length lists in
+      let owners =
+        (77 :: List.init n (fun i -> 1000 + i))
+        @ List.init n (fun i -> -(i + 1))
+      in
+      stolen_a = stolen_b
+      && Ft_core.queued_tids a = Ft_core.queued_tids b
+      && (Ft_core.stats a).steals = (Ft_core.stats b).steals
+      && List.for_all
+           (fun t ->
+             now_a := Time.of_ns t;
+             now_b := Time.of_ns t;
+             List.for_all
+               (fun i ->
+                 let ca = Ft_core.queue_cell a i
+                 and cb = Ft_core.queue_cell b i in
+                 List.for_all
+                   (fun owner ->
+                     let ra = Ft_core.try_lock_cell a ca ~owner in
+                     let rb = Ft_core.try_lock_cell b cb ~owner in
+                     if ra then Ft_core.unlock_cell ca;
+                     if rb then Ft_core.unlock_cell cb;
+                     ra = rb)
+                   owners)
+               (List.init n Fun.id))
+           [ 1200; 1500; 1501 ])
+
 (* The plain discipline and the one steal sweep, on [Ft_core] directly. *)
 let ready_list_tests =
   [
@@ -801,6 +921,7 @@ let ready_list_tests =
         check Alcotest.bool "no steal" true
           (Option.is_none (Ft_core.steal s (Sa_engine.Sim.create ()) ~thief:1));
         check Alcotest.int "no steal counted" steals0 (Ft_core.stats s).steals);
+    qtest sweep_skip_unobservable;
   ]
 
 let priority_tests =
