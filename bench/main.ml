@@ -616,8 +616,10 @@ let run_micro () =
 (* ------------------------------------------------------------------ *)
 
 (* [micro --record] writes per-benchmark ns/run baselines for the engine
-   groups; [micro --check] re-measures and fails (exit 1) when any gated
-   benchmark exceeds its baseline by the tolerance, or has disappeared.
+   groups, each the median of three passes so that one noisy pass cannot
+   set a row; [micro --check] re-measures once and fails (exit 1) when any
+   gated benchmark exceeds its baseline by the tolerance, or has
+   disappeared.
    Wall clock on shared CI runners is noisy, so the multiplier is wide:
    the gate exists to catch order-of-magnitude regressions — an
    accidental O(n) scan or a per-event allocation storm on the hot path —
@@ -636,7 +638,16 @@ let micro_gate_estimates () =
   |> List.sort compare
 
 let micro_record () =
-  let ests = micro_gate_estimates () in
+  let passes = List.init 3 (fun _ -> micro_gate_estimates ()) in
+  let ests =
+    List.map
+      (fun (name, _) ->
+        let runs =
+          List.sort compare (List.filter_map (List.assoc_opt name) passes)
+        in
+        (name, List.nth runs (List.length runs / 2)))
+      (List.hd passes)
+  in
   let oc = open_out micro_gate_file in
   output_string oc
     "# Micro-benchmark baselines (ns/run), written by `bench/main.exe micro \

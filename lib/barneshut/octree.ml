@@ -347,19 +347,3 @@ let force_on t ~theta ~eps body =
     end
   done;
   ({ Vec3.x = !ax; y = !ay; z = !az }, !interactions)
-
-let pairwise_accel ~eps ~mass ~from_pos ~at_pos =
-  let d = Vec3.sub from_pos at_pos in
-  let r2 = Vec3.norm2 d +. (eps *. eps) in
-  let inv_r3 = 1.0 /. (r2 *. sqrt r2) in
-  Vec3.scale (mass *. inv_r3) d
-
-let force_exact bodies ~eps body =
-  Array.fold_left
-    (fun acc b ->
-      if b.Body.id = body.Body.id then acc
-      else
-        Vec3.add acc
-          (pairwise_accel ~eps ~mass:b.Body.mass ~from_pos:b.Body.pos
-             ~at_pos:body.Body.pos))
-    Vec3.zero bodies

@@ -30,6 +30,3 @@ val force_on :
     softening length.  The body itself is skipped when encountered.  The
     walk's stack lives in the tree, so one tree must not be walked from
     two domains at once. *)
-
-val force_exact : Body.t array -> eps:float -> Body.t -> Vec3.t
-(** Direct O(N) summation, the accuracy oracle for tests. *)

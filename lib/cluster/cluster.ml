@@ -66,8 +66,6 @@ type tenant = {
   tn_rec : Recorder.t;
   tn_job : System.job;
   tn_home0 : int;
-  mutable tn_home : int;
-  mutable tn_in_flight : bool;  (* space currently in transit over the net *)
 }
 
 type t = {
@@ -110,6 +108,23 @@ let next_alive t from =
   in
   go 0
 
+(* ---- placement -------------------------------------------------------- *)
+
+(* A tenant lives where its space is registered, so both facts are read
+   from the kernel.  A space in transit still names the kernel it left as
+   its home, but no kernel has it registered. *)
+let home ten =
+  Machine.id (Kernel.machine (Kernel.space_home (System.space ten.tn_job)))
+
+(* Registered with machine [m]'s kernel, so not in transit. *)
+let resident ten m =
+  let sp = System.space ten.tn_job in
+  let k = Kernel.space_home sp in
+  Machine.id (Kernel.machine k) = m
+  && Option.is_some (Kernel.find_space k (Kernel.space_id sp))
+
+let resident_live ten m = resident ten m && not (System.finished ten.tn_job)
+
 (* ---- migration -------------------------------------------------------- *)
 
 (* Land a detached space on [dst] (or, if it died while the package was in
@@ -120,41 +135,44 @@ let land_on t ~dst pkg ft ten =
     else match next_alive t (dst + 1) with Some m -> m | None -> dst
   in
   let sys = t.nodes.(dst).sys in
-  Ft_sa.rehome ft (System.kernel sys);
   Kernel.attach_space (System.kernel sys) pkg;
   System.adopt sys ten.tn_job;
-  ten.tn_home <- dst;
-  ten.tn_in_flight <- false;
   Ft_sa.nudge_demand ft;
   dst
 
 let state_bytes pkg =
   mig_base_bytes + (mig_bytes_per_act * Kernel.migration_act_count pkg)
 
-(* Detach the tenant's space from [src] and ship it to [dst]; the state
-   transfer costs [state_bytes] on the wire.  If the send races with a
-   fresh partition the space lands straight back where it was. *)
-let do_migrate t ~src ~dst ten =
+(* Detach the tenant's space from [src] and hand [send] the state
+   transfer's size and the arrival, which lands the space on [dst] and
+   counts it there.  If [send] reports the package could not leave (a
+   fresh partition), the space lands straight back on [src]. *)
+let ship t ~src ~dst ten send =
   let ft =
     match System.ft_sa ten.tn_job with
     | Some ft -> ft
     | None -> invalid_arg "Cluster: tenant is not an SA job"
   in
-  let sp = Ft_sa.space ft in
   let sys = t.nodes.(src).sys in
   System.disown sys ten.tn_job;
-  let pkg = Kernel.detach_space (System.kernel sys) sp in
-  ten.tn_in_flight <- true;
+  let pkg = Kernel.detach_space (System.kernel sys) (Ft_sa.space ft) in
   let sent =
-    Net.send t.net ~src ~dst ~bytes:(state_bytes pkg) (fun () ->
+    send (state_bytes pkg) (fun () ->
         let final = land_on t ~dst pkg ft ten in
         t.nodes.(final).n_migs_in <- t.nodes.(final).n_migs_in + 1)
+  in
+  if not sent then ignore (land_on t ~dst:src pkg ft ten);
+  sent
+
+let do_migrate t ~src ~dst ten =
+  let sent =
+    ship t ~src ~dst ten (fun bytes arrive ->
+        Net.send t.net ~src ~dst ~bytes arrive)
   in
   if sent then begin
     t.nodes.(src).n_migs_out <- t.nodes.(src).n_migs_out + 1;
     t.migrations <- t.migrations + 1
-  end
-  else ignore (land_on t ~dst:src pkg ft ten);
+  end;
   sent
 
 (* Pick the busiest eligible tenant on [src]: resident, unfinished, with
@@ -170,11 +188,7 @@ let try_migrate t ~src ~dst =
     let best = ref None in
     Array.iter
       (fun ten ->
-        if
-          ten.tn_home = src
-          && (not ten.tn_in_flight)
-          && not (System.finished ten.tn_job)
-        then
+        if resident_live ten src then
           match System.ft_core_state ten.tn_job with
           | Some core ->
               let r = Ft_core.runnable_threads core in
@@ -196,11 +210,7 @@ let load t m =
   let total = ref 0 in
   Array.iter
     (fun ten ->
-      if
-        ten.tn_home = m
-        && (not ten.tn_in_flight)
-        && not (System.finished ten.tn_job)
-      then
+      if resident_live ten m then
         match System.ft_core_state ten.tn_job with
         | Some core -> total := !total + Ft_core.runnable_threads core
         | None -> ())
@@ -222,7 +232,7 @@ let resolve_remote t ten block =
   if t.p.machines < 2 then None
   else begin
     let m = t.p.machines in
-    let home = ten.tn_home in
+    let home = home ten in
     let rec probe k =
       if k >= m - 1 then None
       else
@@ -284,32 +294,16 @@ let crash_machine t m =
        dead machine. *)
     Array.iteri
       (fun i ten ->
-        if
-          ten.tn_home = m
-          && (not ten.tn_in_flight)
-          && not (System.finished ten.tn_job)
-        then
+        if resident_live ten m then
           match next_alive t (m + 1 + i) with
           | None -> ()
           | Some dst ->
-              let ft =
-                match System.ft_sa ten.tn_job with
-                | Some ft -> ft
-                | None -> invalid_arg "Cluster: tenant is not an SA job"
-              in
-              let sp = Ft_sa.space ft in
-              System.disown node.sys ten.tn_job;
-              let pkg = Kernel.detach_space (System.kernel node.sys) sp in
-              ten.tn_in_flight <- true;
-              t.evacuations <- t.evacuations + 1;
-              let delay =
-                crash_recovery + (state_bytes pkg * net_ns_per_byte)
-              in
               ignore
-                (Sim.schedule_after t.sim ~delay (fun () ->
-                     let final = land_on t ~dst pkg ft ten in
-                     t.nodes.(final).n_migs_in <-
-                       t.nodes.(final).n_migs_in + 1)))
+                (ship t ~src:m ~dst ten (fun bytes arrive ->
+                     let delay = crash_recovery + (bytes * net_ns_per_byte) in
+                     ignore (Sim.schedule_after t.sim ~delay arrive);
+                     true));
+              t.evacuations <- t.evacuations + 1)
       t.tenants;
     true
   end
@@ -391,8 +385,6 @@ let create p =
           tn_rec = r;
           tn_job = job;
           tn_home0 = home;
-          tn_home = home;
-          tn_in_flight = false;
         })
   in
   let disk_latency = (System.costs nodes.(0).sys).Cost_model.io_latency in
@@ -494,9 +486,7 @@ let summary t =
            let tenants_final =
              Array.fold_left
                (fun acc ten ->
-                 if ten.tn_home = node.node_id && not ten.tn_in_flight then
-                   acc + 1
-                 else acc)
+                 if resident ten node.node_id then acc + 1 else acc)
                0 t.tenants
            in
            {
@@ -526,7 +516,7 @@ let summary t =
              c_tenant = ten.tn_index;
              c_class = ten.tn_cls.Server.tc_class;
              c_home0 = ten.tn_home0;
-             c_home = ten.tn_home;
+             c_home = home ten;
              c_completed = s.Server.ts_completed;
              c_p50_us = s.Server.ts_p50_us;
              c_p99_us = s.Server.ts_p99_us;

@@ -15,8 +15,9 @@
     space plus its activation records travel over the net as a modeled
     state transfer (4096 bytes plus 512 per resident activation), and on
     arrival the package is re-registered on the target kernel
-    ({!Sa_kernel.Kernel.attach_space}) and the user-level scheduler
-    re-pointed at it ({!Sa_uthread.Ft_sa.rehome}).  Threads blocked in the
+    ({!Sa_kernel.Kernel.attach_space}), which re-points the space's home:
+    the user-level scheduler and the cluster's own placement queries read
+    it from there ({!Sa_kernel.Kernel.space_home}).  Threads blocked in the
     source kernel at detach time complete there; their wakeups chase the
     space to its new home.
 

@@ -239,6 +239,7 @@ let costs t = t.costs
 let config t = t.cfg
 let space_id sp = sp.sp_id
 let space_name sp = sp.sp_name
+let space_home sp = sp.sp_home
 let space_assigned sp = sp.sp_assigned
 let space_desired sp = sp.sp_desired
 let space_upcalls sp = sp.sp_upcalls
@@ -246,6 +247,7 @@ let space_grants sp = sp.sp_granted
 let space_preempts sp = sp.sp_preempted
 let activation_id act = act.act_id
 let activation_space act = act.act_sp
+let cpu_activation t cpu = t.slots.(cpu).slot_act
 
 let same_space a b = a.sp_id = b.sp_id
 

@@ -73,6 +73,12 @@ val new_sa_space :
 
 val space_id : space -> int
 val space_name : space -> string
+
+val space_home : space -> t
+(** The kernel the space is registered with: the one that created it, or
+    the last to {!attach_space} it.  A space in transit still names the
+    kernel it was detached from. *)
+
 val space_assigned : space -> int
 (** Processors currently granted (explicit mode). *)
 
@@ -112,6 +118,11 @@ val spawn_kthread :
 
 val activation_id : activation -> int
 val activation_space : activation -> space
+
+val cpu_activation : t -> int -> activation option
+(** The activation running on processor [cpu] (explicit mode), if any: the
+    kernel's half of the binding, which the user level pairs with the
+    processor each of its threads runs on. *)
 
 val sa_charge :
   ?repair:(unit -> unit) ->

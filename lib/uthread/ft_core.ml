@@ -1,5 +1,6 @@
 module Time = Sa_engine.Time
 module Sim = Sa_engine.Sim
+module Trace = Sa_engine.Trace
 module Program = Sa_program.Program
 module Pcode = Sa_program.Program.Code
 module Cost_model = Sa_hw.Cost_model
@@ -261,6 +262,13 @@ let live_threads s = s.live
 let ready_threads s = s.ready_count
 let runnable_threads s = s.ready_count + s.running_count
 let finished s = s.live = 0
+
+(* The count is only read when the category is recorded. *)
+let trace_ready s sim name =
+  let tr = Sim.trace sim in
+  if Trace.enabled tr Trace.Uthread then
+    Trace.counter tr ~time:(Sim.now sim) Trace.Uthread ("ready:" ^ name)
+      (float_of_int s.ready_count)
 
 let state_counts s =
   let states =

@@ -32,6 +32,10 @@ val tcb_id : tcb -> int
 (** Thread id: [1] for the first thread of a state, then consecutive;
     never reused. *)
 
+val no_tcb : tcb
+(** A TCB that is no state's thread (id [0]): the filler for a table of
+    threads, so that an empty slot costs no option block. *)
+
 type tstate = Embryo | Ready | Running | Blocked_user | Blocked_kernel | Done
 
 val tcb_state : tcb -> tstate
@@ -105,6 +109,12 @@ val runnable_threads : state -> int
 
 val finished : state -> bool
 (** All threads have completed. *)
+
+val trace_ready : state -> Sa_engine.Sim.t -> string -> unit
+(** [trace_ready s sim name] records {!ready_threads} on the
+    ["ready:"^name] counter track of [sim]'s trace, if its [Uthread]
+    category is enabled.  Both substrates call it when a thread becomes
+    ready and when the scheduler loop picks one. *)
 
 val state_counts : state -> (tstate * int) list
 (** Thread-count per state (diagnostics), over every thread the state has

@@ -1,6 +1,5 @@
 module Time = Sa_engine.Time
 module Sim = Sa_engine.Sim
-module Trace = Sa_engine.Trace
 module Cost_model = Sa_hw.Cost_model
 module Kernel = Sa_kernel.Kernel
 
@@ -30,15 +29,7 @@ let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
     | Some ops -> ops
     | None -> failwith "Ft_kt: thread bound to an unstarted virtual processor"
   in
-  (* Ready-queue depth counter track; the count read only happens when the
-     category is recorded. *)
-  let trace_ready () =
-    let tr = Sim.trace sim in
-    if Trace.enabled tr Trace.Uthread then
-      Trace.counter tr ~time:(Sim.now sim) Trace.Uthread
-        ("ready:" ^ Kernel.space_name space)
-        (float_of_int (Ft_core.ready_threads s))
-  in
+  let trace_ready () = Ft_core.trace_ready s sim (Kernel.space_name space) in
   (* Each virtual processor runs the shared scheduler loop until the last
      thread finishes. *)
   let rec vp_step ops idx =

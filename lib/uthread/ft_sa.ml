@@ -6,23 +6,21 @@ module Cost_model = Sa_hw.Cost_model
 module Kernel = Sa_kernel.Kernel
 module Upcall = Sa_kernel.Upcall
 
-type loaded = L_none | L_thread of Ft_core.tcb | L_manager
-
+(* The user level keeps one placement fact of its own, which thread each
+   activation carries (Section 3.1).  Which kernel hosts the space, and
+   which activation runs on a processor, belong to the kernel and are
+   asked of it ([home], [act_of]). *)
 type t = {
-  mutable kernel : Kernel.t;
-      (* the kernel currently hosting our space; cluster migration re-points
-         it ([rehome]) before the space is attached to the target *)
   mutable space : Kernel.space option;
       (* [None] only while [create] builds the space's upcall client *)
   core_state : Ft_core.state;
   driver : Kernel.activation Ft_core.driver;
-  (* Direct-mapped tables: ids are dense enough that an array lookup beats
-     hashing on the per-dispatch path.  [loaded] and [act_cpu] grow together
-     (both indexed by activation id); absent entries are [L_none] / [-1] /
-     [None]. *)
-  mutable loaded : loaded array;  (* activation id -> contents *)
-  mutable bound : Kernel.activation option array;  (* tid -> activation *)
-  mutable act_cpu : int array;  (* activation id -> processor *)
+  mutable loaded : Ft_core.tcb array;
+      (* activation id -> the thread it carries, or [Ft_core.no_tcb].
+         Direct-mapped: ids are dense enough that an array lookup beats
+         hashing on the per-dispatch path, and binding allocates nothing.
+         A blocked activation keeps its thread until the
+         Activation_unblocked upcall hands the context back. *)
   max_procs : int;
   mutable pending_recovery :
     (Ft_core.tcb * Time.span * (unit -> unit)) list;
@@ -33,73 +31,62 @@ type t = {
 let core t = t.core_state
 let space t = Option.get t.space
 
-let grow_by_id a id fill =
-  let n = Array.length a in
-  let n' = max 32 (max (id + 1) (2 * n)) in
-  let a' = Array.make n' fill in
-  Array.blit a 0 a' 0 n;
-  a'
+(* The kernel hosting our space; cluster migration re-points it when the
+   space is attached elsewhere. *)
+let home t = Kernel.space_home (space t)
 
-let ensure_aid t aid =
-  if aid >= Array.length t.loaded then begin
-    t.loaded <- grow_by_id t.loaded aid L_none;
-    t.act_cpu <- grow_by_id t.act_cpu aid (-1)
-  end
+let set_loaded t aid l =
+  let n = Array.length t.loaded in
+  if aid >= n then begin
+    let a = Array.make (max (aid + 1) (2 * n)) Ft_core.no_tcb in
+    Array.blit t.loaded 0 a 0 n;
+    t.loaded <- a
+  end;
+  t.loaded.(aid) <- l
 
-let ensure_tid t tid =
-  if tid >= Array.length t.bound then t.bound <- grow_by_id t.bound tid None
+let loaded_of t aid =
+  if aid < Array.length t.loaded && t.loaded.(aid) != Ft_core.no_tcb then
+    Some t.loaded.(aid)
+  else None
 
-let loaded_of t aid = if aid < Array.length t.loaded then t.loaded.(aid) else L_none
+let bind t act tcb = set_loaded t (Kernel.activation_id act) tcb
+let unbind t act = set_loaded t (Kernel.activation_id act) Ft_core.no_tcb
 
+(* A running thread's activation is the one on the processor it runs on. *)
 let act_of t tcb =
-  let tid = Ft_core.tcb_id tcb in
-  match if tid < Array.length t.bound then t.bound.(tid) else None with
+  match Kernel.cpu_activation (home t) (Ft_core.tcb_binding tcb) with
   | Some act -> act
-  | None -> failwith "Ft_sa: thread not bound to an activation"
+  | None -> failwith "Ft_sa: thread's processor runs no activation"
 
-(* Ready-queue depth counter track; the count read only happens when the
-   category is recorded. *)
 let trace_ready t =
-  let sim = Kernel.sim t.kernel in
-  let tr = Sim.trace sim in
-  if Trace.enabled tr Trace.Uthread then
-    Trace.counter tr ~time:(Sim.now sim) Trace.Uthread
-      ("ready:" ^ Kernel.space_name (space t))
-      (float_of_int (Ft_core.ready_threads t.core_state))
+  Ft_core.trace_ready t.core_state t.driver.Ft_core.sim
+    (Kernel.space_name (space t))
 
 (* Critical-section recovery (Section 3.3) as a span: opens when a thread
    preempted inside a critical section is queued for temporary continuation,
    closes when the continuation has run it to the section exit. *)
 let trace_recovery t edge tcb =
-  let sim = Kernel.sim t.kernel in
+  let sim = t.driver.Ft_core.sim in
   let emit = match edge with `B -> Trace.span_begin | `E -> Trace.span_end in
   emit (Sim.trace sim) ~time:(Sim.now sim)
     ~space:(Kernel.space_id (space t))
     ~act:(Ft_core.tcb_id tcb) Trace.Uthread "cs-recovery"
 
-let bind t act tcb =
-  let aid = Kernel.activation_id act and tid = Ft_core.tcb_id tcb in
-  ensure_aid t aid;
-  ensure_tid t tid;
-  t.loaded.(aid) <- L_thread tcb;
-  t.bound.(tid) <- Some act
-
-let unbind t act tcb =
-  ensure_aid t (Kernel.activation_id act);
-  t.loaded.(Kernel.activation_id act) <- L_manager;
-  if Ft_core.tcb_id tcb < Array.length t.bound then
-    t.bound.(Ft_core.tcb_id tcb) <- None
+(* Table 3: tell the kernel only when runnable threads exceed our
+   processors (capped at the application's parallelism limit). *)
+let nudge_demand t =
+  let sp = space t in
+  let want = Int.min t.max_procs (Ft_core.runnable_threads t.core_state) in
+  let n = want - Kernel.space_assigned sp in
+  if n > 0 then Kernel.sa_add_more_processors (home t) sp n
 
 (* ------------------------------------------------------------------ *)
 (* The manager: what an activation does when it is not running a thread *)
 (* ------------------------------------------------------------------ *)
 
 let release_processor t act =
-  let aid = Kernel.activation_id act in
-  ensure_aid t aid;
-  t.loaded.(aid) <- L_none;
-  t.act_cpu.(aid) <- -1;
-  Kernel.sa_cpu_idle t.kernel act
+  unbind t act;
+  Kernel.sa_cpu_idle (home t) act
 
 (* What ends an idle spin early: a ready thread, a thread awaiting
    critical-section recovery, or the end of the program. *)
@@ -108,21 +95,16 @@ let has_work t =
   || t.pending_recovery <> []
   || Ft_core.finished t.core_state
 
-let rec manager_continue t act =
-  let aid = Kernel.activation_id act in
-  let idx =
-    if aid < Array.length t.act_cpu && t.act_cpu.(aid) >= 0 then
-      t.act_cpu.(aid)
-    else failwith "Ft_sa: activation has no processor record"
-  in
-  if Kernel.sa_cpu_warned t.kernel act then begin
+(* [idx] is the processor [act] runs on, as the upcall, the scheduler loop
+   or the stopping thread's binding reports it. *)
+let rec manager_continue t act idx =
+  if Kernel.sa_cpu_warned (home t) act then begin
     (* Warning-protocol kernels (Kconfig.preempt_warning) only hint that
        they want this processor back; a dispatch boundary is a safe point,
        so cooperate.  Any pending recovery is picked up by our remaining
        processors. *)
-    t.loaded.(aid) <- L_none;
-    t.act_cpu.(aid) <- -1;
-    Kernel.sa_respond_warning t.kernel act
+    unbind t act;
+    Kernel.sa_respond_warning (home t) act
   end
   else
     match t.pending_recovery with
@@ -135,15 +117,13 @@ let rec manager_continue t act =
       Ft_core.resume_preempted t.core_state t.driver ~at:idx tcb ~remaining
         ~resume (fun () ->
           trace_recovery t `E tcb;
-          if Ft_core.tcb_id tcb < Array.length t.bound then
-            t.bound.(Ft_core.tcb_id tcb) <- None;
-          t.loaded.(aid) <- L_manager;
-          manager_continue t act)
+          unbind t act;
+          manager_continue t act idx)
   | [] ->
       if Ft_core.finished t.core_state then release_processor t act
       else Ft_core.schedule t.core_state t.driver act ~index:idx
 
-and idle_hysteresis t act =
+and idle_hysteresis t act idx =
   (* Section 4.2: an idle processor spins for a while before notifying the
      kernel that it is available for reallocation.  Every slice it checks
      the ready-thread and recovery counters — an idle virtual processor
@@ -151,13 +131,13 @@ and idle_hysteresis t act =
      back after a full hysteresis period without finding any. *)
   if Ft_core.finished t.core_state then release_processor t act
   else begin
-    let costs = Kernel.costs t.kernel in
+    let costs = Kernel.costs (home t) in
     let spin_total = max costs.Cost_model.idle_spin (Time.us 1) in
     let slice = max (min spin_total (Time.us 100)) (Time.us 1) in
-    Kernel.sa_spin t.kernel act ~slice ~length:spin_total
+    Kernel.sa_spin (home t) act ~slice ~length:spin_total
       ~poll:(fun () -> has_work t)
       (fun () ->
-        if has_work t then manager_continue t act
+        if has_work t then manager_continue t act idx
         else release_processor t act)
   end
 
@@ -173,7 +153,7 @@ let handle_event t idx = function
       ()
   | Upcall.Activation_unblocked { act = aid; ctx } -> (
       match loaded_of t aid with
-      | L_thread tcb ->
+      | Some tcb ->
           (match Ft_core.tcb_state tcb with
           | Ft_core.Blocked_kernel -> ()
           | st ->
@@ -188,23 +168,18 @@ let handle_event t idx = function
                    | Ft_core.Blocked_user -> "ublocked"
                    | Ft_core.Blocked_kernel -> "kblocked"
                    | Ft_core.Done -> "done")));
-          t.loaded.(aid) <- L_none;
-          t.bound.(Ft_core.tcb_id tcb) <- None;
-          t.act_cpu.(aid) <- -1;
-          Kernel.sa_return_activation t.kernel aid;
+          set_loaded t aid Ft_core.no_tcb;
+          Kernel.sa_return_activation (home t) aid;
           (* The saved context resumes the thread where it left the kernel;
              it runs when some processor dispatches it. *)
           Ft_core.set_resume tcb ctx.Upcall.resume;
           Ft_core.make_ready t.core_state t.driver ~at:idx tcb
-      | L_manager | L_none ->
-          failwith "Ft_sa: unblocked activation carried no thread")
+      | None -> failwith "Ft_sa: unblocked activation carried no thread")
   | Upcall.Processor_preempted { act = aid; ctx } -> (
       match loaded_of t aid with
-      | L_thread tcb ->
-          t.loaded.(aid) <- L_none;
-          t.bound.(Ft_core.tcb_id tcb) <- None;
-          t.act_cpu.(aid) <- -1;
-          Kernel.sa_return_activation t.kernel aid;
+      | Some tcb ->
+          set_loaded t aid Ft_core.no_tcb;
+          Kernel.sa_return_activation (home t) aid;
           if Ft_core.tcb_in_cs tcb then begin
             (* Cannot touch the ready list with this thread yet: queue it
                for temporary continuation (Section 3.3). *)
@@ -216,22 +191,17 @@ let handle_event t idx = function
           else
             Ft_core.resume_preempted t.core_state t.driver ~at:idx tcb
               ~remaining:ctx.Upcall.remaining ~resume:ctx.Upcall.resume
-              (fun () ->
-                if Ft_core.tcb_id tcb < Array.length t.bound then
-                  t.bound.(Ft_core.tcb_id tcb) <- None)
-      | L_manager | L_none ->
+              ignore
+      | None ->
           (* Manager contexts are repaired kernel-side; nothing to do. *)
           ())
 
 let on_upcall t delivery =
   let act = delivery.Kernel.uc_activation in
-  let aid = Kernel.activation_id act in
   let idx = Cpu.id delivery.Kernel.uc_cpu in
-  ensure_aid t aid;
-  t.act_cpu.(aid) <- idx;
-  t.loaded.(aid) <- L_manager;
+  unbind t act;
   List.iter (handle_event t idx) delivery.Kernel.uc_events;
-  manager_continue t act
+  manager_continue t act idx
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -253,13 +223,10 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
   Ft_core.set_clock core_state (fun () -> Sim.now sim);
   let rec t =
     {
-      kernel;
       space = None;
       core_state;
       driver = d;
-      loaded = Array.make 32 L_none;
-      bound = Array.make 32 None;
-      act_cpu = Array.make 32 (-1);
+      loaded = Array.make 32 Ft_core.no_tcb;
       max_procs;
       pending_recovery = [];
     }
@@ -269,7 +236,8 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
       strategy;
       sa_accounting = true;
       sim;
-      charge = (fun tcb span k -> Kernel.sa_charge t.kernel (act_of t tcb) span k);
+      charge =
+        (fun tcb span k -> Kernel.sa_charge (home t) (act_of t tcb) span k);
       block_io =
         (fun tcb span k ->
           (* Trap into the kernel as part of the thread's own time, then the
@@ -277,33 +245,27 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
              activation is re-resolved at the end of the trap: if the trap
              segment was preempted, the thread re-runs it on a different
              activation. *)
-          Kernel.sa_charge t.kernel (act_of t tcb)
+          Kernel.sa_charge (home t) (act_of t tcb)
             costs.Cost_model.kernel_trap (fun () ->
               let act = act_of t tcb in
               Ft_core.mark_kernel_blocked t.core_state tcb;
-              Kernel.sa_block_io t.kernel act ~io:span k));
+              Kernel.sa_block_io (home t) act ~io:span k));
       block_kernel =
         (fun tcb ~register k ->
-          Kernel.sa_charge t.kernel (act_of t tcb)
+          Kernel.sa_charge (home t) (act_of t tcb)
             costs.Cost_model.kernel_trap (fun () ->
               let act = act_of t tcb in
               Ft_core.mark_kernel_blocked t.core_state tcb;
-              Kernel.sa_block_kernel t.kernel act ~register k));
+              Kernel.sa_block_kernel (home t) act ~register k));
       thread_stopped =
         (fun tcb ->
           let act = act_of t tcb in
-          unbind t act tcb;
-          manager_continue t act);
+          unbind t act;
+          manager_continue t act (Ft_core.tcb_binding tcb));
       work_created =
-        (fun s tcb ->
+        (fun _ tcb ->
           trace_ready t;
-          (* Table 3: tell the kernel only when runnable threads exceed our
-             processors (capped at the application's parallelism limit). *)
-          let sp = space t in
-          let runnable = Ft_core.runnable_threads s in
-          let want = Int.min t.max_procs runnable in
-          let n = want - Kernel.space_assigned sp in
-          if n > 0 then Kernel.sa_add_more_processors t.kernel sp n;
+          nudge_demand t;
           (* Section 3.1 priority extension: if the newly ready thread
              outranks something we are running, ask the kernel to interrupt
              that processor — we know exactly which thread runs where. *)
@@ -312,24 +274,24 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
             (* Lowest-priority running victim; scan ascending activation id
                so ties resolve deterministically. *)
             let victim = ref None in
-            Array.iteri
-              (fun aid l ->
-                match l with
-                | L_thread vt
-                  when Ft_core.tcb_state vt = Ft_core.Running
-                       && Ft_core.tcb_id vt <> Ft_core.tcb_id tcb -> (
-                    match !victim with
-                    | Some (_, best)
-                      when Ft_core.tcb_priority best <= Ft_core.tcb_priority vt
-                      ->
-                        ()
-                    | _ -> victim := Some (aid, vt))
-                | _ -> ())
+            Array.iter
+              (fun vt ->
+                if
+                  vt != Ft_core.no_tcb
+                  && Ft_core.tcb_state vt = Ft_core.Running
+                  && Ft_core.tcb_id vt <> Ft_core.tcb_id tcb
+                then
+                  match !victim with
+                  | Some best
+                    when Ft_core.tcb_priority best <= Ft_core.tcb_priority vt
+                    ->
+                      ()
+                  | _ -> victim := Some vt)
               t.loaded;
             match !victim with
-            | Some (aid, vt) when Ft_core.tcb_priority vt < prio ->
-                let cpu = t.act_cpu.(aid) in
-                if cpu >= 0 then Kernel.sa_request_preempt t.kernel sp ~cpu
+            | Some vt when Ft_core.tcb_priority vt < prio ->
+                Kernel.sa_request_preempt (home t) (space t)
+                  ~cpu:(Ft_core.tcb_binding vt)
             | Some _ | None -> ()
           end);
       all_done = on_done;
@@ -338,13 +300,13 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
          rather than reporting it. *)
       sched_charge =
         (fun act span ~repair k ->
-          Kernel.sa_charge ~repair t.kernel act span k);
+          Kernel.sa_charge ~repair (home t) act span k);
       picked =
         (fun act tcb ->
           trace_ready t;
           bind t act tcb);
-      unpicked = (fun act tcb -> unbind t act tcb);
-      idle = (fun act _ -> idle_hysteresis t act);
+      unpicked = (fun act _ -> unbind t act);
+      idle = (fun act idx -> idle_hysteresis t act idx);
     }
   in
   t.space <-
@@ -352,18 +314,3 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
       (Kernel.new_sa_space kernel ~name ~priority ~on_upcall:(on_upcall t) ());
   Ft_core.make_ready core_state d ~at:0 (Ft_core.new_thread core_state d prog);
   t
-
-(* ------------------------------------------------------------------ *)
-(* Cluster migration                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let rehome t kernel = t.kernel <- kernel
-
-let nudge_demand t =
-  match t.space with
-  | None -> ()
-  | Some sp ->
-      let runnable = Ft_core.runnable_threads t.core_state in
-      let want = Int.min t.max_procs runnable in
-      let n = want - Kernel.space_assigned sp in
-      if n > 0 then Kernel.sa_add_more_processors t.kernel sp n

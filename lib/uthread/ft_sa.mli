@@ -39,12 +39,11 @@ val create :
 val core : t -> Ft_core.state
 val space : t -> Sa_kernel.Kernel.space
 
-(** {1 Cluster migration} *)
+(** {1 Cluster migration}
 
-val rehome : t -> Sa_kernel.Kernel.t -> unit
-(** Re-point the package at the kernel now hosting its space.  Call after
-    [Kernel.detach_space] and before [Kernel.attach_space] on the target,
-    so every downcall issued from then on reaches the right kernel. *)
+    Every downcall goes to {!Sa_kernel.Kernel.space_home} of the space, so
+    a space that [Kernel.attach_space] registers on another kernel talks to
+    that kernel from then on; the package holds no kernel of its own. *)
 
 val nudge_demand : t -> unit
 (** Re-issue the Table-3 add-more-processors downcall from current runnable

@@ -4,7 +4,8 @@
    as its equivalence oracle: for the same bodies, [theta] and [eps] both
    trees must give the same interaction count and the same acceleration
    bits for every body, and the same [node_count], [depth], [mass] and
-   [center_of_mass]. *)
+   [center_of_mass].  [force_exact], the direct sum both walks approach as
+   [theta] falls, ends the file. *)
 
 module Vec3 = Barneshut.Vec3
 module Body = Barneshut.Body
@@ -208,3 +209,27 @@ let force_on t ~theta ~eps body =
   in
   walk t.root;
   (!acc, !interactions)
+
+(* Direct O(N) summation, the accuracy oracle for both trees' walks:
+   the softened pairwise formula a = m d / (|d|^2 + eps^2)^(3/2), summed
+   over every other body with plain floats, sharing no code with either
+   tree. *)
+let force_exact bodies ~eps body =
+  let p = body.Body.pos in
+  let eps2 = eps *. eps in
+  let ax = ref 0.0 and ay = ref 0.0 and az = ref 0.0 in
+  Array.iter
+    (fun b ->
+      if b.Body.id <> body.Body.id then begin
+        let q = b.Body.pos in
+        let dx = q.Vec3.x -. p.Vec3.x
+        and dy = q.Vec3.y -. p.Vec3.y
+        and dz = q.Vec3.z -. p.Vec3.z in
+        let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. eps2 in
+        let s = b.Body.mass /. (r2 *. sqrt r2) in
+        ax := !ax +. (s *. dx);
+        ay := !ay +. (s *. dy);
+        az := !az +. (s *. dz)
+      end)
+    bodies;
+  Vec3.make !ax !ay !az

@@ -78,7 +78,7 @@ let theta_zero_is_exact =
       Array.for_all
         (fun b ->
           let approx, _ = Octree.force_on tree ~theta:0.0 ~eps:0.05 b in
-          let exact = Octree.force_exact bodies ~eps:0.05 b in
+          let exact = Oracle.force_exact bodies ~eps:0.05 b in
           Vec3.norm (Vec3.sub approx exact) <= 1e-9 *. (1.0 +. Vec3.norm exact))
         bodies)
 
@@ -168,7 +168,7 @@ let octree_tests =
         let tree = Octree.build bodies in
         check (Alcotest.float 1e-9) "mass" 4.0 (Octree.mass tree);
         let approx, _ = Octree.force_on tree ~theta:0.0 ~eps:0.05 bodies.(3) in
-        let exact = Octree.force_exact bodies ~eps:0.05 bodies.(3) in
+        let exact = Oracle.force_exact bodies ~eps:0.05 bodies.(3) in
         check (Alcotest.float 1e-9) "force" 0.0
           (Vec3.norm (Vec3.sub approx exact)));
     Alcotest.test_case "force accuracy at theta=0.7" `Quick (fun () ->
@@ -179,7 +179,7 @@ let octree_tests =
         Array.iter
           (fun b ->
             let approx, _ = Octree.force_on tree ~theta:0.7 ~eps:0.05 b in
-            let exact = Octree.force_exact bodies ~eps:0.05 b in
+            let exact = Oracle.force_exact bodies ~eps:0.05 b in
             err_sum :=
               !err_sum
               +. (Vec3.norm (Vec3.sub approx exact) /. (Vec3.norm exact +. 1e-12)))

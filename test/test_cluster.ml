@@ -252,7 +252,12 @@ let cluster_tests =
         check Alcotest.int "evacuations" 3 s.Cluster.cl_evacuations;
         check Alcotest.int "net messages" 135 s.Cluster.cl_net.Net.messages;
         check Alcotest.int "net bytes" 274_944 s.Cluster.cl_net.Net.bytes;
-        check Alcotest.int "net drops" 3 s.Cluster.cl_net.Net.drops);
+        check Alcotest.int "net drops" 3 s.Cluster.cl_net.Net.drops;
+        (* Every tenant's final home and every machine's final tenant count
+           are in the digest: a placement read from the wrong kernel moves
+           it. *)
+        check Alcotest.string "summary digest" "e0ab5418974a2bfba39f297578686522"
+          (summary_digest s));
     qtest
       (QCheck.Test.make ~name:"cluster runs are seed-deterministic" ~count:4
          QCheck.(int_range 1 1000)
