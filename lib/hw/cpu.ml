@@ -174,21 +174,25 @@ let begin_spin t ~occupant ~slice ~length ~poll k =
   t.on_busy true
 
 (* The context of a preempted spin: once the interrupted slice's remainder
-   has run, take that boundary and spin on for the unspent length. *)
-let spin_resume t ~occupant =
+   has run, take that boundary and spin on for the unspent length, on the
+   processor [resume_on] names at that moment (this one by default). *)
+let spin_resume t ~occupant resume_on =
   let slice = t.spin_slice and left = t.spin_left and poll = t.spin_poll in
   let k = t.run_continue in
   fun () ->
     if poll () || left <= 0 then k ()
-    else begin_spin t ~occupant ~slice ~length:left ~poll k
+    else
+      let cpu = match resume_on with Some f -> f () | None -> t in
+      begin_spin cpu ~occupant ~slice ~length:left ~poll k
 
-let preempt t =
+let preempt ?resume_on t =
   if not t.run_active then None
   else begin
     Sim.cancel t.sim t.run_event;
     let who = t.who in
     let resume =
-      if t.spinning then spin_resume t ~occupant:who else t.run_continue
+      if t.spinning then spin_resume t ~occupant:who resume_on
+      else t.run_continue
     in
     t.spinning <- false;
     t.spin_poll <- no_poll;

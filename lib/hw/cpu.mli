@@ -72,13 +72,16 @@ val begin_spin :
     caller.  The CPU must be idle and [slice] and [length] positive (raises
     [Invalid_argument] otherwise). *)
 
-val preempt : t -> preempted option
+val preempt : ?resume_on:(unit -> t) -> t -> preempted option
 (** Stop the current segment immediately.  [None] if the CPU was idle.  The
     CPU is idle afterwards; the caller owns the returned context.  For a
     spin, [elapsed] and [remaining] are those of the interrupted slice, and
-    [resume] takes that slice's boundary and then spins on, on this CPU,
-    for the unspent length — so a stopped and resumed spin ends where it
-    would have, shifted by the stop. *)
+    [resume] takes that slice's boundary and then spins on for the unspent
+    length — so a stopped and resumed spin ends where it would have,
+    shifted by the stop.  The rest of the spin runs on [resume_on ()],
+    asked when [resume] runs (by default this CPU): a context that may be
+    redispatched elsewhere, like a preempted kernel thread's, names the
+    processor it then holds. *)
 
 val busy_time : t -> Sa_engine.Time.span
 (** Total simulated time this CPU has spent executing segments (completed

@@ -56,6 +56,12 @@ type kt_state = K_ready | K_running of int (* cpu id *) | K_blocked | K_dead
 
 type kt_ops = {
   kt_charge : Time.span -> (unit -> unit) -> unit;
+  kt_spin :
+    slice:Time.span ->
+    length:Time.span ->
+    poll:(unit -> bool) ->
+    (unit -> unit) ->
+    unit;
   kt_block_for : Time.span -> (unit -> unit) -> unit;
   kt_block_on : register:((unit -> unit) -> unit) -> (unit -> unit) -> unit;
   kt_yield : (unit -> unit) -> unit;
@@ -283,9 +289,15 @@ let tracef t fmt =
 let upcall_tracef t fmt =
   Trace.emitf (Sim.trace t.sim) ~time:(Sim.now t.sim) Trace.Upcall fmt
 
-(* Structured-trace helpers.  All emitters check the category's enable bit
-   first, so these cost one branch when the category is off. *)
+(* Structured-trace helpers.  Every emitter checks the category's enable
+   bit before it records anything, but its arguments are built first: a
+   [tracef] still applies them to [Format.ikfprintf], and [trace_instant]
+   boxes each optional one.  Callers on a hot path therefore test
+   [kernel_traced] (or [Trace.enabled]) themselves, so tracing off costs
+   them one branch and no allocation. *)
 let ktrace t = Sim.trace t.sim
+
+let kernel_traced t = Trace.enabled (ktrace t) Trace.Kernel
 
 let trace_instant t ?cpu ?space ?act ?detail cat name =
   Trace.instant (ktrace t) ~time:(Sim.now t.sim) ?cpu ?space ?act ?detail cat
@@ -372,6 +384,13 @@ let kt_runnable_delta sp d =
 
 let charge_on_slot slot ~occupant ~cost k =
   Cpu.begin_work slot.slot_cpu ~occupant ~length:cost k
+
+(* The slot of the processor [kt] holds. *)
+let kt_slot t kt =
+  match kt.kt_state with
+  | K_running cpu_id -> slot_of_cpu t cpu_id
+  | K_ready | K_blocked | K_dead ->
+      failwith (Printf.sprintf "kthread %s used ops while not running" kt.kt_name)
 
 (* Save a preempted kernel thread's machine state: when next dispatched it
    re-charges the unfinished remainder of the interrupted segment. *)
@@ -575,9 +594,13 @@ let kt_contender t kt =
 
 (* Stop [kt] on [slot] and put it back on its ready queue with its
    interrupted segment saved.  Every caller runs in its own event, when a
-   kernel thread holding a processor always has a segment in flight. *)
+   kernel thread holding a processor always has a segment in flight.  An
+   interrupted [kt_spin] resumes its unspent length on whichever processor
+   [kt] holds once the slice's remainder has run there, not on [slot]. *)
 let kt_bump t slot kt =
-  (match Cpu.preempt slot.slot_cpu with
+  (match
+     Cpu.preempt slot.slot_cpu ~resume_on:(fun () -> (kt_slot t kt).slot_cpu)
+   with
   | Some p -> save_kt_context t kt p
   | None -> failwith "kt_bump: running kthread has no segment in flight");
   cancel_quantum t slot;
@@ -629,8 +652,9 @@ and quantum_fire t slot =
 (* The quantum has fired, so [kt_bump]'s cancel finds no timer. *)
 and timeslice_preempt t slot kt =
   t.stats.kt_timeslices <- t.stats.kt_timeslices + 1;
-  tracef t "timeslice: preempt kt%d (%s) on cpu%d" kt.kt_id kt.kt_name
-    (Cpu.id slot.slot_cpu);
+  if kernel_traced t then
+    tracef t "timeslice: preempt kt%d (%s) on cpu%d" kt.kt_id kt.kt_name
+      (Cpu.id slot.slot_cpu);
   kt_bump t slot kt;
   dispatch_next t slot
 
@@ -704,12 +728,6 @@ let make_ready t kt =
                 | None -> ())
             t.slots)
 
-let kt_slot t kt =
-  match kt.kt_state with
-  | K_running cpu_id -> slot_of_cpu t cpu_id
-  | K_ready | K_blocked | K_dead ->
-      failwith (Printf.sprintf "kthread %s used ops while not running" kt.kt_name)
-
 let kt_leave_cpu t kt =
   let slot = kt_slot t kt in
   cancel_quantum t slot;
@@ -730,6 +748,10 @@ let ops_for t kt =
   {
     kt_charge =
       (fun cost k -> charge_on_slot (kt_slot t kt) ~occupant:kt.kt_occ ~cost k);
+    kt_spin =
+      (fun ~slice ~length ~poll k ->
+        Cpu.begin_spin (kt_slot t kt).slot_cpu ~occupant:kt.kt_occ ~slice
+          ~length ~poll k);
     kt_block_for =
       (fun span k ->
         let slot = kt_stop t kt k K_blocked in
@@ -859,6 +881,19 @@ let free_activation t act =
     s.pool <- act :: s.pool
   end
 
+let upcall_traced t = Trace.enabled (ktrace t) Trace.Upcall
+
+(* One span per Table-2 event carried by an upcall, open until the user
+   level receives the delivery (or it is requeued by a preemption).  Spans
+   are keyed by the delivering activation's id, so a preempted delivery
+   cannot corrupt the nesting of the per-CPU tracks. *)
+let trace_event_span t sp act edge ev =
+  let emit = match edge with `B -> Trace.span_begin | `E -> Trace.span_end in
+  emit (ktrace t) ~time:(Sim.now t.sim) ~space:sp.sp_id ~act:act.act_id
+    ~detail:(Format.asprintf "%a" Upcall.pp_event ev)
+    Trace.Upcall
+    ("upcall:" ^ Upcall.event_name ev)
+
 (* Deliver an upcall on [slot] (no in-flight segment) with a fresh or
    recycled activation.  [extra_cost] accounts for the interrupt that freed
    the processor, if any. *)
@@ -873,27 +908,12 @@ let deliver_upcall t slot sp ~extra_cost events =
   t.stats.upcalls <- t.stats.upcalls + 1;
   t.stats.upcall_events <- t.stats.upcall_events + List.length events;
   sp.sp_upcalls <- sp.sp_upcalls + 1;
-  if Trace.enabled (ktrace t) Trace.Upcall then
+  if upcall_traced t then
     upcall_tracef t "upcall to %s on cpu%d act%d: %s" sp.sp_name
       (Cpu.id slot.slot_cpu) act.act_id
       (String.concat ", "
          (List.map (Format.asprintf "%a" Upcall.pp_event) events));
-  (* One span per Table-2 event carried by this upcall, open until the user
-     level receives the delivery (or it is requeued by a preemption).  Spans
-     are keyed by the delivering activation's id, so a preempted delivery
-     cannot corrupt the nesting of the per-CPU tracks. *)
-  let trace_event_span edge ev =
-    if Trace.enabled (ktrace t) Trace.Upcall then begin
-      let emit =
-        match edge with `B -> Trace.span_begin | `E -> Trace.span_end
-      in
-      emit (ktrace t) ~time:(Sim.now t.sim) ~space:sp.sp_id ~act:act.act_id
-        ~detail:(Format.asprintf "%a" Upcall.pp_event ev)
-        Trace.Upcall
-        ("upcall:" ^ Upcall.event_name ev)
-    end
-  in
-  List.iter (trace_event_span `B) events;
+  if upcall_traced t then List.iter (trace_event_span t sp act `B) events;
   (* Section 3.1: if the thread manager's pages are swapped out, the upcall
      would immediately page fault; fault them in first, delaying delivery by
      one I/O. *)
@@ -908,7 +928,8 @@ let deliver_upcall t slot sp ~extra_cost events =
   slot.slot_delivery <- Some events;
   charge_on_slot slot ~occupant:act.act_occ_upcall ~cost (fun () ->
       slot.slot_delivery <- None;
-      List.iter (trace_event_span `E) (List.rev events);
+      if upcall_traced t then
+        List.iter (trace_event_span t sp act `E) (List.rev events);
       s.on_upcall
         { uc_activation = act; uc_cpu = slot.slot_cpu; uc_events = events })
 
@@ -1123,8 +1144,9 @@ let sa_add_more_processors t sp n =
   let want = min (ncpus t) (sp.sp_assigned + n) in
   if want > sp.sp_desired then begin
     sp.sp_desired <- want;
-    tracef t "%s requests %d more processors (desired=%d)" sp.sp_name n
-      sp.sp_desired;
+    if kernel_traced t then
+      tracef t "%s requests %d more processors (desired=%d)" sp.sp_name n
+        sp.sp_desired;
     reevaluate t
   end
 
@@ -1146,7 +1168,8 @@ let sa_cpu_idle t act =
       let sp = act.act_sp in
       sa_give_back t act (slot_of_cpu t cpu_id) "this-processor-is-idle";
       sp.sp_desired <- min sp.sp_desired sp.sp_assigned;
-      tracef t "%s returns cpu%d (idle)" sp.sp_name cpu_id
+      if kernel_traced t then
+        tracef t "%s returns cpu%d (idle)" sp.sp_name cpu_id
   | A_blocked | A_stopped | A_free -> failwith "sa_cpu_idle: not running"
 
 (* The warning side of the Psyche/Symunix protocol: the user level polls at
@@ -1268,10 +1291,12 @@ let compute_targets t =
 let preempt_slot_now t sp slot =
   t.stats.preemptions <- t.stats.preemptions + 1;
   sp.sp_preempted <- sp.sp_preempted + 1;
-  tracef t "allocator: preempt cpu%d from %s" (Cpu.id slot.slot_cpu)
-    sp.sp_name;
-  trace_instant t ~cpu:(Cpu.id slot.slot_cpu) ~space:sp.sp_id Trace.Kernel
-    "alloc:preempt";
+  if kernel_traced t then begin
+    tracef t "allocator: preempt cpu%d from %s" (Cpu.id slot.slot_cpu)
+      sp.sp_name;
+    trace_instant t ~cpu:(Cpu.id slot.slot_cpu) ~space:sp.sp_id Trace.Kernel
+      "alloc:preempt"
+  end;
   match sp.sp_kind with
   | Sa s ->
       let events = stop_activation_on t slot in
@@ -1366,9 +1391,12 @@ let grant_cpu_to t slot sp =
   sp.sp_granted <- sp.sp_granted + 1;
   t.st_grants <- t.st_grants + 1;
   set_assigned t sp (sp.sp_assigned + 1);
-  tracef t "allocator: grant cpu%d to %s" (Cpu.id slot.slot_cpu) sp.sp_name;
-  trace_instant t ~cpu:(Cpu.id slot.slot_cpu) ~space:sp.sp_id Trace.Kernel
-    "alloc:grant";
+  if kernel_traced t then begin
+    tracef t "allocator: grant cpu%d to %s" (Cpu.id slot.slot_cpu)
+      sp.sp_name;
+    trace_instant t ~cpu:(Cpu.id slot.slot_cpu) ~space:sp.sp_id Trace.Kernel
+      "alloc:grant"
+  end;
   match sp.sp_kind with
   | Sa _ ->
       let events = Upcall.Add_processor :: drain_pending sp in

@@ -92,6 +92,22 @@ val space_desired : space -> int
 type kt_ops = {
   kt_charge : Time.span -> (unit -> unit) -> unit;
       (** execute work on the current processor, then continue *)
+  kt_spin :
+    slice:Time.span ->
+    length:Time.span ->
+    poll:(unit -> bool) ->
+    (unit -> unit) ->
+    unit;
+      (** [kt_spin ~slice ~length ~poll k]: the kernel-thread twin of
+          {!sa_spin}.  Run [length] of work on the current processor as one
+          {!Sa_hw.Cpu.begin_spin}, calling [poll] at every [slice]
+          boundary, and continue with [k] once [poll] reports work or the
+          spin is used up.  It fires the same events, in the same order, as
+          a chain of [slice]-long {!kt_charge}s whose continuations poll.
+          A spin preempted by a quantum expiry or a wakeup is saved like any
+          segment; once the thread is dispatched again, on whatever
+          processor, it finishes the interrupted slice there and spins on
+          there for the unspent length. *)
   kt_block_for : Time.span -> (unit -> unit) -> unit;
       (** block in the kernel (e.g. I/O) for the given span *)
   kt_block_on : register:((unit -> unit) -> unit) -> (unit -> unit) -> unit;

@@ -426,14 +426,18 @@ let run_thread s ~index tcb =
 (* Critical-section cells                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Whether [owner] could take [cell] now: unowned, and no live lease by
+   someone else covers this instant. *)
+let[@inline] cell_takable s cell ~owner =
+  cell.owner = 0
+  && not
+       (Time.compare cell.lease_until Time.zero > 0
+       && cell.lease_for <> owner
+       && Time.compare (s.clock ()) cell.lease_until <= 0)
+
 let try_lock_cell s cell ~owner =
   if owner = 0 then invalid_arg "Ft_core.try_lock_cell: owner 0";
-  if cell.owner <> 0 then false
-  else if
-    Time.compare cell.lease_until Time.zero > 0
-    && cell.lease_for <> owner
-    && Time.compare (s.clock ()) cell.lease_until <= 0
-  then false
+  if not (cell_takable s cell ~owner) then false
   else begin
     cell.lease_until <- Time.zero;
     cell.lease_for <- 0;
@@ -1118,6 +1122,17 @@ let schedule_locked s d v index cell =
       match steal s d.sim ~thief:index with
       | Some (vcell, tcb) -> run_picked s d v index vcell tcb
       | None -> d.idle v index)
+
+(* A [schedule] pass on vessel [index] now would lock the own list's cell
+   at once, find no thread, unlock and steal nothing, then call [d.idle] —
+   having changed no state a later event reads (the successful probe only
+   clears an expired lease; see [steal_probe]).  That holds while no thread
+   is ready, no chooser would record the steal probes, and the own cell is
+   takable. *)
+let idle_pass_is_empty s sim ~index =
+  s.ready_count = 0
+  && Option.is_none (Sim.chooser sim)
+  && cell_takable s s.q_cells.(index) ~owner:(-(index + 1))
 
 (* The own list's cell is probed first, so the uncontended path builds no
    spin closures ([spin_lock_cell] starts with the same probe). *)

@@ -143,7 +143,8 @@ val queued_tids : state -> int list
 
 (** Substrate capabilities injected by {!Ft_kt} / {!Ft_sa}.  ['v] is the
     substrate's vessel — what runs the scheduler loop on one processor: a
-    kernel thread's operations, or an activation. *)
+    kernel thread (its operations and idle-spin callbacks), or an
+    activation. *)
 type 'v driver = {
   costs : Cost_model.t;
   strategy : strategy;
@@ -229,6 +230,15 @@ val schedule : state -> 'v driver -> 'v -> index:int -> unit
     charged as its own [sched_charge] segment, whose repair unlocks the
     cell, reports [unpicked] and puts the thread back at the front of the
     own list.  With nothing anywhere it calls [idle]. *)
+
+val idle_pass_is_empty : state -> Sa_engine.Sim.t -> index:int -> bool
+(** Whether a {!schedule} pass on vessel [index] would now end in [idle]
+    having changed nothing any later event reads: no thread is ready, no
+    chooser is installed (so no steal probe is a recorded choice), and the
+    own list's cell can be taken at once — it is neither held nor leased to
+    another owner until now or later.  A vessel idling in a spin polls this
+    at each slice boundary in place of a pass; [false] means run one.
+    Allocates nothing. *)
 
 (** {1 Critical-section cells} *)
 

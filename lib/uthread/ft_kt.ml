@@ -3,7 +3,19 @@ module Sim = Sa_engine.Sim
 module Cost_model = Sa_hw.Cost_model
 module Kernel = Sa_kernel.Kernel
 
+(* An idle virtual processor looks for work every 50 us.  Its spin may be
+   any multiple of that: one that runs out just starts the next. *)
 let idle_slice = Time.us 50
+let idle_spin = Time.s 1
+
+(* A virtual processor as the scheduler loop sees it: its kernel thread's
+   operations, and the poll and wake-up of its idle spin, built once when
+   the thread starts. *)
+type vp = {
+  ops : Kernel.kt_ops;
+  idle_poll : unit -> bool;
+  idle_wake : unit -> unit;
+}
 
 type t = {
   space : Kernel.space;
@@ -20,21 +32,22 @@ let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
   let space = Kernel.new_kthread_space kernel ~name ~priority () in
   let s = Ft_core.create_state ~queues:vps ?cache ?io_dev () in
   let t = { space; core_state = s } in
-  let vp_ops = Array.make vps None in
+  let vp_of = Array.make vps None in
   let costs = Kernel.costs kernel in
   let sim = Kernel.sim kernel in
   Ft_core.set_clock s (fun () -> Sim.now sim);
-  let ops_of tcb =
-    match vp_ops.(Ft_core.tcb_binding tcb) with
-    | Some ops -> ops
+  let vp_at idx =
+    match vp_of.(idx) with
+    | Some vp -> vp
     | None -> failwith "Ft_kt: thread bound to an unstarted virtual processor"
   in
+  let ops_of tcb = (vp_at (Ft_core.tcb_binding tcb)).ops in
   let trace_ready () = Ft_core.trace_ready s sim (Kernel.space_name space) in
   (* Each virtual processor runs the shared scheduler loop until the last
      thread finishes. *)
-  let rec vp_step ops idx =
-    if Ft_core.finished s then ops.Kernel.kt_exit ()
-    else Ft_core.schedule s d ops ~index:idx
+  let rec vp_step vp idx =
+    if Ft_core.finished s then vp.ops.Kernel.kt_exit ()
+    else Ft_core.schedule s d vp ~index:idx
   and d =
     {
       Ft_core.costs;
@@ -56,31 +69,48 @@ let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
           ops.Kernel.kt_charge costs.Cost_model.kt_block (fun () ->
               ops.Kernel.kt_block_on ~register k));
       thread_stopped =
-        (fun tcb -> vp_step (ops_of tcb) (Ft_core.tcb_binding tcb));
+        (fun tcb ->
+          let idx = Ft_core.tcb_binding tcb in
+          vp_step (vp_at idx) idx);
       (* VPs poll their ready lists *)
       work_created = (fun _ _ -> trace_ready ());
       all_done = on_done;
       on_stamp = (fun id -> observer id (Sim.now sim));
       (* A kernel thread preempted in its scheduler just resumes there. *)
-      sched_charge = (fun ops span ~repair:_ k -> ops.Kernel.kt_charge span k);
+      sched_charge =
+        (fun vp span ~repair:_ k -> vp.ops.Kernel.kt_charge span k);
       picked = (fun _ _ -> trace_ready ());
       unpicked = (fun _ _ -> ());
       idle =
-        (fun ops idx ->
-          (* Nothing anywhere: idle-scan and look again shortly.  The
+        (fun vp _ ->
+          (* Nothing anywhere: spin, looking again every slice.  The
              virtual processor burns its physical processor doing this,
              exactly like an original-FastThreads kernel thread idling in
-             its scheduler. *)
-          ops.Kernel.kt_charge idle_slice (fun () -> vp_step ops idx));
+             its scheduler.  A boundary whose pass would find nothing and
+             change nothing just spins on inside the CPU. *)
+          vp.ops.Kernel.kt_spin ~slice:idle_slice ~length:idle_spin
+            ~poll:vp.idle_poll vp.idle_wake);
     }
+  in
+  let start_vp ops idx =
+    let rec vp =
+      {
+        ops;
+        idle_poll =
+          (fun () ->
+            Ft_core.finished s
+            || not (Ft_core.idle_pass_is_empty s sim ~index:idx));
+        idle_wake = (fun () -> vp_step vp idx);
+      }
+    in
+    vp_of.(idx) <- Some vp;
+    vp_step vp idx
   in
   Ft_core.make_ready s d ~at:0 (Ft_core.new_thread s d prog);
   for i = 0 to vps - 1 do
     Kernel.spawn_kthread kernel space
       ~name:(Printf.sprintf "vp%d" i)
-      ~body:(fun ops ->
-        vp_ops.(i) <- Some ops;
-        vp_step ops i)
+      ~body:(fun ops -> start_vp ops i)
       ()
   done;
   t

@@ -35,6 +35,18 @@ type link = {
   lksem : ksem array;
 }
 
+(* A running thread's place in its program: the arena it steps and the pc
+   of its op in flight, with [advance], the one continuation that moves to
+   the next op and steps it.  Built when the thread starts and reachable
+   only through [advance] and the kernel's hold on it — never from [thr],
+   which [t.threads] keeps for the whole job — so it is garbage once the
+   thread exits. *)
+type cursor = {
+  mutable lk : link;
+  mutable pc : int;
+  mutable advance : unit -> unit;
+}
+
 type t = {
   kernel : Kernel.t;
   sp : Kernel.space;
@@ -51,6 +63,7 @@ type t = {
       (* blocks being filled -> threads waiting on the fill *)
   mutable next_tid : int;
   mutable live : int;
+  mutable on_cursor : cursor -> unit;
 }
 
 let space t = t.sp
@@ -188,15 +201,17 @@ let await_fill t (ops : Kernel.kt_ops) c block k =
                 (wake :: Hashtbl.find t.cache_waiters block))
             k)
 
-(* Step the op at [pc] of [lk]'s arena: one [kt_charge] per op, no
-   batching.  [op_dyn] forces its continuation when execution reaches it
+(* Step the op at the cursor: one [kt_charge] per op, no batching, and
+   [cur.advance] as the continuation to the next op, so a plain op builds
+   no closure.  [op_dyn] forces its continuation when execution reaches it
    and continues at the entry of the arena that compiles to.  Matches on
    the raw op tags, whose numbering [Ft_core] asserts at init. *)
-let rec step t thr (ops : Kernel.kt_ops) lk pc =
+let rec step t thr (ops : Kernel.kt_ops) cur =
+  let lk = cur.lk and pc = cur.pc in
   let code = lk.code in
   let c = Kernel.costs t.kernel in
   let arg = code.Code.a.(pc) in
-  let next () = step t thr ops lk code.Code.nx.(pc) in
+  let next = cur.advance in
   match code.Code.op.(pc) with
   | 0 (* done *) ->
       ops.Kernel.kt_charge (c_exit t c) (fun () ->
@@ -264,7 +279,7 @@ let rec step t thr (ops : Kernel.kt_ops) lk pc =
           thr.binds <- Code.bind thr.binds code.Code.b.(pc) child.th_id;
           Kernel.spawn_kthread t.kernel t.sp
             ~name:(Printf.sprintf "dsl-t%d" child.th_id)
-            ~body:(fun cops -> step t child cops lk arg)
+            ~body:(start t child lk arg)
             ();
           next ())
   | 12 (* join *) -> (
@@ -299,9 +314,22 @@ let rec step t thr (ops : Kernel.kt_ops) lk pc =
          honouring them would need kernel changes (Section 2.2's point). *)
       ops.Kernel.kt_charge c.Cost_model.procedure_call next
   | _ (* dyn *) ->
-      let lk = link t (Program.compile (Code.force code pc thr.binds)) in
+      cur.lk <- link t (Program.compile (Code.force code pc thr.binds));
+      cur.pc <- 0;
       thr.binds <- Code.no_binds;
-      step t thr ops lk 0
+      step t thr ops cur
+
+(* A thread's body: build its cursor at [pc] of [lk]'s arena and step. *)
+and start t thr lk pc ops =
+  let cur = { lk; pc; advance = ignore } in
+  cur.advance <-
+    (fun () ->
+      cur.pc <- cur.lk.code.Code.nx.(cur.pc);
+      step t thr ops cur);
+  t.on_cursor cur;
+  step t thr ops cur
+
+let watch_cursors t f = t.on_cursor <- f
 
 let create kernel ~name ~flavor ?(priority = 0) ?cache ?io_dev
     ?(observer = fun _ _ -> ()) ?(on_done = fun () -> ()) prog =
@@ -322,11 +350,11 @@ let create kernel ~name ~flavor ?(priority = 0) ?cache ?io_dev
       cache_waiters = Hashtbl.create 16;
       next_tid = 0;
       live = 0;
+      on_cursor = ignore;
     }
   in
   let root = new_thr t in
   let lk = link t (Program.compile prog) in
-  Kernel.spawn_kthread kernel sp ~name:"dsl-main"
-    ~body:(fun ops -> step t root ops lk 0)
+  Kernel.spawn_kthread kernel sp ~name:"dsl-main" ~body:(start t root lk 0)
     ();
   t

@@ -34,3 +34,13 @@ val create :
     every one of them directly. *)
 
 val space : t -> Sa_kernel.Kernel.space
+
+(**/**)
+
+type cursor
+(** A running thread's place in its program. *)
+
+val watch_cursors : t -> (cursor -> unit) -> unit
+(** [watch_cursors t f] calls [f] with each thread's cursor when the
+    thread starts.  A test hook: a finished thread's cursor must become
+    garbage, since the job keeps every thread's record to its end. *)

@@ -552,6 +552,97 @@ let extension_tests =
         check Alcotest.int "frozen spin gives up 20 ms later"
           (plain + Time.ms 20)
           (spin ~freeze_at:(Time.ms 2 + Time.us 30) ()));
+    Alcotest.test_case "a preempted kthread spin resumes on its new processor"
+      `Quick (fun () ->
+        (* Two processors, three kernel threads: [spin] idles 300 ms in
+           100 us slices on cpu0 while two hogs compute.  At the 100 ms
+           quantum the waiting hog takes cpu0 and the spinner, mid-slice,
+           then takes cpu1 from the other hog, which gets cpu0 back once
+           the short hog exits.  The spin must finish its interrupted slice
+           on cpu1 and spin on there: its polls, its trace spans and its end
+           must be those of a chain of [kt_charge] slices. *)
+        let slice = Time.us 100 and length = Time.ms 300 in
+        let run ~chain =
+          let sim, _m, k = make ~cpus:2 () in
+          let tr = Sim.trace sim in
+          let spans = ref [] and polls = ref [] and ended = ref None in
+          Sa_engine.Trace.add_sink tr (fun r ->
+              if r.Sa_engine.Trace.name = "spin" then
+                spans :=
+                  ( Time.to_ns r.Sa_engine.Trace.time,
+                    r.Sa_engine.Trace.cpu,
+                    r.Sa_engine.Trace.kind = Sa_engine.Trace.Span_end,
+                    r.Sa_engine.Trace.message )
+                  :: !spans);
+          let sp = Kernel.new_kthread_space k ~name:"app" () in
+          let poll () =
+            polls := Time.to_ns (Sim.now sim) :: !polls;
+            false
+          in
+          let finish ops () =
+            ended := Some (Time.to_ns (Sim.now sim));
+            ops.Kernel.kt_exit ()
+          in
+          Kernel.spawn_kthread k sp ~name:"spin"
+            ~body:(fun ops ->
+              if chain then
+                let rec go left =
+                  let s = min slice left in
+                  ops.Kernel.kt_charge s (fun () ->
+                      if poll () || left - s <= 0 then finish ops ()
+                      else go (left - s))
+                in
+                go length
+              else ops.Kernel.kt_spin ~slice ~length ~poll (finish ops))
+            ();
+          List.iter
+            (fun (name, work) ->
+              Kernel.spawn_kthread k sp ~name
+                ~body:(fun ops -> ops.Kernel.kt_charge work ops.Kernel.kt_exit)
+                ())
+            [ ("hog1", Time.ms 500); ("hog2", Time.ms 50) ];
+          Sim.run sim;
+          Kernel.check_invariants k;
+          check Alcotest.int "two quantum preemptions" 2
+            (Kernel.stats k).Kernel.kt_timeslices;
+          (List.rev !polls, List.rev !spans, Option.get !ended)
+        in
+        let polls, spans, spin_end = run ~chain:false in
+        let chain_polls, chain_spans, chain_end = run ~chain:true in
+        check Alcotest.(list int) "same polls" chain_polls polls;
+        check
+          Alcotest.(list (pair (pair int int) (pair bool string)))
+          "same spans"
+          (List.map (fun (t, c, e, m) -> ((t, c), (e, m))) chain_spans)
+          (List.map (fun (t, c, e, m) -> ((t, c), (e, m))) spans);
+        check Alcotest.int "same end" chain_end spin_end;
+        (* Each poll closes a slice: the processor that ran it ends a span
+           at that instant. *)
+        let ends =
+          List.map
+            (fun t ->
+              match
+                List.find_opt (fun (t', _, e, m) -> t' = t && e && m = "") spans
+              with
+              | Some (_, c, _, _) -> (t, c)
+              | None -> Alcotest.failf "no slice ends at the poll at %d ns" t)
+            polls
+        in
+        let before, after =
+          List.partition (fun (t, _) -> t < Time.ms 100) ends
+        in
+        check Alcotest.bool "slices before the quantum on cpu0" true
+          (before <> [] && List.for_all (fun (_, c) -> c = 0) before);
+        check Alcotest.bool "every slice after it on cpu1" true
+          (after <> [] && List.for_all (fun (_, c) -> c = 1) after);
+        (* Redispatch costs one context switch, then the interrupted
+           slice's 50 us remainder runs on cpu1. *)
+        check Alcotest.int "the remainder ends on cpu1"
+          (Time.ms 100 + Time.us 100)
+          (fst (List.hd after));
+        check Alcotest.int "the spin ends one context switch late"
+          (Time.us 50 + length + Time.us 50)
+          spin_end);
     Alcotest.test_case "debug_stop of a non-running activation rejected"
       `Quick (fun () ->
         let sim, _m, k = make ~cpus:1 ~kconfig:Kconfig.default () in
@@ -731,6 +822,50 @@ let allocator_pass_tests =
         check (Alcotest.float 0.) "net minor words" (minor_words_of ignore)
           words;
         check Alcotest.int "demand unchanged" 0 (Kernel.space_desired sp));
+    Alcotest.test_case "an untraced give-back and grant allocate nothing \
+                        for tracing" `Quick (fun () ->
+        (* One space takes the lone processor, gives it back idle, asks for
+           it again and is granted it, over and over with no trace sink.
+           Words per cycle, 64-bit: a give-back allocates 7 (the pool's
+           cons cell, the ownership integral's two boxed floats) and a
+           request plus grant 27 (the upcall's event list, delivery record
+           and completion closure among them).  Their disabled [tracef]s and
+           trace instant used to add 10 and 40 more. *)
+        let sim, _m, k = make ~cpus:1 ~kconfig:Kconfig.default () in
+        let act = ref None in
+        let sp =
+          Kernel.new_sa_space k ~name:"s"
+            ~on_upcall:(fun d -> act := Some d.Kernel.uc_activation)
+            ()
+        in
+        let give_back = ref 0. and grant = ref 0. in
+        let warmup = 10 and cycles = 50 in
+        for i = 1 to warmup + cycles do
+          let granted =
+            minor_words_of (fun () ->
+                Kernel.sa_add_more_processors k sp 1;
+                Kernel.reallocate_now k)
+          in
+          Sim.run sim;
+          let a = Option.get !act in
+          let returned = minor_words_of (fun () -> Kernel.sa_cpu_idle k a) in
+          Sim.run sim;
+          if i > warmup then begin
+            grant := !grant +. granted;
+            give_back := !give_back +. returned
+          end
+        done;
+        let per_cycle w = w /. float_of_int cycles in
+        let within what budget w =
+          if per_cycle w > budget then
+            Alcotest.failf "%s: %.1f words per cycle, budget %.0f" what
+              (per_cycle w) budget
+        in
+        within "give-back" 7. !give_back;
+        within "request and grant" 27. !grant;
+        check Alcotest.int "every cycle granted" (warmup + cycles)
+          (Kernel.space_grants sp);
+        Kernel.check_invariants k);
   ]
 
 (* ------------------------------------------------------------------ *)

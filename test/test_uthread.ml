@@ -1192,8 +1192,41 @@ let run_ready s =
   in
   go ()
 
+let no_daemons = { Kconfig.native with Kconfig.daemons = false }
+
 let retirement_tests =
   [
+    Alcotest.test_case "finished Topaz threads' cursors are collectable"
+      `Quick (fun () ->
+        (* The job keeps every thread's record to its end; a thread's
+           cursor (its pc and the continuation that advances it) must not
+           hang off that record, or every Topaz thread would keep its
+           cursor alive. *)
+        let n = 20 in
+        let sys = System.create ~cpus:2 ~kconfig:no_daemons () in
+        let prog =
+          B.to_program
+            (B.repeat n (fun _ -> B.fork_unit (P.compute_only (Time.us 100))))
+        in
+        let job =
+          Sa_uthread.Kt_direct.create (System.kernel sys) ~name:"topaz"
+            ~flavor:`Topaz prog
+        in
+        let cursors = Weak.create (n + 1) and started = ref 0 in
+        Sa_uthread.Kt_direct.watch_cursors job (fun c ->
+            Weak.set cursors !started (Some c);
+            incr started);
+        Sa_engine.Sim.run (System.sim sys);
+        check Alcotest.int "every thread started" (n + 1) !started;
+        Gc.full_major ();
+        for i = 0 to n do
+          if Weak.check cursors i then
+            Alcotest.failf "thread %d's cursor is still reachable" (i + 1)
+        done;
+        (* Used after the collection, so the job's thread table was live
+           through it. *)
+        check Alcotest.string "job still held" "topaz"
+          (Kernel.space_name (Sa_uthread.Kt_direct.space job)));
     Alcotest.test_case "finished threads' TCBs are collectable" `Quick
       (fun () ->
         let n = 100 in
@@ -1321,8 +1354,63 @@ let folded_dispatch_budgets =
    new thread's TCB, closure block and fork binding. *)
 let fork_word_budget = 250.
 
+(* Minor words over [n] events of a run in steady state, with the number
+   of CPU segments those events started: 50 ms of setup and warm-up stay
+   outside the window. *)
+let words_over_events sys n =
+  let sim = System.sim sys in
+  let segments () =
+    Array.fold_left
+      (fun acc cpu -> acc + Sa_hw.Cpu.segment_count cpu)
+      0
+      (Sa_hw.Machine.cpus (System.machine sys))
+  in
+  Sa_engine.Sim.run_while sim (fun () ->
+      Time.compare (Sa_engine.Sim.now sim) (Time.of_ns (Time.ms 50)) < 0);
+  let before = segments () in
+  let words =
+    minor_words_of (fun () ->
+        for _ = 1 to n do
+          ignore (Sa_engine.Sim.step sim)
+        done)
+  in
+  (words, segments () - before)
+
 let hot_path_allocation_tests =
   [
+    Alcotest.test_case "an empty Ft_kt idle boundary allocates nothing"
+      `Quick (fun () ->
+        (* One thread computes 200 ms on one of two virtual processors; the
+           other idles, and in the window every event is one of its 50 us
+           spin boundaries finding nothing to do.  A boundary cost 6 words
+           while each idle pass charged a fresh 50 us segment. *)
+        let sys = System.create ~cpus:2 ~kconfig:no_daemons () in
+        let job =
+          System.submit sys ~backend:(`Fastthreads_on_kthreads 2) ~name:"idle"
+            (P.compute_only (Time.ms 200))
+        in
+        let words, segments = words_over_events sys 500 in
+        check Alcotest.int "every event a slice boundary" 500 segments;
+        check (Alcotest.float 0.) "minor words" (minor_words_of ignore) words;
+        System.run sys;
+        check Alcotest.bool "run finished" true (System.finished job));
+    Alcotest.test_case "a Topaz compute op allocates no closure" `Quick
+      (fun () ->
+        (* A lone Topaz thread steps 5000 compute ops of 20 us each, one
+           kernel charge per op.  An op cost 10 words while each built its
+           own continuation to the next. *)
+        let sys = System.create ~cpus:1 ~kconfig:no_daemons () in
+        let prog =
+          B.to_program (B.repeat 5000 (fun _ -> B.compute (Time.us 20)))
+        in
+        let job =
+          System.submit sys ~backend:`Topaz_kthreads ~name:"compute" prog
+        in
+        let words, segments = words_over_events sys 1000 in
+        check Alcotest.int "every event a compute op" 1000 segments;
+        check (Alcotest.float 0.) "minor words" (minor_words_of ignore) words;
+        System.run sys;
+        check Alcotest.bool "run finished" true (System.finished job));
     Alcotest.test_case "uncontended lock/unlock allocates nothing" `Quick
       (fun () ->
         let s = Ft_core.create_state ~queues:1 () in
