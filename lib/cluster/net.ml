@@ -82,12 +82,6 @@ let partition t ~a ~b ~until =
     cut t.links.(b).(a)
   end
 
-(* The explorer may insert extra same-instant defer hops before a delivery
-   handler runs, reordering it against other events at that instant. *)
-let rec deliver_hops sim k n =
-  if n <= 0 then k ()
-  else ignore (Sim.schedule_after sim ~delay:0 (fun () -> deliver_hops sim k (n - 1)))
-
 let send t ~src ~dst ~bytes k =
   check t src "Net.send";
   check t dst "Net.send";
@@ -111,8 +105,7 @@ let send t ~src ~dst ~bytes k =
     l.l_bytes <- l.l_bytes + bytes;
     ignore
       (Sim.schedule_after t.sim ~delay:(Time.diff arrive now) (fun () ->
-           let extra = Sim.pick t.sim ~site:"net-deliver" ~arity:3 ~default:0 in
-           deliver_hops t.sim k extra));
+           Sim.defer_hops t.sim ~site:"net-deliver" k));
     true
   end
 

@@ -13,9 +13,9 @@
 
     - ["net-jitter"] — a {!Sa_engine.Sim.draw} feeding the per-link jitter
       RNG (drawn only when [jitter_us > 0]);
-    - ["net-deliver"] — a {!Sa_engine.Sim.pick} (arity 3, default 0) at
-      each delivery choosing how many extra same-instant defer hops the
-      handler takes before running.
+    - ["net-deliver"] — each delivery runs its handler through
+      {!Sa_engine.Sim.defer_hops}, whose pick (arity 3, default 0) chooses
+      how many extra same-instant defer hops it takes first.
 
     Links can be cut for a while ({!partition}) and whole machines taken
     offline ({!set_offline}); sends on a cut or offline path are dropped

@@ -81,6 +81,14 @@ let schedule_tick t ~period f =
   t.seq <- seq + 1;
   Calq.add_lane t.queue ~lane ~key:(Time.to_ns t.clock + period) ~seq f
 
+(* Zero-delay hops run after the events already queued for this instant,
+   so each hop lets them go first. *)
+let rec defer_n t n k =
+  if n <= 0 then k ()
+  else ignore (schedule_after t ~delay:0 (fun () -> defer_n t (n - 1) k))
+
+let defer_hops t ~site k = defer_n t (pick t ~site ~arity:3 ~default:0) k
+
 let cancel t h = Calq.cancel t.queue h
 let pending t = Calq.length t.queue
 

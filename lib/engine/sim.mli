@@ -120,3 +120,9 @@ val pick : t -> site:string -> arity:int -> default:int -> int
 val draw : t -> site:string -> default:int64 -> int64
 (** [draw t ~site ~default] consults the installed chooser's [ch_draw], or
     returns [default] if none. *)
+
+val defer_hops : t -> site:string -> (unit -> unit) -> unit
+(** [defer_hops t ~site k] runs [k] after 0–2 zero-delay events, the count
+    a {!pick} at [site] chooses (arity 3, default 0), so an explorer can
+    order [k] behind other events of the same instant.  With no chooser
+    [k] runs at once. *)

@@ -121,32 +121,3 @@ module Log_histogram = struct
     if t.over > 0 then Format.fprintf ppf "overflow %d@." t.over;
     if t.nan > 0 then Format.fprintf ppf "nan %d@." t.nan
 end
-
-module Weighted = struct
-  type t = {
-    start : Time.t;
-    mutable last : Time.t;
-    mutable level : float;
-    mutable area : float;
-  }
-
-  let create ~at ~level = { start = at; last = at; level; area = 0.0 }
-
-  let update t ~at ~level =
-    if Time.compare at t.last < 0 then invalid_arg "Weighted.update: time went backwards";
-    t.area <- t.area +. (t.level *. float_of_int (Time.diff at t.last));
-    t.last <- at;
-    t.level <- level
-
-  let average t ~upto =
-    let span = Time.diff upto t.start in
-    if span <= 0 then t.level
-    else begin
-      let tail =
-        if Time.compare upto t.last > 0 then
-          t.level *. float_of_int (Time.diff upto t.last)
-        else 0.0
-      in
-      (t.area +. tail) /. float_of_int span
-    end
-end

@@ -41,17 +41,3 @@ module Log_histogram : sig
   val pp : Format.formatter -> t -> unit
   (** ASCII bar rendering of the non-empty buckets. *)
 end
-
-(** Time-weighted average of a piecewise-constant quantity, e.g. the number
-    of busy processors.  Feed it level changes; it integrates level * dt. *)
-module Weighted : sig
-  type t
-
-  val create : at:Time.t -> level:float -> t
-  val update : t -> at:Time.t -> level:float -> unit
-  (** Record that the level changed to [level] at time [at].  Times must be
-      non-decreasing. *)
-
-  val average : t -> upto:Time.t -> float
-  (** Time-weighted mean level over [\[start, upto\]]. *)
-end

@@ -2,9 +2,12 @@
 
     A {!Sa_engine.Sim.chooser} answers every choice point of a run: the
     same-instant event ordering in the simulator ([sim-order]), the kernel's
-    allocator rotation ([alloc-rotation]), I/O completion deferral and
-    spurious-completion targeting ([io-complete], [io-spurious]), the
-    kernel's own RNG draws ([kernel-rng]) and the fault injector's streams
+    allocator rotation ([alloc-rotation]), the same-instant deferral of I/O
+    completions and cluster network deliveries ([io-complete],
+    [net-deliver], both through {!Sa_engine.Sim.defer_hops}),
+    spurious-completion targeting ([io-spurious]), FastThreads steal
+    victims ([steal-victim]), the kernel's own RNG draws ([kernel-rng]),
+    network jitter ([net-jitter]) and the fault injector's streams
     ([inject:<kind>]).  This module provides the search strategies and the
     record/replay combinators built over that interface. *)
 

@@ -141,23 +141,23 @@ let install_preempt t rng =
 
 (* --- Io_faults: lying completion interrupts and flaky devices --------- *)
 
+(* One fault draw for both hooks, the kernel's and each device's, each
+   on its own generator. *)
+let draw_io_fault t rng () =
+  let x = Rng.float rng 1.0 in
+  if x < io_fault_prob then begin
+    t.n_io_faults <- t.n_io_faults + 1;
+    Some
+      (if x < io_fault_prob /. 2.0 then Io_device.Fault_transient_error
+       else Io_device.Fault_delay io_delay)
+  end
+  else None
+
 let install_io_faults t rng =
   let kern = System.kernel t.sys in
   t.cleanups <-
     (fun () -> Kernel.set_io_fault_injector kern None) :: t.cleanups;
-  Kernel.set_io_fault_injector kern
-    (Some
-       (fun () ->
-         let x = Rng.float rng 1.0 in
-         if x < io_fault_prob /. 2.0 then begin
-           t.n_io_faults <- t.n_io_faults + 1;
-           Some Kernel.Io_transient_error
-         end
-         else if x < io_fault_prob then begin
-           t.n_io_faults <- t.n_io_faults + 1;
-           Some (Kernel.Io_delay io_delay)
-         end
-         else None));
+  Kernel.set_io_fault_injector kern (Some (draw_io_fault t rng));
   List.iter
     (fun job ->
       (match System.cache job with
@@ -180,19 +180,7 @@ let install_io_faults t rng =
           let drng = Rng.split rng in
           t.cleanups <-
             (fun () -> Io_device.set_fault_hook dev None) :: t.cleanups;
-          Io_device.set_fault_hook dev
-            (Some
-               (fun () ->
-                 let x = Rng.float drng 1.0 in
-                 if x < io_fault_prob /. 2.0 then begin
-                   t.n_io_faults <- t.n_io_faults + 1;
-                   Some Io_device.Fault_transient_error
-                 end
-                 else if x < io_fault_prob then begin
-                   t.n_io_faults <- t.n_io_faults + 1;
-                   Some (Io_device.Fault_delay io_delay)
-                 end
-                 else None))
+          Io_device.set_fault_hook dev (Some (draw_io_fault t drng))
       | None -> ())
     (System.jobs t.sys)
 

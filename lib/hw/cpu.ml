@@ -32,9 +32,6 @@ type t = {
   mutable who : occupant;
   mutable busy_ns : Time.span;
   mutable segments : int;
-  mutable on_busy : bool -> unit;
-      (* fired on every idle<->busy transition, before the continuation of
-         the transition runs; Machine maintains its idle census with it *)
 }
 
 type preempted = {
@@ -105,7 +102,6 @@ let create sim cpu_id =
       who = Nobody;
       busy_ns = 0;
       segments = 0;
-      on_busy = ignore;
     }
   in
   t.finish <-
@@ -117,7 +113,6 @@ let create sim cpu_id =
       t.who <- Nobody;
       t.busy_ns <- t.busy_ns + t.run_length;
       trace_segment_end t ~who ();
-      t.on_busy false;
       k ());
   (* A boundary that ends the spin is a plain segment end.  An empty one
      ends the slice's span as [finish] would and re-arms without the
@@ -140,7 +135,6 @@ let id t = t.cpu_id
 let is_busy t = t.run_active
 let occupant t = t.who
 let set_occupant t who = t.who <- who
-let set_busy_hook t f = t.on_busy <- f
 
 let begin_work t ~occupant ~length k =
   if t.run_active then
@@ -154,8 +148,7 @@ let begin_work t ~occupant ~length k =
   t.run_started <- Sim.now t.sim;
   t.run_length <- length;
   t.run_continue <- k;
-  t.run_event <- Sim.schedule_after t.sim ~delay:length t.finish;
-  t.on_busy true
+  t.run_event <- Sim.schedule_after t.sim ~delay:length t.finish
 
 let begin_spin t ~occupant ~slice ~length ~poll k =
   if t.run_active then
@@ -170,8 +163,7 @@ let begin_spin t ~occupant ~slice ~length ~poll k =
   t.spin_slice <- slice;
   t.spin_left <- length;
   t.spin_poll <- poll;
-  arm_slice t;
-  t.on_busy true
+  arm_slice t
 
 (* The context of a preempted spin: once the interrupted slice's remainder
    has run, take that boundary and spin on for the unspent length, on the
@@ -203,7 +195,6 @@ let preempt ?resume_on t =
     let remaining = t.run_length - elapsed in
     t.busy_ns <- t.busy_ns + elapsed;
     trace_segment_end t ~who ~detail:"preempted" ();
-    t.on_busy false;
     Some { elapsed; remaining; resume }
   end
 

@@ -32,17 +32,13 @@ type preempted = {
 val create : Sa_engine.Sim.t -> id -> t
 val id : t -> id
 val is_busy : t -> bool
+(** A segment or spin is in flight.  The only record of it: {!Machine}
+    keeps no copy. *)
+
 val occupant : t -> occupant
 
 val set_occupant : t -> occupant -> unit
 (** Label the CPU without starting a segment (used for idle bookkeeping). *)
-
-val set_busy_hook : t -> (bool -> unit) -> unit
-(** Install the observer fired at every idle<->busy transition ([true] on
-    segment start, [false] on completion or preemption, before the
-    transition's continuation runs).  One observer per CPU; {!Machine}
-    installs one at creation to maintain its idle census, so the idle-CPU
-    queries never scan the array. *)
 
 val begin_work :
   t -> occupant:occupant -> length:Sa_engine.Time.span -> (unit -> unit) -> unit

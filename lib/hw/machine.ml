@@ -5,27 +5,11 @@ type t = {
   sim : Sim.t;
   id : int;  (** machine identity within a cluster; 0 when standalone *)
   cpus : Cpu.t array;
-  mutable idle_count : int;
 }
 
 let create ?(id = 0) sim ~cpus =
   if cpus <= 0 then invalid_arg "Machine.create: cpus";
-  let t =
-    {
-      sim;
-      id;
-      cpus = Array.init cpus (fun i -> Cpu.create sim i);
-      idle_count = cpus;
-    }
-  in
-  (* Maintain the idle census at the transition sites instead of scanning
-     the CPU array per query: each CPU reports its idle<->busy edges. *)
-  Array.iter
-    (fun c ->
-      Cpu.set_busy_hook c (fun busy ->
-          t.idle_count <- (if busy then t.idle_count - 1 else t.idle_count + 1)))
-    t.cpus;
-  t
+  { sim; id; cpus = Array.init cpus (fun i -> Cpu.create sim i) }
 
 let sim t = t.sim
 let id t = t.id
@@ -36,16 +20,6 @@ let cpu t i =
   t.cpus.(i)
 
 let cpus t = t.cpus
-let busy_count t = Array.length t.cpus - t.idle_count
-
-let idle_cpus t =
-  (* Allocates only the result cells (no intermediate Array.to_list copy),
-     and nothing at all when every CPU is busy. *)
-  if t.idle_count = 0 then []
-  else
-    Array.fold_right
-      (fun c acc -> if Cpu.is_busy c then acc else c :: acc)
-      t.cpus []
 
 let total_busy_time t =
   Array.fold_left (fun acc c -> acc + Cpu.busy_time c) 0 t.cpus

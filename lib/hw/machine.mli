@@ -1,5 +1,7 @@
 (** The simulated multiprocessor: a fixed set of {!Cpu}s sharing a clock,
-    modelled on the six-processor CVAX Firefly. *)
+    modelled on the six-processor CVAX Firefly.  Each CPU alone knows
+    whether it is busy ({!Cpu.is_busy}) and how long it has been
+    ({!Cpu.busy_time}); the machine only sums over them. *)
 
 type t
 
@@ -15,14 +17,6 @@ val id : t -> int
 val cpu_count : t -> int
 val cpu : t -> Cpu.id -> Cpu.t
 val cpus : t -> Cpu.t array
-
-val idle_cpus : t -> Cpu.t list
-(** CPUs with no segment in flight, in id order.  Allocates only the
-    result cells — nothing when every CPU is busy. *)
-
-val busy_count : t -> int
-(** CPUs with a segment in flight, from an idle count maintained at the
-    busy-transition sites — O(1). *)
 
 val total_busy_time : t -> Sa_engine.Time.span
 (** Sum of completed busy time over all CPUs. *)

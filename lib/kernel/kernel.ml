@@ -30,6 +30,7 @@ module Trace = Sa_engine.Trace
 module Cpu = Sa_hw.Cpu
 module Machine = Sa_hw.Machine
 module Cost_model = Sa_hw.Cost_model
+module Io_device = Sa_hw.Io_device
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -73,8 +74,6 @@ type act_state =
   | A_blocked
   | A_stopped  (* context reported to the user level, awaiting recycling *)
   | A_free  (* in the recycle pool *)
-
-type io_fault = Io_delay of Time.span | Io_transient_error
 
 type kthread = {
   kt_id : int;
@@ -150,8 +149,9 @@ and space = {
          themselves be paged out; the next upcall must first fault them in
          ("the kernel must check for this, and when it occurs, delay the
          subsequent upcall until the page fault completes") *)
-  sp_alloc_track : Sa_engine.Stats.Weighted.t;
-      (* integral of processors owned over time (explicit mode) *)
+  mutable sp_owned_ns : Time.span;
+      (* processor-nanoseconds owned up to [sp_owned_since] *)
+  mutable sp_owned_since : Time.t;  (* last change of [sp_assigned] *)
   mutable sp_target : int;
       (* processors the last allocator pass assigned this space; written
          for every registered space at the start of each pass *)
@@ -229,7 +229,7 @@ and t = {
   mutable chaos_realloc_drop : bool;
       (* armed by the fault injector: the next deferred reallocation pass
          is silently discarded, modelling a lost reallocation request *)
-  mutable io_fault_hook : (unit -> io_fault option) option;
+  mutable io_fault_hook : (unit -> Io_device.fault option) option;
   io_inflight : (int, unit -> unit) Hashtbl.t;
       (* outstanding I/O completions by request id, each a guarded
          fire-at-most-once closure; the chaos injector fires one early to
@@ -257,16 +257,21 @@ let cpu_activation t cpu = t.slots.(cpu).slot_act
 
 let same_space a b = a.sp_id = b.sp_id
 
+(* Processor-nanoseconds [sp] has owned by [now]. *)
+let owned_ns sp now =
+  sp.sp_owned_ns + (sp.sp_assigned * Time.diff now sp.sp_owned_since)
+
 (* All sp_assigned changes go through here so the ownership integral stays
    consistent. *)
 let set_assigned t sp v =
+  let now = Sim.now t.sim in
+  sp.sp_owned_ns <- owned_ns sp now;
+  sp.sp_owned_since <- now;
   sp.sp_assigned <- v;
-  (let tr = Sim.trace t.sim in
-   if Trace.enabled tr Trace.Kernel then
-     Trace.counter tr ~time:(Sim.now t.sim) Trace.Kernel
-       ("procs:" ^ sp.sp_name) (float_of_int v));
-  Sa_engine.Stats.Weighted.update sp.sp_alloc_track ~at:(Sim.now t.sim)
-    ~level:(float_of_int v)
+  let tr = Sim.trace t.sim in
+  if Trace.enabled tr Trace.Kernel then
+    Trace.counter tr ~time:now Trace.Kernel ("procs:" ^ sp.sp_name)
+      (float_of_int v)
 
 let slot_owned_by slot sp =
   match slot.slot_owner with Some o -> same_space o sp | None -> false
@@ -418,19 +423,6 @@ let io_inflight_count t = Hashtbl.length t.io_inflight
 let io_backoff_floor = Time.us 200
 let io_backoff_cap = Time.ms 10
 
-(* Under exploration the chooser may defer a ready completion by up to two
-   zero-delay event-loop turns, letting other same-instant events (upcalls,
-   preemptions, spurious completions) interleave ahead of the wakeup.  The
-   default of 0 hops fires synchronously — the pre-chooser behaviour. *)
-let io_defer_arity = 3
-
-let rec io_deliver t ~hops fire =
-  if hops <= 0 then fire ()
-  else
-    ignore
-      (Sim.schedule_after t.sim ~delay:0 (fun () ->
-           io_deliver t ~hops:(hops - 1) fire))
-
 (* Chaos-aware I/O completion.  The wake closure is guarded to fire at most
    once: a spurious completion injected early absorbs the real completion
    later (and vice versa) instead of waking the same thread twice, which
@@ -460,14 +452,14 @@ let schedule_io_completion t ~io wake =
              in
              match fault with
              | None ->
-                 io_deliver t fire
-                   ~hops:
-                     (Sim.pick t.sim ~site:"io-complete"
-                        ~arity:io_defer_arity ~default:0)
-             | Some (Io_delay extra) ->
+                 (* An explorer may let other same-instant events (upcalls,
+                    preemptions, spurious completions) go ahead of the
+                    wakeup. *)
+                 Sim.defer_hops t.sim ~site:"io-complete" fire
+             | Some (Io_device.Fault_delay extra) ->
                  t.stats.io_faults <- t.stats.io_faults + 1;
                  attempt ~delay:extra ~backoff
-             | Some Io_transient_error ->
+             | Some Io_device.Fault_transient_error ->
                  t.stats.io_faults <- t.stats.io_faults + 1;
                  t.stats.io_retries <- t.stats.io_retries + 1;
                  attempt ~delay:backoff
@@ -1516,8 +1508,8 @@ let new_space t ~name ~priority kind =
       sp_granted = 0;
       sp_preempted = 0;
       sp_manager_swapped = false;
-      sp_alloc_track =
-        Sa_engine.Stats.Weighted.create ~at:(Sim.now t.sim) ~level:0.0;
+      sp_owned_ns = 0;
+      sp_owned_since = Sim.now t.sim;
       sp_target = 0;
     }
   in
@@ -1677,9 +1669,7 @@ let dump t ppf =
 
 let find_space t id = Hashtbl.find_opt t.spaces_by_id id
 
-let space_cpu_seconds t sp =
-  Sa_engine.Stats.Weighted.average sp.sp_alloc_track ~upto:(Sim.now t.sim)
-  *. Time.to_ms (Sim.now t.sim) /. 1000.0
+let space_cpu_seconds t sp = float_of_int (owned_ns sp (Sim.now t.sim)) /. 1e9
 
 let free_cpus t =
   Array.fold_left

@@ -269,17 +269,15 @@ val check_invariants : t -> unit
     through adversarial schedules.  They are ordinary simulation events:
     calling them from anywhere other than the event loop is unsupported. *)
 
-type io_fault =
-  | Io_delay of Time.span  (** the completion interrupt arrives late *)
-  | Io_transient_error
-      (** the operation fails; the kernel retries with exponential backoff
-          (200 us doubling, capped at 10 ms) *)
-
-val set_io_fault_injector : t -> (unit -> io_fault option) option -> unit
+val set_io_fault_injector :
+  t -> (unit -> Sa_hw.Io_device.fault option) option -> unit
 (** Install (or clear) a hook consulted at each nominal I/O completion
     instant ({!sa_block_io} and [kt_block_for] wakeups).  Returning
-    [Some f] injects fault [f]; [None] lets the completion proceed.  Every
-    blocked thread still wakes exactly once. *)
+    [Some f] injects fault [f]: [Fault_delay d] makes the completion
+    interrupt arrive [d] late; [Fault_transient_error] fails the operation
+    and the kernel retries it with exponential backoff (200 us doubling,
+    capped at 10 ms).  [None] lets the completion proceed.  Every blocked
+    thread still wakes exactly once. *)
 
 val io_inflight_count : t -> int
 (** Timed I/O completions currently outstanding. *)
@@ -326,9 +324,10 @@ val dump : t -> Format.formatter -> unit
     (diagnostics). *)
 
 val space_cpu_seconds : t -> space -> float
-(** Integral of processors owned by this space over simulated time, in
-    processor-seconds (explicit-allocation mode; 0.0 otherwise).  The
-    fairness measure for allocator experiments. *)
+(** Integral of processors owned by this space from its creation to now,
+    in processor-seconds (explicit-allocation mode; 0.0 otherwise), kept
+    exactly in integer nanoseconds.  The fairness measure for allocator
+    experiments. *)
 
 val find_space : t -> int -> space option
 (** Look an address space up by id (as reported in {!Sa_hw.Cpu.occupant}). *)

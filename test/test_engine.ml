@@ -780,13 +780,6 @@ let stats_tests =
           (Stats.Log_histogram.max h);
         check (Alcotest.float 1e-9) "p100 capped by max" 2e7
           (Stats.Log_histogram.percentile h 100.0));
-    Alcotest.test_case "time-weighted average" `Quick (fun () ->
-        let w = Stats.Weighted.create ~at:Time.zero ~level:0.0 in
-        Stats.Weighted.update w ~at:(Time.of_ns 100) ~level:1.0;
-        Stats.Weighted.update w ~at:(Time.of_ns 200) ~level:0.0;
-        (* 0 for [0,100), 1 for [100,200): average over [0,200] = 0.5 *)
-        check (Alcotest.float 1e-9) "avg" 0.5
-          (Stats.Weighted.average w ~upto:(Time.of_ns 200)));
     qtest log_histogram_percentile_accuracy;
   ]
 

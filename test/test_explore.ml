@@ -72,6 +72,36 @@ let test_default_chooser_identity () =
     "no decision diverges from its default" []
     (Schedule.divergences sched)
 
+(* [Sim.defer_hops] is the deferral behind the [io-complete] and
+   [net-deliver] sites: [k] runs at once, or behind the same-instant events
+   queued before each of its picked zero-delay hops. *)
+let test_defer_hops () =
+  let order hops =
+    let sim = Sim.create () in
+    Sim.set_chooser sim
+      (Some
+         {
+           Sim.ch_pick =
+             (fun ~site ~arity:_ ~default ->
+               if site = "hop" then hops else default);
+           ch_draw = (fun ~site:_ ~default -> default);
+         });
+    let log = ref [] in
+    let note s () = log := s :: !log in
+    ignore
+      (Sim.schedule_after sim ~delay:0 (fun () ->
+           ignore
+             (Sim.schedule_after sim ~delay:0 (fun () ->
+                  note "a" ();
+                  ignore (Sim.schedule_after sim ~delay:0 (note "c"))));
+           ignore (Sim.schedule_after sim ~delay:0 (note "b"));
+           Sim.defer_hops sim ~site:"hop" (note "k")));
+    Sim.run sim;
+    String.concat "" (List.rev !log)
+  in
+  Alcotest.(check (list string))
+    "0, 1 and 2 hops" [ "kabc"; "abkc"; "abck" ] (List.map order [ 0; 1; 2 ])
+
 let test_rng_interpose () =
   let a = Rng.create 42 in
   let b = Rng.create 42 in
@@ -386,6 +416,8 @@ let () =
             test_default_chooser_identity;
           Alcotest.test_case "rng interposition preserves the stream" `Quick
             test_rng_interpose;
+          Alcotest.test_case "defer_hops runs behind the picked hops" `Quick
+            test_defer_hops;
         ] );
       ( "satellites",
         [

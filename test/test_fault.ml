@@ -133,7 +133,7 @@ let test_kernel_io_fault_retry () =
        (fun () ->
          if !remaining > 0 then begin
            decr remaining;
-           Some Kernel.Io_transient_error
+           Some Io_device.Fault_transient_error
          end
          else None));
   let prog = Sa_program.Program.Build.(to_program (io (Time.ms 2))) in

@@ -296,15 +296,6 @@ let machine_tests =
         check Alcotest.int "id" 2 (Cpu.id (Machine.cpu m 2));
         Alcotest.check_raises "bad id" (Invalid_argument "Machine.cpu: id")
           (fun () -> ignore (Machine.cpu m 4)));
-    Alcotest.test_case "idle and busy accounting" `Quick (fun () ->
-        let sim = Sim.create () in
-        let m = Machine.create sim ~cpus:3 in
-        Cpu.begin_work (Machine.cpu m 0) ~occupant ~length:(Time.us 10)
-          (fun () -> ());
-        check Alcotest.int "busy" 1 (Machine.busy_count m);
-        check Alcotest.int "idle" 2 (List.length (Machine.idle_cpus m));
-        Sim.run sim;
-        check Alcotest.int "none busy" 0 (Machine.busy_count m));
     Alcotest.test_case "utilization" `Quick (fun () ->
         let sim = Sim.create () in
         let m = Machine.create sim ~cpus:2 in

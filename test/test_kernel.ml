@@ -826,11 +826,11 @@ let allocator_pass_tests =
                         for tracing" `Quick (fun () ->
         (* One space takes the lone processor, gives it back idle, asks for
            it again and is granted it, over and over with no trace sink.
-           Words per cycle, 64-bit: a give-back allocates 7 (the pool's
-           cons cell, the ownership integral's two boxed floats) and a
-           request plus grant 27 (the upcall's event list, delivery record
-           and completion closure among them).  Their disabled [tracef]s and
-           trace instant used to add 10 and 40 more. *)
+           Words per cycle, 64-bit: a give-back allocates 3 (the pool's
+           cons cell) and a request plus grant 23 (the upcall's event list,
+           delivery record and completion closure among them).  The
+           ownership ledger is two int fields and allocates nothing.  Their
+           disabled [tracef]s and trace instant used to add 10 and 40 more. *)
         let sim, _m, k = make ~cpus:1 ~kconfig:Kconfig.default () in
         let act = ref None in
         let sp =
@@ -861,11 +861,45 @@ let allocator_pass_tests =
             Alcotest.failf "%s: %.1f words per cycle, budget %.0f" what
               (per_cycle w) budget
         in
-        within "give-back" 7. !give_back;
-        within "request and grant" 27. !grant;
+        within "give-back" 3. !give_back;
+        within "request and grant" 23. !grant;
         check Alcotest.int "every cycle granted" (warmup + cycles)
           (Kernel.space_grants sp);
         Kernel.check_invariants k);
+    Alcotest.test_case "processor-seconds integrate from a space's \
+                        creation" `Quick (fun () ->
+        (* A space created at 5 ms is granted the lone processor at once,
+           charges 5 ms on it and gives it back idle: by 20 ms it has owned
+           one processor from 5 ms to the give-back and none before or
+           after, not its mean level times the whole clock. *)
+        let sim, _m, k = make ~cpus:1 ~kconfig:Kconfig.default () in
+        let returned = ref Time.zero in
+        let at ms f = ignore (Sim.schedule sim ~at:(Time.of_ns (Time.ms ms)) f) in
+        let sp = ref None and mid = ref 0. and final = ref 0. in
+        at 5 (fun () ->
+            let s =
+              Kernel.new_sa_space k ~name:"late"
+                ~on_upcall:(fun d ->
+                  let act = d.Kernel.uc_activation in
+                  Kernel.sa_charge k act (Time.ms 5) (fun () ->
+                      returned := Sim.now sim;
+                      Kernel.sa_cpu_idle k act))
+                ()
+            in
+            sp := Some s;
+            Kernel.sa_add_more_processors k s 1;
+            Kernel.reallocate_now k;
+            check Alcotest.int "granted at 5 ms" 1 (Kernel.space_assigned s));
+        at 8 (fun () -> mid := Kernel.space_cpu_seconds k (Option.get !sp));
+        at 20 (fun () -> final := Kernel.space_cpu_seconds k (Option.get !sp));
+        Sim.run sim;
+        check Alcotest.int "given back" 0
+          (Kernel.space_assigned (Option.get !sp));
+        check (Alcotest.float 1e-12) "3 ms owned by 8 ms" 0.003 !mid;
+        check (Alcotest.float 1e-12) "owned from 5 ms to the give-back"
+          (Time.span_to_ms (Time.diff !returned (Time.of_ns (Time.ms 5)))
+          /. 1000.)
+          !final);
   ]
 
 (* ------------------------------------------------------------------ *)
