@@ -4,9 +4,10 @@
     job against ground truth:
 
     - the kernel's own {!Sa_kernel.Kernel.check_invariants} (processor
-      ownership, Section 3.1's running-activations = processors, the
-      activation census and recycle-pool consistency — no user context
-      lost or double-resumed, no activation pooled twice);
+      ownership, Section 3.1's running-activations = processors,
+      recycle-pool consistency — no activation pooled twice — and the
+      placement of every running activation and kernel thread on its
+      processor's slot);
     - thread-count conservation per job: the per-state census of thread
       control blocks must agree with the package's live/ready counters,
       and every entry in a ready deque must be a Ready thread appearing at

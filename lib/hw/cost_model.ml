@@ -18,7 +18,6 @@ type t = {
   ut_sa_busy_accounting : span;
   ut_sa_resume_check : span;
   ut_critical_flag : span;
-  ut_critical_section : span;
   kt_fork : span;
   kt_join : span;
   kt_exit : span;
@@ -36,7 +35,6 @@ type t = {
   upcall : span;
   upcall_untuned_factor : float;
   activation_fresh_alloc : span;
-  downcall : span;
   preempt_interrupt : span;
   io_latency : span;
   time_slice : span;
@@ -71,7 +69,6 @@ let firefly_cvax =
        critical sections (fork 2, join 1, finish 1, two dispatches) and the
        Signal-Wait half-round three, reproducing 49/48 us (S5.1). *)
     ut_critical_flag = Time.us 2;
-    ut_critical_section = Time.us 5;
     (* Null-Fork cycle = kt_fork + kt_join + kt_context_switch (child
        dispatch) + procedure_call + kt_exit + kt_context_switch +
        kt_unblock (parent wakeup processing)
@@ -99,7 +96,6 @@ let firefly_cvax =
     upcall = Time.us 200;
     upcall_untuned_factor = 5.8;
     activation_fresh_alloc = Time.us 120;
-    downcall = Time.us 24;
     preempt_interrupt = Time.us 23;
     io_latency = Time.ms 50;
     time_slice = Time.ms 100;
@@ -128,7 +124,6 @@ let modern_x86 =
     ut_sa_busy_accounting = Time.ns 10;
     ut_sa_resume_check = Time.ns 5;
     ut_critical_flag = Time.ns 8;
-    ut_critical_section = Time.ns 30;
     kt_fork = Time.us_f 8.0;
     kt_join = Time.us_f 1.5;
     kt_exit = Time.us_f 2.0;
@@ -146,7 +141,6 @@ let modern_x86 =
     upcall = Time.us 2;
     upcall_untuned_factor = 3.0;
     activation_fresh_alloc = Time.us 1;
-    downcall = Time.ns 300;
     preempt_interrupt = Time.us 2;
     io_latency = Time.us 100;
     time_slice = Time.ms 4;

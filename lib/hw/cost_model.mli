@@ -35,9 +35,6 @@ type t = {
   ut_critical_flag : span;
       (** per lock/unlock overhead of the [Explicit_flag] critical-section
           marking strategy; zero under [Copy_sections] (Section 4.3) *)
-  ut_critical_section : span;
-      (** length of the thread-system critical-section window during which a
-          preemption requires recovery *)
   (* Topaz kernel threads. *)
   kt_fork : span;  (** parent-side thread-creation syscall *)
   kt_join : span;
@@ -63,7 +60,6 @@ type t = {
   activation_fresh_alloc : span;
       (** extra cost to allocate activation data structures when the recycle
           pool is empty or disabled (Section 4.3) *)
-  downcall : span;  (** kernel call notifying allocator of a state change *)
   preempt_interrupt : span;  (** IPI + stop + save context of a processor *)
   (* Devices and policy constants. *)
   io_latency : span;  (** 50 ms: buffer-cache miss / page-fault service *)

@@ -1,10 +1,9 @@
 (* The simulated kernel (interface and contract in kernel.mli).  One module
    over one mutable [t], in sections:
 
-     State        - record types, id-indexed lookup tables, per-state
-                    counters that keep censuses O(1), and small helpers
-                    that read or update state without making scheduling
-                    decisions
+     State        - record types, id-indexed lookup tables of live
+                    entities, and small helpers that read or update state
+                    without making scheduling decisions
      I/O          - I/O completion delivery: fault hooks, retry backoff,
                     guarded fire-once wakeups (the chaos contract)
      KT scheduler - the oblivious kernel-thread scheduler (Section 2.2):
@@ -122,8 +121,6 @@ and sa_space_state = {
   on_upcall : upcall_delivery -> unit;
   mutable pending : Upcall.event list;  (* newest first *)
   mutable pool : activation list;
-  mutable running_acts : int;
-  mutable blocked_acts : int;
 }
 
 and space_kind = Kthreads of kt_space_state | Sa of sa_space_state
@@ -196,13 +193,9 @@ and t = {
   rng : Rng.t;
   slots : slot array;
   acts : (int, activation) Hashtbl.t;
-  kthreads : (int, kthread) Hashtbl.t;  (* by kt_id; never removed *)
-  mutable kt_ready_n : int;
-  mutable kt_running_n : int;
-  mutable kt_blocked_n : int;
-  mutable kt_dead_n : int;
-      (* per-state census maintained by [set_kt_state]; dumps and invariant
-         audits read these instead of filtering a thread list *)
+  kthreads : (int, kthread) Hashtbl.t;
+      (* live kernel threads by kt_id; [kt_exit] removes its caller *)
+  mutable kt_exited : int;  (* kernel threads that have exited *)
   mutable spaces : space list;  (* newest first; allocator pass order *)
   spaces_by_id : (int, space) Hashtbl.t;
       (* removed only by cluster migration ([detach_space]) *)
@@ -352,20 +345,6 @@ let upcall_cost t =
       *. t.costs.Cost_model.upcall_untuned_factor)
 
 let ncpus t = Machine.cpu_count t.machine
-
-let kt_count_bump t st d =
-  match st with
-  | K_ready -> t.kt_ready_n <- t.kt_ready_n + d
-  | K_running _ -> t.kt_running_n <- t.kt_running_n + d
-  | K_blocked -> t.kt_blocked_n <- t.kt_blocked_n + d
-  | K_dead -> t.kt_dead_n <- t.kt_dead_n + d
-
-(* Every kt_state transition goes through here so the census counters stay
-   exact without ever walking the thread table. *)
-let set_kt_state t kt st =
-  kt_count_bump t kt.kt_state (-1);
-  kt_count_bump t st 1;
-  kt.kt_state <- st
 
 let register_space t sp =
   t.spaces <- sp :: t.spaces;
@@ -597,13 +576,13 @@ let kt_bump t slot kt =
   | None -> failwith "kt_bump: running kthread has no segment in flight");
   cancel_quantum t slot;
   slot.slot_kt <- None;
-  set_kt_state t kt K_ready;
+  kt.kt_state <- K_ready;
   kt_enqueue t kt
 
 let rec dispatch_kt_on t slot kt =
   slot.slot_kt <- Some kt;
   slot.slot_gen <- slot.slot_gen + 1;
-  set_kt_state t kt (K_running (Cpu.id slot.slot_cpu));
+  kt.kt_state <- K_running (Cpu.id slot.slot_cpu);
   t.stats.kt_dispatches <- t.stats.kt_dispatches + 1;
   let cost = t.costs.Cost_model.kt_context_switch + kt.kt_pending_cost in
   kt.kt_pending_cost <- 0;
@@ -685,7 +664,7 @@ let make_ready t kt =
   | K_dead -> failwith "make_ready: dead kthread"
   | K_running _ -> failwith "make_ready: already running"
   | K_ready | K_blocked -> ());
-  set_kt_state t kt K_ready;
+  kt.kt_state <- K_ready;
   kt_runnable_delta kt.kt_sp 1;
   kt_enqueue t kt;
   match t.cfg.Kconfig.mode with
@@ -731,7 +710,7 @@ let kt_stop t kt resume st =
   kt.kt_resume <- resume;
   kt_runnable_delta kt.kt_sp (-1);
   let slot = kt_leave_cpu t kt in
-  set_kt_state t kt st;
+  kt.kt_state <- st;
   refresh_kt_desired t kt.kt_sp;
   slot
 
@@ -773,13 +752,17 @@ let ops_for t kt =
       (fun k ->
         kt.kt_resume <- k;
         let slot = kt_leave_cpu t kt in
-        set_kt_state t kt K_ready;
+        kt.kt_state <- K_ready;
         kt_enqueue t kt;
         kt_cpu_released t slot);
     kt_exit =
       (fun () ->
-        kt_cpu_released t
-          (kt_stop t kt (fun () -> failwith "resumed dead kthread") K_dead));
+        let slot =
+          kt_stop t kt (fun () -> failwith "resumed dead kthread") K_dead
+        in
+        Hashtbl.remove t.kthreads kt.kt_id;
+        t.kt_exited <- t.kt_exited + 1;
+        kt_cpu_released t slot);
   }
 
 let spawn_kthread_gen t sp ~name ~prio ~random_wake ?(startup_cost = 0) ~body
@@ -803,7 +786,6 @@ let spawn_kthread_gen t sp ~name ~prio ~random_wake ?(startup_cost = 0) ~body
   let ops = ops_for t kt in
   kt.kt_resume <- (fun () -> body ops);
   Hashtbl.replace t.kthreads kt.kt_id kt;
-  kt_count_bump t kt.kt_state 1;
   make_ready t kt
 
 let spawn_kthread t sp ~name ?startup_cost ~body () =
@@ -872,6 +854,7 @@ let free_activation t act =
     let s = sa_fields act.act_sp in
     s.pool <- act :: s.pool
   end
+  else Hashtbl.remove t.acts act.act_id
 
 let upcall_traced t = Trace.enabled (ktrace t) Trace.Upcall
 
@@ -894,7 +877,6 @@ let deliver_upcall t slot sp ~extra_cost events =
   let s = sa_fields sp in
   let act, alloc_cost = alloc_activation t sp in
   act.act_state <- A_running (Cpu.id slot.slot_cpu);
-  s.running_acts <- s.running_acts + 1;
   slot.slot_act <- Some act;
   slot.slot_kt <- None;
   t.stats.upcalls <- t.stats.upcalls + 1;
@@ -951,7 +933,6 @@ let stop_activation_on t slot =
   | None -> []
   | Some victim -> (
       let s = sa_fields victim.act_sp in
-      s.running_acts <- s.running_acts - 1;
       slot.slot_act <- None;
       match slot.slot_delivery with
       | Some events ->
@@ -1074,8 +1055,6 @@ let sa_block_common t act ~arrange_wakeup k =
       let s = sa_fields sp in
       act.act_state <- A_blocked;
       act.act_repair <- None;
-      s.running_acts <- s.running_acts - 1;
-      s.blocked_acts <- s.blocked_acts + 1;
       slot.slot_act <- None;
       t.stats.io_blocks <- t.stats.io_blocks + 1;
       Trace.span_begin (ktrace t) ~time:(Sim.now t.sim) ~space:sp.sp_id
@@ -1090,7 +1069,6 @@ let sa_block_common t act ~arrange_wakeup k =
           (* The kernel never resumes the thread directly: it reports
              Activation_unblocked with the saved user context. *)
           act.act_state <- A_stopped;
-          s.blocked_acts <- s.blocked_acts - 1;
           s.pending <-
             Upcall.Activation_unblocked
               { act = act.act_id; ctx = { Upcall.remaining = 0; resume = k } }
@@ -1146,11 +1124,9 @@ let sa_add_more_processors t sp n =
    recycled and the processor goes back to the allocator. *)
 let sa_give_back t act slot downcall =
   let sp = act.act_sp in
-  let s = sa_fields sp in
   trace_downcall t ~cpu:(Cpu.id slot.slot_cpu) ~space:sp.sp_id
     ~act:act.act_id downcall;
   free_activation t act;
-  s.running_acts <- s.running_acts - 1;
   slot.slot_act <- None;
   return_idle_cpu t slot sp
 
@@ -1191,7 +1167,7 @@ let sa_return_activation t act_id =
         "return-activation";
       match act.act_state with
       | A_stopped -> free_activation t act
-      | A_free -> ()  (* already recycled (bulk returns may repeat) *)
+      | A_free -> ()  (* already in the pool (bulk returns may repeat) *)
       | A_running _ | A_blocked ->
           failwith "sa_return_activation: activation still in use")
 
@@ -1524,7 +1500,7 @@ let new_sa_space t ~name ?(priority = 0) ~on_upcall () =
   if t.cfg.Kconfig.mode = Kconfig.Native_oblivious then
     invalid_arg "new_sa_space: kernel is in Native_oblivious mode";
   new_space t ~name ~priority
-    (Sa { on_upcall; pending = []; pool = []; running_acts = 0; blocked_acts = 0 })
+    (Sa { on_upcall; pending = []; pool = [] })
 
 (* The periodic Topaz kernel daemons (Section 5.3): wake every
    [daemon_period], run for [daemon_burst], go back to sleep. *)
@@ -1572,10 +1548,7 @@ let create ?ids sim machine costs cfg =
       slots;
       acts = Hashtbl.create 64;
       kthreads = Hashtbl.create 64;
-      kt_ready_n = 0;
-      kt_running_n = 0;
-      kt_blocked_n = 0;
-      kt_dead_n = 0;
+      kt_exited = 0;
       spaces = [];
       spaces_by_id = Hashtbl.create 16;
       runqs = [];
@@ -1642,19 +1615,27 @@ let dump t ppf =
     (fun (prio, q) ->
       Format.fprintf ppf "runq[prio=%d]: %d@." prio (Queue.length q))
     t.runqs;
-  (* O(1) census from the transition-site counters; only the live listing
-     below walks the table (newest first, as the old list order did). *)
-  Format.fprintf ppf "kthreads: ready=%d blocked=%d dead=%d total=%d@."
-    t.kt_ready_n t.kt_blocked_n t.kt_dead_n (Hashtbl.length t.kthreads);
+  (* The table holds live threads only; exited ones are a count.  The
+     runnable ones are listed newest first. *)
+  let ready = ref 0 and blocked = ref 0 in
   let live =
     Hashtbl.fold
       (fun _ kt acc ->
         match kt.kt_state with
-        | K_ready | K_running _ -> kt :: acc
-        | K_blocked | K_dead -> acc)
+        | K_ready ->
+            incr ready;
+            kt :: acc
+        | K_running _ -> kt :: acc
+        | K_blocked ->
+            incr blocked;
+            acc
+        | K_dead -> acc)
       t.kthreads []
     |> List.sort (fun a b -> compare b.kt_id a.kt_id)
   in
+  Format.fprintf ppf "kthreads: ready=%d blocked=%d dead=%d total=%d@." !ready
+    !blocked t.kt_exited
+    (Hashtbl.length t.kthreads + t.kt_exited);
   List.iter
     (fun kt ->
       Format.fprintf ppf "  live kt%d %s state=%s pending=%a@." kt.kt_id
@@ -1690,13 +1671,21 @@ let check_invariants t =
             (Printf.sprintf "invariant: %s owns %d cpus but assigned=%d"
                sp.sp_name owned sp.sp_assigned);
         match sp.sp_kind with
-        | Sa s ->
+        | Sa _ ->
             (* Section 3.1: as many running activations as processors. *)
-            if s.running_acts <> sp.sp_assigned then
+            let running =
+              Hashtbl.fold
+                (fun _ act n ->
+                  match act.act_state with
+                  | A_running _ when same_space act.act_sp sp -> n + 1
+                  | A_running _ | A_blocked | A_stopped | A_free -> n)
+                t.acts 0
+            in
+            if running <> sp.sp_assigned then
               failwith
                 (Printf.sprintf
                    "invariant: %s has %d running activations, %d processors"
-                   sp.sp_name s.running_acts sp.sp_assigned)
+                   sp.sp_name running sp.sp_assigned)
         | Kthreads _ -> ()
       end)
     t.spaces;
@@ -1714,59 +1703,39 @@ let check_invariants t =
               failwith "invariant: slot activation not running here")
       | None -> ())
     t.slots;
-  (* Kernel-thread census: the O(1) counters must agree with the ground
-     truth in the thread table — a transition that bypassed set_kt_state
-     shows up here. *)
-  (let ready = ref 0 and running = ref 0 and blocked = ref 0 and dead = ref 0 in
-   Hashtbl.iter
-     (fun _ kt ->
-       match kt.kt_state with
-       | K_ready -> incr ready
-       | K_running _ -> incr running
-       | K_blocked -> incr blocked
-       | K_dead -> incr dead)
-     t.kthreads;
-   if
-     !ready <> t.kt_ready_n
-     || !running <> t.kt_running_n
-     || !blocked <> t.kt_blocked_n
-     || !dead <> t.kt_dead_n
-   then
-     failwith
-       (Printf.sprintf
-          "invariant: kthread census %d/%d/%d/%d (ready/running/blocked/dead) \
-           disagrees with counters %d/%d/%d/%d"
-          !ready !running !blocked !dead t.kt_ready_n t.kt_running_n
-          t.kt_blocked_n t.kt_dead_n));
-  (* Activation census: the per-space counters must agree with the ground
-     truth in the activation table, and the recycle pool must hold only
-     free, distinct activations — a double-free or lost context shows up
-     here no matter which path corrupted it. *)
+  (* Kernel-thread placement, both ways: a kernel thread is running on a
+     processor exactly when that processor's slot holds it. *)
+  Array.iter
+    (fun slot ->
+      match slot.slot_kt with
+      | Some kt -> (
+          match kt.kt_state with
+          | K_running cpu_id when cpu_id = Cpu.id slot.slot_cpu -> ()
+          | K_running _ | K_ready | K_blocked | K_dead ->
+              failwith
+                (Printf.sprintf "invariant: cpu%d holds kt%d, not running there"
+                   (Cpu.id slot.slot_cpu) kt.kt_id))
+      | None -> ())
+    t.slots;
+  Hashtbl.iter
+    (fun _ kt ->
+      match kt.kt_state with
+      | K_running cpu_id -> (
+          match (slot_of_cpu t cpu_id).slot_kt with
+          | Some k when k.kt_id = kt.kt_id -> ()
+          | Some _ | None ->
+              failwith
+                (Printf.sprintf
+                   "invariant: kt%d claims cpu%d but the slot disagrees"
+                   kt.kt_id cpu_id))
+      | K_ready | K_blocked | K_dead -> ())
+    t.kthreads;
+  (* The recycle pool must hold only free, distinct activations — a
+     double-free shows up here no matter which path corrupted it. *)
   List.iter
     (fun sp ->
       match sp.sp_kind with
       | Sa s ->
-          let running = ref 0 and blocked = ref 0 in
-          Hashtbl.iter
-            (fun _ act ->
-              if same_space act.act_sp sp then
-                match act.act_state with
-                | A_running _ -> incr running
-                | A_blocked -> incr blocked
-                | A_stopped | A_free -> ())
-            t.acts;
-          if !running <> s.running_acts then
-            failwith
-              (Printf.sprintf
-                 "invariant: %s census finds %d running activations, \
-                  counter says %d"
-                 sp.sp_name !running s.running_acts);
-          if !blocked <> s.blocked_acts then
-            failwith
-              (Printf.sprintf
-                 "invariant: %s census finds %d blocked activations, \
-                  counter says %d"
-                 sp.sp_name !blocked s.blocked_acts);
           let seen = Hashtbl.create 16 in
           List.iter
             (fun act ->

@@ -217,7 +217,9 @@ val sa_cpu_idle : t -> activation -> unit
 
 val sa_return_activation : t -> int -> unit
 (** Recycle a discarded activation id (after the user level has extracted
-    the thread context it carried). *)
+    the thread context it carried).  A repeated return is a no-op while the
+    activation sits in the recycle pool; with pooling off the first return
+    drops it, and a repeat raises [Invalid_argument] as for an unknown id. *)
 
 (** {1 Introspection & statistics} *)
 
@@ -256,12 +258,14 @@ val space_preempts : space -> int
 val check_invariants : t -> unit
 (** Raises [Failure] if a kernel invariant is violated, most importantly
     Section 3.1's: for every scheduler-activation address space, the number
-    of running activations equals the number of processors assigned to it.
-    Also audits the activation table against the per-space running/blocked
-    counters, the recycle pool (free and distinct entries only), and the
-    slot table (every running activation sits on the slot it claims) — the
-    checks the chaos campaigns lean on to catch lost or double-resumed
-    contexts. *)
+    of running activations in the activation table equals the number of
+    processors assigned to it (explicit mode, where each space must also
+    own exactly the processors it is assigned).  Also audits the recycle
+    pool (free and distinct entries only) and placement against the slot
+    table, both ways for kernel threads: every running activation sits on
+    the slot it claims, and a kernel thread is running on processor [c]
+    exactly when it is slot [c]'s thread — the checks the chaos campaigns
+    lean on to catch a context resumed twice or left behind. *)
 
 (** {1 Fault injection (chaos testing)}
 
@@ -321,7 +325,9 @@ val free_cpus : t -> int
 
 val dump : t -> Format.formatter -> unit
 (** Human-readable snapshot of processors, run queues and kernel threads
-    (diagnostics). *)
+    (diagnostics).  The [kthreads:] line counts ready and blocked threads,
+    exited ones as [dead], and every thread spawned as [total]; the
+    runnable threads follow, newest first. *)
 
 val space_cpu_seconds : t -> space -> float
 (** Integral of processors owned by this space from its creation to now,

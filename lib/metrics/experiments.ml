@@ -8,10 +8,29 @@ module Recorder = Sa_workload.Recorder
 module Nbody = Sa_workload.Nbody
 module Ft_core = Sa_uthread.Ft_core
 
-(* Latency benchmarks run on a single processor with daemons silenced, as
-   in the paper's Table 1 methodology. *)
-let quiet_1cpu mode =
-  System.create ~cpus:1 ~kconfig:{ mode with Kconfig.daemons = false } ()
+(* One latency benchmark: [prog] stamps its markers on a single processor
+   with daemons silenced, as in the paper's Table 1 methodology, and [read]
+   turns the recorded stamps into microseconds. *)
+let stamp_latency ?costs ?strategy ?(name = "bench") kconfig backend prog read
+    =
+  let sys =
+    System.create ~cpus:1 ?costs
+      ~kconfig:{ kconfig with Kconfig.daemons = false }
+      ()
+  in
+  let rec_ = Recorder.create () in
+  let _job =
+    System.submit sys ~backend ~name ?strategy
+      ~observer:(Recorder.observer rec_) prog
+  in
+  System.run sys;
+  read rec_
+
+(* Simulated seconds a finished job took. *)
+let elapsed_s job =
+  match System.elapsed job with
+  | Some d -> Time.span_to_ms d /. 1000.0
+  | None -> assert false
 
 type latency_row = {
   system : string;
@@ -21,20 +40,10 @@ type latency_row = {
   paper_signal_wait : float option;
 }
 
-let run_latency ?(iters = 200) ?(strategy = Ft_core.Copy_sections) kconfig
-    backend =
-  let one bench read =
-    let sys = quiet_1cpu kconfig in
-    let rec_ = Recorder.create () in
-    let _job =
-      System.submit sys ~backend ~name:"bench" ~strategy
-        ~observer:(Recorder.observer rec_) (bench ~iters)
-    in
-    System.run sys;
-    read rec_
-  in
-  ( one (fun ~iters -> Latency.null_fork ~iters ()) Latency.null_fork_latency,
-    one Latency.signal_wait Latency.signal_wait_latency )
+let run_latency ?(iters = 200) ?strategy kconfig backend =
+  let one prog read = stamp_latency ?strategy kconfig backend prog read in
+  ( one (Latency.null_fork ~iters ()) Latency.null_fork_latency,
+    one (Latency.signal_wait ~iters) Latency.signal_wait_latency )
 
 let table1 ?iters () =
   let rows =
@@ -88,16 +97,15 @@ type speedup_series = { series : string; points : speedup_point list }
 
 let seq_seconds prep = Time.span_to_ms prep.Nbody.seq_time /. 1000.0
 
-let run_nbody ~kconfig ~cpus ~backend ?parallelism ?cache_capacity prep =
-  let sys = System.create ~cpus ~kconfig () in
+let run_nbody ?costs ~kconfig ~cpus ~backend ?parallelism ?cache_capacity ?disk
+    prep =
+  let sys = System.create ~cpus ?costs ~kconfig () in
   let job =
-    System.submit sys ~backend ~name:"nbody" ?parallelism ?cache_capacity
+    System.submit sys ~backend ~name:"nbody" ?parallelism ?cache_capacity ?disk
       prep.Nbody.program
   in
   System.run sys;
-  match System.elapsed job with
-  | Some d -> Time.span_to_ms d /. 1000.0
-  | None -> assert false
+  elapsed_s job
 
 let figure1 ?(params = Nbody.default_params) () =
   let prep = Nbody.prepare params in
@@ -165,12 +173,7 @@ let table5 ?(params = Nbody.default_params) () =
     let j1 = System.submit sys ~backend ~name:"nbody-1" prep.Nbody.program in
     let j2 = System.submit sys ~backend ~name:"nbody-2" prep.Nbody.program in
     System.run sys;
-    let el j =
-      match System.elapsed j with
-      | Some d -> Time.span_to_ms d /. 1000.0
-      | None -> assert false
-    in
-    let avg = (el j1 +. el j2) /. 2.0 in
+    let avg = (elapsed_s j1 +. elapsed_s j2) /. 2.0 in
     seq /. avg
   in
   [
@@ -203,15 +206,9 @@ type upcall_row = {
 
 let upcall_performance ?(iters = 100) () =
   let run kconfig backend =
-    let sys = quiet_1cpu kconfig in
-    let rec_ = Recorder.create () in
-    let _job =
-      System.submit sys ~backend ~name:"upcall-bench"
-        ~observer:(Recorder.observer rec_)
-        (Latency.upcall_signal_wait ~iters)
-    in
-    System.run sys;
-    Latency.upcall_signal_wait_latency rec_
+    stamp_latency ~name:"upcall-bench" kconfig backend
+      (Latency.upcall_signal_wait ~iters)
+      Latency.upcall_signal_wait_latency
   in
   [
     {
@@ -271,15 +268,10 @@ let ablation_hysteresis ?(params = Nbody.default_params) ~spins_ms () =
       in
       System.run sys;
       let stats = Kernel.stats (System.kernel sys) in
-      let elapsed =
-        match System.elapsed job with
-        | Some d -> Time.span_to_ms d /. 1000.0
-        | None -> assert false
-      in
       [
         {
           a_label = Printf.sprintf "hysteresis %2d ms: run time" ms;
-          a_value = elapsed;
+          a_value = elapsed_s job;
           a_unit = "s";
         };
         {
@@ -292,16 +284,11 @@ let ablation_hysteresis ?(params = Nbody.default_params) ~spins_ms () =
 
 let ablation_activation_pooling ?(iters = 100) () =
   let run pooling =
-    let kconfig = { Kconfig.default with activation_pooling = pooling } in
-    let sys = quiet_1cpu kconfig in
-    let rec_ = Recorder.create () in
-    let _job =
-      System.submit sys ~backend:`Fastthreads_on_sa ~name:"pool-bench"
-        ~observer:(Recorder.observer rec_)
-        (Latency.upcall_signal_wait ~iters)
-    in
-    System.run sys;
-    Latency.upcall_signal_wait_latency rec_
+    stamp_latency ~name:"pool-bench"
+      { Kconfig.default with activation_pooling = pooling }
+      `Fastthreads_on_sa
+      (Latency.upcall_signal_wait ~iters)
+      Latency.upcall_signal_wait_latency
   in
   [
     {
@@ -332,12 +319,7 @@ let ablation_remainder_rotation ?(params = Nbody.default_params) () =
         prep.Nbody.program
     in
     System.run sys;
-    let el j =
-      match System.elapsed j with
-      | Some d -> Time.span_to_ms d /. 1000.0
-      | None -> assert false
-    in
-    (el j1, el j2)
+    (elapsed_s j1, elapsed_s j2)
   in
   let r1_on, r2_on = run true in
   let r1_off, r2_off = run false in
@@ -367,16 +349,11 @@ let figure2_disk_contention ?(params = Nbody.default_params) () =
   let series name f = { io_series = name; io_points = List.map f percents } in
   let point backend kconfig pct =
     let cache_capacity = Nbody.cache_capacity prep ~percent:pct in
-    let sys = System.create ~cpus:6 ~kconfig () in
-    let job =
-      System.submit sys ~backend ~name:"nbody" ~cache_capacity ~disk
-        prep.Nbody.program
-    in
-    System.run sys;
-    match System.elapsed job with
-    | Some d ->
-        { memory_percent = pct; exec_time_s = Time.span_to_ms d /. 1000.0 }
-    | None -> assert false
+    {
+      memory_percent = pct;
+      exec_time_s =
+        run_nbody ~kconfig ~cpus:6 ~backend ~cache_capacity ~disk prep;
+    }
   in
   [
     series "Topaz threads" (point `Topaz_kthreads Kconfig.native);
@@ -433,17 +410,12 @@ let space_priority ?(params = Nbody.default_params) () =
       ~space_priority:0 prep.Nbody.program
   in
   System.run sys;
-  let el j =
-    match System.elapsed j with
-    | Some d -> Time.span_to_ms d /. 1000.0
-    | None -> assert false
-  in
   let seq = seq_seconds prep in
   [
-    { a_label = "high-priority job: run time"; a_value = el hi; a_unit = "s" };
-    { a_label = "high-priority job: speedup"; a_value = seq /. el hi; a_unit = "" };
-    { a_label = "low-priority  job: run time"; a_value = el lo; a_unit = "s" };
-    { a_label = "low-priority  job: speedup"; a_value = seq /. el lo; a_unit = "" };
+    { a_label = "high-priority job: run time"; a_value = elapsed_s hi; a_unit = "s" };
+    { a_label = "high-priority job: speedup"; a_value = seq /. elapsed_s hi; a_unit = "" };
+    { a_label = "low-priority  job: run time"; a_value = elapsed_s lo; a_unit = "s" };
+    { a_label = "low-priority  job: speedup"; a_value = seq /. elapsed_s lo; a_unit = "" };
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -680,19 +652,9 @@ let preemption_protocol () =
 let modern_retrospective () =
   let costs = Cost_model.modern_x86 in
   let latency backend kconfig =
-    let sys =
-      System.create ~cpus:1 ~costs
-        ~kconfig:{ kconfig with Kconfig.daemons = false }
-        ()
-    in
-    let rec_ = Recorder.create () in
-    let _job =
-      System.submit sys ~backend ~name:"bench"
-        ~observer:(Recorder.observer rec_)
-        (Latency.null_fork ~iters:200 ~proc:costs.Cost_model.procedure_call ())
-    in
-    System.run sys;
-    Latency.null_fork_latency rec_
+    stamp_latency ~costs kconfig backend
+      (Latency.null_fork ~iters:200 ~proc:costs.Cost_model.procedure_call ())
+      Latency.null_fork_latency
   in
   let ft = latency (`Fastthreads_on_kthreads 1) Kconfig.native in
   let sa = latency `Fastthreads_on_sa Kconfig.default in
@@ -709,14 +671,8 @@ let modern_retrospective () =
     }
   in
   let prep = Nbody.prepare params in
-  let seq = Time.span_to_ms prep.Nbody.seq_time /. 1000.0 in
   let speedup kconfig backend =
-    let sys = System.create ~cpus:6 ~costs ~kconfig () in
-    let job = System.submit sys ~backend ~name:"nbody" prep.Nbody.program in
-    System.run sys;
-    match System.elapsed job with
-    | Some d -> seq /. (Time.span_to_ms d /. 1000.0)
-    | None -> nan
+    seq_seconds prep /. run_nbody ~costs ~kconfig ~cpus:6 ~backend prep
   in
   let kt_speedup = speedup Kconfig.native `Topaz_kthreads in
   let sa_speedup =

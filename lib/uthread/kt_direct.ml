@@ -12,7 +12,6 @@ type flavor = [ `Topaz | `Ultrix ]
 
 type thr = {
   th_id : int;
-  mutable th_done : bool;
   mutable th_join_wakes : (unit -> unit) list;
   mutable binds : Code.binds;  (* fork slot -> child tid *)
 }
@@ -38,9 +37,8 @@ type link = {
 (* A running thread's place in its program: the arena it steps and the pc
    of its op in flight, with [advance], the one continuation that moves to
    the next op and steps it.  Built when the thread starts and reachable
-   only through [advance] and the kernel's hold on it — never from [thr],
-   which [t.threads] keeps for the whole job — so it is garbage once the
-   thread exits. *)
+   only through [advance] and the kernel's hold on it, kept off [thr] so
+   that record stays small.  Both are garbage once the thread exits. *)
 type cursor = {
   mutable lk : link;
   mutable pc : int;
@@ -55,14 +53,13 @@ type t = {
   io_dev : Io_device.t option;
   observer : int -> Time.t -> unit;
   on_done : unit -> unit;
-  threads : (int, thr) Hashtbl.t;
+  threads : (int, thr) Hashtbl.t;  (* live threads; an exit removes its own *)
   kmutexes : (int, kmutex) Hashtbl.t;
   kconds : (int, (unit -> unit) Queue.t) Hashtbl.t;
   ksems : (int, ksem) Hashtbl.t;
   cache_waiters : (int, (unit -> unit) list) Hashtbl.t;
       (* blocks being filled -> threads waiting on the fill *)
   mutable next_tid : int;
-  mutable live : int;
   mutable on_cursor : cursor -> unit;
 }
 
@@ -78,7 +75,7 @@ let trace_live t ~tid marker =
     Trace.instant tr ~time:(Sim.now sim) ~space:(Kernel.space_id t.sp)
       ~act:tid Trace.Uthread marker;
     Trace.counter tr ~time:(Sim.now sim) Trace.Uthread ("live:" ^ name)
-      (float_of_int t.live)
+      (float_of_int (Hashtbl.length t.threads))
   end
 
 let find_or_add tbl id make =
@@ -114,15 +111,9 @@ let link t code =
 let new_thr t =
   t.next_tid <- t.next_tid + 1;
   let thr =
-    {
-      th_id = t.next_tid;
-      th_done = false;
-      th_join_wakes = [];
-      binds = Code.no_binds;
-    }
+    { th_id = t.next_tid; th_join_wakes = []; binds = Code.no_binds }
   in
   Hashtbl.replace t.threads thr.th_id thr;
-  t.live <- t.live + 1;
   thr
 
 (* Flavor-dependent operation costs. *)
@@ -215,13 +206,10 @@ let rec step t thr (ops : Kernel.kt_ops) cur =
   match code.Code.op.(pc) with
   | 0 (* done *) ->
       ops.Kernel.kt_charge (c_exit t c) (fun () ->
-          thr.th_done <- true;
-          t.live <- t.live - 1;
+          Hashtbl.remove t.threads thr.th_id;
           trace_live t ~tid:thr.th_id "kt:exit";
-          let wakes = thr.th_join_wakes in
-          thr.th_join_wakes <- [];
-          List.iter (fun w -> w ()) wakes;
-          if t.live = 0 then t.on_done ();
+          List.iter (fun w -> w ()) thr.th_join_wakes;
+          if Hashtbl.length t.threads = 0 then t.on_done ();
           ops.Kernel.kt_exit ())
   | 1 (* compute *) -> ops.Kernel.kt_charge arg next
   | 2 (* acquire *) -> acquire thr ops c lk.lmut.(arg) next
@@ -282,17 +270,20 @@ let rec step t thr (ops : Kernel.kt_ops) cur =
             ~body:(start t child lk arg)
             ();
           next ())
-  | 12 (* join *) -> (
-      match Hashtbl.find_opt t.threads (Code.join_target thr.binds arg) with
-      | None -> invalid_arg "Kt_direct: join on unknown thread"
-      | Some target ->
-          ops.Kernel.kt_charge (c_join t c) (fun () ->
-              if target.th_done then next ()
-              else
-                ops.Kernel.kt_block_on
-                  ~register:(fun wake ->
-                    target.th_join_wakes <- wake :: target.th_join_wakes)
-                  next))
+  | 12 (* join *) ->
+      (* [Ft_core.flat_join_target]'s rule: any tid ever forked is valid,
+         and one no longer in the table has finished. *)
+      let tid = Code.join_target thr.binds arg in
+      if tid < 1 || tid > t.next_tid then
+        invalid_arg "Kt_direct: join on unknown thread";
+      ops.Kernel.kt_charge (c_join t c) (fun () ->
+          match Hashtbl.find_opt t.threads tid with
+          | None -> next ()
+          | Some target ->
+              ops.Kernel.kt_block_on
+                ~register:(fun wake ->
+                  target.th_join_wakes <- wake :: target.th_join_wakes)
+                next)
   | 13 (* io *) ->
       ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
           ops.Kernel.kt_block_for arg next)
@@ -349,7 +340,6 @@ let create kernel ~name ~flavor ?(priority = 0) ?cache ?io_dev
       ksems = Hashtbl.create 16;
       cache_waiters = Hashtbl.create 16;
       next_tid = 0;
-      live = 0;
       on_cursor = ignore;
     }
   in

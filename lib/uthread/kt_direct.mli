@@ -43,4 +43,4 @@ type cursor
 val watch_cursors : t -> (cursor -> unit) -> unit
 (** [watch_cursors t f] calls [f] with each thread's cursor when the
     thread starts.  A test hook: a finished thread's cursor must become
-    garbage, since the job keeps every thread's record to its end. *)
+    garbage, as its record does, while the job is still held. *)

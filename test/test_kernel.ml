@@ -183,6 +183,36 @@ let native_tests =
           (fresh.Kernel.kt_dispatches > dispatches);
         check Alcotest.int "fresh io_blocks grew" (blocks + 1)
           fresh.Kernel.io_blocks);
+    Alcotest.test_case "dump counts ready, blocked and exited kthreads" `Quick
+      (fun () ->
+        (* Every invariant violation prints this dump.  Stopped at 20 ms on
+           one processor: two threads have exited, one sleeps, one runs
+           and one waits for the processor. *)
+        let sim, _m, k = make ~cpus:1 () in
+        let sp = Kernel.new_kthread_space k ~name:"app" () in
+        let spawn name body = Kernel.spawn_kthread k sp ~name ~body () in
+        let brief ops = ops.Kernel.kt_charge (Time.us 10) ops.Kernel.kt_exit in
+        spawn "a" brief;
+        spawn "b" brief;
+        spawn "sleeper" (fun ops ->
+            ops.Kernel.kt_block_for (Time.ms 100) ops.Kernel.kt_exit);
+        spawn "hog" (fun ops ->
+            ops.Kernel.kt_charge (Time.ms 50) ops.Kernel.kt_exit);
+        spawn "queued" brief;
+        Sim.run ~until:(Time.of_ns (Time.ms 20)) sim;
+        Kernel.check_invariants k;
+        let lines =
+          String.split_on_char '\n' (Format.asprintf "%t" (Kernel.dump k))
+        in
+        check Alcotest.string "census line"
+          "kthreads: ready=1 blocked=1 dead=2 total=5"
+          (List.find (String.starts_with ~prefix:"kthreads:") lines);
+        check
+          (Alcotest.list Alcotest.string)
+          "runnable threads, newest first"
+          [ "  live kt6 queued state=ready pending=0ns";
+            "  live kt5 hog state=running@0 pending=0ns" ]
+          (List.filter (String.starts_with ~prefix:"  live") lines));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1198,10 +1198,9 @@ let retirement_tests =
   [
     Alcotest.test_case "finished Topaz threads' cursors are collectable"
       `Quick (fun () ->
-        (* The job keeps every thread's record to its end; a thread's
-           cursor (its pc and the continuation that advances it) must not
-           hang off that record, or every Topaz thread would keep its
-           cursor alive. *)
+        (* A thread's cursor (its pc and the continuation that advances
+           it) is garbage once the thread exits, while the job that ran it
+           is still held. *)
         let n = 20 in
         let sys = System.create ~cpus:2 ~kconfig:no_daemons () in
         let prog =
@@ -1227,6 +1226,35 @@ let retirement_tests =
            through it. *)
         check Alcotest.string "job still held" "topaz"
           (Kernel.space_name (Sa_uthread.Kt_direct.space job)));
+    Alcotest.test_case "finished Topaz threads leave nothing behind" `Quick
+      (fun () ->
+        (* Every Topaz thread is a kernel thread.  Once one exits, neither
+           the kernel's thread table nor the job's keeps its record, so
+           the heap a finished job leaves behind, with its system still
+           held, does not grow with the number of threads it ran.  Each
+           child is short next to a fork, so few are ever alive at once. *)
+        let retained n =
+          Gc.full_major ();
+          let before = (Gc.stat ()).Gc.live_words in
+          let sys = System.create ~cpus:2 ~kconfig:no_daemons () in
+          let job =
+            Sa_uthread.Kt_direct.create (System.kernel sys) ~name:"topaz"
+              ~flavor:`Topaz
+              (B.to_program
+                 (B.repeat n (fun _ ->
+                      B.fork_unit (P.compute_only (Time.us 10)))))
+          in
+          Sa_engine.Sim.run (System.sim sys);
+          Gc.full_major ();
+          let words = (Gc.stat ()).Gc.live_words - before in
+          ignore (Sys.opaque_identity (sys, job));
+          words
+        in
+        let few = retained 100 in
+        let many = retained 2100 in
+        let per_thread = float_of_int (many - few) /. 2000.0 in
+        if per_thread > 1.0 then
+          Alcotest.failf "%.1f live words per finished thread" per_thread);
     Alcotest.test_case "finished threads' TCBs are collectable" `Quick
       (fun () ->
         let n = 100 in
