@@ -77,10 +77,7 @@ let costs t = t.costs
 
 let submit t ~backend ~name ?cache_capacity ?(prewarm_cache = true) ?disk
     ?(strategy = Ft_core.Copy_sections) ?parallelism
-    ?(space_priority = 0) ?observer ?trace_sink prog =
-  (match trace_sink with
-  | Some sink -> Sa_engine.Trace.add_sink (Sim.trace t.sim) sink
-  | None -> ());
+    ?(space_priority = 0) ?observer prog =
   let cache =
     Option.map (fun c -> Buffer_cache.create ~capacity:c) cache_capacity
   in

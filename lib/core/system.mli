@@ -82,7 +82,6 @@ val submit :
   ?parallelism:int ->
   ?space_priority:int ->
   ?observer:(int -> Time.t -> unit) ->
-  ?trace_sink:(Sa_engine.Trace.record -> unit) ->
   Program.t ->
   job
 (** Create an address space with the chosen backend and start the program's
@@ -91,10 +90,9 @@ val submit :
     [prewarm_cache] (default true) pre-fills it so there are no cold
     misses.  [parallelism] caps the processors a scheduler-activation
     space requests (ignored by the other backends, whose parallelism is
-    set by the VP count or the machine size).  [trace_sink], when given, is
-    registered as a structured sink on the system's trace
-    ({!Sa_engine.Trace.add_sink}) — e.g. [Sa_engine.Trace_export.feed w]
-    to stream the whole run as Chrome trace JSON. *)
+    set by the VP count or the machine size).  To stream the run as
+    Chrome trace JSON, add [Sa_engine.Trace_export.feed w] as a sink on
+    the system's trace ({!Sa_engine.Trace.add_sink}) before submitting. *)
 
 val job_name : job -> string
 val finished : job -> bool

@@ -194,8 +194,9 @@ let install_daemon_storm t rng =
       for i = 1 to storm_size do
         Kernel.spawn_kthread kern storm_sp
           ~name:(Printf.sprintf "storm-%d" i)
-          ~body:(fun ops ->
-            ops.Kernel.kt_charge storm_burst (fun () -> ops.Kernel.kt_exit ()))
+          ~body:(fun kt ->
+            Kernel.kt_charge kern kt storm_burst (fun () ->
+                Kernel.kt_exit kern kt))
           ()
       done)
 
@@ -271,8 +272,8 @@ let install_space_churn t rng =
         let work = Time.us (50 + Rng.int rng 250) in
         Kernel.spawn_kthread kern sp
           ~name:(Printf.sprintf "churn-%d.%d" t.n_churns i)
-          ~body:(fun ops ->
-            ops.Kernel.kt_charge work (fun () -> ops.Kernel.kt_exit ()))
+          ~body:(fun kt ->
+            Kernel.kt_charge kern kt work (fun () -> Kernel.kt_exit kern kt))
           ()
       done)
 

@@ -7,7 +7,7 @@
      I/O          - I/O completion delivery: fault hooks, retry backoff,
                     guarded fire-once wakeups (the chaos contract)
      KT scheduler - the oblivious kernel-thread scheduler (Section 2.2):
-                    run queues, dispatch, time-slicing, the kt_ops record
+                    run queues, dispatch, time-slicing, the kt_* operations
      Activations  - Table-2 event vectoring, activation pool/recycling,
                     critical-section recovery glue, the Table-3 downcalls
                     and debugger support (Sections 3.1-3.3, 4.4)
@@ -53,20 +53,6 @@ type stats = {
 }
 
 type kt_state = K_ready | K_running of int (* cpu id *) | K_blocked | K_dead
-
-type kt_ops = {
-  kt_charge : Time.span -> (unit -> unit) -> unit;
-  kt_spin :
-    slice:Time.span ->
-    length:Time.span ->
-    poll:(unit -> bool) ->
-    (unit -> unit) ->
-    unit;
-  kt_block_for : Time.span -> (unit -> unit) -> unit;
-  kt_block_on : register:((unit -> unit) -> unit) -> (unit -> unit) -> unit;
-  kt_yield : (unit -> unit) -> unit;
-  kt_exit : unit -> unit;
-}
 
 type act_state =
   | A_running of int (* cpu id *)
@@ -714,59 +700,53 @@ let kt_stop t kt resume st =
   refresh_kt_desired t kt.kt_sp;
   slot
 
-(* The per-kthread capability record. *)
-let ops_for t kt =
-  {
-    kt_charge =
-      (fun cost k -> charge_on_slot (kt_slot t kt) ~occupant:kt.kt_occ ~cost k);
-    kt_spin =
-      (fun ~slice ~length ~poll k ->
-        Cpu.begin_spin (kt_slot t kt).slot_cpu ~occupant:kt.kt_occ ~slice
-          ~length ~poll k);
-    kt_block_for =
-      (fun span k ->
-        let slot = kt_stop t kt k K_blocked in
-        t.stats.io_blocks <- t.stats.io_blocks + 1;
-        Trace.span_begin (ktrace t) ~time:(Sim.now t.sim)
-          ~space:kt.kt_sp.sp_id ~act:kt.kt_id Trace.Kernel "io-block";
-        schedule_io_completion t ~io:span (fun () ->
-            Trace.span_end (ktrace t) ~time:(Sim.now t.sim)
-              ~space:kt.kt_sp.sp_id ~act:kt.kt_id Trace.Kernel "io-block";
-            kt.kt_pending_cost <-
-              kt.kt_pending_cost + t.costs.Cost_model.kt_unblock;
-            make_ready t kt);
-        kt_cpu_released t slot);
-    kt_block_on =
-      (fun ~register k ->
-        let slot = kt_stop t kt k K_blocked in
-        register (fun () ->
-            match kt.kt_state with
-            | K_blocked ->
-                kt.kt_pending_cost <-
-                  kt.kt_pending_cost + t.costs.Cost_model.kt_unblock;
-                make_ready t kt
-            | K_ready | K_running _ | K_dead ->
-                failwith "wake of non-blocked kthread");
-        kt_cpu_released t slot);
-    kt_yield =
-      (fun k ->
-        kt.kt_resume <- k;
-        let slot = kt_leave_cpu t kt in
-        kt.kt_state <- K_ready;
-        kt_enqueue t kt;
-        kt_cpu_released t slot);
-    kt_exit =
-      (fun () ->
-        let slot =
-          kt_stop t kt (fun () -> failwith "resumed dead kthread") K_dead
-        in
-        Hashtbl.remove t.kthreads kt.kt_id;
-        t.kt_exited <- t.kt_exited + 1;
-        kt_cpu_released t slot);
-  }
+(* The kernel-thread operations.  Each continuation runs when [kt] next
+   holds a processor. *)
+let kt_charge t kt cost k =
+  charge_on_slot (kt_slot t kt) ~occupant:kt.kt_occ ~cost k
 
-let spawn_kthread_gen t sp ~name ~prio ~random_wake ?(startup_cost = 0) ~body
-    () =
+let kt_spin t kt ~slice ~length ~poll k =
+  Cpu.begin_spin (kt_slot t kt).slot_cpu ~occupant:kt.kt_occ ~slice ~length
+    ~poll k
+
+let kt_block_for t kt span k =
+  let slot = kt_stop t kt k K_blocked in
+  t.stats.io_blocks <- t.stats.io_blocks + 1;
+  Trace.span_begin (ktrace t) ~time:(Sim.now t.sim) ~space:kt.kt_sp.sp_id
+    ~act:kt.kt_id Trace.Kernel "io-block";
+  schedule_io_completion t ~io:span (fun () ->
+      Trace.span_end (ktrace t) ~time:(Sim.now t.sim) ~space:kt.kt_sp.sp_id
+        ~act:kt.kt_id Trace.Kernel "io-block";
+      kt.kt_pending_cost <- kt.kt_pending_cost + t.costs.Cost_model.kt_unblock;
+      make_ready t kt);
+  kt_cpu_released t slot
+
+let kt_block_on t kt ~register k =
+  let slot = kt_stop t kt k K_blocked in
+  register (fun () ->
+      match kt.kt_state with
+      | K_blocked ->
+          kt.kt_pending_cost <-
+            kt.kt_pending_cost + t.costs.Cost_model.kt_unblock;
+          make_ready t kt
+      | K_ready | K_running _ | K_dead ->
+          failwith "wake of non-blocked kthread");
+  kt_cpu_released t slot
+
+let kt_yield t kt k =
+  kt.kt_resume <- k;
+  let slot = kt_leave_cpu t kt in
+  kt.kt_state <- K_ready;
+  kt_enqueue t kt;
+  kt_cpu_released t slot
+
+let kt_exit t kt =
+  let slot = kt_stop t kt (fun () -> failwith "resumed dead kthread") K_dead in
+  Hashtbl.remove t.kthreads kt.kt_id;
+  t.kt_exited <- t.kt_exited + 1;
+  kt_cpu_released t slot
+
+let spawn_kthread_gen t sp ~name ~prio ~random_wake ~body () =
   (match sp.sp_kind with
   | Kthreads _ -> ()
   | Sa _ -> invalid_arg "spawn_kthread: SA space");
@@ -780,17 +760,15 @@ let spawn_kthread_gen t sp ~name ~prio ~random_wake ?(startup_cost = 0) ~body
       kt_random_wake = random_wake;
       kt_state = K_blocked;
       kt_resume = (fun () -> ());
-      kt_pending_cost = startup_cost;
+      kt_pending_cost = 0;
     }
   in
-  let ops = ops_for t kt in
-  kt.kt_resume <- (fun () -> body ops);
+  kt.kt_resume <- (fun () -> body kt);
   Hashtbl.replace t.kthreads kt.kt_id kt;
   make_ready t kt
 
-let spawn_kthread t sp ~name ?startup_cost ~body () =
-  spawn_kthread_gen t sp ~name ~prio:sp.sp_prio ~random_wake:false
-    ?startup_cost ~body ()
+let spawn_kthread t sp ~name ~body () =
+  spawn_kthread_gen t sp ~name ~prio:sp.sp_prio ~random_wake:false ~body ()
 
 (* Native-mode dispatch sweep, the pass behind [schedule_pass]: give every
    idle processor a look at the global queue. *)
@@ -1508,12 +1486,12 @@ let start_daemons t =
   let sp = new_kthread_space t ~name:"topaz-daemons" ~priority:10 () in
   let period = t.costs.Cost_model.daemon_period in
   let burst = t.costs.Cost_model.daemon_burst in
-  let body ops =
+  let body kt =
     let rec loop () =
-      ops.kt_block_for period (fun () ->
+      kt_block_for t kt period (fun () ->
           if t.cfg.Kconfig.mode = Kconfig.Explicit_allocation then
             t.stats.daemon_wakeups <- t.stats.daemon_wakeups + 1;
-          ops.kt_charge burst loop)
+          kt_charge t kt burst loop)
     in
     loop ()
   in

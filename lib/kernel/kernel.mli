@@ -17,9 +17,9 @@
       (Table 3); kernel-thread address spaces are scheduled from per-space
       queues on their granted processors.
 
-    Kernel threads execute bodies written against {!kt_ops}, a small
-    capability record (charge work, block, exit...).  Scheduler-activation
-    spaces register an upcall handler ([new_sa_space ~on_upcall]) and drive their
+    Kernel-thread bodies drive their {!kthread} through the [kt_*]
+    functions (charge work, block, exit...).  Scheduler-activation spaces
+    register an upcall handler ([new_sa_space ~on_upcall]) and drive their
     activations through the [sa_*] functions. *)
 
 module Time = Sa_engine.Time
@@ -86,49 +86,51 @@ val space_desired : space -> int
 
 (** {1 Kernel threads} *)
 
-(** Capabilities available to a kernel-thread body.  All continuations run
+type kthread
+(** A kernel thread, handed to its body when first dispatched.  The body
+    drives it through the [kt_*] functions below.  Every continuation runs
     when the thread next holds a processor; preemption and rescheduling in
     between are transparent. *)
-type kt_ops = {
-  kt_charge : Time.span -> (unit -> unit) -> unit;
-      (** execute work on the current processor, then continue *)
-  kt_spin :
-    slice:Time.span ->
-    length:Time.span ->
-    poll:(unit -> bool) ->
-    (unit -> unit) ->
-    unit;
-      (** [kt_spin ~slice ~length ~poll k]: the kernel-thread twin of
-          {!sa_spin}.  Run [length] of work on the current processor as one
-          {!Sa_hw.Cpu.begin_spin}, calling [poll] at every [slice]
-          boundary, and continue with [k] once [poll] reports work or the
-          spin is used up.  It fires the same events, in the same order, as
-          a chain of [slice]-long {!kt_charge}s whose continuations poll.
-          A spin preempted by a quantum expiry or a wakeup is saved like any
-          segment; once the thread is dispatched again, on whatever
-          processor, it finishes the interrupted slice there and spins on
-          there for the unspent length. *)
-  kt_block_for : Time.span -> (unit -> unit) -> unit;
-      (** block in the kernel (e.g. I/O) for the given span *)
-  kt_block_on : register:((unit -> unit) -> unit) -> (unit -> unit) -> unit;
-      (** block until woken: [register wake] stores the wake function with
-          whoever will call it (lock release, condition signal...) *)
-  kt_yield : (unit -> unit) -> unit;
-      (** relinquish the processor to the next ready thread *)
-  kt_exit : unit -> unit;  (** terminate this kernel thread *)
-}
 
 val spawn_kthread :
-  t ->
-  space ->
-  name:string ->
-  ?startup_cost:Time.span ->
-  body:(kt_ops -> unit) ->
-  unit ->
-  unit
+  t -> space -> name:string -> body:(kthread -> unit) -> unit -> unit
 (** Create a kernel thread; it becomes ready immediately and its body runs
-    once first dispatched.  [startup_cost] is charged on its first dispatch
-    (models fork-path kernel work attributed to the child side). *)
+    once first dispatched. *)
+
+val kt_charge : t -> kthread -> Time.span -> (unit -> unit) -> unit
+(** Execute work on the thread's current processor, then continue. *)
+
+val kt_spin :
+  t ->
+  kthread ->
+  slice:Time.span ->
+  length:Time.span ->
+  poll:(unit -> bool) ->
+  (unit -> unit) ->
+  unit
+(** [kt_spin t kt ~slice ~length ~poll k]: the kernel-thread twin of
+    {!sa_spin}.  Run [length] of work on the current processor as one
+    {!Sa_hw.Cpu.begin_spin}, calling [poll] at every [slice] boundary, and
+    continue with [k] once [poll] reports work or the spin is used up.  It
+    fires the same events, in the same order, as a chain of [slice]-long
+    {!kt_charge}s whose continuations poll.  A spin preempted by a quantum
+    expiry or a wakeup is saved like any segment; once the thread is
+    dispatched again, on whatever processor, it finishes the interrupted
+    slice there and spins on there for the unspent length. *)
+
+val kt_block_for : t -> kthread -> Time.span -> (unit -> unit) -> unit
+(** Block in the kernel (e.g. I/O) for the given span. *)
+
+val kt_block_on :
+  t -> kthread -> register:((unit -> unit) -> unit) -> (unit -> unit) -> unit
+(** Block until woken: [register wake] stores the wake function with
+    whoever will call it (lock release, condition signal...). *)
+
+val kt_yield : t -> kthread -> (unit -> unit) -> unit
+(** Relinquish the processor to the next ready thread. *)
+
+val kt_exit : t -> kthread -> unit
+(** Terminate this kernel thread. *)
 
 (** {1 Scheduler-activation services (downcalls and execution)} *)
 

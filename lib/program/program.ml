@@ -1,11 +1,10 @@
 type span = Sa_engine.Time.span
 type thread_id = int
 
-let next_object_id = ref 0
-
-let fresh_id () =
-  incr next_object_id;
-  !next_object_id
+(* Sync objects are numbered process-wide, and runs may go on in several
+   domains at once. *)
+let next_object_id = Atomic.make 0
+let fresh_id () = Atomic.fetch_and_add next_object_id 1 + 1
 
 module Mutex = struct
   type t = { mid : int; mname : string }
@@ -561,13 +560,16 @@ let compile_once ~budget ~lazy_sites prog =
     konts = Array.of_list (List.rev !konts);
   }
 
-(* The last arena compiled, keyed on its program value by physical
-   equality: jobs that submit one value share one arena.  An ephemeron,
-   so the cached arena never outlives its program. *)
-let last_compiled = ref None
+(* The last arena this domain compiled, keyed on its program value by
+   physical equality: jobs that submit one value share one arena.  An
+   ephemeron, so the cached arena never outlives its program. *)
+let last_compiled = Domain.DLS.new_key (fun () -> None)
 
 let compile ?(budget = 1_000_000) prog =
-  match Option.bind !last_compiled (fun e -> Ephemeron.K1.query e prog) with
+  match
+    Option.bind (Domain.DLS.get last_compiled) (fun e ->
+        Ephemeron.K1.query e prog)
+  with
   | Some (b, code) when b = budget -> code
   | Some _ | None ->
       let rec attempt lazy_sites =
@@ -576,5 +578,6 @@ let compile ?(budget = 1_000_000) prog =
         | exception Lazy_site site -> attempt (site :: lazy_sites)
       in
       let code = attempt [] in
-      last_compiled := Some (Ephemeron.K1.make prog (budget, code));
+      Domain.DLS.set last_compiled
+        (Some (Ephemeron.K1.make prog (budget, code)));
       code

@@ -263,10 +263,11 @@ end
 
 val compile : ?budget:int -> t -> Code.t
 (** Force the program tree into a {!Code.t} arena (root entry at pc 0).
-    Given the physically same program and budget as the previous call, it
-    returns the previous arena, so jobs that submit one program value
-    share one arena.  That one-entry cache is an ephemeron keyed on the
-    program, so a cached arena never outlives its program.
+    Given the physically same program and budget as the previous call in
+    the same domain, it returns the previous arena, so jobs that submit
+    one program value share one arena.  That one-entry cache is an
+    ephemeron keyed on the program, so a cached arena never outlives its
+    program.
 
     Total: every program compiles.  Fork continuations are forced
     symbolically with a per-site sentinel thread id; [Join] on a sentinel

@@ -8,11 +8,11 @@ module Kernel = Sa_kernel.Kernel
 let idle_slice = Time.us 50
 let idle_spin = Time.s 1
 
-(* A virtual processor as the scheduler loop sees it: its kernel thread's
-   operations, and the poll and wake-up of its idle spin, built once when
-   the thread starts. *)
+(* A virtual processor as the scheduler loop sees it: its kernel thread,
+   and the poll and wake-up of its idle spin, built once when the thread
+   starts. *)
 type vp = {
-  ops : Kernel.kt_ops;
+  kt : Kernel.kthread;
   idle_poll : unit -> bool;
   idle_wake : unit -> unit;
 }
@@ -41,12 +41,12 @@ let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
     | Some vp -> vp
     | None -> failwith "Ft_kt: thread bound to an unstarted virtual processor"
   in
-  let ops_of tcb = (vp_at (Ft_core.tcb_binding tcb)).ops in
+  let kt_of tcb = (vp_at (Ft_core.tcb_binding tcb)).kt in
   let trace_ready () = Ft_core.trace_ready s sim (Kernel.space_name space) in
   (* Each virtual processor runs the shared scheduler loop until the last
      thread finishes. *)
   let rec vp_step vp idx =
-    if Ft_core.finished s then vp.ops.Kernel.kt_exit ()
+    if Ft_core.finished s then Kernel.kt_exit kernel vp.kt
     else Ft_core.schedule s d vp ~index:idx
   and d =
     {
@@ -54,20 +54,20 @@ let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
       strategy;
       sa_accounting = false;
       sim;
-      charge = (fun tcb span k -> (ops_of tcb).Kernel.kt_charge span k);
+      charge = (fun tcb span k -> Kernel.kt_charge kernel (kt_of tcb) span k);
       block_io =
         (fun tcb span k ->
           (* The thread traps and blocks in the kernel: the kernel thread
              serving as its virtual processor blocks with it, losing the
              physical processor for the duration (Section 2.2). *)
-          let ops = ops_of tcb in
-          ops.Kernel.kt_charge costs.Cost_model.kt_block (fun () ->
-              ops.Kernel.kt_block_for span k));
+          let kt = kt_of tcb in
+          Kernel.kt_charge kernel kt costs.Cost_model.kt_block (fun () ->
+              Kernel.kt_block_for kernel kt span k));
       block_kernel =
         (fun tcb ~register k ->
-          let ops = ops_of tcb in
-          ops.Kernel.kt_charge costs.Cost_model.kt_block (fun () ->
-              ops.Kernel.kt_block_on ~register k));
+          let kt = kt_of tcb in
+          Kernel.kt_charge kernel kt costs.Cost_model.kt_block (fun () ->
+              Kernel.kt_block_on kernel kt ~register k));
       thread_stopped =
         (fun tcb ->
           let idx = Ft_core.tcb_binding tcb in
@@ -78,7 +78,7 @@ let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
       on_stamp = (fun id -> observer id (Sim.now sim));
       (* A kernel thread preempted in its scheduler just resumes there. *)
       sched_charge =
-        (fun vp span ~repair:_ k -> vp.ops.Kernel.kt_charge span k);
+        (fun vp span ~repair:_ k -> Kernel.kt_charge kernel vp.kt span k);
       picked = (fun _ _ -> trace_ready ());
       unpicked = (fun _ _ -> ());
       idle =
@@ -88,14 +88,14 @@ let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
              exactly like an original-FastThreads kernel thread idling in
              its scheduler.  A boundary whose pass would find nothing and
              change nothing just spins on inside the CPU. *)
-          vp.ops.Kernel.kt_spin ~slice:idle_slice ~length:idle_spin
+          Kernel.kt_spin kernel vp.kt ~slice:idle_slice ~length:idle_spin
             ~poll:vp.idle_poll vp.idle_wake);
     }
   in
-  let start_vp ops idx =
+  let start_vp kt idx =
     let rec vp =
       {
-        ops;
+        kt;
         idle_poll =
           (fun () ->
             Ft_core.finished s
@@ -110,7 +110,7 @@ let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
   for i = 0 to vps - 1 do
     Kernel.spawn_kthread kernel space
       ~name:(Printf.sprintf "vp%d" i)
-      ~body:(fun ops -> start_vp ops i)
+      ~body:(fun kt -> start_vp kt i)
       ()
   done;
   t

@@ -139,29 +139,29 @@ let release_mutex t km =
    in the kernel until the holder hands the mutex over, re-checking at the
    end of the kernel entry path — the holder may have released
    meanwhile. *)
-let acquire thr (ops : Kernel.kt_ops) c km k =
-  ops.Kernel.kt_charge c.Cost_model.ut_lock (fun () ->
+let acquire t thr kt c km k =
+  Kernel.kt_charge t.kernel kt c.Cost_model.ut_lock (fun () ->
       if km.km_holder = 0 then begin
         km.km_holder <- thr.th_id;
         k ()
       end
       else
-        ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
+        Kernel.kt_charge t.kernel kt c.Cost_model.kt_block (fun () ->
             if km.km_holder = 0 then begin
               km.km_holder <- thr.th_id;
               k ()
             end
             else
-              ops.Kernel.kt_block_on
+              Kernel.kt_block_on t.kernel kt
                 ~register:(fun wake ->
                   Queue.add (thr.th_id, wake) km.km_waiters)
                 k))
 
 (* Cache miss: block for the fill I/O, then wake every thread that
    coalesced on it. *)
-let fill_block t (ops : Kernel.kt_ops) c cache block k =
+let fill_block t kt c cache block k =
   Hashtbl.replace t.cache_waiters block [];
-  ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
+  Kernel.kt_charge t.kernel kt c.Cost_model.kt_block (fun () ->
       let fill_done () =
         Buffer_cache.fill cache block;
         (match Hashtbl.find_opt t.cache_waiters block with
@@ -173,20 +173,21 @@ let fill_block t (ops : Kernel.kt_ops) c cache block k =
       in
       match t.io_dev with
       | Some dev ->
-          ops.Kernel.kt_block_on
+          Kernel.kt_block_on t.kernel kt
             ~register:(fun wake -> Io_device.submit dev wake)
             fill_done
-      | None -> ops.Kernel.kt_block_for c.Cost_model.io_latency fill_done)
+      | None ->
+          Kernel.kt_block_for t.kernel kt c.Cost_model.io_latency fill_done)
 
 (* Miss on a block another thread is filling: wait for that fill.  The
    check is redone at the end of the kernel entry path, as for a contended
    mutex: a fill that completed meanwhile has no waiter left to wake. *)
-let await_fill t (ops : Kernel.kt_ops) c block k =
-  ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
+let await_fill t kt c block k =
+  Kernel.kt_charge t.kernel kt c.Cost_model.kt_block (fun () ->
       match Hashtbl.find_opt t.cache_waiters block with
       | None -> k ()
       | Some _ ->
-          ops.Kernel.kt_block_on
+          Kernel.kt_block_on t.kernel kt
             ~register:(fun wake ->
               Hashtbl.replace t.cache_waiters block
                 (wake :: Hashtbl.find t.cache_waiters block))
@@ -197,7 +198,7 @@ let await_fill t (ops : Kernel.kt_ops) c block k =
    no closure.  [op_dyn] forces its continuation when execution reaches it
    and continues at the entry of the arena that compiles to.  Matches on
    the raw op tags, whose numbering [Ft_core] asserts at init. *)
-let rec step t thr (ops : Kernel.kt_ops) cur =
+let rec step t thr kt cur =
   let lk = cur.lk and pc = cur.pc in
   let code = lk.code in
   let c = Kernel.costs t.kernel in
@@ -205,63 +206,64 @@ let rec step t thr (ops : Kernel.kt_ops) cur =
   let next = cur.advance in
   match code.Code.op.(pc) with
   | 0 (* done *) ->
-      ops.Kernel.kt_charge (c_exit t c) (fun () ->
+      Kernel.kt_charge t.kernel kt (c_exit t c) (fun () ->
           Hashtbl.remove t.threads thr.th_id;
           trace_live t ~tid:thr.th_id "kt:exit";
           List.iter (fun w -> w ()) thr.th_join_wakes;
           if Hashtbl.length t.threads = 0 then t.on_done ();
-          ops.Kernel.kt_exit ())
-  | 1 (* compute *) -> ops.Kernel.kt_charge arg next
-  | 2 (* acquire *) -> acquire thr ops c lk.lmut.(arg) next
+          Kernel.kt_exit t.kernel kt)
+  | 1 (* compute *) -> Kernel.kt_charge t.kernel kt arg next
+  | 2 (* acquire *) -> acquire t thr kt c lk.lmut.(arg) next
   | 3 (* release *) ->
       let km = lk.lmut.(arg) in
-      ops.Kernel.kt_charge c.Cost_model.ut_unlock (fun () ->
+      Kernel.kt_charge t.kernel kt c.Cost_model.ut_unlock (fun () ->
           if km.km_holder <> thr.th_id then
             invalid_arg "Kt_direct: release by non-holder";
           let extra = release_mutex t km in
-          if extra > 0 then ops.Kernel.kt_charge extra next else next ())
+          if extra > 0 then Kernel.kt_charge t.kernel kt extra next
+          else next ())
   | 4 (* wait *) ->
       let kc = lk.lcond.(arg) and km = lk.lmut.(code.Code.b.(pc)) in
-      ops.Kernel.kt_charge (c_wait t c) (fun () ->
+      Kernel.kt_charge t.kernel kt (c_wait t c) (fun () ->
           if km.km_holder <> thr.th_id then
             invalid_arg "Kt_direct: wait without mutex";
           ignore (release_mutex t km);
-          ops.Kernel.kt_block_on
+          Kernel.kt_block_on t.kernel kt
             ~register:(fun wake -> Queue.add wake kc)
-            (fun () -> acquire thr ops c km next))
+            (fun () -> acquire t thr kt c km next))
   | 5 (* signal *) ->
       let kc = lk.lcond.(arg) in
-      ops.Kernel.kt_charge (c_signal t c) (fun () ->
+      Kernel.kt_charge t.kernel kt (c_signal t c) (fun () ->
           (match Queue.take_opt kc with
           | Some wake -> wake ()
           | None -> ());
           next ())
   | 6 (* broadcast *) ->
       let kc = lk.lcond.(arg) in
-      ops.Kernel.kt_charge (c_signal t c) (fun () ->
+      Kernel.kt_charge t.kernel kt (c_signal t c) (fun () ->
           Queue.iter (fun wake -> wake ()) kc;
           Queue.clear kc;
           next ())
   | (7 | 9) as op (* sem_p, ksem_p *) ->
       let ks = (if op = 7 then lk.lsem else lk.lksem).(arg) in
-      ops.Kernel.kt_charge (c_wait t c) (fun () ->
+      Kernel.kt_charge t.kernel kt (c_wait t c) (fun () ->
           if ks.ks_count > 0 then begin
             ks.ks_count <- ks.ks_count - 1;
             next ()
           end
           else
-            ops.Kernel.kt_block_on
+            Kernel.kt_block_on t.kernel kt
               ~register:(fun wake -> Queue.add wake ks.ks_waiters)
               next)
   | (8 | 10) as op (* sem_v, ksem_v *) ->
       let ks = (if op = 8 then lk.lsem else lk.lksem).(arg) in
-      ops.Kernel.kt_charge (c_signal t c) (fun () ->
+      Kernel.kt_charge t.kernel kt (c_signal t c) (fun () ->
           (match Queue.take_opt ks.ks_waiters with
           | Some wake -> wake ()
           | None -> ks.ks_count <- ks.ks_count + 1);
           next ())
   | 11 (* fork *) ->
-      ops.Kernel.kt_charge (c_fork t c) (fun () ->
+      Kernel.kt_charge t.kernel kt (c_fork t c) (fun () ->
           let child = new_thr t in
           trace_live t ~tid:child.th_id "kt:fork";
           thr.binds <- Code.bind thr.binds code.Code.b.(pc) child.th_id;
@@ -276,49 +278,49 @@ let rec step t thr (ops : Kernel.kt_ops) cur =
       let tid = Code.join_target thr.binds arg in
       if tid < 1 || tid > t.next_tid then
         invalid_arg "Kt_direct: join on unknown thread";
-      ops.Kernel.kt_charge (c_join t c) (fun () ->
+      Kernel.kt_charge t.kernel kt (c_join t c) (fun () ->
           match Hashtbl.find_opt t.threads tid with
           | None -> next ()
           | Some target ->
-              ops.Kernel.kt_block_on
+              Kernel.kt_block_on t.kernel kt
                 ~register:(fun wake ->
                   target.th_join_wakes <- wake :: target.th_join_wakes)
                 next)
   | 13 (* io *) ->
-      ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
-          ops.Kernel.kt_block_for arg next)
+      Kernel.kt_charge t.kernel kt c.Cost_model.kt_block (fun () ->
+          Kernel.kt_block_for t.kernel kt arg next)
   | 14 (* cache_read *) -> (
       match t.cache with
-      | None -> ops.Kernel.kt_charge c.Cost_model.procedure_call next
+      | None -> Kernel.kt_charge t.kernel kt c.Cost_model.procedure_call next
       | Some cache ->
-          ops.Kernel.kt_charge c.Cost_model.procedure_call (fun () ->
+          Kernel.kt_charge t.kernel kt c.Cost_model.procedure_call (fun () ->
               match Buffer_cache.access cache arg with
               | Buffer_cache.Hit -> next ()
-              | Buffer_cache.Miss -> fill_block t ops c cache arg next
-              | Buffer_cache.Miss_in_flight -> await_fill t ops c arg next))
-  | 15 (* yield *) -> ops.Kernel.kt_yield next
+              | Buffer_cache.Miss -> fill_block t kt c cache arg next
+              | Buffer_cache.Miss_in_flight -> await_fill t kt c arg next))
+  | 15 (* yield *) -> Kernel.kt_yield t.kernel kt next
   | 16 (* stamp *) ->
       t.observer arg (Sim.now (Kernel.sim t.kernel));
       next ()
   | 17 (* set_priority *) ->
       (* Kernel threads are scheduled obliviously of user-level priorities;
          honouring them would need kernel changes (Section 2.2's point). *)
-      ops.Kernel.kt_charge c.Cost_model.procedure_call next
+      Kernel.kt_charge t.kernel kt c.Cost_model.procedure_call next
   | _ (* dyn *) ->
       cur.lk <- link t (Program.compile (Code.force code pc thr.binds));
       cur.pc <- 0;
       thr.binds <- Code.no_binds;
-      step t thr ops cur
+      step t thr kt cur
 
 (* A thread's body: build its cursor at [pc] of [lk]'s arena and step. *)
-and start t thr lk pc ops =
+and start t thr lk pc kt =
   let cur = { lk; pc; advance = ignore } in
   cur.advance <-
     (fun () ->
       cur.pc <- cur.lk.code.Code.nx.(cur.pc);
-      step t thr ops cur);
+      step t thr kt cur);
   t.on_cursor cur;
-  step t thr ops cur
+  step t thr kt cur
 
 let watch_cursors t f = t.on_cursor <- f
 

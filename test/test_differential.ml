@@ -98,6 +98,27 @@ let frozen_named (name, mk) =
             (O.pp_obs (O.observe kconfig backend (mk ())))))
     O.backends
 
+(* A run's output depends only on its inputs: the same program run in a
+   second domain while the main domain runs it too observes the frozen
+   line on both.  Each side repeats the run so the two overlap. *)
+let concurrent_domains =
+  Alcotest.test_case
+    "condvar-handshake matches frozen observation in two domains at once \
+     [ft-sa]"
+    `Quick (fun () ->
+      let name = "condvar-handshake" in
+      let bname, kconfig, backend = List.hd O.backends in
+      let mk = List.assoc name O.named in
+      let runs () =
+        List.init 20 (fun _ -> O.pp_obs (O.observe kconfig backend (mk ())))
+      in
+      let want = List.init 20 (fun _ -> O.frozen name bname) in
+      let other = Domain.spawn runs in
+      let here = runs () in
+      let there = Domain.join other in
+      check Alcotest.(list string) "main domain" want here;
+      check Alcotest.(list string) "second domain" want there)
+
 (* ------------------------------------------------------------------ *)
 (* Reference-free fuzz                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -195,6 +216,7 @@ let () =
     [
       ("frozen-corpus", List.map frozen_corpus O.backends);
       ("frozen-named", List.concat_map frozen_named O.named);
+      ("domains", [ concurrent_domains ]);
       ("fuzz", List.map qtest (List.map fuzz O.backends));
       ("coalescing-site", [ preemption_divergence_bounded ]);
     ]

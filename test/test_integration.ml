@@ -241,9 +241,12 @@ let tracing_tests =
         let sys = System.create ~cpus:4 ~kconfig:Kconfig.default () in
         let buf = Buffer.create 65536 in
         let w = Trace_export.create ~out:(Buffer.add_string buf) in
+        Sa_engine.Trace.add_sink
+          (Sa_engine.Sim.trace (System.sim sys))
+          (Trace_export.feed w);
         let j1 =
           System.submit sys ~backend:`Fastthreads_on_sa ~name:"sa-job"
-            ~trace_sink:(Trace_export.feed w) prep.Nbody.program
+            prep.Nbody.program
         in
         let j2 =
           System.submit sys ~backend:`Topaz_kthreads ~name:"kt-job"

@@ -30,10 +30,10 @@ let native_tests =
         let sp = Kernel.new_kthread_space k ~name:"app" () in
         let ran = ref false in
         Kernel.spawn_kthread k sp ~name:"t"
-          ~body:(fun ops ->
-            ops.Kernel.kt_charge (Time.us 10) (fun () ->
+          ~body:(fun kt ->
+            Kernel.kt_charge k kt (Time.us 10) (fun () ->
                 ran := true;
-                ops.Kernel.kt_exit ()))
+                Kernel.kt_exit k kt))
           ();
         Sim.run sim;
         check Alcotest.bool "ran" true !ran;
@@ -44,10 +44,10 @@ let native_tests =
         let order = ref [] in
         let spawn name =
           Kernel.spawn_kthread k sp ~name
-            ~body:(fun ops ->
-              ops.Kernel.kt_charge (Time.us 5) (fun () ->
+            ~body:(fun kt ->
+              Kernel.kt_charge k kt (Time.us 5) (fun () ->
                   order := name :: !order;
-                  ops.Kernel.kt_exit ()))
+                  Kernel.kt_exit k kt))
             ()
         in
         spawn "a";
@@ -62,16 +62,16 @@ let native_tests =
         let sp = Kernel.new_kthread_space k ~name:"app" () in
         let events = ref [] in
         Kernel.spawn_kthread k sp ~name:"sleeper"
-          ~body:(fun ops ->
-            ops.Kernel.kt_block_for (Time.ms 10) (fun () ->
+          ~body:(fun kt ->
+            Kernel.kt_block_for k kt (Time.ms 10) (fun () ->
                 events := "woke" :: !events;
-                ops.Kernel.kt_exit ()))
+                Kernel.kt_exit k kt))
           ();
         Kernel.spawn_kthread k sp ~name:"worker"
-          ~body:(fun ops ->
-            ops.Kernel.kt_charge (Time.us 100) (fun () ->
+          ~body:(fun kt ->
+            Kernel.kt_charge k kt (Time.us 100) (fun () ->
                 events := "worked" :: !events;
-                ops.Kernel.kt_exit ()))
+                Kernel.kt_exit k kt))
           ();
         Sim.run sim;
         check
@@ -84,18 +84,18 @@ let native_tests =
         let wake_fn = ref (fun () -> ()) in
         let woke = ref false in
         Kernel.spawn_kthread k sp ~name:"waiter"
-          ~body:(fun ops ->
-            ops.Kernel.kt_block_on
+          ~body:(fun kt ->
+            Kernel.kt_block_on k kt
               ~register:(fun wake -> wake_fn := wake)
               (fun () ->
                 woke := true;
-                ops.Kernel.kt_exit ()))
+                Kernel.kt_exit k kt))
           ();
         Kernel.spawn_kthread k sp ~name:"waker"
-          ~body:(fun ops ->
-            ops.Kernel.kt_charge (Time.us 50) (fun () ->
+          ~body:(fun kt ->
+            Kernel.kt_charge k kt (Time.us 50) (fun () ->
                 !wake_fn ();
-                ops.Kernel.kt_exit ()))
+                Kernel.kt_exit k kt))
           ();
         Sim.run sim;
         check Alcotest.bool "woke" true !woke);
@@ -105,16 +105,16 @@ let native_tests =
         let sp = Kernel.new_kthread_space k ~name:"app" () in
         let first_done = ref Time.zero and second_done = ref Time.zero in
         Kernel.spawn_kthread k sp ~name:"hog"
-          ~body:(fun ops ->
-            ops.Kernel.kt_charge (Time.ms 300) (fun () ->
+          ~body:(fun kt ->
+            Kernel.kt_charge k kt (Time.ms 300) (fun () ->
                 first_done := Sim.now sim;
-                ops.Kernel.kt_exit ()))
+                Kernel.kt_exit k kt))
           ();
         Kernel.spawn_kthread k sp ~name:"short"
-          ~body:(fun ops ->
-            ops.Kernel.kt_charge (Time.ms 10) (fun () ->
+          ~body:(fun kt ->
+            Kernel.kt_charge k kt (Time.ms 10) (fun () ->
                 second_done := Sim.now sim;
-                ops.Kernel.kt_exit ()))
+                Kernel.kt_exit k kt))
           ();
         Sim.run sim;
         (* With a 100 ms quantum, the short thread must finish long before
@@ -130,18 +130,18 @@ let native_tests =
         let sp = Kernel.new_kthread_space k ~name:"app" () in
         let order = ref [] in
         Kernel.spawn_kthread k sp ~name:"a"
-          ~body:(fun ops ->
-            ops.Kernel.kt_charge (Time.us 1) (fun () ->
+          ~body:(fun kt ->
+            Kernel.kt_charge k kt (Time.us 1) (fun () ->
                 order := "a1" :: !order;
-                ops.Kernel.kt_yield (fun () ->
+                Kernel.kt_yield k kt (fun () ->
                     order := "a2" :: !order;
-                    ops.Kernel.kt_exit ())))
+                    Kernel.kt_exit k kt)))
           ();
         Kernel.spawn_kthread k sp ~name:"b"
-          ~body:(fun ops ->
-            ops.Kernel.kt_charge (Time.us 1) (fun () ->
+          ~body:(fun kt ->
+            Kernel.kt_charge k kt (Time.us 1) (fun () ->
                 order := "b" :: !order;
-                ops.Kernel.kt_exit ()))
+                Kernel.kt_exit k kt))
           ();
         Sim.run sim;
         check (Alcotest.list Alcotest.string) "interleaved" [ "a1"; "b"; "a2" ]
@@ -160,9 +160,9 @@ let native_tests =
         let sp = Kernel.new_kthread_space k ~name:"app" () in
         let spawn name =
           Kernel.spawn_kthread k sp ~name
-            ~body:(fun ops ->
-              ops.Kernel.kt_block_for (Time.us 50) (fun () ->
-                  ops.Kernel.kt_exit ()))
+            ~body:(fun kt ->
+              Kernel.kt_block_for k kt (Time.us 50) (fun () ->
+                  Kernel.kt_exit k kt))
             ()
         in
         spawn "a";
@@ -191,13 +191,14 @@ let native_tests =
         let sim, _m, k = make ~cpus:1 () in
         let sp = Kernel.new_kthread_space k ~name:"app" () in
         let spawn name body = Kernel.spawn_kthread k sp ~name ~body () in
-        let brief ops = ops.Kernel.kt_charge (Time.us 10) ops.Kernel.kt_exit in
+        let stop kt () = Kernel.kt_exit k kt in
+        let brief kt = Kernel.kt_charge k kt (Time.us 10) (stop kt) in
         spawn "a" brief;
         spawn "b" brief;
-        spawn "sleeper" (fun ops ->
-            ops.Kernel.kt_block_for (Time.ms 100) ops.Kernel.kt_exit);
-        spawn "hog" (fun ops ->
-            ops.Kernel.kt_charge (Time.ms 50) ops.Kernel.kt_exit);
+        spawn "sleeper" (fun kt ->
+            Kernel.kt_block_for k kt (Time.ms 100) (stop kt));
+        spawn "hog" (fun kt ->
+            Kernel.kt_charge k kt (Time.ms 50) (stop kt));
         spawn "queued" brief;
         Sim.run ~until:(Time.of_ns (Time.ms 20)) sim;
         Kernel.check_invariants k;
@@ -412,15 +413,15 @@ let explicit_tests =
         let sp = Kernel.new_kthread_space k ~name:"legacy" () in
         let short_done = ref Time.zero in
         Kernel.spawn_kthread k sp ~name:"hog"
-          ~body:(fun ops ->
-            ops.Kernel.kt_charge (Time.ms 300) (fun () ->
-                ops.Kernel.kt_exit ()))
+          ~body:(fun kt ->
+            Kernel.kt_charge k kt (Time.ms 300) (fun () ->
+                Kernel.kt_exit k kt))
           ();
         Kernel.spawn_kthread k sp ~name:"short"
-          ~body:(fun ops ->
-            ops.Kernel.kt_charge (Time.ms 10) (fun () ->
+          ~body:(fun kt ->
+            Kernel.kt_charge k kt (Time.ms 10) (fun () ->
                 short_done := Sim.now sim;
-                ops.Kernel.kt_exit ()))
+                Kernel.kt_exit k kt))
           ();
         Sim.run sim;
         check Alcotest.bool "short thread ran within two quanta" true
@@ -434,10 +435,10 @@ let explicit_tests =
         for i = 1 to 4 do
           Kernel.spawn_kthread k sp
             ~name:(Printf.sprintf "w%d" i)
-            ~body:(fun ops ->
-              ops.Kernel.kt_charge (Time.ms 2) (fun () ->
+            ~body:(fun kt ->
+              Kernel.kt_charge k kt (Time.ms 2) (fun () ->
                   incr done_count;
-                  ops.Kernel.kt_exit ()))
+                  Kernel.kt_exit k kt))
             ()
         done;
         Sim.run sim;
@@ -609,26 +610,27 @@ let extension_tests =
             polls := Time.to_ns (Sim.now sim) :: !polls;
             false
           in
-          let finish ops () =
+          let finish kt () =
             ended := Some (Time.to_ns (Sim.now sim));
-            ops.Kernel.kt_exit ()
+            Kernel.kt_exit k kt
           in
           Kernel.spawn_kthread k sp ~name:"spin"
-            ~body:(fun ops ->
+            ~body:(fun kt ->
               if chain then
                 let rec go left =
                   let s = min slice left in
-                  ops.Kernel.kt_charge s (fun () ->
-                      if poll () || left - s <= 0 then finish ops ()
+                  Kernel.kt_charge k kt s (fun () ->
+                      if poll () || left - s <= 0 then finish kt ()
                       else go (left - s))
                 in
                 go length
-              else ops.Kernel.kt_spin ~slice ~length ~poll (finish ops))
+              else Kernel.kt_spin k kt ~slice ~length ~poll (finish kt))
             ();
           List.iter
             (fun (name, work) ->
               Kernel.spawn_kthread k sp ~name
-                ~body:(fun ops -> ops.Kernel.kt_charge work ops.Kernel.kt_exit)
+                ~body:(fun kt ->
+                  Kernel.kt_charge k kt work (fun () -> Kernel.kt_exit k kt))
                 ())
             [ ("hog1", Time.ms 500); ("hog2", Time.ms 50) ];
           Sim.run sim;

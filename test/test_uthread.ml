@@ -1340,6 +1340,25 @@ let words_per_fork n =
   check Alcotest.bool "run finished" true (System.finished job);
   words /. float_of_int n
 
+(* Minor words a whole [n]-fork Topaz run allocates on 2 CPUs, program
+   build and compile included: the retirement tests' program. *)
+let topaz_run_words n =
+  minor_words_of (fun () ->
+      let sys = System.create ~cpus:2 ~kconfig:no_daemons () in
+      let job =
+        Sa_uthread.Kt_direct.create (System.kernel sys) ~name:"topaz"
+          ~flavor:`Topaz
+          (B.to_program
+             (B.repeat n (fun _ -> B.fork_unit (P.compute_only (Time.us 10)))))
+      in
+      Sa_engine.Sim.run (System.sim sys);
+      ignore (Sys.opaque_identity job))
+
+(* Each Topaz fork spawns a kernel thread.  A fork cost 209 words (64-bit)
+   while each spawn built a six-closure record of the thread's kernel
+   operations; 168 without it. *)
+let topaz_fork_word_budget = 190.
+
 (* Minor words per dispatch once a lone thread that only yields is in
    steady state on one processor.  Each yield stops the thread; the
    scheduler loop pops it off its own ready list again and folds the
@@ -1485,6 +1504,12 @@ let hot_path_allocation_tests =
         let w = words_per_fork 2000 in
         if w > fork_word_budget then
           Alcotest.failf "%.1f words per fork, budget %.0f" w fork_word_budget);
+    Alcotest.test_case "a Topaz fork allocates no capability record" `Quick
+      (fun () ->
+        let w = (topaz_run_words 2100 -. topaz_run_words 100) /. 2000. in
+        if w > topaz_fork_word_budget then
+          Alcotest.failf "%.1f words per fork, budget %.0f" w
+            topaz_fork_word_budget);
   ]
   @ List.map
       (fun (name, kconfig, backend, budget) ->
