@@ -520,17 +520,9 @@ let cluster_cmd =
       match kinds with
       | None | Some [] -> None
       | Some names ->
-          let kinds = kinds_of_names names in
-          let hooks =
-            {
-              Injector.ch_machines = machines;
-              ch_crash = (fun m -> Cluster.crash_machine cl m);
-              ch_partition = (fun a b ~hold -> Cluster.partition cl a b ~hold);
-              ch_active = (fun () -> Cluster.active cl);
-            }
-          in
           Some
-            (Injector.attach ~kinds ~cluster:hooks ~seed:chaos_seed
+            (Injector.attach ~kinds:(kinds_of_names names) ~cluster:cl
+               ~seed:chaos_seed
                (Cluster.systems cl).(0))
     in
     Cluster.run cl;

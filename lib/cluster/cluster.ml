@@ -10,7 +10,6 @@ module Server = Sa_workload.Server
 module Recorder = Sa_workload.Recorder
 module System = Sa.System
 module Net = Net
-module Cluster_alloc = Cluster_alloc
 
 type params = {
   machines : int;
@@ -50,10 +49,17 @@ let mig_bytes_per_act = 512
    begins. *)
 let crash_recovery = Time.ms 5
 
+(* The rebalancer's tick period per machine, the max-load minus min-load
+   spread (in runnable threads) that triggers a rebalance, and the wire
+   sizes of a load summary and of a rebalance command. *)
+let alloc_period = Time.ms 2
+let alloc_threshold = 8
+let summary_bytes = 64
+let command_bytes = 32
+
 type node = {
   node_id : int;
   sys : System.t;
-  mutable alive : bool;
   mutable n_migs_in : int;
   mutable n_migs_out : int;
   mutable n_remote_hits : int;
@@ -75,10 +81,13 @@ type t = {
   nodes : node array;
   tenants : tenant array;
   disk_latency : Time.span;
-  mutable alloc : Cluster_alloc.t option;
-  mutable migrations : int;
+  latest : int array;
+      (* the rebalancer's last load heard from each machine; -1 = never *)
+  mutable cooldown_until : Time.t;  (* no new rebalance before this instant *)
+  mutable summaries_sent : int;
+  mutable summaries_dropped : int;
+  mutable commands_sent : int;
   mutable evacuations : int;
-  mutable crashes : int;
   mutable partitions : int;
 }
 
@@ -87,15 +96,21 @@ let net t = t.net
 let machines t = t.p.machines
 let systems t = Array.map (fun n -> n.sys) t.nodes
 
+(* A machine is alive until [crash_machine] takes it offline: the net
+   keeps that fact. *)
 let alive t m =
   if m < 0 || m >= t.p.machines then invalid_arg "Cluster.alive";
-  t.nodes.(m).alive
+  not (Net.offline t.net m)
 
 let active t =
   Array.exists (fun ten -> not (System.finished ten.tn_job)) t.tenants
 
-let alive_count t =
-  Array.fold_left (fun acc n -> if n.alive then acc + 1 else acc) 0 t.nodes
+let crashes t =
+  let n = ref 0 in
+  for m = 0 to t.p.machines - 1 do
+    if not (alive t m) then incr n
+  done;
+  !n
 
 (* First alive machine at or after [from], scanning the ring once. *)
 let next_alive t from =
@@ -104,7 +119,7 @@ let next_alive t from =
     if k >= n then None
     else
       let m = (from + k) mod n in
-      if t.nodes.(m).alive then Some m else go (k + 1)
+      if alive t m then Some m else go (k + 1)
   in
   go 0
 
@@ -129,14 +144,12 @@ let resident_live ten m = resident ten m && not (System.finished ten.tn_job)
 
 (* Land a detached space on [dst] (or, if it died while the package was in
    flight, the next alive machine after it).  Returns the final home. *)
-let land_on t ~dst pkg ft ten =
+let land_on t ~dst pkg ft =
   let dst =
-    if t.nodes.(dst).alive then dst
+    if alive t dst then dst
     else match next_alive t (dst + 1) with Some m -> m | None -> dst
   in
-  let sys = t.nodes.(dst).sys in
-  Kernel.attach_space (System.kernel sys) pkg;
-  System.adopt sys ten.tn_job;
+  Kernel.attach_space (System.kernel t.nodes.(dst).sys) pkg;
   Ft_sa.nudge_demand ft;
   dst
 
@@ -153,15 +166,15 @@ let ship t ~src ~dst ten send =
     | Some ft -> ft
     | None -> invalid_arg "Cluster: tenant is not an SA job"
   in
-  let sys = t.nodes.(src).sys in
-  System.disown sys ten.tn_job;
-  let pkg = Kernel.detach_space (System.kernel sys) (Ft_sa.space ft) in
+  let pkg =
+    Kernel.detach_space (System.kernel t.nodes.(src).sys) (Ft_sa.space ft)
+  in
   let sent =
     send (state_bytes pkg) (fun () ->
-        let final = land_on t ~dst pkg ft ten in
+        let final = land_on t ~dst pkg ft in
         t.nodes.(final).n_migs_in <- t.nodes.(final).n_migs_in + 1)
   in
-  if not sent then ignore (land_on t ~dst:src pkg ft ten);
+  if not sent then ignore (land_on t ~dst:src pkg ft);
   sent
 
 let do_migrate t ~src ~dst ten =
@@ -169,10 +182,7 @@ let do_migrate t ~src ~dst ten =
     ship t ~src ~dst ten (fun bytes arrive ->
         Net.send t.net ~src ~dst ~bytes arrive)
   in
-  if sent then begin
-    t.nodes.(src).n_migs_out <- t.nodes.(src).n_migs_out + 1;
-    t.migrations <- t.migrations + 1
-  end;
+  if sent then t.nodes.(src).n_migs_out <- t.nodes.(src).n_migs_out + 1;
   sent
 
 (* Pick the busiest eligible tenant on [src]: resident, unfinished, with
@@ -180,8 +190,8 @@ let do_migrate t ~src ~dst ten =
 let try_migrate t ~src ~dst =
   if
     src = dst
-    || (not t.nodes.(src).alive)
-    || (not t.nodes.(dst).alive)
+    || (not (alive t src))
+    || (not (alive t dst))
     || not (Net.reachable t.net ~src ~dst)
   then false
   else begin
@@ -217,13 +227,17 @@ let load t m =
     t.tenants;
   !total
 
+(* Placement first: it is an id compare, so most tenants never reach the
+   cache lookup. *)
 let peer_has_block t peer block =
-  List.exists
-    (fun job ->
-      match System.cache job with
+  Array.exists
+    (fun ten ->
+      resident ten peer
+      &&
+      match System.cache ten.tn_job with
       | Some c -> Buffer_cache.resident c block
       | None -> false)
-    (System.jobs t.nodes.(peer).sys)
+    t.tenants
 
 (* Buffer-cache miss hook: probe the other machines in rotation order from
    the tenant's current home; a hit is a request/response round trip over
@@ -238,7 +252,7 @@ let resolve_remote t ten block =
       else
         let peer = (home + 1 + k) mod m in
         if
-          t.nodes.(peer).alive
+          alive t peer
           && Net.reachable t.net ~src:home ~dst:peer
           && peer_has_block t peer block
         then Some peer
@@ -277,16 +291,67 @@ let resolve_remote t ten block =
             if not sent then fallback ())
   end
 
+(* ---- rebalancer ------------------------------------------------------- *)
+
+(* The lowest-numbered machine alive. *)
+let coordinator t = Option.value (next_alive t 0) ~default:0
+
+(* Coordinator tick: refresh our own load locally, then compare the
+   freshest view of every live machine. *)
+let evaluate t me =
+  t.latest.(me) <- load t me;
+  if Time.compare (Sim.now t.sim) t.cooldown_until >= 0 then begin
+    let hi = ref (-1) and lo = ref (-1) in
+    for m = 0 to t.p.machines - 1 do
+      if alive t m && t.latest.(m) >= 0 then begin
+        if !hi < 0 || t.latest.(m) > t.latest.(!hi) then hi := m;
+        if !lo < 0 || t.latest.(m) < t.latest.(!lo) then lo := m
+      end
+    done;
+    let src = !hi and dst = !lo in
+    if
+      src >= 0 && src <> dst
+      && t.latest.(src) - t.latest.(dst) > alloc_threshold
+    then begin
+      (* Consume the summaries this decision was based on, and hold off
+         long enough for its effect to show up in fresh reports:
+         re-deciding from already-acted-on load is how rebalancers
+         thrash. *)
+      t.latest.(src) <- -1;
+      t.latest.(dst) <- -1;
+      t.cooldown_until <- Time.add (Sim.now t.sim) (2 * alloc_period);
+      t.commands_sent <- t.commands_sent + 1;
+      if src = me then ignore (try_migrate t ~src ~dst)
+      else
+        ignore
+          (Net.send t.net ~src:me ~dst:src ~bytes:command_bytes (fun () ->
+               ignore (try_migrate t ~src ~dst)))
+    end
+  end
+
+let node_tick t m =
+  if alive t m then begin
+    let co = coordinator t in
+    if m = co then evaluate t m
+    else begin
+      (* load as of send time: the coordinator sees stale truth *)
+      let load = load t m in
+      t.summaries_sent <- t.summaries_sent + 1;
+      let delivered =
+        Net.send t.net ~src:m ~dst:co ~bytes:summary_bytes (fun () ->
+            t.latest.(m) <- load)
+      in
+      if not delivered then t.summaries_dropped <- t.summaries_dropped + 1
+    end
+  end
+
 (* ---- fault entry points ---------------------------------------------- *)
 
 let crash_machine t m =
   if m < 0 || m >= t.p.machines then invalid_arg "Cluster.crash_machine";
-  let node = t.nodes.(m) in
-  if (not node.alive) || alive_count t <= 1 then false
+  if (not (alive t m)) || crashes t >= t.p.machines - 1 then false
   else begin
-    node.alive <- false;
     Net.set_offline t.net m true;
-    t.crashes <- t.crashes + 1;
     (* Fail-stop: every resident unfinished space is re-homed to a survivor
        (rotation from the next machine, spread by tenant index).  The state
        restore comes from elsewhere in the cluster, so it costs the fixed
@@ -331,7 +396,6 @@ let create p =
         {
           node_id = m;
           sys = System.create_on ~machine_id:m ~ids ~cpus:p.cpus sim;
-          alive = true;
           n_migs_in = 0;
           n_migs_out = 0;
           n_remote_hits = 0;
@@ -396,10 +460,12 @@ let create p =
       nodes;
       tenants;
       disk_latency;
-      alloc = None;
-      migrations = 0;
+      latest = Array.make p.machines (-1);
+      cooldown_until = Time.zero;
+      summaries_sent = 0;
+      summaries_dropped = 0;
+      commands_sent = 0;
       evacuations = 0;
-      crashes = 0;
       partitions = 0;
     }
   in
@@ -412,15 +478,17 @@ let create p =
               (Some (fun block -> resolve_remote t ten block))
         | None -> ())
       tenants;
-  let hooks =
-    {
-      Cluster_alloc.h_alive = (fun m -> t.nodes.(m).alive);
-      h_load = (fun m -> load t m);
-      h_active = (fun () -> active t);
-      h_migrate_one = (fun ~src ~dst -> try_migrate t ~src ~dst);
-    }
-  in
-  t.alloc <- Some (Cluster_alloc.start sim net hooks);
+  for m = 0 to p.machines - 1 do
+    let rec tick () =
+      ignore
+        (Sim.schedule_after sim ~delay:alloc_period (fun () ->
+             if active t then begin
+               node_tick t m;
+               tick ()
+             end))
+    in
+    tick ()
+  done;
   t
 
 let run ?(horizon = Time.s 1800) t =
@@ -469,7 +537,9 @@ type summary = {
   cl_remote_hits : int;
   cl_remote_fallbacks : int;
   cl_net : Net.stats;
-  cl_alloc : Cluster_alloc.stats;
+  cl_alloc_summaries : int;
+  cl_alloc_summary_drops : int;
+  cl_alloc_commands : int;
   cl_machine_rows : machine_row list;
   cl_tenant_rows : tenant_row list;
   cl_elapsed_ms : float;
@@ -491,7 +561,7 @@ let summary t =
            in
            {
              m_id = node.node_id;
-             m_alive = node.alive;
+             m_alive = alive t node.node_id;
              m_tenants_final = tenants_final;
              m_upcalls = st.Kernel.upcalls;
              m_preemptions = st.Kernel.preemptions;
@@ -532,26 +602,18 @@ let summary t =
     cl_tenants = t.p.tenants;
     cl_requests_total =
       List.fold_left (fun acc r -> acc + r.c_completed) 0 tenant_rows;
-    cl_migrations = t.migrations;
+    cl_migrations = Array.fold_left (fun acc n -> acc + n.n_migs_out) 0 t.nodes;
     cl_evacuations = t.evacuations;
-    cl_crashes = t.crashes;
+    cl_crashes = crashes t;
     cl_partitions = t.partitions;
     cl_remote_hits =
       Array.fold_left (fun acc n -> acc + n.n_remote_hits) 0 t.nodes;
     cl_remote_fallbacks =
       Array.fold_left (fun acc n -> acc + n.n_remote_fallbacks) 0 t.nodes;
     cl_net = Net.stats t.net;
-    cl_alloc =
-      (match t.alloc with
-      | Some a -> Cluster_alloc.stats a
-      | None ->
-          {
-            Cluster_alloc.summaries = 0;
-            summary_drops = 0;
-            commands = 0;
-            command_drops = 0;
-            rebalances = 0;
-          });
+    cl_alloc_summaries = t.summaries_sent;
+    cl_alloc_summary_drops = t.summaries_dropped;
+    cl_alloc_commands = t.commands_sent;
     cl_machine_rows = machine_rows;
     cl_tenant_rows = tenant_rows;
     cl_elapsed_ms = Time.to_ms now;

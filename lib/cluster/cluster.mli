@@ -1,11 +1,33 @@
 (** Multi-machine simulation: N independent machine+kernel stacks sharing
     one deterministic simulation clock, connected by a modeled {!Net}, with
-    a {!Cluster_alloc} rebalancer migrating address spaces between them.
+    a rebalancer migrating address spaces between them.
 
     The workload is the PR-5 multi-tenant serving scenario spread across
     the cluster.  Tenants are placed with deliberate skew — tenant [i]
     starts on machine [i mod (machines - 1)], leaving the last machine
     empty — so the cluster allocator always has something to fix.
+
+    {2 Rebalancer}
+
+    The cluster-level processor allocator is the paper's space-sharing
+    policy lifted one level up, from processors-between-spaces to
+    spaces-between-machines.  Every machine runs a tick every 2 ms.
+    Non-coordinator machines send a load summary (their runnable-thread
+    count) over the {!Net} to the coordinator — the lowest-numbered machine
+    currently alive.  On its own tick the coordinator compares the
+    freshest summaries it holds (its own load it reads locally): if the
+    spread between the most- and least-loaded machines exceeds 8 runnable
+    threads, it sends a rebalance command to the overloaded machine, which
+    migrates its busiest space toward the idle one.  A summary is 64 bytes
+    on the wire, a command 32.  The summaries a decision used are
+    consumed, and no new decision is taken for two periods, so the
+    rebalancer does not re-act on load it already acted on.
+
+    Summaries carry the load as of send time, so the coordinator acts on
+    slightly stale information — exactly the distributed-consensus cost the
+    network model is there to expose.  Lost messages (partition, crash)
+    simply mean a stale view until the next period.  Ticks stop once every
+    tenant has finished.
 
     {2 Migration}
 
@@ -33,7 +55,6 @@
 
 module Time = Sa_engine.Time
 module Net = Net
-module Cluster_alloc = Cluster_alloc
 
 type params = {
   machines : int;
@@ -81,6 +102,7 @@ val net : t -> Net.t
 val machines : t -> int
 val systems : t -> Sa.System.t array
 val alive : t -> int -> bool
+(** Has machine [m] not crashed?  That is, is it online in {!net}? *)
 
 val crash_machine : t -> int -> bool
 (** Fail-stop the machine: mark it dead and offline, then re-home every
@@ -127,14 +149,20 @@ type summary = {
   cl_cpus : int;
   cl_tenants : int;
   cl_requests_total : int;  (** completed requests across all tenants *)
-  cl_migrations : int;  (** allocator-driven space migrations *)
+  cl_migrations : int;
+      (** rebalancer-driven space migrations: the sum of [m_migs_out] *)
   cl_evacuations : int;  (** crash-driven re-homings *)
-  cl_crashes : int;
+  cl_crashes : int;  (** dead machines *)
   cl_partitions : int;
   cl_remote_hits : int;
   cl_remote_fallbacks : int;
   cl_net : Net.stats;
-  cl_alloc : Cluster_alloc.stats;
+  cl_alloc_summaries : int;  (** rebalancer load summaries sent *)
+  cl_alloc_summary_drops : int;
+      (** summaries lost to partitions or offline peers *)
+  cl_alloc_commands : int;
+      (** rebalance decisions; [cl_migrations] counts those that moved a
+          space *)
   cl_machine_rows : machine_row list;
   cl_tenant_rows : tenant_row list;
   cl_elapsed_ms : float;

@@ -29,46 +29,40 @@ type impl =
   | J_ft_sa of Ft_sa.t
   | J_direct of Kt_direct.t
 
-(* [j_owner] points at the system currently listing the job, so the
-   completion callback can decrement that system's live-job count (the
-   cluster moves jobs between systems mid-flight). *)
 type job = {
   j_name : string;
   j_impl : impl;
   j_started : Time.t;
   j_cache : Buffer_cache.t option;
-  j_owner : owner ref;
   j_done : Time.t option ref;  (* when the last thread finished *)
 }
 
-and owner = No_owner | Owner of t
-
-and t = {
+type t = {
   sim : Sim.t;
   machine : Machine.t;
   kernel : Kernel.t;
   costs : Cost_model.t;
   mutable jobs : job list;
   mutable live_jobs : int;
-      (* unfinished jobs on [jobs]: maintained by submit/adopt/disown and
-         each job's completion callback, so the event loop's stop check is
-         two int loads instead of a list walk per event *)
+      (* unfinished jobs on [jobs]: maintained by submit and each job's
+         completion callback, so the event loop's stop check is two int
+         loads instead of a list walk per event *)
 }
+
+let make ?machine_id ?ids ~cpus ~costs ~kconfig sim =
+  let machine = Machine.create ?id:machine_id sim ~cpus in
+  let kernel = Kernel.create ?ids sim machine costs kconfig in
+  { sim; machine; kernel; costs; jobs = []; live_jobs = 0 }
 
 let create ?(cpus = 6) ?(costs = Cost_model.firefly_cvax)
     ?(kconfig = Kconfig.default) () =
-  let sim = Sim.create () in
-  let machine = Machine.create sim ~cpus in
-  let kernel = Kernel.create sim machine costs kconfig in
-  { sim; machine; kernel; costs; jobs = []; live_jobs = 0 }
+  make ~cpus ~costs ~kconfig (Sim.create ())
 
 (* Cluster construction: one stack among several sharing a single clock
    (and one id counter, so spaces stay globally unique under migration). *)
-let create_on ?(machine_id = 0) ?ids ?(cpus = 6)
-    ?(costs = Cost_model.firefly_cvax) ?(kconfig = Kconfig.default) sim =
-  let machine = Machine.create ~id:machine_id sim ~cpus in
-  let kernel = Kernel.create ?ids sim machine costs kconfig in
-  { sim; machine; kernel; costs; jobs = []; live_jobs = 0 }
+let create_on ~machine_id ~ids ?(cpus = 6) sim =
+  make ~machine_id ~ids ~cpus ~costs:Cost_model.firefly_cvax
+    ~kconfig:Kconfig.default sim
 
 let sim t = t.sim
 let kernel t = t.kernel
@@ -88,13 +82,10 @@ let submit t ~backend ~name ?cache_capacity ?(prewarm_cache = true) ?disk
       done
   | Some _ | None -> ());
   let io_dev = Option.map (fun d -> Sa_hw.Io_device.create t.sim d) disk in
-  let owner = ref No_owner in
   let done_at = ref None in
   let on_done () =
     done_at := Some (Sim.now t.sim);
-    match !owner with
-    | Owner s -> s.live_jobs <- s.live_jobs - 1
-    | No_owner -> ()
+    t.live_jobs <- t.live_jobs - 1
   in
   let impl =
     match backend with
@@ -121,11 +112,9 @@ let submit t ~backend ~name ?cache_capacity ?(prewarm_cache = true) ?disk
       j_impl = impl;
       j_started = Sim.now t.sim;
       j_cache = cache;
-      j_owner = owner;
       j_done = done_at;
     }
   in
-  owner := Owner t;
   t.jobs <- job :: t.jobs;
   t.live_jobs <- t.live_jobs + 1;
   job
@@ -138,21 +127,7 @@ let completion_time j = !(j.j_done)
 (* Cheap enough for a per-event stop check: no polymorphic [<> None]. *)
 let finished j = match !(j.j_done) with None -> false | Some _ -> true
 
-(* Cluster migration bookkeeping: move a job record between systems so
-   per-system listings (and the invariant auditors walking them) track
-   placement, and the live count follows the job.  While in transit the
-   job is on neither list and its completion callback is a no-op. *)
-let disown t job =
-  t.jobs <- List.filter (fun j -> j != job) t.jobs;
-  (match !(job.j_owner) with
-  | Owner s when s == t -> if not (finished job) then t.live_jobs <- t.live_jobs - 1
-  | Owner _ | No_owner -> ());
-  job.j_owner := No_owner
-
-let adopt t job =
-  t.jobs <- job :: t.jobs;
-  job.j_owner := Owner t;
-  if not (finished job) then t.live_jobs <- t.live_jobs + 1
+let active t = t.live_jobs > 0
 
 let elapsed j =
   match completion_time j with
@@ -184,12 +159,10 @@ let space j =
 let run ?(horizon = Time.s 1800) t =
   let deadline = Time.add (Sim.now t.sim) horizon in
   (* The stop check runs once per simulated event: two field loads and two
-     int compares.  [live_jobs] stands in for the list walk; the walk is
-     only consulted once, for the cold failure report. *)
+     int compares. *)
   Sim.run_while t.sim (fun () ->
-      t.live_jobs > 0 && Time.compare (Sim.now t.sim) deadline <= 0);
-  let unfinished () = List.exists (fun j -> not (finished j)) t.jobs in
-  if unfinished () then
+      active t && Time.compare (Sim.now t.sim) deadline <= 0);
+  if active t then
     failwith
       (Printf.sprintf "System.run: horizon exceeded at %s with unfinished jobs"
          (Format.asprintf "%a" Time.pp (Sim.now t.sim)))

@@ -50,19 +50,12 @@ val create :
     configuration (default {!Sa_kernel.Kconfig.default}: explicit
     allocation, untuned upcalls, daemons on). *)
 
-val create_on :
-  ?machine_id:int ->
-  ?ids:int ref ->
-  ?cpus:int ->
-  ?costs:Sa_hw.Cost_model.t ->
-  ?kconfig:Sa_kernel.Kconfig.t ->
-  Sim.t ->
-  t
-(** Like {!create}, but as one machine of a cluster: the caller supplies
-    the shared simulation clock, a machine id, and (usually) one id [ref]
-    shared by every kernel so space/activation ids stay globally unique
-    under migration.  The caller drives the clock itself ({!Sim.run_while}
-    or {!run} on any member). *)
+val create_on : machine_id:int -> ids:int ref -> ?cpus:int -> Sim.t -> t
+(** Like {!create} with the default costs and configuration, but as one
+    machine of a cluster: the caller supplies the shared simulation clock,
+    a machine id, and one id [ref] shared by every kernel so
+    space/activation ids stay globally unique under migration.  The caller
+    drives the clock itself ({!Sim.run_while} or {!run} on any member). *)
 
 val sim : t -> Sim.t
 val kernel : t -> Kernel.t
@@ -102,15 +95,13 @@ val elapsed : job -> Time.span option
 (** Simulated time from submission to the last thread's completion. *)
 
 val jobs : t -> job list
-(** All submitted jobs, in submission order. *)
+(** The jobs submitted to this system, in submission order — also after a
+    cluster has migrated one of their spaces to another machine (the
+    kernel alone records where a space lives:
+    {!Sa_kernel.Kernel.space_home}). *)
 
-val disown : t -> job -> unit
-(** Cluster migration: remove the job from this system's listing (it is in
-    transit to another machine).  Invariant auditors walking {!jobs} skip
-    it until {!adopt} lands it. *)
-
-val adopt : t -> job -> unit
-(** Cluster migration: record the job as resident on this system. *)
+val active : t -> bool
+(** Is any job submitted to this system still unfinished? *)
 
 val ft_core_state : job -> Sa_uthread.Ft_core.state option
 (** The FastThreads core of a [`Fastthreads_*] job ([None] for jobs run

@@ -5,6 +5,7 @@ module Kernel = Sa_kernel.Kernel
 module Io_device = Sa_hw.Io_device
 module Buffer_cache = Sa_hw.Buffer_cache
 module System = Sa.System
+module Cluster = Sa_cluster.Cluster
 
 type kind =
   | Preempt
@@ -64,16 +65,9 @@ let storm_burst = Time.us 200 (* compute burst of each storm thread *)
 let flap_hold = Time.ms 1 (* how long a boosted priority is held *)
 let partition_hold = Time.ms 2 (* how long a cut link stays down *)
 
-type cluster_hooks = {
-  ch_machines : int;
-  ch_crash : int -> bool;
-  ch_partition : int -> int -> hold:Time.span -> bool;
-  ch_active : unit -> bool;
-}
-
 type t = {
   sys : System.t;
-  cluster : cluster_hooks option;
+  cluster : Cluster.t option;
   mutable n_preempts : int;
   mutable n_spurious : int;
   mutable n_io_faults : int;
@@ -107,9 +101,8 @@ let active t =
   (not t.detached)
   &&
   match t.cluster with
-  | Some h -> h.ch_active ()
-  | None ->
-      List.exists (fun j -> not (System.finished j)) (System.jobs t.sys)
+  | Some cl -> Cluster.active cl
+  | None -> System.active t.sys
 
 (* A recurring injector: exponentially-distributed gaps from a private
    stream, stopping by itself once every job has finished (so the
@@ -231,29 +224,29 @@ let install_demand_drop t rng =
 
 (* --- Machine_crash / Net_partition: cluster-level faults -------------- *)
 
-(* Both act through the [cluster_hooks] the caller supplied: without a
-   cluster they install nothing, so a single-machine chaos run accepts the
-   kind names harmlessly.  The hook decides legality (e.g. never killing
-   the last machine); refused events are not counted. *)
+(* Both act on the cluster the caller supplied: without one they install
+   nothing, so a single-machine chaos run accepts the kind names
+   harmlessly.  The cluster decides legality (e.g. never killing the last
+   machine); refused events are not counted. *)
 
 let install_machine_crash t rng =
   match t.cluster with
   | None -> ()
-  | Some h ->
+  | Some cl ->
       recurring t rng ~mean_us:crash_gap_us (fun () ->
-          if h.ch_crash (Rng.int rng h.ch_machines) then
+          if Cluster.crash_machine cl (Rng.int rng (Cluster.machines cl)) then
             t.n_crashes <- t.n_crashes + 1)
 
 let install_net_partition t rng =
   match t.cluster with
   | None -> ()
-  | Some h ->
+  | Some cl ->
       recurring t rng ~mean_us:partition_gap_us (fun () ->
           (* always burn both draws so refused pairs don't shift the
              stream *)
-          let a = Rng.int rng h.ch_machines in
-          let b = Rng.int rng h.ch_machines in
-          if a <> b && h.ch_partition a b ~hold:partition_hold then
+          let a = Rng.int rng (Cluster.machines cl) in
+          let b = Rng.int rng (Cluster.machines cl) in
+          if a <> b && Cluster.partition cl a b ~hold:partition_hold then
             t.n_partitions <- t.n_partitions + 1)
 
 (* --- Space_churn: transient address spaces -------------------------- *)

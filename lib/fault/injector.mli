@@ -18,8 +18,6 @@
     once every job has finished, so {!Sa.System.run}'s completion
     predicate still terminates. *)
 
-module Time = Sa_engine.Time
-
 type kind =
   | Preempt  (** forced processor preemptions + spurious I/O completions *)
   | Io_faults  (** delayed/failed I/O completions, cache invalidations *)
@@ -35,7 +33,7 @@ type kind =
           find (the work-conservation invariant catches the starvation). *)
   | Machine_crash
       (** fail-stop whole-machine crashes — only acts when [attach] was
-          given {!cluster_hooks}; a no-op (never counted) otherwise *)
+          given a cluster; a no-op (never counted) otherwise *)
   | Net_partition
       (** transient cuts of a random inter-machine link — cluster runs
           only, like {!Machine_crash} *)
@@ -50,33 +48,27 @@ val all_kinds : kind list
 val kind_name : kind -> string
 val kind_of_name : string -> kind option
 
-type cluster_hooks = {
-  ch_machines : int;  (** machines the crash/partition draws range over *)
-  ch_crash : int -> bool;
-      (** fail-stop machine [m]; [false] if refused (already dead, last
-          one standing) — refused events are not counted *)
-  ch_partition : int -> int -> hold:Time.span -> bool;
-      (** cut the link between two machines for [hold] *)
-  ch_active : unit -> bool;
-      (** overrides the single-system job-completion check: cluster jobs
-          migrate between systems, so only the cluster knows when the
-          whole workload is done *)
-}
-(** How the cluster-level kinds reach a {!Sa_cluster.Cluster.t} without
-    this library depending on it: the caller wraps [crash_machine] and
-    [partition] in plain closures. *)
-
 type t
 
 val attach :
-  ?kinds:kind list -> ?cluster:cluster_hooks -> seed:int -> Sa.System.t -> t
+  ?kinds:kind list ->
+  ?cluster:Sa_cluster.Cluster.t ->
+  seed:int ->
+  Sa.System.t ->
+  t
 (** Install one injector per kind in [kinds] (default {!survivable_kinds}:
     the {!Demand_drop} bug seed must be opted into).  Call {b after}
     submitting every job: the injector snapshots the job list to find
     target spaces and caches.
     Hooks installed on the kernel and on each job's cache/device stay in
     place until {!detach}.  [cluster] arms {!Machine_crash} and
-    {!Net_partition}; without it those kinds install nothing. *)
+    {!Net_partition}, which draw machines from
+    [0 .. Sa_cluster.Cluster.machines cluster - 1] and call
+    {!Sa_cluster.Cluster.crash_machine} and {!Sa_cluster.Cluster.partition}
+    (a refused crash or partition is not counted); without it those kinds
+    install nothing.  With a cluster, injection runs until every tenant of
+    the cluster has finished ({!Sa_cluster.Cluster.active}), not only the
+    jobs submitted to the given system. *)
 
 val detach : t -> unit
 (** Stop injecting: recurring injector ticks become no-ops, and the

@@ -153,13 +153,10 @@ let attach ?(period = Time.ms 1) ?(label = "chaos") ~seed sys =
     }
   in
   let sim = System.sim sys in
-  let unfinished () =
-    List.exists (fun j -> not (System.finished j)) (System.jobs sys)
-  in
   let rec tick () =
     ignore
       (Sim.schedule_after sim ~delay:period (fun () ->
-           if unfinished () then begin
+           if System.active sys then begin
              audit t;
              tick ()
            end))

@@ -178,7 +178,7 @@ let cluster ~name ~title (s : Cluster.summary) =
         ("slo_ms", Float r.c_slo_ms);
       ]
   in
-  let net = s.cl_net and alloc = s.cl_alloc in
+  let net = s.cl_net in
   {
     name;
     kind = "cluster";
@@ -199,10 +199,11 @@ let cluster ~name ~title (s : Cluster.summary) =
           ("net_messages", Int net.Sa_cluster.Net.messages);
           ("net_bytes", Int net.bytes);
           ("net_drops", Int net.drops);
-          ("alloc_summaries", Int alloc.Sa_cluster.Cluster_alloc.summaries);
-          ("alloc_summary_drops", Int alloc.summary_drops);
-          ("alloc_commands", Int alloc.commands);
-          ("alloc_rebalances", Int alloc.rebalances);
+          ("alloc_summaries", Int s.cl_alloc_summaries);
+          ("alloc_summary_drops", Int s.cl_alloc_summary_drops);
+          ("alloc_commands", Int s.cl_alloc_commands);
+          (* every migration is a rebalance that moved a space *)
+          ("alloc_rebalances", Int s.cl_migrations);
           ("elapsed_ms", Float s.cl_elapsed_ms);
           ("completed_all", Bool s.cl_completed_all);
           ("per_machine", Arr (List.map machine s.cl_machine_rows));

@@ -229,18 +229,10 @@ let cluster_tests =
     Alcotest.test_case "crash and partition constants give pinned counts"
       `Quick (fun () ->
         let cl = Cluster.create small_params in
-        let hooks =
-          {
-            Injector.ch_machines = small_params.Cluster.machines;
-            ch_crash = (fun m -> Cluster.crash_machine cl m);
-            ch_partition = (fun a b ~hold -> Cluster.partition cl a b ~hold);
-            ch_active = (fun () -> Cluster.active cl);
-          }
-        in
         let inj =
           Injector.attach
             ~kinds:[ Injector.Machine_crash; Injector.Net_partition ]
-            ~cluster:hooks ~seed:1
+            ~cluster:cl ~seed:1
             (Cluster.systems cl).(0)
         in
         Cluster.run cl;
@@ -258,6 +250,57 @@ let cluster_tests =
            it. *)
         check Alcotest.string "summary digest" "e0ab5418974a2bfba39f297578686522"
           (summary_digest s));
+    Alcotest.test_case "cluster counters agree" `Quick (fun () ->
+        (* Each cluster fact has one owner; every count that restates it
+           must agree with it, whatever crashes and partitions did. *)
+        let migrations = ref 0 and evacuations = ref 0 in
+        for seed = 1 to 5 do
+          let cl = Cluster.create small_params in
+          ignore
+            (Injector.attach
+               ~kinds:[ Injector.Machine_crash; Injector.Net_partition ]
+               ~cluster:cl ~seed
+               (Cluster.systems cl).(0));
+          Cluster.run cl;
+          let s = Cluster.summary cl in
+          let sum f =
+            List.fold_left (fun acc m -> acc + f m) 0 s.Cluster.cl_machine_rows
+          in
+          migrations := !migrations + s.Cluster.cl_migrations;
+          evacuations := !evacuations + s.Cluster.cl_evacuations;
+          let what fmt = Printf.sprintf ("seed %d: " ^^ fmt) seed in
+          let rebalances =
+            match
+              (Sa_metrics.Report.cluster ~name:"c" ~title:"c" s)
+                .Sa_metrics.Report.data
+            with
+            | Sa_metrics.Report.Obj fields -> (
+                match List.assoc "alloc_rebalances" fields with
+                | Sa_metrics.Report.Int n -> n
+                | _ -> Alcotest.fail "alloc_rebalances is not an int")
+            | _ -> Alcotest.fail "cluster section is not an object"
+          in
+          check Alcotest.int (what "migrations = sum of migs out")
+            (sum (fun m -> m.Cluster.m_migs_out))
+            s.Cluster.cl_migrations;
+          check Alcotest.int (what "migrations = reported rebalances")
+            rebalances s.Cluster.cl_migrations;
+          check Alcotest.int
+            (what "every shipped space lands once")
+            (s.Cluster.cl_migrations + s.Cluster.cl_evacuations)
+            (sum (fun m -> m.Cluster.m_migs_in));
+          check Alcotest.int (what "crashes = dead machines")
+            (sum (fun m -> if m.Cluster.m_alive then 0 else 1))
+            s.Cluster.cl_crashes;
+          for m = 0 to Cluster.machines cl - 1 do
+            check Alcotest.bool
+              (what "machine %d alive = online" m)
+              (not (Net.offline (Cluster.net cl) m))
+              (Cluster.alive cl m)
+          done
+        done;
+        check Alcotest.bool "some space was rebalanced" true (!migrations > 0);
+        check Alcotest.bool "some space was evacuated" true (!evacuations > 0));
     qtest
       (QCheck.Test.make ~name:"cluster runs are seed-deterministic" ~count:4
          QCheck.(int_range 1 1000)
