@@ -881,7 +881,7 @@ let explore_cmd =
   in
   let outcome_line (r : Search.run_result) =
     match r.Search.outcome with
-    | Search.Completed -> "ok"
+    | Search.Completed _ -> "ok"
     | Search.Violation m -> "VIOLATION " ^ Shrink.violation_key m
     | Search.No_completion m ->
         "no-completion "

@@ -81,7 +81,11 @@ let submit t ~backend ~name ?cache_capacity ?(prewarm_cache = true) ?disk
         Buffer_cache.fill c b
       done
   | Some _ | None -> ());
-  let io_dev = Option.map (fun d -> Sa_hw.Io_device.create t.sim d) disk in
+  let io_dev =
+    Option.map
+      (fun service_time -> Sa_hw.Io_device.create t.sim ~service_time)
+      disk
+  in
   let done_at = ref None in
   let on_done () =
     done_at := Some (Sim.now t.sim);

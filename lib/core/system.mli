@@ -70,7 +70,7 @@ val submit :
   name:string ->
   ?cache_capacity:int ->
   ?prewarm_cache:bool ->
-  ?disk:Sa_hw.Io_device.discipline ->
+  ?disk:Time.span ->
   ?strategy:Sa_uthread.Ft_core.strategy ->
   ?parallelism:int ->
   ?space_priority:int ->
@@ -81,9 +81,12 @@ val submit :
     main thread in it.  [cache_capacity], when given, attaches a buffer
     cache of that many blocks to the job's address space;
     [prewarm_cache] (default true) pre-fills it so there are no cold
-    misses.  [parallelism] caps the processors a scheduler-activation
-    space requests (ignored by the other backends, whose parallelism is
-    set by the VP count or the machine size).  To stream the run as
+    misses.  [disk], when given, is the service time of an I/O device
+    attached to the job: cache misses queue on its one FIFO server instead
+    of blocking in the kernel for the fixed miss latency.  [parallelism]
+    caps the processors a scheduler-activation space requests (ignored by
+    the other backends, whose parallelism is set by the VP count or the
+    machine size).  To stream the run as
     Chrome trace JSON, add [Sa_engine.Trace_export.feed w] as a sink on
     the system's trace ({!Sa_engine.Trace.add_sink}) before submitting. *)
 

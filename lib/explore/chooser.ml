@@ -7,7 +7,10 @@ let default : Sim.chooser =
     ch_draw = (fun ~site:_ ~default -> default);
   }
 
-let random_walk ?(draws = 0.2) ~seed () =
+(* Share of interposed RNG draws a random walk re-randomizes. *)
+let walk_draw_prob = 0.2
+
+let random_walk ~seed () =
   let rng = Rng.create (seed lxor 0x5a1cede) in
   {
     Sim.ch_pick = (fun ~site:_ ~arity ~default:_ -> Rng.int rng arity);
@@ -16,7 +19,7 @@ let random_walk ?(draws = 0.2) ~seed () =
         (* Occasionally re-randomize an interposed RNG draw: this shifts
            injector timing and kernel random decisions, exploring the
            coarse-timing axis the same-instant picks cannot reach. *)
-        if draws > 0.0 && Rng.float rng 1.0 < draws then Rng.bits64 rng
+        if Rng.float rng 1.0 < walk_draw_prob then Rng.bits64 rng
         else default);
   }
 

@@ -17,13 +17,11 @@ val default : Sim.chooser
 (** Answers every choice point with its default — a run under [default] is
     bit-for-bit identical to a run with no chooser installed. *)
 
-val random_walk : ?draws:float -> seed:int -> unit -> Sim.chooser
+val random_walk : seed:int -> unit -> Sim.chooser
 (** Seeded random walk: every ordering pick is uniform over its
     alternatives, and each interposed RNG draw is re-randomized with
-    probability [draws] (default 0.2; pass [~draws:0.0] to perturb the
-    interleaving only and leave the injection schedule untouched).
-    Perturbed draws move injector and kernel-RNG timing — the coarse-timing
-    axis same-instant reordering cannot reach. *)
+    probability 0.2.  Perturbed draws move injector and kernel-RNG timing —
+    the coarse-timing axis same-instant reordering cannot reach. *)
 
 val pct : seed:int -> depth:int -> length:int -> Sim.chooser
 (** PCT-style bounded search.  Each site receives a seeded priority

@@ -7,7 +7,6 @@ module System = Sa.System
 module Server = Sa_workload.Server
 module Recorder = Sa_workload.Recorder
 module Injector = Sa_fault.Injector
-module Invariant = Sa_fault.Invariant
 module Campaign = Sa_fault.Campaign
 
 type workload = Server | Chaos
@@ -40,10 +39,13 @@ let workload_of_name = function
   | "chaos" -> Some Chaos
   | _ -> None
 
-type outcome = Completed | Violation of string | No_completion of string
+type outcome = Campaign.outcome =
+  | Completed of Time.span
+  | Violation of string
+  | No_completion of string
 
 let outcome_name = function
-  | Completed -> "ok"
+  | Completed _ -> "ok"
   | Violation _ -> "violation"
   | No_completion _ -> "no-completion"
 
@@ -107,7 +109,7 @@ let digest_of ~stamps ~final_ns ~kstats ~injected ~outcome =
     injected;
   Buffer.add_string b (Printf.sprintf "t%d;" final_ns);
   (match outcome with
-  | Completed -> Buffer.add_string b "ok"
+  | Completed _ -> Buffer.add_string b "ok"
   | Violation m -> Buffer.add_string b ("V:" ^ m)
   | No_completion m -> Buffer.add_string b ("N:" ^ m));
   Digest.to_hex (Digest.string (Buffer.contents b))
@@ -136,25 +138,10 @@ let run_server ?chooser ?trace_sink spec =
       ~observer:(Recorder.observer recorder)
       (Server.program params)
   in
-  let _checker =
-    Invariant.attach ~period:(Time.ms 1) ~label:"explore" ~seed:spec.seed
-      sys
-  in
-  let inj =
-    if spec.inject then
-      Some
-        (Injector.attach ~kinds:spec.inject_kinds ~seed:spec.seed sys)
-    else None
-  in
-  let outcome =
-    match System.run ~horizon:spec.horizon sys with
-    | () -> Completed
-    | exception Sim.Stalled msg -> Violation msg
-    | exception Failure msg -> No_completion msg
-  in
-  Option.iter Injector.detach inj;
-  let injected =
-    match inj with Some i -> Injector.injected i | None -> []
+  let outcome, _, injected =
+    Campaign.check
+      ~kinds:(if spec.inject then Some spec.inject_kinds else None)
+      ~label:"explore" ~seed:spec.seed ~horizon:spec.horizon sys
   in
   let stamps = Recorder.stamps recorder in
   let digest =
@@ -180,24 +167,15 @@ let run_chaos ?chooser ?trace_sink spec =
     Campaign.run_seed ~config ~on_system ~mode:Kconfig.Explicit_allocation
       spec.seed
   in
-  let sys =
-    match !sys_ref with
-    | Some s -> s
-    | None -> failwith "Search.run_chaos: campaign never built a system"
-  in
-  let outcome =
-    match r.Campaign.outcome with
-    | Campaign.Completed _ -> Completed
-    | Campaign.Violation m -> Violation m
-    | Campaign.No_completion m -> No_completion m
-  in
+  let sys = Option.get !sys_ref in
   let digest =
     digest_of ~stamps:[]
       ~final_ns:(Time.to_ns (Sim.now (System.sim sys)))
-      ~kstats:r.Campaign.kstats ~injected:r.Campaign.injected ~outcome
+      ~kstats:r.Campaign.kstats ~injected:r.Campaign.injected
+      ~outcome:r.Campaign.outcome
   in
   {
-    outcome;
+    outcome = r.Campaign.outcome;
     digest;
     adjacencies = adjacency_list adj;
     injected = r.Campaign.injected;
@@ -320,7 +298,7 @@ let explore ?(on_run = fun _ _ -> ()) ~strategy ~schedules spec =
         incr violations;
         failing := Some (sseed, r, sched)
     | No_completion _ -> incr no_completions
-    | Completed -> ());
+    | Completed _ -> ());
     incr i
   done;
   {

@@ -35,7 +35,12 @@ val default_spec : spec
 
 val workload_name : workload -> string
 
-type outcome = Completed | Violation of string | No_completion of string
+type outcome = Sa_fault.Campaign.outcome =
+  | Completed of Time.span
+  | Violation of string
+  | No_completion of string
+(** The campaign's outcome: every run here is classified by
+    {!Sa_fault.Campaign.check}, as each chaos-campaign seed is. *)
 
 val outcome_name : outcome -> string
 (** ["ok"], ["violation"] or ["no-completion"]. *)
@@ -53,8 +58,8 @@ val run :
   ?trace_sink:(Sa_engine.Trace.record -> unit) ->
   spec ->
   run_result
-(** One run.  Catches {!Sa_engine.Sim.Stalled} (→ [Violation]) and
-    [Failure] (→ [No_completion]); anything else propagates. *)
+(** One run, checked and classified by {!Sa_fault.Campaign.check};
+    an exception that [check] does not classify propagates. *)
 
 val record :
   ?inner:Sa_engine.Sim.chooser ->

@@ -121,7 +121,10 @@ let site_groups (failing : Schedule.t) divergences =
   |> List.sort (fun a b ->
          compare (IntSet.cardinal a) (IntSet.cardinal b))
 
-let shrink ?(max_tests = 400) ~spec (failing : Schedule.t) =
+(* Reduction replays one shrink may spend. *)
+let max_tests = 400
+
+let shrink ~spec (failing : Schedule.t) =
   let divergences = IntSet.of_list (Schedule.divergences failing) in
   let replay_with set =
     let active i = IntSet.mem i set in
@@ -131,7 +134,7 @@ let shrink ?(max_tests = 400) ~spec (failing : Schedule.t) =
     r
   in
   match (replay_with divergences).Search.outcome with
-  | Search.Completed | Search.No_completion _ ->
+  | Search.Completed _ | Search.No_completion _ ->
       Error "the schedule does not reproduce a violation"
   | Search.Violation msg0 ->
       let key = violation_key msg0 in

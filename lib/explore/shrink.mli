@@ -30,9 +30,8 @@ type result = {
   tests : int;  (** reduction replays executed *)
 }
 
-val shrink :
-  ?max_tests:int -> spec:Search.spec -> Schedule.t -> (result, string) Result.t
-(** Minimize a failing schedule.  [max_tests] (default 400) bounds the
-    number of reduction replays; on exhaustion the best subset so far is
-    returned.  [Error] if the schedule does not reproduce a violation in
-    the first place, or if the re-recorded minimal run fails to. *)
+val shrink : spec:Search.spec -> Schedule.t -> (result, string) Result.t
+(** Minimize a failing schedule in at most 400 reduction replays; on
+    exhaustion the best subset so far is returned.  [Error] if the
+    schedule does not reproduce a violation in the first place, or if the
+    re-recorded minimal run fails to. *)

@@ -95,8 +95,27 @@ let synth_program rng ~blocks =
     (B.( let* ) (fork_all workers []) (fun tids -> B.iter_list tids B.join))
 
 (* ------------------------------------------------------------------ *)
-(* One seed                                                            *)
+(* The checked run, and one seed                                       *)
 (* ------------------------------------------------------------------ *)
+
+let check ~kinds ~label ~seed ~horizon sys =
+  let checker = Invariant.attach ~period:audit_period ~label ~seed sys in
+  let injector =
+    Option.map (fun kinds -> Injector.attach ~kinds ~seed sys) kinds
+  in
+  let outcome =
+    match System.run ~horizon sys with
+    | () ->
+        let elapsed job = Option.value ~default:0 (System.elapsed job) in
+        Completed
+          (List.fold_left (fun acc j -> max acc (elapsed j)) 0 (System.jobs sys))
+    | exception Sim.Stalled msg -> Violation msg
+    | exception Failure msg -> No_completion msg
+  in
+  Option.iter Injector.detach injector;
+  ( outcome,
+    Invariant.audits checker,
+    match injector with Some i -> Injector.injected i | None -> [] )
 
 let cache_capacity = 32
 let cache_blocks = 64
@@ -123,46 +142,19 @@ let run_seed ?(config = default) ?(on_system = fun _ -> ()) ~mode seed =
     | Kconfig.Explicit_allocation -> `Fastthreads_on_sa
     | Kconfig.Native_oblivious -> `Fastthreads_on_kthreads config.cpus
   in
-  let app =
-    System.submit sys ~backend:app_backend ~name:"chaos-app"
-      ~cache_capacity ~prewarm_cache:false
-      ~disk:(Sa_hw.Io_device.Fifo_queue { service_time = Time.ms 1 })
-      (synth_program rng ~blocks:(Some cache_blocks))
+  ignore
+    (System.submit sys ~backend:app_backend ~name:"chaos-app" ~cache_capacity
+       ~prewarm_cache:false ~disk:(Time.ms 1)
+       (synth_program rng ~blocks:(Some cache_blocks)));
+  ignore
+    (System.submit sys ~backend:`Topaz_kthreads ~name:"chaos-side"
+       (synth_program rng ~blocks:None));
+  let outcome, audits, injected =
+    check ~kinds:(Some config.kinds) ~label:(mode_name mode) ~seed
+      ~horizon:config.horizon sys
   in
-  let side =
-    System.submit sys ~backend:`Topaz_kthreads ~name:"chaos-side"
-      (synth_program rng ~blocks:None)
-  in
-  ignore app;
-  ignore side;
-  let checker =
-    Invariant.attach ~period:audit_period
-      ~label:(mode_name mode) ~seed sys
-  in
-  let injector = Injector.attach ~kinds:config.kinds ~seed sys in
-  let outcome =
-    match System.run ~horizon:config.horizon sys with
-    | () ->
-        let makespan =
-          List.fold_left
-            (fun acc job ->
-              match System.elapsed job with
-              | Some d -> max acc d
-              | None -> acc)
-            0 (System.jobs sys)
-        in
-        Completed makespan
-    | exception Sim.Stalled msg -> Violation msg
-    | exception Failure msg -> No_completion msg
-  in
-  {
-    seed;
-    mode;
-    outcome;
-    audits = Invariant.audits checker;
-    injected = Injector.injected injector;
-    kstats = Kernel.stats (System.kernel sys);
-  }
+  { seed; mode; outcome; audits; injected;
+    kstats = Kernel.stats (System.kernel sys) }
 
 let run_sweep ?(config = default) ?(on_result = fun _ -> ()) ~modes ~seeds () =
   List.concat_map

@@ -41,6 +41,23 @@ type result = {
 
 val mode_name : Kconfig.mode -> string
 
+val check :
+  kinds:Injector.kind list option ->
+  label:string ->
+  seed:int ->
+  horizon:Time.span ->
+  Sa.System.t ->
+  outcome * int * (string * int) list
+(** The one checked run, over a system whose jobs are already submitted:
+    attach the {!Invariant} checker (auditing every simulated millisecond,
+    [label] naming the run in diagnostics), then, when [kinds] is [Some],
+    an {!Injector} of those kinds; run under [horizon]; classify the run
+    ([Completed] with the makespan over every job, {!Sa_engine.Sim.Stalled}
+    as [Violation], [Failure] as [No_completion]); detach the injector.
+    Returns the outcome, the audits performed and the injected events by
+    kind ([[]] without an injector).  [seed] seeds the injector and is
+    printed in the checker's replay line. *)
+
 val run_seed :
   ?config:config ->
   ?on_system:(Sa.System.t -> unit) ->

@@ -1,22 +1,12 @@
-(** Block I/O device.
+(** Block I/O device: one server over a FIFO queue, with a constant
+    service time.  Requests queue, so contention lengthens effective
+    latency.  The paper notes its measurements were "qualitatively similar
+    when we took contention for the disk into account" — the disk ablation
+    uses this device to check the same holds here.
 
-    Two service disciplines:
-
-    - [Fixed_latency]: every request completes after a constant delay,
-      independent of load.  This is the paper's simplification ("threads
-      that miss in the cache simply block in the kernel for 50 msec").
-    - [Fifo_queue]: a single server with a constant service time; requests
-      queue, so contention lengthens effective latency.  The paper notes its
-      measurements were "qualitatively similar when we took contention for
-      the disk into account" — the ablation benches use this mode to check
-      the same holds here. *)
-
-type discipline =
-  | Fixed_latency of Sa_engine.Time.span
-  | Fifo_queue of { service_time : Sa_engine.Time.span }
-  | Channels of { channels : int; service_time : Sa_engine.Time.span }
-      (** [channels] independent servers over one FIFO queue (a multi-queue
-          NVMe-style device); [Fifo_queue] is [Channels 1] *)
+    The paper's own simplification ("threads that miss in the cache simply
+    block in the kernel for 50 msec", §5.3) is not a device: the kernel
+    models that fixed block for every run that attaches none. *)
 
 type fault =
   | Fault_delay of Sa_engine.Time.span
@@ -27,7 +17,7 @@ type fault =
 
 type t
 
-val create : Sa_engine.Sim.t -> discipline -> t
+val create : Sa_engine.Sim.t -> service_time:Sa_engine.Time.span -> t
 
 val set_fault_hook : t -> (unit -> fault option) option -> unit
 (** Install (or clear) a fault hook, consulted once per nominal completion
@@ -46,9 +36,6 @@ val submit : t -> (unit -> unit) -> unit
     completion instant and may delay or transiently fail the request; the
     device retries with backoff, so every request still completes exactly
     once. *)
-
-val in_flight : t -> int
-(** Requests submitted but not yet completed. *)
 
 val completed : t -> int
 

@@ -340,11 +340,11 @@ let ablation_remainder_rotation ?(params = Nbody.default_params) () =
     };
   ]
 
-(* Figure 2 under disk queueing: two parallel channels with a 16 ms service
-   time replace the fixed 50 ms block. *)
+(* Figure 2 under disk queueing: one FIFO server with a 16 ms service time
+   replaces the fixed 50 ms block. *)
 let figure2_disk_contention ?(params = Nbody.default_params) () =
   let prep = Nbody.prepare params in
-  let disk = Sa_hw.Io_device.Fifo_queue { service_time = Time.ms 16 } in
+  let disk = Time.ms 16 in
   let percents = [ 100; 80; 60; 40 ] in
   let series name f = { io_series = name; io_points = List.map f percents } in
   let point backend kconfig pct =

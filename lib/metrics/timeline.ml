@@ -4,7 +4,9 @@ module Cpu = Sa_hw.Cpu
 module Machine = Sa_hw.Machine
 module System = Sa.System
 
-let default_max_columns = 4096
+(* Columns the ring retains, and the widest chart [render] prints. *)
+let max_columns = 4096
+let width = 72
 
 (* Columns live in a ring: once [max] samples are held, each new sample
    overwrites the oldest in O(1) — the previous list-truncation scheme made
@@ -59,9 +61,8 @@ let sample t =
 let column t i =
   t.ring.((t.start + i) mod Array.length t.ring)
 
-let attach ?(max_columns = default_max_columns) sys ~resolution =
+let attach sys ~resolution =
   if resolution <= 0 then invalid_arg "Timeline.attach: resolution";
-  if max_columns <= 0 then invalid_arg "Timeline.attach: max_columns";
   let t =
     {
       sys;
@@ -85,7 +86,7 @@ let attach ?(max_columns = default_max_columns) sys ~resolution =
 
 let samples t = t.count
 
-let render ?(width = 72) ?(label = "") t ppf =
+let render ?(label = "") t ppf =
   let n = t.count in
   let cpus = if n = 0 then 0 else Array.length (column t 0) in
   if n = 0 || cpus = 0 then Format.fprintf ppf "(no samples)@."

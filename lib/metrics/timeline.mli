@@ -14,18 +14,17 @@
 
 type t
 
-val attach :
-  ?max_columns:int -> Sa.System.t -> resolution:Sa_engine.Time.span -> t
+val attach : Sa.System.t -> resolution:Sa_engine.Time.span -> t
 (** Start sampling.  Sampling stops by itself once the simulation goes
-    quiet.  At most [max_columns] (default 4096) columns are retained in a
-    ring — each sample past the cap overwrites the oldest in O(1). *)
+    quiet.  At most 4096 columns are retained in a ring — each sample past
+    the cap overwrites the oldest in O(1). *)
 
 val samples : t -> int
-(** Columns currently held (capped at [max_columns]). *)
+(** Columns currently held (at most 4096). *)
 
-val render : ?width:int -> ?label:string -> t -> Format.formatter -> unit
+val render : ?label:string -> t -> Format.formatter -> unit
 (** Print one row per processor; each column is one sample.  Cells show the
     first letter of the occupying address space's name ([.] for idle).
-    [width] (default 72) caps the number of columns by striding.  [label]
+    Rows are at most 72 columns wide: past that, samples are strided.  [label]
     prefixes every row — cluster runs pass ["m2:"] so the per-machine
     charts stay tellable apart. *)

@@ -23,46 +23,6 @@ let default_params =
     seed = 7;
   }
 
-let program p =
-  if p.requests <= 0 then invalid_arg "Server.program: requests";
-  let rng = Rng.create p.seed in
-  (* Pre-draw the arrival gaps and I/O coin flips so the program is a pure
-     value (deterministic across backends). *)
-  let gaps =
-    Array.init p.requests (fun _ ->
-        max 1
-          (int_of_float
-             (Rng.exponential rng
-                ~mean:(float_of_int p.mean_interarrival))))
-  in
-  let does_io =
-    Array.init p.requests (fun _ -> Rng.float rng 1.0 < p.io_probability)
-  in
-  let handler i =
-    B.to_program
-      (let open B in
-       let* () = when_ does_io.(i) (io p.io_latency) in
-       let* () = compute p.service_compute in
-       stamp ((2 * i) + 1))
-  in
-  B.to_program
-    (let open B in
-     let* tids =
-       let rec accept acc i =
-         if i >= p.requests then return acc
-         else
-           (* the listener blocks in the kernel until the next arrival;
-              the arrival is stamped before the handler is forked so any
-              delay in starting the handler counts as response time *)
-           let* () = io gaps.(i) in
-           let* () = stamp (2 * i) in
-           let* tid = fork (handler i) in
-           accept (tid :: acc) (i + 1)
-       in
-       accept [] 0
-     in
-     iter_list tids (fun tid -> join tid))
-
 (* ------------------------------------------------------------------ *)
 (* Multi-tenant serving: the datacenter-scale scenario                  *)
 (* ------------------------------------------------------------------ *)
@@ -165,11 +125,10 @@ let tenant_name p i = Printf.sprintf "t%02d-%s" i (tenant_class p i).tc_class
    seed, so adding a tenant never perturbs the others' draws. *)
 let tenant_rng p i = Rng.create (p.mt_seed + (0x9e3779b9 * (i + 1)))
 
-(* Absolute arrival instants: a Poisson stream of [mt_requests] draws,
-   merged in time order with the deterministic burst clumps that fall
-   inside its span, truncated back to exactly [mt_requests] arrivals. *)
-let arrival_gaps p cls rng =
-  let n = p.mt_requests in
+(* Absolute arrival instants: a Poisson stream of [n] draws, merged in
+   time order with the deterministic burst clumps that fall inside its
+   span, truncated back to exactly [n] arrivals. *)
+let arrival_gaps n cls rng =
   let poisson =
     let t = ref 0 in
     Array.init n (fun _ ->
@@ -210,26 +169,26 @@ let arrival_gaps p cls rng =
     times;
   gaps
 
-let tenant_program p tenant =
-  if p.mt_requests <= 0 then invalid_arg "Server.tenant_program: requests";
-  let cls = tenant_class p tenant in
-  if cls.tc_fan_out <= 0 then invalid_arg "Server.tenant_program: fan_out";
-  let rng = tenant_rng p tenant in
-  let gaps = arrival_gaps p cls rng in
-  (* Pre-draw every subrequest's I/O coin so the program is a pure value. *)
+(* The listener/handler program over [requests] arrivals of class [cls],
+   every draw taken from [rng]: the arrival gaps, then one I/O coin per
+   subrequest, then (only when [cache_blocks > 0]) one block per
+   subrequest.  All draws come before any node is built, so the program is
+   a pure value, deterministic across backends. *)
+let listener rng cls ~requests ~cache_blocks =
+  let gaps = arrival_gaps requests cls rng in
   let does_io =
-    Array.init p.mt_requests (fun _ ->
+    Array.init requests (fun _ ->
         Array.init cls.tc_fan_out (fun _ ->
             Rng.float rng 1.0 < cls.tc_io_probability))
   in
   (* Per-subrequest cache blocks ([-1] = no cache read).  Drawn after the
      I/O coins so a zero-block configuration draws nothing extra. *)
   let block_of =
-    if p.mt_cache_blocks <= 0 then fun _ _ -> -1
+    if cache_blocks <= 0 then fun _ _ -> -1
     else begin
       let blocks =
-        Array.init p.mt_requests (fun _ ->
-            Array.init cls.tc_fan_out (fun _ -> Rng.int rng p.mt_cache_blocks))
+        Array.init requests (fun _ ->
+            Array.init cls.tc_fan_out (fun _ -> Rng.int rng cache_blocks))
       in
       fun i j -> blocks.(i).(j)
     end
@@ -268,8 +227,11 @@ let tenant_program p tenant =
     (let open B in
      let* tids =
        let rec accept acc i =
-         if i >= p.mt_requests then return acc
+         if i >= requests then return acc
          else
+           (* the listener blocks in the kernel until the next arrival;
+              the arrival is stamped before the handler is forked so any
+              delay in starting the handler counts as response time *)
            let* () = io gaps.(i) in
            let* () = stamp (2 * i) in
            let* tid = fork (handler i) in
@@ -278,6 +240,34 @@ let tenant_program p tenant =
        accept [] 0
      in
      iter_list tids (fun tid -> join tid))
+
+(* One class, no bursts, no fan-out, no cache reads: the gaps are the raw
+   Poisson draws (each already at least 1 ns) and the draws come in the
+   same order as a tenant's. *)
+let program p =
+  if p.requests <= 0 then invalid_arg "Server.program: requests";
+  let cls =
+    {
+      tc_class = "server";
+      tc_mean_interarrival = p.mean_interarrival;
+      tc_burst_every = 0;
+      tc_burst_size = 0;
+      tc_fan_out = 1;
+      tc_service_compute = p.service_compute;
+      tc_io_probability = p.io_probability;
+      tc_io_latency = p.io_latency;
+      tc_slo = max_int;
+      tc_priority = 0;
+    }
+  in
+  listener (Rng.create p.seed) cls ~requests:p.requests ~cache_blocks:0
+
+let tenant_program p tenant =
+  if p.mt_requests <= 0 then invalid_arg "Server.tenant_program: requests";
+  let cls = tenant_class p tenant in
+  if cls.tc_fan_out <= 0 then invalid_arg "Server.tenant_program: fan_out";
+  listener (tenant_rng p tenant) cls ~requests:p.mt_requests
+    ~cache_blocks:p.mt_cache_blocks
 
 type summary = {
   ts_completed : int;

@@ -30,7 +30,9 @@ val default_params : params
     processor per kernel block must queue. *)
 
 val program : params -> Sa_program.Program.t
-(** Deterministic in [params.seed]. *)
+(** The multi-tenant listener below ({!tenant_program}) over one class
+    built from [params]: no bursts, no fan-out (one handler per request),
+    no cache reads.  Deterministic in [params.seed]. *)
 
 (** {1 Multi-tenant serving}
 

@@ -20,7 +20,7 @@ let span = Alcotest.testable Time.pp_span ( = )
 
 let test_io_device_retry () =
   let sim = Sim.create () in
-  let dev = Io_device.create sim (Io_device.Fixed_latency (Time.ms 1)) in
+  let dev = Io_device.create sim ~service_time:(Time.ms 1) in
   (* Fail the first two completion attempts, then let it through. *)
   let remaining = ref 2 in
   Io_device.set_fault_hook dev
@@ -46,7 +46,7 @@ let test_io_device_retry () =
 
 let test_io_device_delay () =
   let sim = Sim.create () in
-  let dev = Io_device.create sim (Io_device.Fixed_latency (Time.ms 1)) in
+  let dev = Io_device.create sim ~service_time:(Time.ms 1) in
   let first = ref true in
   Io_device.set_fault_hook dev
     (Some
@@ -67,6 +67,33 @@ let test_io_device_delay () =
     | None -> Alcotest.fail "request never completed");
   Alcotest.(check int) "no retries for a delay" 0 (Io_device.retries dev);
   Alcotest.(check int) "fault counted" 1 (Io_device.faults dev)
+
+(* The server stays busy through a retry's backoff: the queued request
+   starts its service only when the retried one completes. *)
+let test_io_device_retry_queue () =
+  let sim = Sim.create () in
+  let dev = Io_device.create sim ~service_time:(Time.ms 1) in
+  let first = ref true in
+  Io_device.set_fault_hook dev
+    (Some
+       (fun () ->
+         if !first then begin
+           first := false;
+           Some Io_device.Fault_transient_error
+         end
+         else None));
+  let times = ref [] in
+  for _ = 1 to 2 do
+    Io_device.submit dev (fun () ->
+        times := Time.to_ns (Sim.now sim) :: !times)
+  done;
+  Sim.run sim;
+  Alcotest.(check (list int))
+    "second waits for the retried first"
+    [ Time.ms 1 + Time.us 100; Time.ms 2 + Time.us 100 ]
+    (List.rev !times);
+  Alcotest.(check int) "one retry counted" 1 (Io_device.retries dev);
+  Alcotest.(check int) "both complete" 2 (Io_device.completed dev)
 
 let test_cache_chaos_invalidation () =
   let c = Buffer_cache.create ~capacity:4 in
@@ -301,6 +328,8 @@ let () =
             test_io_device_delay;
           Alcotest.test_case "cache chaos invalidation forces a miss" `Quick
             test_cache_chaos_invalidation;
+          Alcotest.test_case "a retried request keeps the FIFO server" `Quick
+            test_io_device_retry_queue;
         ] );
       ( "kernel-hooks",
         [

@@ -398,49 +398,9 @@ let cache_tests =
 
 let io_tests =
   [
-    Alcotest.test_case "fixed latency completes in parallel" `Quick (fun () ->
-        let sim = Sim.create () in
-        let dev = Io_device.create sim (Io_device.Fixed_latency (Time.ms 50)) in
-        let completions = ref [] in
-        for i = 1 to 3 do
-          Io_device.submit dev (fun () ->
-              completions := (i, Time.to_ns (Sim.now sim)) :: !completions)
-        done;
-        check Alcotest.int "in flight" 3 (Io_device.in_flight dev);
-        Sim.run sim;
-        check Alcotest.int "all done" 3 (Io_device.completed dev);
-        List.iter
-          (fun (_, t) -> check Alcotest.int "same instant" (Time.ms 50) t)
-          !completions);
-    Alcotest.test_case "multi-channel device overlaps up to its width"
-      `Quick (fun () ->
-        let sim = Sim.create () in
-        let dev =
-          Io_device.create sim
-            (Io_device.Channels { channels = 2; service_time = Time.ms 10 })
-        in
-        let times = ref [] in
-        for _ = 1 to 4 do
-          Io_device.submit dev (fun () ->
-              times := Time.to_ns (Sim.now sim) :: !times)
-        done;
-        Sim.run sim;
-        (* 4 requests on 2 channels: pairs complete at 10 ms and 20 ms *)
-        check (Alcotest.list Alcotest.int) "two waves"
-          [ Time.ms 10; Time.ms 10; Time.ms 20; Time.ms 20 ]
-          (List.rev !times));
-    Alcotest.test_case "zero channels rejected" `Quick (fun () ->
-        let sim = Sim.create () in
-        Alcotest.check_raises "channels" (Invalid_argument "Io_device: channels")
-          (fun () ->
-            ignore
-              (Io_device.create sim
-                 (Io_device.Channels { channels = 0; service_time = 1 }))));
     Alcotest.test_case "fifo queue serializes" `Quick (fun () ->
         let sim = Sim.create () in
-        let dev =
-          Io_device.create sim (Io_device.Fifo_queue { service_time = Time.ms 10 })
-        in
+        let dev = Io_device.create sim ~service_time:(Time.ms 10) in
         let times = ref [] in
         for _ = 1 to 3 do
           Io_device.submit dev (fun () ->
