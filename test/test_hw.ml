@@ -412,6 +412,24 @@ let io_tests =
           (List.rev !times);
         check Alcotest.bool "mean latency grows" true
           (Io_device.mean_latency dev > 10_000.0));
+    Alcotest.test_case "an idle server serves the next submit at once" `Quick
+      (fun () ->
+        let sim = Sim.create () in
+        let dev = Io_device.create sim ~service_time:(Time.ms 10) in
+        let times = ref [] in
+        let record () = times := Time.to_ns (Sim.now sim) :: !times in
+        Io_device.submit dev record;
+        ignore
+          (Sim.schedule_after sim ~delay:(Time.ms 25) (fun () ->
+               Io_device.submit dev record));
+        Sim.run sim;
+        (* the second request finds the server idle: no queueing delay *)
+        check (Alcotest.list Alcotest.int) "each takes one service time"
+          [ Time.ms 10; Time.ms 35 ]
+          (List.rev !times);
+        check Alcotest.int "both done" 2 (Io_device.completed dev);
+        check (Alcotest.float 1e-9) "latency counted from issue" 10_000.0
+          (Io_device.mean_latency dev));
   ]
 
 (* ------------------------------------------------------------------ *)

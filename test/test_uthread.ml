@@ -401,6 +401,59 @@ let cache_fill_during_entry =
           done))
     [ ("topaz", `Topaz_kthreads); ("ultrix", `Ultrix_processes) ]
 
+(* With no device attached a miss is the kernel's fixed 50 ms block, and
+   blocks in flight together overlap.  Three threads each miss on their own
+   cold block on two processors.  Under scheduler activations and Topaz
+   every miss is in flight at once; original FastThreads on two virtual
+   processors keeps only two in flight, so the third waits a second 50 ms
+   wave. *)
+let cold_misses_overlap =
+  List.map
+    (fun (bname, kconfig, backend, waves) ->
+      Alcotest.test_case
+        (Printf.sprintf "three cold misses finish in %d wave(s) [%s]" waves
+           bname)
+        `Quick (fun () ->
+          let reader i =
+            B.to_program
+              (let open B in
+               let* () = cache_read i in
+               stamp i)
+          in
+          let prog =
+            B.to_program
+              (let open B in
+               let* t0 = fork (reader 0) in
+               let* t1 = fork (reader 1) in
+               let* t2 = fork (reader 2) in
+               iter_list [ t0; t1; t2 ] (fun tid -> join tid))
+          in
+          let sys = System.create ~cpus:2 ~kconfig () in
+          let log = ref [] in
+          let job =
+            System.submit sys ~backend ~name:"t" ~cache_capacity:4
+              ~prewarm_cache:false
+              ~observer:(fun id time -> log := (id, time) :: !log)
+              prog
+          in
+          System.run sys;
+          check Alcotest.bool "finished" true (System.finished job);
+          check Alcotest.int "three misses" 3 (List.length !log);
+          let last =
+            List.fold_left (fun m (_, t) -> max m (Time.to_ms t)) 0.0 !log
+          in
+          let wave = 50.0 in
+          check Alcotest.bool
+            (Printf.sprintf "last miss at %.3f ms is in wave %d" last waves)
+            true
+            (last >= float_of_int waves *. wave
+            && last < float_of_int (waves + 1) *. wave)))
+    [
+      ("ft-sa", Kconfig.default, `Fastthreads_on_sa, 1);
+      ("topaz", Kconfig.native, `Topaz_kthreads, 1);
+      ("ft-kt", Kconfig.native, `Fastthreads_on_kthreads 2, 2);
+    ]
+
 let yield_runs_peer =
   on_all_backends "yield lets a peer run" (fun kconfig backend ->
       let prog =
@@ -1533,7 +1586,8 @@ let () =
       ("condvars", condvar_wakeup);
       ("broadcast", broadcast_wakes_all);
       ("io", io_blocks_thread);
-      ("cache", cache_miss_then_hit @ cache_fill_during_entry);
+      ( "cache",
+        cache_miss_then_hit @ cache_fill_during_entry @ cold_misses_overlap );
       ("yield", yield_runs_peer);
       ("fastthreads", ft_specific_tests);
       ("priorities", priority_tests @ cross_queue_priority_tests);
