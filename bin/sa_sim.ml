@@ -248,11 +248,6 @@ let latency_cmd =
           ~doc:"Iterations (at least 4: the first two are warm-up).")
   in
   let action backend bench iters =
-    let kconfig =
-      { (kconfig_of backend) with Kconfig.daemons = false }
-    in
-    let sys = System.create ~cpus:1 ~kconfig () in
-    let r = Recorder.create () in
     let prog, read, label =
       match bench with
       | `Null_fork ->
@@ -266,13 +261,9 @@ let latency_cmd =
             Latency.upcall_signal_wait_latency,
             "Signal-Wait through the kernel" )
     in
-    let _job =
-      System.submit sys
-        ~backend:(system_backend 1 backend)
-        ~name:"bench" ~observer:(Recorder.observer r) prog
-    in
-    System.run sys;
-    Printf.printf "%s: %.1f usec\n" label (read r)
+    Printf.printf "%s: %.1f usec\n" label
+      (E.stamp_latency (kconfig_of backend) (system_backend 1 backend) prog
+         read)
   in
   let term = Term.(const action $ backend_arg $ bench $ iters) in
   Cmd.v

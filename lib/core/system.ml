@@ -70,8 +70,7 @@ let machine t = t.machine
 let costs t = t.costs
 
 let submit t ~backend ~name ?cache_capacity ?(prewarm_cache = true) ?disk
-    ?(strategy = Ft_core.Copy_sections) ?parallelism
-    ?(space_priority = 0) ?observer prog =
+    ?parallelism ?(space_priority = 0) ?observer prog =
   let cache =
     Option.map (fun c -> Buffer_cache.create ~capacity:c) cache_capacity
   in
@@ -96,11 +95,11 @@ let submit t ~backend ~name ?cache_capacity ?(prewarm_cache = true) ?disk
     | `Fastthreads_on_sa ->
         J_ft_sa
           (Ft_sa.create t.kernel ~name ~priority:space_priority ?cache ?io_dev
-             ~strategy ?max_procs:parallelism ?observer ~on_done prog)
+             ?max_procs:parallelism ?observer ~on_done prog)
     | `Fastthreads_on_kthreads vps ->
         J_ft_kt
           (Ft_kt.create t.kernel ~name ~vps ~priority:space_priority ?cache
-             ?io_dev ~strategy ?observer ~on_done prog)
+             ?io_dev ?observer ~on_done prog)
     | `Topaz_kthreads ->
         J_direct
           (Kt_direct.create t.kernel ~name ~flavor:`Topaz

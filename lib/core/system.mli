@@ -71,7 +71,6 @@ val submit :
   ?cache_capacity:int ->
   ?prewarm_cache:bool ->
   ?disk:Time.span ->
-  ?strategy:Sa_uthread.Ft_core.strategy ->
   ?parallelism:int ->
   ?space_priority:int ->
   ?observer:(int -> Time.t -> unit) ->

@@ -21,13 +21,12 @@ type t = {
 
 exception Stalled of string
 
-let create ?trace () =
-  let trace = match trace with Some tr -> tr | None -> Trace.create () in
+let create () =
   {
     clock = Time.zero;
     queue = Calq.create ignore;
     seq = 0;
-    trace;
+    trace = Trace.create ();
     same_instant = 0;
     same_instant_limit = 200_000;
     events = 0;

@@ -14,8 +14,8 @@ val null_handle : handle
 (** A handle naming no event: {!cancel} on it is a no-op.  Lets callers
     keep a [handle] field without an option box. *)
 
-val create : ?trace:Trace.t -> unit -> t
-(** Fresh simulation at time {!Time.zero}. *)
+val create : unit -> t
+(** Fresh simulation at time {!Time.zero}, with a fresh {!Trace.t}. *)
 
 val now : t -> Time.t
 (** Current simulated time. *)

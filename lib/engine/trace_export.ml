@@ -179,13 +179,3 @@ let close t =
     t.closed <- true;
     t.out "\n]}\n"
   end
-
-let export ~out records =
-  let t = create ~out in
-  List.iter (feed t) records;
-  close t
-
-let to_string records =
-  let buf = Buffer.create 4096 in
-  export ~out:(Buffer.add_string buf) records;
-  Buffer.contents buf

@@ -27,10 +27,3 @@ val feed : t -> Trace.record -> unit
 val close : t -> unit
 (** Terminate the JSON document.  Idempotent; [feed] after [close] is a
     no-op. *)
-
-val export : out:(string -> unit) -> Trace.record list -> unit
-(** One-shot export of a record list, e.g. one gathered by a collecting
-    {!Trace.add_sink} sink. *)
-
-val to_string : Trace.record list -> string
-(** [export] into a fresh buffer. *)

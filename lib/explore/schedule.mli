@@ -42,13 +42,10 @@ val length : t -> int
 val picks : t -> int
 (** Number of {!Pick} decisions. *)
 
-val divergent : decision -> bool
-(** True iff the decision's value differs from its default — the run
-    departed from the unperturbed schedule at this point. *)
-
 val divergences : t -> int list
-(** Indices of divergent decisions, ascending.  The shrinker minimizes this
-    set. *)
+(** Indices of the decisions whose value differs from its default — where
+    the run departed from the unperturbed schedule — ascending.  The
+    shrinker minimizes this set. *)
 
 val meta_find : t -> string -> string option
 

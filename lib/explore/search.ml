@@ -128,10 +128,7 @@ let run_server ?chooser ?trace_sink spec =
   let sys = System.create ~cpus:spec.cpus ~kconfig:kcfg () in
   let adj = Hashtbl.create 32 in
   install (System.sim sys) ~chooser ~trace_sink adj;
-  let params =
-    { Server.default_params with Server.requests = spec.requests;
-      seed = spec.seed }
-  in
+  let params = { Server.requests = spec.requests; seed = spec.seed } in
   let recorder = Recorder.create () in
   let _job =
     System.submit sys ~backend:`Fastthreads_on_sa ~name:"server"

@@ -12,8 +12,6 @@ type config = { cpus : int; horizon : Time.span; kinds : Injector.kind list }
 let default =
   { cpus = 4; horizon = Time.s 10; kinds = Injector.survivable_kinds }
 
-let audit_period = Time.ms 1
-
 type outcome =
   | Completed of Time.span
   | Violation of string
@@ -99,7 +97,7 @@ let synth_program rng ~blocks =
 (* ------------------------------------------------------------------ *)
 
 let check ~kinds ~label ~seed ~horizon sys =
-  let checker = Invariant.attach ~period:audit_period ~label ~seed sys in
+  let checker = Invariant.attach ~label ~seed sys in
   let injector =
     Option.map (fun kinds -> Injector.attach ~kinds ~seed sys) kinds
   in

@@ -8,7 +8,6 @@ type t = {
   sys : System.t;
   seed : int;
   label : string;
-  period : Time.span;
   mutable n_audits : int;
   starved : (int, int) Hashtbl.t;
       (* space id -> consecutive audits seen wanting processors while some
@@ -141,13 +140,15 @@ let audit t =
   List.iter (audit_job t) (System.jobs t.sys);
   audit_work_conservation t
 
-let attach ?(period = Time.ms 1) ?(label = "chaos") ~seed sys =
+(* Simulated time between audits. *)
+let period = Time.ms 1
+
+let attach ~label ~seed sys =
   let t =
     {
       sys;
       seed;
       label;
-      period;
       n_audits = 0;
       starved = Hashtbl.create 8;
     }

@@ -27,9 +27,8 @@
 
 type t
 
-val attach :
-  ?period:Sa_engine.Time.span -> ?label:string -> seed:int -> Sa.System.t -> t
-(** Start auditing every [period] (default 1 ms) until all jobs finish.
+val attach : label:string -> seed:int -> Sa.System.t -> t
+(** Start auditing once per simulated millisecond until all jobs finish.
     [label] names the campaign configuration in diagnostics. *)
 
 val audits : t -> int

@@ -65,10 +65,7 @@ let firefly_cvax =
     (* +3 us Null Fork, +3/+2 us Signal-Wait under activations (S5.1). *)
     ut_sa_busy_accounting = Time.us 3;
     ut_sa_resume_check = Time.us 2;
-    (* Explicit_flag ablation: the Null-Fork cycle crosses six thread-system
-       critical sections (fork 2, join 1, finish 1, two dispatches) and the
-       Signal-Wait half-round three, reproducing 49/48 us (S5.1). *)
-    ut_critical_flag = Time.us 2;
+    ut_critical_flag = 0;
     (* Null-Fork cycle = kt_fork + kt_join + kt_context_switch (child
        dispatch) + procedure_call + kt_exit + kt_context_switch +
        kt_unblock (parent wakeup processing)
@@ -123,7 +120,7 @@ let modern_x86 =
     ut_yield = Time.ns 30;
     ut_sa_busy_accounting = Time.ns 10;
     ut_sa_resume_check = Time.ns 5;
-    ut_critical_flag = Time.ns 8;
+    ut_critical_flag = 0;
     kt_fork = Time.us_f 8.0;
     kt_join = Time.us_f 1.5;
     kt_exit = Time.us_f 2.0;
@@ -148,28 +145,6 @@ let modern_x86 =
     daemon_burst = Time.us 50;
     idle_spin = Time.us 50;
   }
-
-let null_fork_expected t = function
-  | `Fastthreads ->
-      t.ut_fork + t.ut_join + t.ut_schedule + t.procedure_call + t.ut_finish
-      + t.ut_schedule
-  | `Sa ->
-      t.ut_fork + t.ut_join + t.ut_schedule + t.procedure_call + t.ut_finish
-      + t.ut_schedule + t.ut_sa_busy_accounting
-  | `Topaz ->
-      t.kt_fork + t.kt_join + t.kt_context_switch + t.procedure_call
-      + t.kt_exit + t.kt_context_switch + t.kt_unblock
-  | `Ultrix ->
-      t.up_fork + t.up_join + t.kt_context_switch + t.procedure_call
-      + t.up_exit + t.kt_context_switch + t.kt_unblock
-
-let signal_wait_expected t = function
-  | `Fastthreads -> t.ut_signal + t.ut_wait + t.ut_schedule
-  | `Sa ->
-      t.ut_signal + t.ut_wait + t.ut_schedule + t.ut_sa_busy_accounting
-      + t.ut_sa_resume_check
-  | `Topaz -> t.kt_signal + t.kt_wait + t.kt_context_switch + t.kt_unblock
-  | `Ultrix -> t.up_signal + t.up_wait + t.kt_context_switch + t.kt_unblock
 
 let pp ppf t =
   let us name v = Format.fprintf ppf "%-24s %8.1f us@." name (Time.span_to_us v) in

@@ -33,8 +33,11 @@ type t = {
           whether a preempted thread is being resumed (the additional 2 us
           Signal-Wait degradation of Section 5.1) *)
   ut_critical_flag : span;
-      (** per lock/unlock overhead of the [Explicit_flag] critical-section
-          marking strategy; zero under [Copy_sections] (Section 4.3) *)
+      (** charged per thread-system critical-section crossing.  Zero in
+          both presets: the paper marks critical sections by keeping
+          post-processed copies of them, which costs nothing in the common
+          case (Section 4.3).  A nonzero value models setting and clearing
+          an explicit flag around every section instead (Section 5.1) *)
   (* Topaz kernel threads. *)
   kt_fork : span;  (** parent-side thread-creation syscall *)
   kt_join : span;
@@ -55,8 +58,9 @@ type t = {
   upcall : span;  (** deliver one upcall (create/reuse activation, switch to
                       user level) in a tuned implementation *)
   upcall_untuned_factor : float;
-      (** multiplier applied to [upcall] to model the paper's untuned
-          Modula-2+ prototype (Section 5.2 reports ~5x Topaz) *)
+      (** multiplier the kernel applies to [upcall] on every delivery.  The
+          presets model the paper's untuned Modula-2+ prototype (Section
+          5.2 reports ~5x Topaz); [1.0] is a tuned kernel *)
   activation_fresh_alloc : span;
       (** extra cost to allocate activation data structures when the recycle
           pool is empty or disabled (Section 4.3) *)
@@ -79,15 +83,5 @@ val modern_x86 : t
     central ratio — user-level thread operations are one to two orders of
     magnitude cheaper than kernel ones — is {e larger} today than in 1991,
     which the retrospective experiment demonstrates. *)
-
-val null_fork_expected : t -> [ `Fastthreads | `Sa | `Topaz | `Ultrix ] -> span
-(** Closed-form latency of one Null-Fork cycle (fork + join + child dispatch
-    + null procedure + exit + parent re-dispatch) implied by the model:
-    34 / 37 / 948 / 11300 us for the four systems of Table 4. *)
-
-val signal_wait_expected :
-  t -> [ `Fastthreads | `Sa | `Topaz | `Ultrix ] -> span
-(** Closed-form latency of one signal-then-wait (half a ping-pong round,
-    including the dispatch of the next thread): 37 / 42 / 441 / 1840 us. *)
 
 val pp : Format.formatter -> t -> unit

@@ -2,7 +2,6 @@ type mode = Native_oblivious | Explicit_allocation
 
 type t = {
   mode : mode;
-  tuned_upcalls : bool;
   activation_pooling : bool;
   daemons : bool;
   rotate_remainder : bool;
@@ -13,7 +12,6 @@ type t = {
 let default =
   {
     mode = Explicit_allocation;
-    tuned_upcalls = false;
     activation_pooling = true;
     daemons = true;
     rotate_remainder = true;

@@ -15,10 +15,6 @@ type mode = Native_oblivious | Explicit_allocation
 
 type t = {
   mode : mode;
-  tuned_upcalls : bool;
-      (** [false] reproduces the paper's untuned Modula-2+ prototype
-          (Section 5.2); [true] models an assembler-tuned implementation
-          with upcall cost commensurate with Topaz thread operations *)
   activation_pooling : bool;
       (** recycle discarded scheduler activations (Section 4.3); when off,
           every upcall pays [activation_fresh_alloc] *)
@@ -40,8 +36,8 @@ type t = {
 }
 
 val default : t
-(** [Explicit_allocation], untuned upcalls, pooling on, daemons on,
-    remainder rotation on, seed 42. *)
+(** [Explicit_allocation], pooling on, daemons on, remainder rotation on,
+    seed 42. *)
 
 val native : t
 (** [Native_oblivious] variant of {!default}, for the Topaz and original

@@ -324,11 +324,9 @@ let return_idle_cpu t slot sp =
   reevaluate t
 
 let upcall_cost t =
-  if t.cfg.Kconfig.tuned_upcalls then t.costs.Cost_model.upcall
-  else
-    int_of_float
-      (float_of_int t.costs.Cost_model.upcall
-      *. t.costs.Cost_model.upcall_untuned_factor)
+  int_of_float
+    (float_of_int t.costs.Cost_model.upcall
+    *. t.costs.Cost_model.upcall_untuned_factor)
 
 let ncpus t = Machine.cpu_count t.machine
 

@@ -8,11 +8,7 @@ module Recorder = Sa_workload.Recorder
 module Nbody = Sa_workload.Nbody
 module Ft_core = Sa_uthread.Ft_core
 
-(* One latency benchmark: [prog] stamps its markers on a single processor
-   with daemons silenced, as in the paper's Table 1 methodology, and [read]
-   turns the recorded stamps into microseconds. *)
-let stamp_latency ?costs ?strategy ?(name = "bench") kconfig backend prog read
-    =
+let stamp_latency ?costs ?(name = "bench") kconfig backend prog read =
   let sys =
     System.create ~cpus:1 ?costs
       ~kconfig:{ kconfig with Kconfig.daemons = false }
@@ -20,8 +16,7 @@ let stamp_latency ?costs ?strategy ?(name = "bench") kconfig backend prog read
   in
   let rec_ = Recorder.create () in
   let _job =
-    System.submit sys ~backend ~name ?strategy
-      ~observer:(Recorder.observer rec_) prog
+    System.submit sys ~backend ~name ~observer:(Recorder.observer rec_) prog
   in
   System.run sys;
   read rec_
@@ -40,8 +35,8 @@ type latency_row = {
   paper_signal_wait : float option;
 }
 
-let run_latency ?(iters = 200) ?strategy kconfig backend =
-  let one prog read = stamp_latency ?strategy kconfig backend prog read in
+let run_latency ?(iters = 200) ?costs kconfig backend =
+  let one prog read = stamp_latency ?costs kconfig backend prog read in
   ( one (Latency.null_fork ~iters ()) Latency.null_fork_latency,
     one (Latency.signal_wait ~iters) Latency.signal_wait_latency )
 
@@ -205,22 +200,23 @@ type upcall_row = {
 }
 
 let upcall_performance ?(iters = 100) () =
-  let run kconfig backend =
-    stamp_latency ~name:"upcall-bench" kconfig backend
+  let run ?costs kconfig backend =
+    stamp_latency ?costs ~name:"upcall-bench" kconfig backend
       (Latency.upcall_signal_wait ~iters)
       Latency.upcall_signal_wait_latency
+  in
+  let tuned =
+    { Cost_model.firefly_cvax with Cost_model.upcall_untuned_factor = 1.0 }
   in
   [
     {
       u_config = "Scheduler activations (untuned, as built)";
-      u_signal_wait_us =
-        run { Kconfig.default with tuned_upcalls = false } `Fastthreads_on_sa;
+      u_signal_wait_us = run Kconfig.default `Fastthreads_on_sa;
       u_paper = Some 2400.0;
     };
     {
       u_config = "Scheduler activations (tuned projection)";
-      u_signal_wait_us =
-        run { Kconfig.default with tuned_upcalls = true } `Fastthreads_on_sa;
+      u_signal_wait_us = run ~costs:tuned Kconfig.default `Fastthreads_on_sa;
       u_paper = None;
     };
     {
@@ -237,15 +233,14 @@ let upcall_performance ?(iters = 100) () =
 type ablation_row = { a_label : string; a_value : float; a_unit : string }
 
 let ablation_critical_sections ?(iters = 200) () =
-  let run strategy backend kconfig =
-    let nf, sw = run_latency ~iters ~strategy kconfig backend in
-    (nf, sw)
-  in
-  let nf_c, sw_c =
-    run Ft_core.Copy_sections `Fastthreads_on_sa Kconfig.default
-  in
+  let run costs = run_latency ~iters ~costs Kconfig.default `Fastthreads_on_sa in
+  let nf_c, sw_c = run Cost_model.firefly_cvax in
+  (* An explicit flag set and cleared around every critical section: the
+     Null-Fork cycle crosses six thread-system critical sections (fork 2,
+     join 1, finish 1, two dispatches) and the Signal-Wait half-round
+     three, reproducing 49/48 us (S5.1). *)
   let nf_f, sw_f =
-    run Ft_core.Explicit_flag `Fastthreads_on_sa Kconfig.default
+    run { Cost_model.firefly_cvax with Cost_model.ut_critical_flag = Time.us 2 }
   in
   [
     { a_label = "Null Fork, copy-sections (paper 37)"; a_value = nf_c; a_unit = "us" };
@@ -671,12 +666,14 @@ let modern_retrospective () =
     }
   in
   let prep = Nbody.prepare params in
-  let speedup kconfig backend =
+  let speedup costs kconfig backend =
     seq_seconds prep /. run_nbody ~costs ~kconfig ~cpus:6 ~backend prep
   in
-  let kt_speedup = speedup Kconfig.native `Topaz_kthreads in
+  let kt_speedup = speedup costs Kconfig.native `Topaz_kthreads in
   let sa_speedup =
-    speedup { Kconfig.default with tuned_upcalls = true } `Fastthreads_on_sa
+    speedup
+      { costs with Cost_model.upcall_untuned_factor = 1.0 }
+      Kconfig.default `Fastthreads_on_sa
   in
   [
     { a_label = "Null Fork, user-level threads (2020s)"; a_value = ft; a_unit = "us" };

@@ -7,6 +7,20 @@
 
 module Time = Sa_engine.Time
 
+val stamp_latency :
+  ?costs:Sa_hw.Cost_model.t ->
+  ?name:string ->
+  Sa_kernel.Kconfig.t ->
+  Sa.System.backend ->
+  Sa_program.Program.t ->
+  (Sa_workload.Recorder.t -> 'a) ->
+  'a
+(** [stamp_latency kconfig backend prog read] runs one latency benchmark
+    as in the paper's Table 1 methodology: [prog] runs as job [name]
+    (default ["bench"]) on a one-processor system under [costs] (default
+    {!Sa_hw.Cost_model.firefly_cvax}) and [kconfig] with the kernel daemons
+    silenced, and [read] turns the recorded stamps into the result. *)
+
 type latency_row = {
   system : string;
   null_fork_us : float;
@@ -57,8 +71,9 @@ val upcall_performance : ?iters:int -> unit -> upcall_row list
 type ablation_row = { a_label : string; a_value : float; a_unit : string }
 
 val ablation_critical_sections : ?iters:int -> unit -> ablation_row list
-(** Section 5.1: latency benchmarks under [Copy_sections] (zero common-case
-    overhead) vs [Explicit_flag] (paper: Null Fork 49 us, Signal-Wait
+(** Section 5.1: latency benchmarks with critical sections marked by
+    copies (the preset's zero [ut_critical_flag]) vs an explicit flag
+    charged 2 us per crossing (paper: Null Fork 49 us, Signal-Wait
     48 us). *)
 
 val ablation_hysteresis :

@@ -19,7 +19,6 @@ let () =
     && Pcode.op_yield = 15 && Pcode.op_stamp = 16
     && Pcode.op_set_priority = 17 && Pcode.op_dyn = 18)
 
-type strategy = Copy_sections | Explicit_flag
 type tstate = Embryo | Ready | Running | Blocked_user | Blocked_kernel | Done
 
 (* [lease_until]/[lease_for] implement time-window ("lease") locks: a
@@ -143,7 +142,6 @@ type state = {
 
 type 'v driver = {
   costs : Cost_model.t;
-  strategy : strategy;
   sa_accounting : bool;
   sim : Sim.t;
   charge : tcb -> Time.span -> (unit -> unit) -> unit;
@@ -525,10 +523,7 @@ let steal s sim ~thief =
 (* Charged operations                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let flag_cost d crossings =
-  match d.strategy with
-  | Copy_sections -> 0
-  | Explicit_flag -> crossings * d.costs.Cost_model.ut_critical_flag
+let flag_cost d crossings = crossings * d.costs.Cost_model.ut_critical_flag
 
 (* One logical charge request that also issues one [d.charge] event. *)
 let charge_counted s d tcb span k =

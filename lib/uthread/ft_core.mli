@@ -18,13 +18,6 @@ module Time = Sa_engine.Time
 module Program = Sa_program.Program
 module Cost_model = Sa_hw.Cost_model
 
-(** Critical-section marking strategy (Section 4.3).  [Copy_sections] is the
-    paper's zero-common-case-overhead technique (post-processed copies of
-    each critical section); [Explicit_flag] sets and clears a flag around
-    every critical section, adding [ut_critical_flag] per crossing — the
-    ablation of Section 5.1 (Null-Fork 34 to 49 us). *)
-type strategy = Copy_sections | Explicit_flag
-
 type tcb
 (** User-level thread control block. *)
 
@@ -147,7 +140,6 @@ val queued_tids : state -> int list
     activation. *)
 type 'v driver = {
   costs : Cost_model.t;
-  strategy : strategy;
   sa_accounting : bool;
       (** charge the busy-count bookkeeping / resume-check overheads that
           the activation substrate adds (Section 5.1) *)

@@ -26,8 +26,7 @@ let core t = t.core_state
 let space t = t.space
 
 let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
-    ?(strategy = Ft_core.Copy_sections) ?(observer = fun _ _ -> ())
-    ?(on_done = fun () -> ()) prog =
+    ?(observer = fun _ _ -> ()) ?(on_done = fun () -> ()) prog =
   if vps <= 0 then invalid_arg "Ft_kt.create: vps";
   let space = Kernel.new_kthread_space kernel ~name ~priority () in
   let s = Ft_core.create_state ~queues:vps ?cache ?io_dev () in
@@ -51,7 +50,6 @@ let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
   and d =
     {
       Ft_core.costs;
-      strategy;
       sa_accounting = false;
       sim;
       charge = (fun tcb span k -> Kernel.kt_charge kernel (kt_of tcb) span k);

@@ -18,7 +18,6 @@ val create :
   ?priority:int ->
   ?cache:Sa_hw.Buffer_cache.t ->
   ?io_dev:Sa_hw.Io_device.t ->
-  ?strategy:Ft_core.strategy ->
   ?observer:(int -> Sa_engine.Time.t -> unit) ->
   ?on_done:(unit -> unit) ->
   Sa_program.Program.t ->

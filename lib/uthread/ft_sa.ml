@@ -207,8 +207,7 @@ let on_upcall t delivery =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create kernel ~name ?(priority = 0) ?cache ?io_dev
-    ?(strategy = Ft_core.Copy_sections) ?max_procs
+let create kernel ~name ?(priority = 0) ?cache ?io_dev ?max_procs
     ?(observer = fun _ _ -> ()) ?(on_done = fun () -> ()) prog =
   let ncpus = Sa_hw.Machine.cpu_count (Kernel.machine kernel) in
   let max_procs =
@@ -233,7 +232,6 @@ let create kernel ~name ?(priority = 0) ?cache ?io_dev
   and d =
     {
       Ft_core.costs;
-      strategy;
       sa_accounting = true;
       sim;
       charge =

@@ -10,12 +10,7 @@ type params = {
   per_interaction : Time.span;
   tree_build_unit : Time.span;
   reduction_cs : Time.span;
-  reads_per_task : int;
   hit_cost : Time.span;
-  bodies_per_block : int;
-  theta : float;
-  eps : float;
-  dt : float;
   seed : int;
 }
 
@@ -27,12 +22,7 @@ let default_params =
     per_interaction = Time.us 12;
     tree_build_unit = Time.us 5;
     reduction_cs = Time.us 80;
-    reads_per_task = 1;
     hit_cost = Sa_hw.Cost_model.firefly_cvax.procedure_call;
-    bodies_per_block = 5;
-    theta = 0.7;
-    eps = 0.05;
-    dt = 1e-3;
     seed = 42;
   }
 
@@ -44,6 +34,9 @@ type prepared = {
   total_interactions : int;
   tasks : int;
 }
+
+(* Dataset granularity: bodies per cache block. *)
+let bodies_per_block = 5
 
 let log2 x = log x /. log 2.0
 
@@ -66,26 +59,22 @@ let prepare p =
     invalid_arg "Nbody.prepare: params";
   let rng = Rng.create p.seed in
   let bodies = Barneshut.Nbody_sim.plummer rng ~n:p.n_bodies in
-  let bh =
-    Barneshut.Nbody_sim.create ~theta:p.theta ~eps:p.eps ~dt:p.dt bodies
-  in
+  let bh = Barneshut.Nbody_sim.create bodies in
   let profiles =
     Array.of_list
       (List.map
          (fun prof -> prof.Barneshut.Nbody_sim.interactions)
          (Barneshut.Nbody_sim.run bh ~steps:p.steps))
   in
-  let blocks = (p.n_bodies + p.bodies_per_block - 1) / p.bodies_per_block in
+  let blocks = (p.n_bodies + bodies_per_block - 1) / bodies_per_block in
   let reduction_lock = P.Mutex.create ~name:"nbody-reduction" () in
-  (* Deterministic pseudo-random block for a (step, body, read) access with
-     a working set: 90% of reads hit the hot 40% of the data set (the inner
+  (* Deterministic pseudo-random block for a (step, body) access with a
+     working set: 90% of reads hit the hot 40% of the data set (the inner
      region of the tree), the rest scatter over the cold tail.  While the
      cache holds the working set misses are rare; once it cannot, they climb
      quickly — the "slowly at first, then more sharply" of Figure 2. *)
-  let block_of ~step ~first ~read =
-    let h =
-      ((step + 1) * 2654435761) lxor (first * 40503) lxor (read * 97003)
-    in
+  let block_of ~step ~first =
+    let h = ((step + 1) * 2654435761) lxor (first * 40503) in
     let h = h land max_int in
     let hot_blocks = max 1 (blocks * 2 / 5) in
     if h mod 10 < 9 then h / 10 mod hot_blocks
@@ -94,16 +83,11 @@ let prepare p =
   let task step first =
     let profile = profiles.(step) in
     let work = task_compute p profile ~first ~len:p.chunk in
-    let slice = work / max 1 p.reads_per_task in
     B.to_program
       (let open B in
-       (* Interleave reads with compute: each read fetches the region the
-          next stretch of force computation walks. *)
-       let* () =
-         repeat p.reads_per_task (fun r ->
-             let* () = cache_read (block_of ~step ~first ~read:r) in
-             compute slice)
-       in
+       (* One read fetches the region the force computation walks. *)
+       let* () = cache_read (block_of ~step ~first) in
+       let* () = compute work in
        critical reduction_lock (compute p.reduction_cs))
   in
   let tasks_per_step = (p.n_bodies + p.chunk - 1) / p.chunk in
@@ -132,7 +116,7 @@ let prepare p =
   let tasks = tasks_per_step * p.steps in
   (* The sequential baseline performs the same computation inline: tree
      builds, cache reads (hits), force computation, reductions. *)
-  let read_cost = tasks * p.reads_per_task * p.hit_cost in
+  let read_cost = tasks * p.hit_cost in
   let seq_time =
     (p.steps * tree_build_cost p)
     + (total_interactions * p.per_interaction)
@@ -143,9 +127,3 @@ let prepare p =
 
 let cache_capacity prep ~percent =
   if percent <= 0 then 0 else (prep.blocks * percent) / 100
-
-let prewarm cache prep =
-  let cap = Sa_hw.Buffer_cache.capacity cache in
-  for b = 0 to min cap prep.blocks - 1 do
-    Sa_hw.Buffer_cache.fill cache b
-  done

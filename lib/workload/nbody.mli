@@ -30,20 +30,17 @@ type params = {
       (** sequential tree-build cost is [n * log2 n * tree_build_unit] *)
   reduction_cs : Time.span;
       (** span each task holds the shared reduction lock *)
-  reads_per_task : int;  (** buffer-cache reads per task *)
   hit_cost : Time.span;
       (** cache-lookup cost charged in the analytic sequential baseline
           (must match the cost model the run uses: a procedure call) *)
-  bodies_per_block : int;  (** dataset granularity: bodies per cache block *)
-  theta : float;
-  eps : float;
-  dt : float;
   seed : int;
 }
 
 val default_params : params
 (** 300 bodies, 6 steps, 1 body per task — sized so a full run is a few
-    simulated seconds, like the paper's scaled-down Firefly problem. *)
+    simulated seconds, like the paper's scaled-down Firefly problem.  Fixed
+    for every run: one cache read per task, five bodies per cache block,
+    and {!Barneshut.Nbody_sim.create}'s default [theta], [eps] and [dt]. *)
 
 type prepared = {
   params : params;
@@ -63,7 +60,3 @@ val prepare : params -> prepared
 val cache_capacity : prepared -> percent:int -> int
 (** Buffer-cache capacity holding [percent]% of the dataset ("% available
     memory" in Figure 2).  At 100% the entire data set fits. *)
-
-val prewarm : Sa_hw.Buffer_cache.t -> prepared -> unit
-(** Pre-fill the cache (up to its capacity) so a 100%-memory run has no
-    cold misses, matching the paper's "negligible I/O" configuration. *)

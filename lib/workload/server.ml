@@ -4,24 +4,9 @@ module Stats = Sa_engine.Stats
 module P = Sa_program.Program
 module B = P.Build
 
-type params = {
-  requests : int;
-  mean_interarrival : Time.span;
-  service_compute : Time.span;
-  io_probability : float;
-  io_latency : Time.span;
-  seed : int;
-}
+type params = { requests : int; seed : int }
 
-let default_params =
-  {
-    requests = 200;
-    mean_interarrival = Time.ms 1;
-    service_compute = Time.ms 1;
-    io_probability = 0.8;
-    io_latency = Time.ms 20;
-    seed = 7;
-  }
+let default_params = { requests = 200; seed = 7 }
 
 (* ------------------------------------------------------------------ *)
 (* Multi-tenant serving: the datacenter-scale scenario                  *)
@@ -249,13 +234,13 @@ let program p =
   let cls =
     {
       tc_class = "server";
-      tc_mean_interarrival = p.mean_interarrival;
+      tc_mean_interarrival = Time.ms 1;
       tc_burst_every = 0;
       tc_burst_size = 0;
       tc_fan_out = 1;
-      tc_service_compute = p.service_compute;
-      tc_io_probability = p.io_probability;
-      tc_io_latency = p.io_latency;
+      tc_service_compute = Time.ms 1;
+      tc_io_probability = 0.8;
+      tc_io_latency = Time.ms 20;
       tc_slo = max_int;
       tc_priority = 0;
     }

@@ -14,25 +14,18 @@
     processor, so requests queue behind lost processors; under scheduler
     activations every block returns its processor via an upcall. *)
 
-type params = {
-  requests : int;
-  mean_interarrival : Sa_engine.Time.span;
-  service_compute : Sa_engine.Time.span;
-  io_probability : float;  (** fraction of requests performing kernel I/O *)
-  io_latency : Sa_engine.Time.span;
-  seed : int;
-}
+type params = { requests : int; seed : int }
 
 val default_params : params
-(** 200 requests at 1 ms mean inter-arrival, 1 ms compute each, 80% of
-    requests performing a 20 ms I/O — an offered I/O concurrency of ~16,
-    far above a small machine's processor count, so systems that lose a
-    processor per kernel block must queue. *)
+(** 200 requests, seed 7. *)
 
 val program : params -> Sa_program.Program.t
-(** The multi-tenant listener below ({!tenant_program}) over one class
-    built from [params]: no bursts, no fan-out (one handler per request),
-    no cache reads.  Deterministic in [params.seed]. *)
+(** The multi-tenant listener below ({!tenant_program}) over one class:
+    1 ms mean inter-arrival, 1 ms compute per request, 80% of requests
+    performing a 20 ms I/O — an offered I/O concurrency of ~16, far above
+    a small machine's processor count, so systems that lose a processor
+    per kernel block must queue.  No bursts, no fan-out (one handler per
+    request), no cache reads.  Deterministic in [params.seed]. *)
 
 (** {1 Multi-tenant serving}
 

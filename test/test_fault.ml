@@ -281,6 +281,28 @@ let test_audits_ran () =
   let injected k = List.assoc k r.Campaign.injected in
   Alcotest.(check bool) "preemptions injected" true (injected "preempt" > 0)
 
+(* The checker's period is a constant of [Invariant]: one audit per
+   simulated millisecond, from the first millisecond until the last job
+   finishes, so a clean run's audit count is its makespan in whole
+   milliseconds. *)
+let test_audit_period () =
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun seed ->
+          let r = Campaign.run_seed ~mode seed in
+          let what =
+            Printf.sprintf "%s seed %d" (Campaign.mode_name mode) seed
+          in
+          match r.Campaign.outcome with
+          | Campaign.Completed makespan ->
+              Alcotest.(check int)
+                (what ^ " audits")
+                (makespan / Time.ms 1) r.Campaign.audits
+          | _ -> Alcotest.fail (what ^ " did not complete"))
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+    [ Kconfig.Explicit_allocation; Kconfig.Native_oblivious ]
+
 (* Counts recorded with the injector's gaps, probabilities and holds at
    their current values: changing any of those constants shifts them. *)
 let test_injector_constants_pinned () =
@@ -348,6 +370,9 @@ let () =
             test_campaign_deterministic;
           Alcotest.test_case "audits and injections actually happen" `Quick
             test_audits_ran;
+          Alcotest.test_case
+            "the checker audits once per simulated millisecond" `Quick
+            test_audit_period;
           Alcotest.test_case "injector constants give pinned counts" `Quick
             test_injector_constants_pinned;
           Alcotest.test_case "demand-drop gap gives a pinned count" `Quick

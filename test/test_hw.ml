@@ -441,21 +441,21 @@ let cm_tests =
   [
     Alcotest.test_case "Table 4 closed forms" `Quick (fun () ->
         check Alcotest.int "FT null fork" (Time.us 34)
-          (Cost_model.null_fork_expected c `Fastthreads);
+          (Cost_oracle.null_fork_expected c `Fastthreads);
         check Alcotest.int "SA null fork" (Time.us 37)
-          (Cost_model.null_fork_expected c `Sa);
+          (Cost_oracle.null_fork_expected c `Sa);
         check Alcotest.int "Topaz null fork" (Time.us 948)
-          (Cost_model.null_fork_expected c `Topaz);
+          (Cost_oracle.null_fork_expected c `Topaz);
         check Alcotest.int "Ultrix null fork" (Time.us 11300)
-          (Cost_model.null_fork_expected c `Ultrix);
+          (Cost_oracle.null_fork_expected c `Ultrix);
         check Alcotest.int "FT signal-wait" (Time.us 37)
-          (Cost_model.signal_wait_expected c `Fastthreads);
+          (Cost_oracle.signal_wait_expected c `Fastthreads);
         check Alcotest.int "SA signal-wait" (Time.us 42)
-          (Cost_model.signal_wait_expected c `Sa);
+          (Cost_oracle.signal_wait_expected c `Sa);
         check Alcotest.int "Topaz signal-wait" (Time.us 441)
-          (Cost_model.signal_wait_expected c `Topaz);
+          (Cost_oracle.signal_wait_expected c `Topaz);
         check Alcotest.int "Ultrix signal-wait" (Time.us 1840)
-          (Cost_model.signal_wait_expected c `Ultrix));
+          (Cost_oracle.signal_wait_expected c `Ultrix));
     Alcotest.test_case "primitive constants" `Quick (fun () ->
         check Alcotest.int "procedure call 7us" (Time.us 7) c.procedure_call;
         check Alcotest.int "kernel trap 19us" (Time.us 19) c.kernel_trap;

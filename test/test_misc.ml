@@ -1,6 +1,6 @@
 (* Cross-cutting coverage: kernel semaphores on user-level backends, daemon
-   obliviousness under native Topaz, the explicit-flag strategy on the
-   kernel-thread substrate, multiple joiners, and assorted small APIs. *)
+   obliviousness under native Topaz, the explicit-flag critical-section cost
+   on the kernel-thread substrate, multiple joiners, and assorted small APIs. *)
 
 module Time = Sa_engine.Time
 module Sim = Sa_engine.Sim
@@ -130,24 +130,30 @@ let strategy_tests =
   [
     Alcotest.test_case "explicit flag slows orig FastThreads too" `Quick
       (fun () ->
-        let run strategy =
+        let run costs =
           let sys =
-            System.create ~cpus:1
+            System.create ~cpus:1 ~costs
               ~kconfig:{ Kconfig.native with Kconfig.daemons = false }
               ()
           in
           let r = Sa_workload.Recorder.create () in
           let _job =
             System.submit sys ~backend:(`Fastthreads_on_kthreads 1)
-              ~name:"bench" ~strategy
+              ~name:"bench"
               ~observer:(Sa_workload.Recorder.observer r)
               (Sa_workload.Latency.null_fork ~iters:50 ())
           in
           System.run sys;
           Sa_workload.Latency.null_fork_latency r
         in
-        let plain = run Sa_uthread.Ft_core.Copy_sections in
-        let flagged = run Sa_uthread.Ft_core.Explicit_flag in
+        let plain = run Cost_model.firefly_cvax in
+        let flagged =
+          run
+            {
+              Cost_model.firefly_cvax with
+              Cost_model.ut_critical_flag = Time.us 2;
+            }
+        in
         check (Alcotest.float 0.51) "copy-sections 34" 34.0 plain;
         check (Alcotest.float 0.51) "explicit flag 46 (6 x 2us crossings)"
           46.0 flagged);
@@ -237,10 +243,10 @@ let misc_tests =
         check Alcotest.bool "user fork far below kernel fork" true
           (m.Cost_model.ut_fork * 10 < m.Cost_model.kt_fork);
         check Alcotest.bool "null fork expectations ordered" true
-          (Cost_model.null_fork_expected m `Fastthreads
-          < Cost_model.null_fork_expected m `Topaz
-          && Cost_model.null_fork_expected m `Topaz
-             < Cost_model.null_fork_expected m `Ultrix));
+          (Cost_oracle.null_fork_expected m `Fastthreads
+          < Cost_oracle.null_fork_expected m `Topaz
+          && Cost_oracle.null_fork_expected m `Topaz
+             < Cost_oracle.null_fork_expected m `Ultrix));
     Alcotest.test_case "trace printer sink streams records" `Quick (fun () ->
         let buf = Buffer.create 64 in
         let tr = Trace.create () in

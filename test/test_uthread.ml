@@ -724,7 +724,6 @@ let sync_driver : unit Ft_core.driver =
   let no_loop () = failwith "sync driver: no scheduler loop" in
   {
     Ft_core.costs = Sa_hw.Cost_model.firefly_cvax;
-    strategy = Ft_core.Copy_sections;
     sa_accounting = false;
     sim = Sa_engine.Sim.create ();
     charge = (fun _ _ k -> k ());

@@ -12,9 +12,11 @@ module Nbody = Sa_workload.Nbody
 let check = Alcotest.check
 let costs = Cost_model.firefly_cvax
 
-let run_bench ?(kconfig = Kconfig.native) backend bench read =
+let run_bench ?costs ?(kconfig = Kconfig.native) backend bench read =
   let sys =
-    System.create ~cpus:1 ~kconfig:{ kconfig with Kconfig.daemons = false } ()
+    System.create ~cpus:1 ?costs
+      ~kconfig:{ kconfig with Kconfig.daemons = false }
+      ()
   in
   let r = Recorder.create () in
   let _job =
@@ -57,7 +59,7 @@ let latency_tests =
             (fun ~iters -> Latency.null_fork ~iters ())
             Latency.null_fork_latency
         in
-        expect_us "34 us" (Cost_model.null_fork_expected costs `Fastthreads) v);
+        expect_us "34 us" (Cost_oracle.null_fork_expected costs `Fastthreads) v);
     Alcotest.test_case "Null Fork matches Table 4 exactly (SA)" `Quick
       (fun () ->
         let v =
@@ -65,7 +67,7 @@ let latency_tests =
             (fun ~iters -> Latency.null_fork ~iters ())
             Latency.null_fork_latency
         in
-        expect_us "37 us" (Cost_model.null_fork_expected costs `Sa) v);
+        expect_us "37 us" (Cost_oracle.null_fork_expected costs `Sa) v);
     Alcotest.test_case "Null Fork matches Table 1 exactly (Topaz)" `Quick
       (fun () ->
         let v =
@@ -73,7 +75,7 @@ let latency_tests =
             (fun ~iters -> Latency.null_fork ~iters ())
             Latency.null_fork_latency
         in
-        expect_us "948 us" (Cost_model.null_fork_expected costs `Topaz) v);
+        expect_us "948 us" (Cost_oracle.null_fork_expected costs `Topaz) v);
     Alcotest.test_case "Null Fork matches Table 1 exactly (Ultrix)" `Quick
       (fun () ->
         let v =
@@ -81,30 +83,30 @@ let latency_tests =
             (fun ~iters -> Latency.null_fork ~iters ())
             Latency.null_fork_latency
         in
-        expect_us "11300 us" (Cost_model.null_fork_expected costs `Ultrix) v);
+        expect_us "11300 us" (Cost_oracle.null_fork_expected costs `Ultrix) v);
     Alcotest.test_case "Signal-Wait matches tables on all systems" `Quick
       (fun () ->
         let ft =
           run_bench (`Fastthreads_on_kthreads 1) Latency.signal_wait
             Latency.signal_wait_latency
         in
-        expect_us "FT 37" (Cost_model.signal_wait_expected costs `Fastthreads) ft;
+        expect_us "FT 37" (Cost_oracle.signal_wait_expected costs `Fastthreads) ft;
         let sa =
           run_bench ~kconfig:Kconfig.default `Fastthreads_on_sa
             Latency.signal_wait Latency.signal_wait_latency
         in
-        expect_us "SA 42" (Cost_model.signal_wait_expected costs `Sa) sa;
+        expect_us "SA 42" (Cost_oracle.signal_wait_expected costs `Sa) sa;
         let topaz =
           run_bench `Topaz_kthreads Latency.signal_wait
             Latency.signal_wait_latency
         in
-        expect_us "Topaz 441" (Cost_model.signal_wait_expected costs `Topaz)
+        expect_us "Topaz 441" (Cost_oracle.signal_wait_expected costs `Topaz)
           topaz;
         let ultrix =
           run_bench `Ultrix_processes Latency.signal_wait
             Latency.signal_wait_latency
         in
-        expect_us "Ultrix 1840" (Cost_model.signal_wait_expected costs `Ultrix)
+        expect_us "Ultrix 1840" (Cost_oracle.signal_wait_expected costs `Ultrix)
           ultrix);
     Alcotest.test_case "upcall Signal-Wait ~2.4ms untuned, ~Topaz tuned"
       `Quick (fun () ->
@@ -116,9 +118,9 @@ let latency_tests =
           (untuned > 2200.0 && untuned < 2600.0);
         let tuned =
           run_bench
-            ~kconfig:{ Kconfig.default with Kconfig.tuned_upcalls = true }
-            `Fastthreads_on_sa Latency.upcall_signal_wait
-            Latency.upcall_signal_wait_latency
+            ~costs:{ costs with Cost_model.upcall_untuned_factor = 1.0 }
+            ~kconfig:Kconfig.default `Fastthreads_on_sa
+            Latency.upcall_signal_wait Latency.upcall_signal_wait_latency
         in
         check Alcotest.bool "tuned within 30% of Topaz" true
           (tuned > 441.0 *. 0.7 && tuned < 441.0 *. 1.3));
